@@ -1,49 +1,17 @@
-"""Batched numeric cores with a numba fast path and a pure-numpy twin.
-
-The backend is picked once at import time from the TANGLEROOF_BACKEND
-environment variable: "numba" (default when numba imports), or "numpy".
-Both implementations of each kernel are importable for benchmarking and
-cross-checking regardless of the selected backend.
-"""
+"""Batched numeric cores: the tangle polynomial and the sampler's inner loop."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "backend_name",
-    "tau3_many",
-    "min_average_batch",
-    "tau3_many_numpy",
-    "min_average_batch_numpy",
-    "tau3_many_numba",
-    "min_average_batch_numba",
-]
-
-_ENV_CHOICE = os.environ.get("TANGLEROOF_BACKEND", "").strip().lower()
-if _ENV_CHOICE not in ("", "numba", "numpy"):
-    raise ValueError(
-        f"TANGLEROOF_BACKEND must be 'numba' or 'numpy', got {_ENV_CHOICE!r}"
-    )
-
-try:
-    import numba as _numba
-except ImportError:
-    _numba = None
-
-if _ENV_CHOICE == "numba" and _numba is None:
-    raise ImportError("TANGLEROOF_BACKEND=numba requested but numba is not installed")
-
-_USE_NUMBA = _numba is not None and _ENV_CHOICE != "numpy"
+__all__ = ["backend_name", "tau3_many", "min_average_batch"]
 
 
 def backend_name() -> str:
-    """Name of the kernel backend selected at import time."""
-    return "numba" if _USE_NUMBA else "numpy"
+    """Name of the array backend running the kernels."""
+    return "numpy"
 
 
-def tau3_many_numpy(amps: np.ndarray) -> np.ndarray:
+def tau3_many(amps: np.ndarray) -> np.ndarray:
     """Degree-4 tangle polynomial for each row of an (m, 8) amplitude array.
 
     Rows need not be normalized; the value scales with the fourth power of
@@ -60,7 +28,7 @@ def tau3_many_numpy(amps: np.ndarray) -> np.ndarray:
     return 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def min_average_batch_numpy(base: np.ndarray, gauss: np.ndarray, sizes: np.ndarray) -> float:
+def min_average_batch(base: np.ndarray, gauss: np.ndarray, sizes: np.ndarray) -> float:
     """Smallest decomposition average of sqrt|tau3| over a batch of draws.
 
     base is the (2, 8) array [sqrt(w1)*psi1, sqrt(w2)*psi2]. Sample s builds
@@ -91,101 +59,8 @@ def min_average_batch_numpy(base: np.ndarray, gauss: np.ndarray, sizes: np.ndarr
         u2 = u2[ok2] / n2[ok2, None]
         u1 = u1[ok2]
         rows = u1[:, :, None] * base[0] + u2[:, :, None] * base[1]
-        vals = np.sqrt(np.abs(tau3_many_numpy(rows.reshape(-1, 8)))).reshape(rows.shape[:2])
+        vals = np.sqrt(np.abs(tau3_many(rows.reshape(-1, 8)))).reshape(rows.shape[:2])
         group_best = float(np.min(vals.sum(axis=1)))
         if group_best < best:
             best = group_best
     return best
-
-
-tau3_many_numba = None
-min_average_batch_numba = None
-
-if _numba is not None:
-
-    @_numba.njit(cache=True)
-    def _tau3_many_jit(amps):  # pragma: no cover - exercised via wrapper
-        m = amps.shape[0]
-        out = np.empty(m, dtype=np.complex128)
-        for i in range(m):
-            p1 = amps[i, 0] * amps[i, 7]
-            p2 = amps[i, 3] * amps[i, 4]
-            p3 = amps[i, 5] * amps[i, 2]
-            p4 = amps[i, 6] * amps[i, 1]
-            d1 = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4
-            d2 = p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4
-            d3 = (
-                amps[i, 0] * amps[i, 6] * amps[i, 5] * amps[i, 3]
-                + amps[i, 7] * amps[i, 1] * amps[i, 2] * amps[i, 4]
-            )
-            out[i] = 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
-        return out
-
-    @_numba.njit(cache=True)
-    def _min_average_batch_jit(base, gauss, sizes):  # pragma: no cover
-        n = sizes.shape[0]
-        best = np.inf
-        row = np.empty(8, dtype=np.complex128)
-        for s in range(n):
-            m = sizes[s]
-            u1 = np.empty(m, dtype=np.complex128)
-            u2 = np.empty(m, dtype=np.complex128)
-            for i in range(m):
-                u1[i] = gauss[s, i, 0, 0] + 1j * gauss[s, i, 0, 1]
-                u2[i] = gauss[s, i, 1, 0] + 1j * gauss[s, i, 1, 1]
-            n1 = 0.0
-            for i in range(m):
-                n1 += u1[i].real ** 2 + u1[i].imag ** 2
-            n1 = np.sqrt(n1)
-            if n1 <= 1e-12:
-                continue
-            for i in range(m):
-                u1[i] /= n1
-            ov = 0.0 + 0.0j
-            for i in range(m):
-                ov += np.conj(u1[i]) * u2[i]
-            n2 = 0.0
-            for i in range(m):
-                u2[i] -= ov * u1[i]
-                n2 += u2[i].real ** 2 + u2[i].imag ** 2
-            n2 = np.sqrt(n2)
-            if n2 <= 1e-12:
-                continue
-            total = 0.0
-            for i in range(m):
-                a = u1[i]
-                b = u2[i] / n2
-                for d in range(8):
-                    row[d] = a * base[0, d] + b * base[1, d]
-                p1 = row[0] * row[7]
-                p2 = row[3] * row[4]
-                p3 = row[5] * row[2]
-                p4 = row[6] * row[1]
-                d1 = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4
-                d2 = p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4
-                d3 = row[0] * row[6] * row[5] * row[3] + row[7] * row[1] * row[2] * row[4]
-                tau = 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
-                total += np.sqrt(abs(tau))
-            if total < best:
-                best = total
-        return best
-
-    def tau3_many_numba(amps: np.ndarray) -> np.ndarray:
-        return _tau3_many_jit(np.ascontiguousarray(amps, dtype=complex))
-
-    def min_average_batch_numba(base: np.ndarray, gauss: np.ndarray, sizes: np.ndarray) -> float:
-        return float(
-            _min_average_batch_jit(
-                np.ascontiguousarray(base, dtype=complex),
-                np.ascontiguousarray(gauss, dtype=float),
-                np.ascontiguousarray(sizes, dtype=np.int64),
-            )
-        )
-
-
-if _USE_NUMBA:
-    tau3_many = tau3_many_numba
-    min_average_batch = min_average_batch_numba
-else:
-    tau3_many = tau3_many_numpy
-    min_average_batch = min_average_batch_numpy

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .pencil import ExtendedRoot, ZeroSet
-from .states import PureState, RankTwoMixture, superpose
+from .states import PureState, RankTwoMixture
 
 __all__ = [
     "bloch_from_z",
@@ -37,14 +37,28 @@ ON_AXIS_TOL = 1e-9
 FACE_RESIDUAL_TOL = 1e-9
 WEIGHT_TOL = 1e-9
 
+_SOUTH_POLE = np.array([0.0, 0.0, -1.0])
 
-def bloch_from_z(z: Optional[complex]) -> np.ndarray:
-    """Unit Bloch vector of the pencil parameter z (None = infinity)."""
+
+def bloch_from_z(z) -> np.ndarray:
+    """Unit Bloch vectors of pencil parameters z, shape z.shape + (3,).
+
+    None and non-finite entries stand for the point at infinity, which maps
+    to the south pole.
+    """
     if z is None:
-        return np.array([0.0, 0.0, -1.0])
-    z = complex(z)
-    denom = 1.0 + abs(z) ** 2
-    return np.array([2.0 * z.real, 2.0 * z.imag, 1.0 - abs(z) ** 2]) / denom
+        return _SOUTH_POLE.copy()
+    z = np.asarray(z, dtype=complex)
+    finite = np.isfinite(z)
+    z = np.where(finite, z, 0.0)
+    mod2 = np.abs(z) ** 2
+    pts = np.empty(z.shape + (3,))
+    pts[..., 0] = 2.0 * z.real
+    pts[..., 1] = 2.0 * z.imag
+    pts[..., 2] = 1.0 - mod2
+    pts /= (1.0 + mod2)[..., None]
+    pts[~finite] = _SOUTH_POLE
+    return pts
 
 
 def bloch_from_root(root: ExtendedRoot) -> np.ndarray:
@@ -136,16 +150,15 @@ def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
     """Vertices, affine dimension, volume, and faces of the zero polytope."""
     if len(zeros.roots) == 0:
         raise ValueError("empty zero set has no polytope")
-    verts, p0, phases, mults, states = [], [], [], [], []
+    p0, phases, mults, states = [], [], [], []
     offset = 0
     for root in zeros.roots:
-        verts.append(bloch_from_root(root))
         p0.append(root.p0)
         phases.append(root.phase)
         mults.append(root.multiplicity)
         states.append(zeros.states[offset])
         offset += root.multiplicity
-    vertices = np.array(verts)
+    vertices = bloch_from_z([np.inf if r.z is None else r.z for r in zeros.roots])
     k = vertices.shape[0]
     _, _, vt, rank = _affine_frame(vertices)
     if rank == 3:
@@ -257,22 +270,25 @@ def barycentric_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _sphere_exit_many(anchors: np.ndarray, target: np.ndarray):
-    """Sphere crossings of rays from each anchor through a strictly interior target.
+def _sphere_exit_many(anchors: np.ndarray, targets: np.ndarray):
+    """Sphere crossings of rays from each anchor through each interior target.
 
+    anchors is (n_a, 3) and targets (n_t, 3); returns boundary (n_t, n_a, 3)
+    and lam (n_t, n_a) with target = lam * boundary + (1 - lam) * anchor.
     Solves |anchor + (target - anchor)/lam|^2 = 1 for lam in (0, 1] using a
-    subtraction-free form that stays stable for anchors on the sphere.
-    Rows with anchor == target get lam = nan.
+    subtraction-free form that stays stable for anchors on the sphere, and
+    writes the boundary relative to the target so it is exact at lam = 1.
+    Pairs with anchor == target get lam = nan.
     """
     anchors = np.atleast_2d(anchors)
-    d = target[None, :] - anchors
-    dd = np.sum(d * d, axis=1)
-    c = np.sum(anchors * d, axis=1)
-    disc = c * c + (1.0 - np.sum(anchors * anchors, axis=1)) * dd
+    d = targets[:, None, :] - anchors[None, :, :]
+    dd = np.sum(d * d, axis=2)
+    c = np.sum(anchors[None, :, :] * d, axis=2)
+    disc = c * c + (1.0 - np.sum(anchors * anchors, axis=1))[None, :] * dd
     denom = np.sqrt(np.clip(disc, 0.0, None)) - c
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where((dd > 0) & (denom > 0), dd / denom, np.nan)
-        boundary = anchors + d / lam[:, None]
+        boundary = targets[:, None, :] + d * (1.0 / lam - 1.0)[:, :, None]
     return boundary, lam
 
 
@@ -291,18 +307,33 @@ def ray_extend(anchor: np.ndarray, target: np.ndarray):
         raise ValueError("anchor must lie strictly inside the unit ball")
     if np.linalg.norm(target) > 1.0 + 1e-10:
         raise ValueError("target must lie inside or on the unit ball")
-    boundary, lam = _sphere_exit_many(anchor[None, :], target)
-    if not np.isfinite(lam[0]):
+    boundary, lam = _sphere_exit_many(anchor[None, :], target[None, :])
+    if not np.isfinite(lam[0, 0]):
         raise ValueError("target coincides with the anchor")
-    return boundary[0], float(lam[0])
+    return boundary[0, 0], float(lam[0, 0])
+
+
+def _span_amplitudes(mix: RankTwoMixture, points: np.ndarray) -> np.ndarray:
+    """Unit-norm amplitudes of the span states at Bloch points on the sphere.
+
+    The result has shape points.shape[:-1] + (dim,). The coefficients of
+    (psi1, psi2) use the half-angle form (1 + z, x + iy) on the northern
+    hemisphere and (x - iy, 1 - z) on the southern one; both are
+    proportional to (cos(theta/2), e^{i phi} sin(theta/2)) up to a global
+    phase and avoid the cancellation of sqrt(1 - (1 + z)/2) near the poles.
+    """
+    points = np.asarray(points, dtype=float)
+    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    north = z >= 0.0
+    a1 = np.where(north, 1.0 + z, x - 1j * y)
+    a2 = np.where(north, x + 1j * y, 1.0 - z)
+    norm = np.sqrt(np.abs(a1) ** 2 + np.abs(a2) ** 2)
+    with np.errstate(invalid="ignore"):  # nan points (rays with no crossing)
+        a1, a2 = a1 / norm, a2 / norm
+    return a1[..., None] * mix.psi1.amplitudes + a2[..., None] * mix.psi2.amplitudes
 
 
 def state_from_bloch(mix: RankTwoMixture, point: np.ndarray) -> PureState:
     """Normalized pure state of the span at a Bloch point on the unit sphere."""
     point = np.asarray(point, dtype=float).ravel()
-    p = min(max(0.5 * (1.0 + point[2]), 0.0), 1.0)
-    phase = np.arctan2(point[1], point[0])
-    state = superpose(
-        mix.psi1, mix.psi2, np.sqrt(p), np.exp(1j * phase) * np.sqrt(1.0 - p)
-    )
-    return state.normalized()
+    return PureState(mix.psi1.n_qubits, _span_amplitudes(mix, point)).normalized()

@@ -19,19 +19,15 @@ import numpy as np
 from .bloch import (
     AxisInterval,
     ZeroPolytope,
+    _span_amplitudes,
+    _sphere_exit_many,
     axis_point,
     axis_zero_interval,
     build_polytope,
     state_from_bloch,
 )
 from .invariants import c3, c3_many
-from .pencil import (
-    IdenticallyZeroPencilError,
-    PencilPolynomial,
-    ZeroSet,
-    pencil_polynomial,
-    zero_set,
-)
+from .pencil import IdenticallyZeroPencilError, ZeroSet, zero_set
 from .states import PureState, RankTwoMixture
 
 __all__ = [
@@ -55,7 +51,6 @@ GRID_SIZE_DEFAULT = 401
 class SpanGeometry:
     """Zero-set geometry of a rank-two span, shared across bound evaluations."""
 
-    pencil: PencilPolynomial
     zeros: Optional[ZeroSet]
     polytope: Optional[ZeroPolytope]
     interval: Optional[AxisInterval]
@@ -65,17 +60,14 @@ class SpanGeometry:
 
 
 def span_geometry(mix: RankTwoMixture) -> SpanGeometry:
-    """Pencil, zero set, polytope, and axis interval of the mixture's span."""
-    poly = pencil_polynomial(mix.psi1, mix.psi2)
+    """Zero set, polytope, and axis interval of the mixture's span."""
     try:
         zeros = zero_set(mix)
     except IdenticallyZeroPencilError:
-        return SpanGeometry(poly, None, None, None, True, 0.0, 0.0)
+        return SpanGeometry(None, None, None, True, 0.0, 0.0)
     polytope = build_polytope(zeros)
     interval = axis_zero_interval(polytope)
-    return SpanGeometry(
-        poly, zeros, polytope, interval, False, c3(mix.psi1), c3(mix.psi2)
-    )
+    return SpanGeometry(zeros, polytope, interval, False, c3(mix.psi1), c3(mix.psi2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,27 +241,12 @@ def default_anchors(
 
 def _pivot_candidates(mix: RankTwoMixture, ps: np.ndarray, anchors: tuple):
     """Candidate bound lam * c3(boundary) per (grid point, anchor)."""
-    pts = np.array([a.point for a in anchors])
     targets = np.column_stack(
         [np.zeros_like(ps), np.zeros_like(ps), 2.0 * ps - 1.0]
     )
-    n_p, n_a = ps.shape[0], pts.shape[0]
-    d = targets[:, None, :] - pts[None, :, :]
-    dd = np.sum(d * d, axis=2)
-    c = np.sum(pts[None, :, :] * d, axis=2)
-    disc = c * c + (1.0 - np.sum(pts * pts, axis=1))[None, :] * dd
-    denom = np.sqrt(np.clip(disc, 0.0, None)) - c
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where((dd > 0) & (denom > 0), dd / denom, np.nan)
-        boundary = targets[:, None, :] + d * (1.0 / lam - 1.0)[:, :, None]
-    p_b = np.clip(0.5 * (1.0 + boundary[:, :, 2]), 0.0, 1.0)
-    phase = np.arctan2(boundary[:, :, 1], boundary[:, :, 0])
-    amps = (
-        np.sqrt(p_b)[:, :, None] * mix.psi1.amplitudes[None, None, :]
-        + (np.exp(1j * phase) * np.sqrt(1.0 - p_b))[:, :, None]
-        * mix.psi2.amplitudes[None, None, :]
-    )
-    vals = c3_many(amps.reshape(n_p * n_a, 8)).reshape(n_p, n_a)
+    boundary, lam = _sphere_exit_many(np.array([a.point for a in anchors]), targets)
+    amps = _span_amplitudes(mix, boundary)
+    vals = c3_many(amps.reshape(-1, amps.shape[-1])).reshape(lam.shape)
     lam = np.minimum(lam, 1.0)
     cand = np.where(np.isfinite(lam), lam * vals, np.inf)
     return cand, lam, boundary

@@ -431,12 +431,6 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             default=dflt("format", default_format),
             help=f"output format (default {default_format})",
         )
-        p.add_argument(
-            "--parallelism",
-            type=int,
-            default=dflt("parallelism", 1),
-            help="worker processes for grid scans (default 1)",
-        )
 
     def add_pair(p):
         p.add_argument(
@@ -449,11 +443,21 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             action="store_true",
             help="rescale loaded amplitudes to unit norm",
         )
+
+    def add_tol_root(p):
         p.add_argument(
             "--tol-root",
             type=float,
             default=dflt("tol_root", COEFF_TOL),
-            help="relative coefficient floor for root finding",
+            help="relative coefficient floor for the pencil degree",
+        )
+
+    def add_parallelism(p):
+        p.add_argument(
+            "--parallelism",
+            type=int,
+            default=dflt("parallelism", 1),
+            help="worker processes for grid scans (default 1)",
         )
 
     def add_pgrid(p, cmd):
@@ -474,10 +478,12 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
     p_zeros = sub.add_parser("zeros", help="pencil roots of a 3-qubit pair")
     add_pair(p_zeros)
+    add_tol_root(p_zeros)
     add_common(p_zeros, default_format="json")
 
     p_iv = sub.add_parser("interval", help="zero polytope and axis interval")
     add_pair(p_iv)
+    add_tol_root(p_iv)
     add_common(p_iv, default_format="json")
 
     p_bounds = sub.add_parser("bounds", help="linearized/pivot/envelope bound grid")
@@ -506,6 +512,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         "instead of scanning p",
     )
     add_rank(p_scan)
+    add_parallelism(p_scan)
     add_common(p_scan)
 
     p_mono = sub.add_parser("monogamy", help="extended monogamy residual curve")
@@ -520,6 +527,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         help="also sweep this many phases over [0, pi/2)",
     )
     add_rank(p_mono)
+    add_parallelism(p_mono)
     add_common(p_mono)
 
     p_toy = sub.add_parser("toy", help="full report for the built-in toy pair")

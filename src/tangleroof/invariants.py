@@ -1,32 +1,18 @@
 """Entanglement invariants: three-tangle, its square root, concurrence, one-tangle."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import _kernels
 from .states import DensityMatrix, PureState, partial_trace
 
 __all__ = [
-    "InvariantSpec",
-    "THREE_TANGLE",
     "three_tangle",
     "c3",
     "c3_many",
     "wootters_concurrence",
     "one_tangle",
 ]
-
-
-@dataclass(frozen=True)
-class InvariantSpec:
-    """A homogeneous polynomial invariant together with its degree."""
-
-    name: str
-    homogeneous_degree: int
-    evaluator: Callable[[PureState], complex]
 
 
 def _require_three_qubits(psi: PureState):
@@ -54,8 +40,6 @@ def c3_many(amps: np.ndarray) -> np.ndarray:
     """sqrt|three_tangle| for each row of an (m, 8) amplitude array."""
     return np.sqrt(np.abs(_kernels.tau3_many(amps)))
 
-
-THREE_TANGLE = InvariantSpec("three_tangle", 4, three_tangle)
 
 _SY_SY = np.array(
     [

@@ -23,6 +23,7 @@ __all__ = [
     "ZeroSet",
     "IdenticallyZeroPencilError",
     "pencil_polynomial",
+    "finite_roots",
     "polynomial_roots",
     "zero_set",
 ]
@@ -155,6 +156,21 @@ def _polish(roots: np.ndarray, c: np.ndarray, steps: int = 2) -> np.ndarray:
     return out
 
 
+def finite_roots(poly: PencilPolynomial, tol: float = COEFF_TOL):
+    """Polished finite roots, unclustered, and the number of roots at infinity.
+
+    Finite roots come from the companion matrix of the monic reduction,
+    polished by two Newton steps; each leading coefficient at or below
+    tol * max|c| counts as one root at infinity. The roots are neither
+    merged nor conjugate-symmetrized, so they move smoothly with the pair.
+    """
+    deg = poly.degree(tol)
+    if deg < 1:
+        return np.empty(0, dtype=complex), DEGREE - deg
+    c = poly.coefficients[: deg + 1]
+    return _polish(_companion_eigen_roots(c), c), DEGREE - deg
+
+
 def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> list:
     """Pair roots of a real-coefficient polynomial into exact conjugates."""
     work = sorted(roots.tolist(), key=lambda z: (z.real, z.imag))
@@ -216,12 +232,11 @@ def polynomial_roots(
 ) -> list:
     """All 4 extended roots of the pencil, counted with multiplicity.
 
-    Finite roots come from the companion matrix of the monic reduction,
-    polished by two Newton steps; each leading coefficient below
-    tol * max|c| contributes one root at infinity. Real-coefficient input
-    yields exactly conjugate-paired (or real) roots. Ordering: real roots
-    ascending, then conjugate pairs (positive imaginary part first), then
-    the point at infinity.
+    Finite roots come from finite_roots and are merged when they lie within
+    relative distance cluster_tol. Real-coefficient input yields exactly
+    conjugate-paired (or real) roots. Ordering: real roots ascending, then
+    conjugate pairs (positive imaginary part first), then the point at
+    infinity.
 
     Raises IdenticallyZeroPencilError when max|c| <= tol: the whole span
     is a zero set and callers must treat the axis interval as [0, 1].
@@ -232,14 +247,10 @@ def polynomial_roots(
         raise IdenticallyZeroPencilError(
             "all pencil coefficients vanish; every state in the span has zero tangle"
         )
-    deg = poly.degree(tol)
-    n_inf = DEGREE - deg
+    raw, n_inf = finite_roots(poly, tol)
     merged: list = []
-    if deg >= 1:
-        trunc = np.asarray(c[: deg + 1])
-        raw = _companion_eigen_roots(trunc)
-        raw = _polish(raw, trunc)
-        real_coeffs = float(np.max(np.abs(trunc.imag))) <= 1e-9 * peak
+    if raw.size:
+        real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak
         if real_coeffs:
             finite = _symmetrize_conjugates(raw, cluster_tol)
         else:

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bloch import AxisInterval, ZeroPolytope
+from .bloch import AxisInterval, ZeroPolytope, bloch_from_z
 from .bounds import (
     BoundReport,
     linearized_upper_bound,
@@ -23,7 +23,7 @@ from .bounds import (
     upper_bound_report,
 )
 from .invariants import c3, one_tangle, wootters_concurrence
-from .pencil import ZeroSet, _companion_eigen_roots, _polish, pencil_polynomial
+from .pencil import DEGREE, ZeroSet, finite_roots, pencil_polynomial
 from .states import (
     RANK_TOL,
     PureState,
@@ -54,8 +54,6 @@ __all__ = [
     "monogamy_curve",
     "ghzw_mixture_zero_check",
 ]
-
-_SOUTH_POLE = np.array([0.0, 0.0, -1.0])
 
 
 def toy_states():
@@ -231,18 +229,8 @@ def _pencil_bloch_vertices(p: float, phi: float) -> np.ndarray:
     degree deficits are filled with the south pole (roots at infinity).
     """
     v1, v2 = FourQubitFamily(p, phi).eigenpair()
-    c = pencil_polynomial(v1, v2).coefficients
-    mags = np.abs(c)
-    above = np.nonzero(mags > 1e-10 * mags.max())[0]
-    deg = int(above[-1]) if above.size else 0
-    pts = np.tile(_SOUTH_POLE, (4, 1))
-    if deg >= 1:
-        roots = _polish(_companion_eigen_roots(c[: deg + 1]), c[: deg + 1])
-        den = 1.0 + np.abs(roots) ** 2
-        pts[:deg] = np.column_stack(
-            [2.0 * roots.real, 2.0 * roots.imag, 2.0 - den]
-        ) / den[:, None]
-    return pts
+    roots = finite_roots(pencil_polynomial(v1, v2))[0]
+    return bloch_from_z(np.concatenate([roots, np.full(DEGREE - roots.size, np.inf)]))
 
 
 def _match_rows(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tangleroof import bounds, pencil
+from tangleroof.bloch import state_from_bloch
 from tangleroof.bounds import (
     BoundCurve,
     characteristic_curve,
@@ -13,7 +15,7 @@ from tangleroof.bounds import (
 )
 from tangleroof.invariants import c3
 from tangleroof.scenarios import toy_mixture
-from tangleroof.states import PureState, RankTwoMixture
+from tangleroof.states import PureState, RankTwoMixture, inner_product, make_ghz, make_w
 
 
 def _basis_pair():
@@ -129,3 +131,56 @@ def test_decompositions_achieve_reported_envelope(toy_rep):
 def test_achieving_labels_cover_all_families(toy_rep):
     labels = set(toy_rep.report.achieving)
     assert labels == {"zero-interval", "pivot", "linearized"}
+
+
+def _seeded_pairs(seed, n):
+    """n Haar-random complex pairs, then n real pairs, each orthonormal."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for real in (False, True):
+        for _ in range(n):
+            g = rng.standard_normal((8, 2))
+            if not real:
+                g = g + 1j * rng.standard_normal((8, 2))
+            q = np.linalg.qr(g)[0].astype(complex)
+            out.append(RankTwoMixture(PureState(3, q[:, 0]), PureState(3, q[:, 1]), 0.5))
+    return out
+
+
+def test_envelope_reaches_pure_tangles_at_both_ends():
+    for mix in [toy_mixture()] + _seeded_pairs(61, 8):
+        rep = upper_bound_report(mix, grid_size=401)
+        assert abs(rep.envelope_curve(1.0) - c3(mix.psi1)) <= 1e-12
+        assert abs(rep.envelope_curve(0.0) - c3(mix.psi2)) <= 1e-12
+
+
+def test_state_from_bloch_next_to_the_poles_is_pure(toy_mix):
+    # axis points one or two ulps inside the sphere stand for the poles
+    for eps in (2.0**-53, 2.0**-52):
+        north = state_from_bloch(toy_mix, np.array([0.0, 0.0, 1.0 - eps]))
+        south = state_from_bloch(toy_mix, np.array([0.0, 0.0, eps - 1.0]))
+        assert abs(inner_product(toy_mix.psi2, north)) <= 1e-15
+        assert abs(inner_product(toy_mix.psi1, south)) <= 1e-15
+
+
+def test_ghz_w_zero_interval_matches_literature():
+    # Lohmayer, Osterloh, Siewert, Uhlmann, PRL 97, 260502 (2006)
+    mix = RankTwoMixture(make_ghz(3), make_w(3), 0.5)
+    iv = span_geometry(mix).interval
+    cube = 4.0 * 2.0 ** (1.0 / 3.0)
+    assert abs(iv.p_low) <= 1e-12
+    assert abs(iv.p_high - cube / (3.0 + cube)) <= 1e-12
+
+
+def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
+    calls = []
+    original = pencil.pencil_polynomial
+
+    def counted(psi1, psi2):
+        calls.append((psi1, psi2))
+        return original(psi1, psi2)
+
+    monkeypatch.setattr(pencil, "pencil_polynomial", counted)
+    monkeypatch.setattr(bounds, "pencil_polynomial", counted, raising=False)
+    span_geometry(toy_mix)
+    assert len(calls) == 1

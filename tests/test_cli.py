@@ -45,6 +45,26 @@ def test_tiny_grid_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_tol_root_rejected_where_unused(capsys):
+    assert main(["bounds", "--tol-root", "1e-3"]) == 2
+    assert "--tol-root" in capsys.readouterr().err
+
+
+def test_parallelism_rejected_off_grid_commands(capsys):
+    assert main(["toy", "--parallelism", "2"]) == 2
+    assert "--parallelism" in capsys.readouterr().err
+
+
+def test_zeros_tol_root_sets_degree_floor(capsys):
+    assert main(["zeros"]) == 0
+    default = json.loads(capsys.readouterr().out)["roots"]
+    assert not any(r["at_infinity"] for r in default)
+    assert main(["zeros", "--tol-root", "0.5"]) == 0
+    coarse = json.loads(capsys.readouterr().out)["roots"]
+    assert [r["at_infinity"] for r in coarse] == [False, False, False, True]
+    assert coarse[-1]["multiplicity"] == 1
+
+
 def test_zeros_identically_zero_pair(tmp_path, capsys):
     a = _state_file(tmp_path, "a.json", 0)
     b = _state_file(tmp_path, "b.json", 1)

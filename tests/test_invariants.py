@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tangleroof.invariants import (
-    THREE_TANGLE,
     c3,
     c3_many,
     one_tangle,
@@ -77,11 +76,6 @@ def test_c3_matches_scalar_and_batch():
     for s, value in zip(states, batch):
         assert abs(c3(s) - value) <= 1e-14
         assert abs(c3(s) - np.sqrt(abs(three_tangle(s)))) <= 1e-14
-
-
-def test_invariant_spec_record():
-    assert THREE_TANGLE.homogeneous_degree == 4
-    assert THREE_TANGLE.evaluator is three_tangle
 
 
 def test_wootters_concurrence_bell_and_product():

@@ -1,9 +1,4 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from tangleroof import _kernels
 from tangleroof.states import make_ghz
@@ -18,33 +13,8 @@ def _random_gauss(rng, n, m_max=4):
 
 
 def test_tau3_numpy_reference_value():
-    vals = _kernels.tau3_many_numpy(make_ghz(3).amplitudes[None, :])
+    vals = _kernels.tau3_many(make_ghz(3).amplitudes[None, :])
     assert abs(vals[0] - 1.0) <= 1e-14
-
-
-numba_only = pytest.mark.skipif(
-    _kernels.tau3_many_numba is None, reason="numba backend not available"
-)
-
-
-@numba_only
-def test_tau3_backend_parity():
-    rng = np.random.default_rng(101)
-    amps = _random_amps(rng, 512)
-    a = _kernels.tau3_many_numpy(amps)
-    b = _kernels.tau3_many_numba(amps)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-13)
-
-
-@numba_only
-def test_sampler_backend_parity():
-    rng = np.random.default_rng(202)
-    base = _random_amps(rng, 2) * 0.7
-    gauss = _random_gauss(rng, 400)
-    sizes = rng.integers(2, 5, size=400)
-    a = _kernels.min_average_batch_numpy(base, gauss, sizes)
-    b = _kernels.min_average_batch_numba(base, gauss, sizes)
-    assert abs(a - b) <= 1e-12
 
 
 def test_sampler_skips_degenerate_draws():
@@ -54,7 +24,7 @@ def test_sampler_skips_degenerate_draws():
     gauss[0, :, 0, :] = 0.0  # first column identically zero
     gauss[3, :, 1, :] = gauss[3, :, 0, :]  # second column parallel to first
     sizes = np.full(8, 3, dtype=np.int64)
-    out = _kernels.min_average_batch_numpy(base, gauss, sizes)
+    out = _kernels.min_average_batch(base, gauss, sizes)
     assert np.isfinite(out) and out >= 0.0
 
 
@@ -63,39 +33,9 @@ def test_sampler_is_min_over_size_groups():
     base = _random_amps(rng, 2)
     gauss = _random_gauss(rng, 60)
     sizes = np.array([2, 3, 4] * 20, dtype=np.int64)
-    combined = _kernels.min_average_batch_numpy(base, gauss, sizes)
+    combined = _kernels.min_average_batch(base, gauss, sizes)
     per_group = [
-        _kernels.min_average_batch_numpy(base, gauss[sizes == m], sizes[sizes == m])
+        _kernels.min_average_batch(base, gauss[sizes == m], sizes[sizes == m])
         for m in (2, 3, 4)
     ]
     assert abs(combined - min(per_group)) <= 1e-15
-
-
-def test_default_backend_prefers_numba_when_present():
-    if _kernels.tau3_many_numba is None:
-        assert _kernels.backend_name() == "numpy"
-    elif os.environ.get("TANGLEROOF_BACKEND") in (None, "numba"):
-        assert _kernels.backend_name() == "numba"
-    assert _kernels.tau3_many in (_kernels.tau3_many_numpy, _kernels.tau3_many_numba)
-
-
-def test_backend_env_flag_selects_numpy():
-    env = dict(os.environ, TANGLEROOF_BACKEND="numpy")
-    code = "import tangleroof; print(tangleroof.backend_name())"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0
-    assert out.stdout.strip() == "numpy"
-
-
-def test_backend_env_flag_rejects_unknown():
-    env = dict(os.environ, TANGLEROOF_BACKEND="gpu")
-    out = subprocess.run(
-        [sys.executable, "-c", "import tangleroof"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert out.returncode != 0
-    assert "TANGLEROOF_BACKEND" in out.stderr
