@@ -73,6 +73,9 @@ class RunConfig:
         for name in ("tol_rank", "tol_root"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name.replace('_', '-')} must be positive")
+        # a relative floor of 1 or more leaves no coefficient above it
+        if not self.tol_root < 1.0:
+            raise ValueError("tol-root must lie in (0, 1)")
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
         object.__setattr__(self, "state_paths", tuple(self.state_paths))
@@ -449,7 +452,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             "--tol-root",
             type=float,
             default=dflt("tol_root", COEFF_TOL),
-            help="relative coefficient floor for the pencil degree",
+            help="relative coefficient floor for the pencil degree, in (0, 1)",
         )
 
     def add_parallelism(p):

@@ -22,6 +22,7 @@ __all__ = [
     "ExtendedRoot",
     "ZeroSet",
     "IdenticallyZeroPencilError",
+    "pencil_coefficients",
     "pencil_polynomial",
     "finite_roots",
     "polynomial_roots",
@@ -66,12 +67,7 @@ class PencilPolynomial:
 
     def degree(self, tol: float = COEFF_TOL) -> int:
         """Numerical degree: largest k with |c_k| above tol * max|c|."""
-        mags = np.abs(self.coefficients)
-        peak = float(mags.max())
-        if peak == 0.0:
-            return -1
-        above = np.nonzero(mags > tol * peak)[0]
-        return int(above[-1]) if above.size else -1
+        return int(_degrees(self.coefficients[None, :], tol)[0])
 
 
 @dataclass(frozen=True)
@@ -124,51 +120,90 @@ class ZeroSet:
         object.__setattr__(self, "states", tuple(self.states))
 
 
+def pencil_coefficients(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
+    """Ascending coefficients of the pencils of stacked 3-qubit pairs.
+
+    amps1 and amps2 are (N, 8) amplitude stacks; row n of the (N, 5) result
+    interpolates the tangle along amps1[n] + z*amps2[n] at the 5 roots of
+    unity, all 5N samples going through one tau3_many call.
+    """
+    amps1 = np.asarray(amps1, dtype=complex)
+    amps2 = np.asarray(amps2, dtype=complex)
+    if amps1.ndim != 2 or amps1.shape[1] != 8 or amps2.shape != amps1.shape:
+        raise ValueError("pencil coefficients need two (N, 8) amplitude stacks")
+    samples = _NODES[None, :, None] * amps2[:, None, :]
+    samples += amps1[:, None, :]
+    values = _kernels.tau3_many(samples.reshape(-1, 8)).reshape(-1, DEGREE + 1)
+    # one matrix-vector product per row, as for a single pair
+    return np.matmul(_VANDERMONDE_INV, values[..., None])[..., 0]
+
+
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
     """Interpolate the tangle along psi1 + z*psi2 at 5 roots of unity."""
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
-    samples = psi1.amplitudes[None, :] + _NODES[:, None] * psi2.amplitudes[None, :]
-    values = _kernels.tau3_many(samples)
-    return PencilPolynomial(_VANDERMONDE_INV @ values, psi1, psi2)
+    coeffs = pencil_coefficients(psi1.amplitudes[None, :], psi2.amplitudes[None, :])
+    return PencilPolynomial(coeffs[0], psi1, psi2)
 
 
-def _companion_eigen_roots(c: np.ndarray) -> np.ndarray:
-    """Roots of the polynomial with ascending coefficients c, c[-1] != 0."""
-    deg = c.shape[0] - 1
-    if deg == 1:
-        return np.array([-c[0] / c[1]])
-    monic = c[:-1] / c[-1]
-    comp = np.zeros((deg, deg), dtype=complex)
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic
-    return np.linalg.eigvals(comp)
+def _degrees(coeffs: np.ndarray, tol: float) -> np.ndarray:
+    """Numerical degree of each row: largest k with |c_k| above tol * max|c|.
+
+    Rows with no coefficient above the floor (the zero row, or any row when
+    tol >= 1) read -1.
+    """
+    mags = np.abs(coeffs)
+    above = mags > tol * mags.max(axis=1, keepdims=True)
+    return np.where(above.any(axis=1), DEGREE - np.argmax(above[:, ::-1], axis=1), -1)
+
+
+def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise polynomial values in npoly.polyval's order, c[k] + v*x."""
+    v = c[:, -1:] + x * 0
+    for k in range(c.shape[1] - 2, -1, -1):
+        v = c[:, k : k + 1] + v * x
+    return v
 
 
 def _polish(roots: np.ndarray, c: np.ndarray, steps: int = 2) -> np.ndarray:
-    dc = c[1:] * np.arange(1, c.shape[0])
-    out = roots.astype(complex)
+    dc = c[:, 1:] * np.arange(1, c.shape[1])
+    out = roots
     for _ in range(steps):
-        pv = npoly.polyval(out, c)
-        dv = npoly.polyval(out, dc)
+        pv = _horner(c, out)
+        dv = _horner(dc, out)
         safe = np.abs(dv) > 1e-30
         out = np.where(safe, out - pv / np.where(safe, dv, 1.0), out)
     return out
 
 
-def finite_roots(poly: PencilPolynomial, tol: float = COEFF_TOL):
-    """Polished finite roots, unclustered, and the number of roots at infinity.
+def finite_roots(coeffs: np.ndarray, tol: float = COEFF_TOL):
+    """Polished finite roots, unclustered, of each row of an (N, 5) stack.
 
-    Finite roots come from the companion matrix of the monic reduction,
-    polished by two Newton steps; each leading coefficient at or below
-    tol * max|c| counts as one root at infinity. The roots are neither
-    merged nor conjugate-symmetrized, so they move smoothly with the pair.
+    Returns an (N, 4) complex array and the (N,) number of roots at
+    infinity. Each leading coefficient at or below tol * max|c| counts as
+    one root at infinity, at most 4 per row; those slots hold inf after
+    the finite roots. Finite roots come from the companion matrices of the
+    monic reductions, one eigvals call per numerical degree, polished by
+    two Newton steps. They are neither merged nor conjugate-symmetrized,
+    so they move smoothly with the pair.
     """
-    deg = poly.degree(tol)
-    if deg < 1:
-        return np.empty(0, dtype=complex), DEGREE - deg
-    c = poly.coefficients[: deg + 1]
-    return _polish(_companion_eigen_roots(c), c), DEGREE - deg
+    coeffs = np.asarray(coeffs, dtype=complex)
+    deg = _degrees(coeffs, tol)
+    roots = np.full((coeffs.shape[0], DEGREE), np.inf, dtype=complex)
+    for d in range(1, DEGREE + 1):
+        rows = np.nonzero(deg == d)[0]
+        if rows.size == 0:
+            continue
+        c = coeffs[rows, : d + 1]
+        if d == 1:
+            raw = -c[:, :1] / c[:, 1:]
+        else:
+            comp = np.zeros((rows.size, d, d), dtype=complex)
+            comp[:, 1:, :-1] = np.eye(d - 1)
+            comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
+            raw = np.linalg.eigvals(comp)
+        roots[rows, :d] = _polish(raw, c)
+    return roots, DEGREE - np.maximum(deg, 0)
 
 
 def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> list:
@@ -247,7 +282,9 @@ def polynomial_roots(
         raise IdenticallyZeroPencilError(
             "all pencil coefficients vanish; every state in the span has zero tangle"
         )
-    raw, n_inf = finite_roots(poly, tol)
+    roots, n_inf = finite_roots(c[None, :], tol)
+    n_inf = int(n_inf[0])
+    raw = roots[0, : DEGREE - n_inf]
     merged: list = []
     if raw.size:
         real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak

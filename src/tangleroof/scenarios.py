@@ -23,7 +23,7 @@ from .bounds import (
     upper_bound_report,
 )
 from .invariants import c3, one_tangle, wootters_concurrence
-from .pencil import DEGREE, ZeroSet, finite_roots, pencil_polynomial
+from .pencil import ZeroSet, finite_roots, pencil_coefficients
 from .states import (
     RANK_TOL,
     PureState,
@@ -120,6 +120,69 @@ def q_of_p(p: float) -> float:
     return (2.0 + np.sqrt(max(0.0, 1.0 - p * p))) / 4.0
 
 
+def _check_p(p: np.ndarray) -> None:
+    bad = (p < 0.0) | (p > 1.0) | np.isnan(p)
+    if np.any(bad):
+        raise ValueError(f"p must lie in [0, 1], got {p[bad][0]}")
+
+
+def _family_coefficients(ps: np.ndarray) -> np.ndarray:
+    """(6, N) closed forms f1, g1, h1, f2, g2, h2 of the family over a p array.
+
+    The printed forms degenerate to 0/0 at p = 0, so every p <= 1e-12
+    takes the exact limit (0, 0, 1, 0, 1, 0) and the forms themselves are
+    evaluated there at a stand-in p.
+    """
+    ps = np.asarray(ps, dtype=float)
+    _check_p(ps)
+    small = ps <= 1e-12
+    p = np.where(small, 0.5, ps)
+    s = np.sqrt(np.maximum(0.0, (1.0 - p) * (1.0 + p)))
+    a = (1.0 + p) * (3.0 - p)
+    b = (3.0 + p) * s
+    f1 = p * np.sqrt(2.0 / (a + b))
+    g1 = np.sqrt(p * (4.0 * s - 3.0 * p + 5.0) / (a + b))
+    h1 = np.sqrt(3.0 * p * (1.0 - p) / ((1.0 + p) ** 2 - (1.0 - p) * s))
+    f2 = p * np.sqrt(2.0 / (a - b))
+    # sign(0) taken as +1; the factor flips the branch at p = 3/5
+    sign = np.where(3.0 - 5.0 * p >= 0.0, 1.0, -1.0)
+    g2 = sign * np.sqrt(np.abs(p * (4.0 * s + 3.0 * p - 5.0) / (b - a)))
+    h2 = -np.sqrt(3.0 * p * (1.0 - p) / ((1.0 + p) ** 2 + (1.0 - p) * s))
+    out = np.stack([f1, g1, h1, f2, g2, h2])
+    out[:, small] = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])[:, None]
+    return out
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of a complex (N, 8) stack.
+
+    Each row's squared norm is re.re + im.im as one dot product per row,
+    the sum np.linalg.norm forms for a single vector, so a row normalizes
+    to the same bits alone or in a stack.
+    """
+    re, im = v.real, v.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _family_eigenvectors(ps: np.ndarray, phi: float):
+    """Normalized (N, 8) stacks of the two closed-form reduction eigenvectors."""
+    f1, g1, h1, f2, g2, h2 = _family_coefficients(ps)
+    e_plus = np.exp(1j * phi)
+    e_minus = np.exp(-1j * phi)
+    vecs = []
+    for f, g, h in ((f1, g1, h1), (f2, g2, h2)):
+        v = np.zeros((f.shape[0], 8), dtype=complex)
+        v[:, 0] = g
+        v[:, 1] = v[:, 2] = v[:, 4] = -h * e_plus / np.sqrt(3.0)
+        v[:, 7] = -f * e_minus
+        v = v / _row_norms(v)[:, None]
+        if not np.all(np.isfinite(v.view(float))):
+            raise ValueError("amplitudes must be finite")
+        vecs.append(v)
+    return vecs[0], vecs[1]
+
+
 @dataclass(frozen=True)
 class FourQubitFamily:
     """Closed forms attached to the four-qubit interpolation at (p, phi).
@@ -128,6 +191,7 @@ class FourQubitFamily:
     eigenvector with eigenvalue q is g1|000> - h1 e^{i phi}|W3> -
     f1 e^{-i phi}|111> and its partner uses (f2, g2, h2). The p -> 0 limit
     is taken explicitly because the printed forms degenerate to 0/0 there.
+    Both methods are the p-grid forms evaluated on a grid of one.
     """
 
     p: float
@@ -135,8 +199,7 @@ class FourQubitFamily:
 
     def __post_init__(self):
         p = float(self.p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+        _check_p(np.array([p]))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "phi", float(self.phi))
 
@@ -145,35 +208,12 @@ class FourQubitFamily:
         return q_of_p(self.p)
 
     def coefficients(self):
-        p = self.p
-        if p <= 1e-12:
-            return 0.0, 0.0, 1.0, 0.0, 1.0, 0.0
-        s = np.sqrt(max(0.0, (1.0 - p) * (1.0 + p)))
-        a = (1.0 + p) * (3.0 - p)
-        b = (3.0 + p) * s
-        f1 = p * np.sqrt(2.0 / (a + b))
-        g1 = np.sqrt(p * (4.0 * s - 3.0 * p + 5.0) / (a + b))
-        h1 = np.sqrt(3.0 * p * (1.0 - p) / ((1.0 + p) ** 2 - (1.0 - p) * s))
-        f2 = p * np.sqrt(2.0 / (a - b))
-        # sign(0) taken as +1; the factor flips the branch at p = 3/5
-        sign = 1.0 if 3.0 - 5.0 * p >= 0.0 else -1.0
-        g2 = sign * np.sqrt(abs(p * (4.0 * s + 3.0 * p - 5.0) / (b - a)))
-        h2 = -np.sqrt(3.0 * p * (1.0 - p) / ((1.0 + p) ** 2 + (1.0 - p) * s))
-        return float(f1), float(g1), float(h1), float(f2), float(g2), float(h2)
+        return tuple(float(c) for c in _family_coefficients(np.array([self.p]))[:, 0])
 
     def eigenpair(self):
         """Closed-form reduction eigenvectors, q branch first."""
-        f1, g1, h1, f2, g2, h2 = self.coefficients()
-        e_plus = np.exp(1j * self.phi)
-        e_minus = np.exp(-1j * self.phi)
-        vecs = []
-        for f, g, h in ((f1, g1, h1), (f2, g2, h2)):
-            v = np.zeros(8, dtype=complex)
-            v[0] = g
-            v[1] = v[2] = v[4] = -h * e_plus / np.sqrt(3.0)
-            v[7] = -f * e_minus
-            vecs.append(PureState(3, v / np.linalg.norm(v)))
-        return vecs[0], vecs[1]
+        v1, v2 = _family_eigenvectors(np.array([self.p]), self.phi)
+        return PureState(3, v1[0]), PureState(3, v2[0])
 
 
 def four_qubit_state(p: float, phi: float = 0.0) -> PureState:
@@ -222,40 +262,44 @@ def simplex_scan(phi: float, p_grid: Sequence[float], rank_tol: float = RANK_TOL
     return [_scan_row(p, float(phi), rank_tol) for p in ps]
 
 
-def _pencil_bloch_vertices(p: float, phi: float) -> np.ndarray:
-    """Raw pencil-root Bloch points of the closed-form pair, padded to 4 rows.
+def _pencil_bloch_vertices(ps: np.ndarray, phi: float) -> np.ndarray:
+    """(N, 4, 3) raw pencil-root Bloch points of the closed-form pairs on a p grid.
 
     Uses unclustered polished roots so the four points move smoothly in p;
     degree deficits are filled with the south pole (roots at infinity).
     """
-    v1, v2 = FourQubitFamily(p, phi).eigenpair()
-    roots = finite_roots(pencil_polynomial(v1, v2))[0]
-    return bloch_from_z(np.concatenate([roots, np.full(DEGREE - roots.size, np.inf)]))
+    v1, v2 = _family_eigenvectors(ps, phi)
+    roots, _ = finite_roots(pencil_coefficients(v1, v2))
+    return bloch_from_z(roots)
 
 
-def _match_rows(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Reorder cur to follow prev greedily by nearest Bloch distance."""
-    out = np.empty_like(cur)
-    used = np.zeros(cur.shape[0], dtype=bool)
-    for i in range(cur.shape[0]):
-        d = np.linalg.norm(cur - prev[i], axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        used[j] = True
-        out[i] = cur[j]
-    return out
+def _match_rows(pts: np.ndarray) -> np.ndarray:
+    """Reorder each row of an (N, 4, 3) stack to follow the row before it.
+
+    Slot by slot, each tracked point takes the nearest unused point of the
+    next row (first minimum on ties). The distances between consecutive
+    raw rows come from one call; only the greedy choice runs per row.
+    """
+    n = pts.shape[1]
+    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1).ravel().tolist()
+    prev = list(range(n))
+    rows = [prev]
+    for base in range(0, len(dist), n * n):
+        free = list(range(n))
+        cur = []
+        for i in prev:
+            j = min(free, key=dist[base + i * n : base + (i + 1) * n].__getitem__)
+            free.remove(j)
+            cur.append(j)
+        rows.append(cur)
+        prev = cur
+    return np.take_along_axis(pts, np.array(rows)[:, :, None], axis=1)
 
 
 def _tracked_volumes(ps: np.ndarray, phi: float) -> np.ndarray:
-    prev = None
-    out = np.empty(ps.shape[0])
-    for k, p in enumerate(ps):
-        pts = _pencil_bloch_vertices(float(p), phi)
-        if prev is not None:
-            pts = _match_rows(prev, pts)
-        prev = pts
-        out[k] = np.linalg.det(pts[1:] - pts[0]) / 6.0
-    return out
+    """Signed simplex volumes of the tracked pencil-root points over a p grid."""
+    pts = _match_rows(_pencil_bloch_vertices(ps, phi))
+    return np.linalg.det(pts[:, 1:] - pts[:, :1]) / 6.0
 
 
 def has_interior_volume_zero(

@@ -65,6 +65,14 @@ def test_zeros_tol_root_sets_degree_floor(capsys):
     assert coarse[-1]["multiplicity"] == 1
 
 
+def test_tol_root_of_one_or_more_exits_2(capsys, monkeypatch):
+    assert main(["zeros", "--tol-root", "2"]) == 2
+    assert "tol-root" in capsys.readouterr().err
+    monkeypatch.setenv("TANGLEROOF_TOL_ROOT", "1")
+    assert main(["interval"]) == 2
+    assert "tol-root" in capsys.readouterr().err
+
+
 def test_zeros_identically_zero_pair(tmp_path, capsys):
     a = _state_file(tmp_path, "a.json", 0)
     b = _state_file(tmp_path, "b.json", 1)

@@ -7,6 +7,7 @@ from tangleroof.pencil import (
     ExtendedRoot,
     IdenticallyZeroPencilError,
     PencilPolynomial,
+    finite_roots,
     pencil_polynomial,
     polynomial_roots,
     zero_set,
@@ -86,6 +87,31 @@ def test_polynomial_roots_exact_conjugate_pairs():
 def test_polynomial_roots_identically_zero_raises():
     with pytest.raises(IdenticallyZeroPencilError):
         polynomial_roots(PencilPolynomial(np.full(5, 1e-14, dtype=complex)))
+
+
+def test_finite_roots_rows_of_every_degree():
+    rng = np.random.default_rng(4)
+    coeffs = rng.normal(size=(6, 5)) + 1j * rng.normal(size=(6, 5))
+    for row, deg in enumerate((4, 3, 2, 1, 0)):
+        coeffs[row, deg + 1 :] = 0.0
+    coeffs[5] = 0.0
+    roots, n_inf = finite_roots(coeffs)
+    np.testing.assert_array_equal(n_inf, [0, 1, 2, 3, 4, 4])
+    for row in range(6):
+        finite = roots[row, : 4 - n_inf[row]]
+        assert np.all(np.isinf(roots[row, 4 - n_inf[row] :]))
+        assert np.abs(npoly.polyval(finite, coeffs[row])).max(initial=0.0) <= 1e-9
+        alone, alone_inf = finite_roots(coeffs[row : row + 1])
+        np.testing.assert_array_equal(alone[0], roots[row])
+        assert alone_inf[0] == n_inf[row]
+
+
+def test_finite_roots_floor_of_one_counts_four_at_infinity():
+    coeffs = np.array([[1.0, -2.0, 0.5, 3.0, 1.0]], dtype=complex)
+    roots, n_inf = finite_roots(coeffs, tol=2.0)
+    assert n_inf[0] == 4 and np.all(np.isinf(roots))
+    roots = polynomial_roots(PencilPolynomial(coeffs[0] * 10.0), tol=2.0)
+    assert [(r.z, r.multiplicity) for r in roots] == [(None, 4)]
 
 
 def test_polished_roots_are_accurate():

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+from tangleroof import _kernels
 from tangleroof.invariants import c3, one_tangle
 from tangleroof.scenarios import (
     FourQubitFamily,
     _match_rows,
     _pencil_bloch_vertices,
     _scan_row,
+    _tracked_volumes,
+    has_interior_volume_zero,
     four_qubit_state,
     ghzw_mixture_zero_check,
     monogamy_report,
@@ -125,19 +128,60 @@ def test_simplex_scan_rejects_boundary_p():
 
 
 def test_pencil_vertices_on_sphere_and_planar():
-    pts = _pencil_bloch_vertices(0.9, 0.0)
+    pts = _pencil_bloch_vertices(np.array([0.9]), 0.0)[0]
     norms = np.linalg.norm(pts, axis=1)
     assert np.all(np.abs(norms - 1.0) <= 1e-8)
     assert np.all(np.abs(pts[:, 1]) <= 1e-8)
-    tilted = _pencil_bloch_vertices(0.9, 0.7)
+    tilted = _pencil_bloch_vertices(np.array([0.9]), 0.7)[0]
     assert np.abs(tilted[:, 1]).max() > 1e-3
 
 
 def test_match_rows_restores_order():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(4, 3))
-    tracked = _match_rows(pts, pts[[2, 0, 3, 1]])
-    np.testing.assert_array_equal(tracked, pts)
+    tracked = _match_rows(np.stack([pts, pts[[2, 0, 3, 1]], pts[[3, 1, 0, 2]]]))
+    np.testing.assert_array_equal(tracked, np.stack([pts, pts, pts]))
+
+
+def _matched_one_by_one(ps, phi):
+    """Vertices and volumes with every p a batch of one, matched step by step."""
+    rows = []
+    for p in ps:
+        pts = _pencil_bloch_vertices(np.array([p]), phi)[0]
+        if rows:
+            pts = _match_rows(np.stack([rows[-1], pts]))[1]
+        rows.append(pts)
+    pts = np.stack(rows)
+    return pts, np.array([np.linalg.det(r[1:] - r[0]) / 6.0 for r in pts])
+
+
+# phi = 0 gives a real pencil; the p grid straddles the g2 branch flip at 3/5
+@pytest.mark.parametrize("phi", [0.0, 0.5234375, np.pi / 4])
+def test_batched_tracking_equals_batch_of_one(phi):
+    ps = np.concatenate([np.linspace(0.02, 0.99, 61), [0.6 - 1e-9, 0.6, 0.6 + 1e-9]])
+    ps.sort()
+    vertices, volumes = _matched_one_by_one(ps, phi)
+    np.testing.assert_array_equal(_match_rows(_pencil_bloch_vertices(ps, phi)), vertices)
+    np.testing.assert_array_equal(_tracked_volumes(ps, phi), volumes)
+
+
+@pytest.mark.parametrize("phi", [0.0, np.pi / 4])
+def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
+    # a per-p loop would make the count grow with the coarse grid
+    calls = []
+    original = _kernels.tau3_many
+
+    def counted(amps):
+        calls.append(amps.shape)
+        return original(amps)
+
+    monkeypatch.setattr(_kernels, "tau3_many", counted)
+    counts = []
+    for n_coarse in (301, 1201):
+        calls.clear()
+        has_interior_volume_zero(phi, n_coarse=n_coarse)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_scan_row_fields():
