@@ -1,9 +1,20 @@
-"""Batched numeric cores: the tangle polynomial and the sampler's inner loop."""
+"""Batched numeric cores: the tangle polynomial, its binary quartic form on a
+span, and the sampler's inner loop.
+
+Inside the span of a pair (psi1, psi2) the tangle is the binary quartic
+
+    tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k,
+
+where c_0..c_4 are the coefficients of the pencil P(z) = tau3(psi1 + z psi2).
+``tau3_many`` evaluates the polynomial on full amplitude rows and serves the
+pencil interpolation; every span state is then evaluated by ``quartic_form``
+on its two span coordinates.
+"""
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["backend_name", "tau3_many", "min_average_batch"]
+__all__ = ["backend_name", "tau3_many", "quartic_form", "min_average_batch"]
 
 
 def backend_name() -> str:
@@ -28,38 +39,63 @@ def tau3_many(amps: np.ndarray) -> np.ndarray:
     return 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
 
 
-def min_average_batch(base: np.ndarray, gauss: np.ndarray, sizes: np.ndarray) -> float:
+def quartic_form(c: np.ndarray, a, b) -> np.ndarray:
+    """Tangle sum_k c_k a^(4-k) b^k of the span states a*psi1 + b*psi2.
+
+    c holds the ascending pencil coefficients in its last axis; a and b
+    broadcast against each other and against c[..., 0]. The homogeneous
+    Horner order (((c4 b + c3 a) b + c2 a^2) b + c1 a^3) b + c0 a^4 never
+    divides by a, so a = 0 (the pure psi2 end) and b = 0 (the pure psi1
+    end) give c_4 b^4 and c_0 a^4 exactly.
+    """
+    c = np.asarray(c, dtype=complex)
+    a2 = a * a
+    v = c[..., 4] * b + c[..., 3] * a
+    v = v * b + c[..., 2] * a2
+    v = v * b + c[..., 1] * (a2 * a)
+    return v * b + c[..., 0] * (a2 * a2)
+
+
+def min_average_batch(
+    coeffs: np.ndarray, scales, gauss: np.ndarray, sizes: np.ndarray
+) -> float:
     """Smallest decomposition average of sqrt|tau3| over a batch of draws.
 
-    base is the (2, 8) array [sqrt(w1)*psi1, sqrt(w2)*psi2]. Sample s builds
-    a random sizes[s] x 2 isometry by Gram-Schmidt on the Gaussian block
-    gauss[s, :sizes[s]] (layout [row, column, re/im]); the rows of
-    isometry @ base are unnormalized decomposition members whose weights are
-    absorbed by degree-4 homogeneity, so the decomposition average equals
-    sum_i sqrt|tau3(row_i)|.
+    coeffs are the pencil coefficients of the mixture's eigenpair
+    (psi1, psi2) and scales the pair (sqrt(w1), sqrt(w2)) of square-root
+    weights. Sample s builds a random sizes[s] x 2 isometry U by
+    Gram-Schmidt on the Gaussian block gauss[s, :sizes[s]] (layout [row,
+    column, re/im]). Its rows give the unnormalized decomposition members
+    U[i, 0] sqrt(w1) psi1 + U[i, 1] sqrt(w2) psi2, whose weights are
+    absorbed by degree-4 homogeneity, so the decomposition average is
+    sum_i sqrt|quartic_form(coeffs, a_i, b_i)| with a_i = U[i, 0] sqrt(w1)
+    and b_i = U[i, 1] sqrt(w2). The weights scale (a, b), not the
+    coefficients, so a zero weight leaves the other pure end exact.
     """
-    base = np.asarray(base, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
+    s1, s2 = (float(s) for s in scales)
     gauss = np.asarray(gauss, dtype=float)
     sizes = np.asarray(sizes, dtype=np.int64)
     best = np.inf
-    for m in np.unique(sizes):
-        sel = sizes == m
-        g = gauss[sel, :m]
+    for m in np.flatnonzero(np.bincount(sizes)):
+        g = gauss[sizes == m, :m]
         c = g[..., 0] + 1j * g[..., 1]
-        u1 = c[:, :, 0]
-        n1 = np.linalg.norm(u1, axis=1)
+        # drop degenerate draws; the masks copy, so only when one occurs
+        n1 = np.linalg.norm(c[:, :, 0], axis=1)
         ok = n1 > 1e-12
-        u1 = u1[ok] / n1[ok, None]
-        u2 = c[ok, :, 1]
+        if not ok.all():
+            c, n1 = c[ok], n1[ok]
+        u1 = c[:, :, 0] / n1[:, None]
+        u2 = c[:, :, 1]
         u2 = u2 - np.sum(u1.conj() * u2, axis=1, keepdims=True) * u1
         n2 = np.linalg.norm(u2, axis=1)
         ok2 = n2 > 1e-12
         if not np.any(ok2):
             continue
-        u2 = u2[ok2] / n2[ok2, None]
-        u1 = u1[ok2]
-        rows = u1[:, :, None] * base[0] + u2[:, :, None] * base[1]
-        vals = np.sqrt(np.abs(tau3_many(rows.reshape(-1, 8)))).reshape(rows.shape[:2])
+        if not ok2.all():
+            u1, u2, n2 = u1[ok2], u2[ok2], n2[ok2]
+        u2 = u2 / n2[:, None]
+        vals = np.sqrt(np.abs(quartic_form(coeffs, s1 * u1, s2 * u2)))
         group_best = float(np.min(vals.sum(axis=1)))
         if group_best < best:
             best = group_best

@@ -313,11 +313,11 @@ def ray_extend(anchor: np.ndarray, target: np.ndarray):
     return boundary[0, 0], float(lam[0, 0])
 
 
-def _span_amplitudes(mix: RankTwoMixture, points: np.ndarray) -> np.ndarray:
-    """Unit-norm amplitudes of the span states at Bloch points on the sphere.
+def _span_coordinates(points: np.ndarray):
+    """Unit-norm coefficients (a1, a2) of the span states a1 psi1 + a2 psi2 at
+    Bloch points on the sphere, each of shape points.shape[:-1].
 
-    The result has shape points.shape[:-1] + (dim,). The coefficients of
-    (psi1, psi2) use the half-angle form (1 + z, x + iy) on the northern
+    The pair is the half-angle form (1 + z, x + iy) on the northern
     hemisphere and (x - iy, 1 - z) on the southern one; both are
     proportional to (cos(theta/2), e^{i phi} sin(theta/2)) up to a global
     phase and avoid the cancellation of sqrt(1 - (1 + z)/2) near the poles.
@@ -329,11 +329,12 @@ def _span_amplitudes(mix: RankTwoMixture, points: np.ndarray) -> np.ndarray:
     a2 = np.where(north, x + 1j * y, 1.0 - z)
     norm = np.sqrt(np.abs(a1) ** 2 + np.abs(a2) ** 2)
     with np.errstate(invalid="ignore"):  # nan points (rays with no crossing)
-        a1, a2 = a1 / norm, a2 / norm
-    return a1[..., None] * mix.psi1.amplitudes + a2[..., None] * mix.psi2.amplitudes
+        return a1 / norm, a2 / norm
 
 
 def state_from_bloch(mix: RankTwoMixture, point: np.ndarray) -> PureState:
     """Normalized pure state of the span at a Bloch point on the unit sphere."""
     point = np.asarray(point, dtype=float).ravel()
-    return PureState(mix.psi1.n_qubits, _span_amplitudes(mix, point)).normalized()
+    a1, a2 = _span_coordinates(point)
+    amps = a1 * mix.psi1.amplitudes + a2 * mix.psi2.amplitudes
+    return PureState(mix.psi1.n_qubits, amps).normalized()

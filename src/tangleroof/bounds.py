@@ -16,18 +16,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._kernels import quartic_form
 from .bloch import (
     AxisInterval,
     ZeroPolytope,
-    _span_amplitudes,
+    _span_coordinates,
     _sphere_exit_many,
     axis_point,
     axis_zero_interval,
     build_polytope,
     state_from_bloch,
 )
-from .invariants import c3, c3_many
-from .pencil import IdenticallyZeroPencilError, ZeroSet, zero_set
+from .pencil import IdenticallyZeroPencilError, ZeroSet, pencil_polynomial, zero_set
 from .states import PureState, RankTwoMixture
 
 __all__ = [
@@ -49,25 +49,39 @@ GRID_SIZE_DEFAULT = 401
 
 @dataclass(frozen=True, eq=False)
 class SpanGeometry:
-    """Zero-set geometry of a rank-two span, shared across bound evaluations."""
+    """Zero-set geometry of a rank-two span, shared across bound evaluations.
 
+    ``coefficients`` are the ascending pencil coefficients c_0..c_4 of the
+    span: the tangle of a psi1 + b psi2 is quartic_form(coefficients, a, b).
+    An identically vanishing pencil is stored as zeros.
+    """
+
+    coefficients: np.ndarray
     zeros: Optional[ZeroSet]
     polytope: Optional[ZeroPolytope]
     interval: Optional[AxisInterval]
     identically_zero: bool
-    c3_psi1: float
-    c3_psi2: float
+
+    @property
+    def c3_psi1(self) -> float:
+        """c3 of the pure psi1 end, sqrt|c_0|."""
+        return float(np.sqrt(abs(self.coefficients[0])))
+
+    @property
+    def c3_psi2(self) -> float:
+        """c3 of the pure psi2 end, sqrt|c_4|."""
+        return float(np.sqrt(abs(self.coefficients[4])))
 
 
 def span_geometry(mix: RankTwoMixture) -> SpanGeometry:
-    """Zero set, polytope, and axis interval of the mixture's span."""
+    """Pencil coefficients, zero set, polytope, and axis interval of the span."""
     try:
         zeros = zero_set(mix)
     except IdenticallyZeroPencilError:
-        return SpanGeometry(None, None, None, True, 0.0, 0.0)
+        return SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True)
     polytope = build_polytope(zeros)
     interval = axis_zero_interval(polytope)
-    return SpanGeometry(zeros, polytope, interval, False, c3(mix.psi1), c3(mix.psi2))
+    return SpanGeometry(zeros.coefficients, zeros, polytope, interval, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,12 +136,16 @@ class Anchor:
 
 
 def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float]) -> np.ndarray:
-    """c3 along sqrt(p) psi1 - e^{i phi} sqrt(1-p) psi2; rows (p, c3)."""
+    """c3 along sqrt(p) psi1 - e^{i phi} sqrt(1-p) psi2; rows (p, c3).
+
+    The latitude circle of the span's Bloch sphere at height 2p - 1, read
+    at longitude phi + pi: the quartic form at a = sqrt(p) and
+    b = -e^{i phi} sqrt(1 - p).
+    """
     ps = np.asarray(grid, dtype=float)
-    amp1 = np.sqrt(ps)[:, None] * mix.psi1.amplitudes[None, :]
-    amp2 = np.sqrt(1.0 - ps)[:, None] * mix.psi2.amplitudes[None, :]
-    amps = amp1 - np.exp(1j * phi) * amp2
-    return np.column_stack([ps, c3_many(amps)])
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
+    return np.column_stack([ps, np.sqrt(np.abs(tau))])
 
 
 def _linearized_value(geom: SpanGeometry, p) -> np.ndarray:
@@ -192,61 +210,70 @@ def _conjugate_pairs(vertices: np.ndarray):
     return pairs
 
 
+# barycentric weights of the face-grid anchors, in construction order
+_FACE_GRID = tuple(
+    np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)
+)
+
+
 def default_anchors(
     mix: RankTwoMixture, geometry: Optional[SpanGeometry] = None
 ) -> tuple:
     """Anchor family: vertices, conjugate-pair mixtures, axis interval points,
-    and a barycentric grid over every triangle face."""
+    and a barycentric grid over every triangle face.
+
+    Candidates whose points agree to 12 decimals are built once, as the
+    first of them.
+    """
     geom = geometry if geometry is not None else span_geometry(mix)
     if geom.polytope is None:
         return ()
     poly = geom.polytope
     v = poly.vertices
-    vertex_c3 = np.array([c3(s) for s in poly.states])
+    vertex_c3 = np.sqrt(np.abs(quartic_form(geom.coefficients, *_span_coordinates(v))))
 
-    candidates = []
-
-    def add(point, construction, face, weights):
-        w = np.asarray(weights, dtype=float)
-        cert = float(w @ vertex_c3[list(face)])
-        candidates.append(Anchor(point, construction, face, w, cert))
-
-    for i in range(poly.n_vertices):
-        add(v[i], "vertex", (i,), [1.0])
+    # (point, construction, face, weights) in construction order
+    candidates = [(v[i], "vertex", (i,), [1.0]) for i in range(poly.n_vertices)]
     for i, j in _conjugate_pairs(v):
-        add(0.5 * (v[i] + v[j]), "pair-mixture", (i, j), [0.5, 0.5])
+        candidates.append((0.5 * (v[i] + v[j]), "pair-mixture", (i, j), [0.5, 0.5]))
     if geom.interval is not None:
         for p, wit in (
             (geom.interval.p_low, geom.interval.witness_low),
             (geom.interval.p_high, geom.interval.witness_high),
         ):
-            add(axis_point(p), "axis-interval-point", wit.face, wit.weights)
+            candidates.append((axis_point(p), "axis-interval-point", wit.face, wit.weights))
     for face in poly.faces:
         if len(face) != 3:
             continue
         sub = v[list(face)]
-        for a in range(5):
-            for b in range(5 - a):
-                c = 4 - a - b
-                w = np.array([a, b, c], dtype=float) / 4.0
-                add(w @ sub, "face-grid", face, w)
+        candidates.extend((w @ sub, "face-grid", face, w) for w in _FACE_GRID)
 
+    keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
     seen = {}
-    for anchor in candidates:
-        key = tuple(np.round(anchor.point, 12))
-        if key not in seen:
-            seen[key] = anchor
+    for key, (point, construction, face, weights) in zip(keys, candidates):
+        key = tuple(key)
+        if key in seen:
+            continue
+        w = np.asarray(weights, dtype=float)
+        cert = float(w @ vertex_c3[list(face)])
+        seen[key] = Anchor(point, construction, face, w, cert)
     return tuple(seen.values())
 
 
-def _pivot_candidates(mix: RankTwoMixture, ps: np.ndarray, anchors: tuple):
-    """Candidate bound lam * c3(boundary) per (grid point, anchor)."""
+def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, anchors: tuple):
+    """Candidate bound lam * c3(boundary) per (grid point, anchor).
+
+    The ray from each anchor through the axis point of each p exits the
+    sphere at a boundary point; its c3 is the quartic form of the span's
+    pencil coefficients at the boundary point's half-angle coordinates, so
+    no amplitudes are built. Returns (candidates, lam, boundary), each with
+    leading shape (len(ps), len(anchors)).
+    """
     targets = np.column_stack(
         [np.zeros_like(ps), np.zeros_like(ps), 2.0 * ps - 1.0]
     )
     boundary, lam = _sphere_exit_many(np.array([a.point for a in anchors]), targets)
-    amps = _span_amplitudes(mix, boundary)
-    vals = c3_many(amps.reshape(-1, amps.shape[-1])).reshape(lam.shape)
+    vals = np.sqrt(np.abs(quartic_form(coeffs, *_span_coordinates(boundary))))
     lam = np.minimum(lam, 1.0)
     cand = np.where(np.isfinite(lam), lam * vals, np.inf)
     return cand, lam, boundary
@@ -273,7 +300,7 @@ def pivot_upper_bound(
         anchors = default_anchors(mix, geom)
     if len(anchors) == 0:
         return lin
-    cand = _pivot_candidates(mix, np.array([float(p)]), anchors)[0]
+    cand = _pivot_candidates(geom.coefficients, np.array([float(p)]), anchors)[0]
     return float(min(lin, np.min(cand[0])))
 
 
@@ -389,7 +416,7 @@ class BoundReport:
         if p >= 1.0 - 1e-12:
             return np.array([1.0]), (self.mix.psi1,)
         lin = float(_linearized_value(geom, p))
-        cand, lam, boundary = _pivot_candidates(self.mix, np.array([p]), self.anchors)
+        cand, lam, boundary = _pivot_candidates(geom.coefficients, np.array([p]), self.anchors)
         best = int(np.argmin(cand[0]))
         if np.min(cand[0]) < lin - 1e-15:
             anchor = self.anchors[best]
@@ -470,7 +497,7 @@ def upper_bound_report(
     if len(anchor_set) == 0:
         pivot_vals = lin_vals.copy()
     else:
-        cand = _pivot_candidates(mix, grid, anchor_set)[0]
+        cand = _pivot_candidates(geom.coefficients, grid, anchor_set)[0]
         pivot_vals = np.minimum(lin_vals, np.min(cand, axis=1))
     if geom.interval is not None:
         inside = (grid >= geom.interval.p_low - 1e-12) & (

@@ -71,8 +71,9 @@ class RunConfig:
             if value is not None and value < 2:
                 raise ValueError(f"{name.replace('_', '-')} must be at least 2")
         for name in ("tol_rank", "tol_root"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name.replace('_', '-')} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name.replace('_', '-')} must be finite and positive")
         # a relative floor of 1 or more leaves no coefficient above it
         if not self.tol_root < 1.0:
             raise ValueError("tol-root must lie in (0, 1)")

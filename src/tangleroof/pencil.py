@@ -61,10 +61,6 @@ class PencilPolynomial:
     def __call__(self, z):
         return npoly.polyval(z, self.coefficients)
 
-    def derivative(self, z):
-        c = self.coefficients
-        return npoly.polyval(z, c[1:] * np.arange(1, c.shape[0]))
-
     def degree(self, tol: float = COEFF_TOL) -> int:
         """Numerical degree: largest k with |c_k| above tol * max|c|."""
         return int(_degrees(self.coefficients[None, :], tol)[0])
@@ -101,13 +97,15 @@ class ZeroSet:
 
     ``roots`` holds the distinct extended roots with multiplicity; ``p0``,
     ``phases`` and ``states`` are expanded with multiplicity to length 4,
-    aligned with the root order.
+    aligned with the root order. ``coefficients`` are the ascending pencil
+    coefficients the roots were found from.
     """
 
     roots: tuple
     p0: np.ndarray
     phases: np.ndarray
     states: tuple
+    coefficients: np.ndarray
 
     def __post_init__(self):
         p0 = np.asarray(self.p0, dtype=float)
@@ -320,4 +318,6 @@ def zero_set(mix: RankTwoMixture, tol: float = COEFF_TOL) -> ZeroSet:
             p0.append(root.p0)
             phases.append(root.phase)
             states.append(state)
-    return ZeroSet(tuple(roots), np.array(p0), np.array(phases), tuple(states))
+    return ZeroSet(
+        tuple(roots), np.array(p0), np.array(phases), tuple(states), poly.coefficients
+    )

@@ -15,18 +15,10 @@ import numpy as np
 
 from . import _kernels
 from .invariants import c3
+from .pencil import pencil_polynomial
 from .states import PureState, RankTwoMixture
 
 __all__ = ["min_average_c3", "random_decomposition", "average_c3"]
-
-
-def _base_rows(mix: RankTwoMixture) -> np.ndarray:
-    return np.vstack(
-        [
-            np.sqrt(mix.p) * mix.psi1.amplitudes,
-            np.sqrt(1.0 - mix.p) * mix.psi2.amplitudes,
-        ]
-    )
 
 
 def min_average_c3(
@@ -40,7 +32,9 @@ def min_average_c3(
 
     Decomposition sizes cycle through ``sizes``; the weighted average of
     each decomposition reduces to a sum of sqrt|tau3| over unnormalized
-    members by degree-4 homogeneity. Deterministic for a fixed seed.
+    members by degree-4 homogeneity. The pencil coefficients of the pair
+    are computed once, and every member is evaluated as their binary
+    quartic form. Deterministic for a fixed seed.
     """
     if mix.n_qubits != 3:
         raise ValueError("decomposition sampling needs a 3-qubit mixture")
@@ -49,7 +43,8 @@ def min_average_c3(
         raise ValueError("decomposition sizes must be at least 2")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    base = _base_rows(mix)
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     m_max = max(sizes)
     all_sizes = np.asarray(sizes, dtype=np.int64)[np.arange(n_samples) % len(sizes)]
     rng = np.random.default_rng(seed)
@@ -57,7 +52,7 @@ def min_average_c3(
     for start in range(0, n_samples, chunk):
         stop = min(start + chunk, n_samples)
         gauss = rng.standard_normal((stop - start, m_max, 2, 2))
-        val = _kernels.min_average_batch(base, gauss, all_sizes[start:stop])
+        val = _kernels.min_average_batch(coeffs, scales, gauss, all_sizes[start:stop])
         best = min(best, val)
     return float(best)
 
@@ -73,7 +68,9 @@ def random_decomposition(
     if size < 2:
         raise ValueError("decomposition size must be at least 2")
     rng = np.random.default_rng(seed)
-    base = _base_rows(mix)
+    base = np.vstack(
+        [np.sqrt(mix.p) * mix.psi1.amplitudes, np.sqrt(1.0 - mix.p) * mix.psi2.amplitudes]
+    )
     while True:
         g = rng.standard_normal((size, 2, 2))
         u1 = g[:, 0, 0] + 1j * g[:, 0, 1]

@@ -47,7 +47,6 @@ __all__ = [
     "SimplexScanRow",
     "simplex_scan",
     "has_interior_volume_zero",
-    "phi_threshold_scan",
     "phi_threshold_bisect",
     "MonogamyReport",
     "monogamy_report",
@@ -323,11 +322,6 @@ def has_interior_volume_zero(
         if np.any(np.sign(fine[:-1]) != np.sign(fine[1:])):
             return True
     return False
-
-
-def phi_threshold_scan(phi_grid: Sequence[float]):
-    """(phi, has interior volume zero) per grid value."""
-    return [(float(phi), has_interior_volume_zero(float(phi))) for phi in phi_grid]
 
 
 def phi_threshold_bisect(lo: float = 0.40, hi: float = 0.60, tol: float = 0.005) -> float:

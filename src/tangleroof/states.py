@@ -105,9 +105,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
 
 @dataclass(frozen=True, eq=False)
 class RankTwoMixture:

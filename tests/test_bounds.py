@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tangleroof import bounds, pencil
+from tangleroof import _kernels, bounds, pencil
 from tangleroof.bloch import state_from_bloch
 from tangleroof.bounds import (
     BoundCurve,
@@ -184,3 +184,30 @@ def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
     monkeypatch.setattr(bounds, "pencil_polynomial", counted, raising=False)
     span_geometry(toy_mix)
     assert len(calls) == 1
+
+
+def test_report_tangle_calls_do_not_grow_with_the_grid(monkeypatch):
+    calls = []
+    original = _kernels.tau3_many
+
+    def counted(amps):
+        calls.append(len(amps))
+        return original(amps)
+
+    monkeypatch.setattr(_kernels, "tau3_many", counted)
+    counts = []
+    for mix in (toy_mixture(), RankTwoMixture(make_ghz(3), make_w(3), 0.5)):
+        for grid_size in (41, 401):
+            calls.clear()
+            upper_bound_report(mix, grid_size)
+            counts.append(len(calls))
+    assert counts[0] == counts[1] and counts[2] == counts[3]
+
+
+def test_span_geometry_keeps_the_pencil(toy_mix):
+    geom = span_geometry(toy_mix)
+    assert np.array_equal(geom.coefficients, geom.zeros.coefficients)
+    assert geom.c3_psi1 == float(np.sqrt(abs(geom.coefficients[0])))
+    assert geom.c3_psi2 == float(np.sqrt(abs(geom.coefficients[4])))
+    assert abs(geom.c3_psi1 - c3(toy_mix.psi1)) <= 1e-15
+    assert abs(geom.c3_psi2 - c3(toy_mix.psi2)) <= 1e-15

@@ -73,6 +73,15 @@ def test_tol_root_of_one_or_more_exits_2(capsys, monkeypatch):
     assert "tol-root" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_tol_rank_exits_2(value, capsys, monkeypatch):
+    assert main(["scan4q", "--p-grid", "3", "--tol-rank", value]) == 2
+    assert "tol-rank" in capsys.readouterr().err
+    monkeypatch.setenv("TANGLEROOF_TOL_RANK", value)
+    assert main(["monogamy", "--p-grid", "3"]) == 2
+    assert "tol-rank" in capsys.readouterr().err
+
+
 def test_zeros_identically_zero_pair(tmp_path, capsys):
     a = _state_file(tmp_path, "a.json", 0)
     b = _state_file(tmp_path, "b.json", 1)

@@ -1,7 +1,12 @@
 import numpy as np
+import pytest
 
 from tangleroof import _kernels
-from tangleroof.states import make_ghz
+from tangleroof.invariants import c3
+from tangleroof.pencil import pencil_coefficients
+from tangleroof.sampling import min_average_c3
+from tangleroof.scenarios import toy_mixture
+from tangleroof.states import PureState, RankTwoMixture, make_ghz, make_w
 
 
 def _random_amps(rng, m):
@@ -12,9 +17,106 @@ def _random_gauss(rng, n, m_max=4):
     return rng.normal(size=(n, m_max, 2, 2))
 
 
+def _coeffs(amps1, amps2):
+    return pencil_coefficients(np.atleast_2d(amps1), np.atleast_2d(amps2))[0]
+
+
+def _orthonormal_pair(g):
+    q, _ = np.linalg.qr(g)
+    return q[:, 0].astype(complex), q[:, 1].astype(complex)
+
+
+def _pairs():
+    """(psi1, psi2) amplitude pairs: seeded Haar, real, and GHZ3/W3 (c_4 = 0)."""
+    rng = np.random.default_rng(505)
+    out = [
+        _orthonormal_pair(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+        for _ in range(4)
+    ]
+    out += [_orthonormal_pair(rng.normal(size=(8, 2))) for _ in range(3)]
+    out.append((make_ghz(3).amplitudes, make_w(3).amplitudes))
+    return out
+
+
+def _haar_mixture(seed):
+    rng = np.random.default_rng(seed)
+    a, b = _orthonormal_pair(rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2)))
+    return RankTwoMixture(PureState(3, a), PureState(3, b), 0.5)
+
+
 def test_tau3_numpy_reference_value():
     vals = _kernels.tau3_many(make_ghz(3).amplitudes[None, :])
     assert abs(vals[0] - 1.0) <= 1e-14
+
+
+def test_quartic_form_equals_tau3_of_the_span_state():
+    rng = np.random.default_rng(606)
+    a = rng.normal(size=64) + 1j * rng.normal(size=64)
+    b = rng.normal(size=64) + 1j * rng.normal(size=64)
+    a[:8] = 0.0  # pure psi2 end
+    b[8:16] = 0.0  # pure psi1 end
+    scale = (np.abs(a) ** 2 + np.abs(b) ** 2) ** 2
+    for psi1, psi2 in _pairs():
+        c = _coeffs(psi1, psi2)
+        form = _kernels.quartic_form(c, a, b)
+        rows = a[:, None] * psi1 + b[:, None] * psi2
+        direct = _kernels.tau3_many(rows)
+        assert np.all(np.abs(form - direct) <= 1e-13 * scale)
+
+
+def test_quartic_form_is_exact_at_the_pure_ends():
+    rng = np.random.default_rng(707)
+    c = rng.normal(size=5) + 1j * rng.normal(size=5)
+    t = rng.normal(size=16) + 1j * rng.normal(size=16)
+    assert np.array_equal(_kernels.quartic_form(c, t, 0.0), c[0] * ((t * t) * (t * t)))
+    assert np.array_equal(_kernels.quartic_form(c, 0.0, t), (((c[4] * t) * t) * t) * t)
+    # GHZ3/W3: the W3 end has no tangle, so a = 0 reads c_4 = 0 up to roundoff
+    c = _coeffs(make_ghz(3).amplitudes, make_w(3).amplitudes)
+    assert abs(_kernels.quartic_form(c, 0.0, 1.0)) <= 1e-15
+
+
+def test_quartic_form_broadcasts_stacked_coefficients():
+    rng = np.random.default_rng(808)
+    c = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    a = rng.normal(size=3)
+    b = rng.normal(size=3) + 1j * rng.normal(size=3)
+    stacked = _kernels.quartic_form(c, a, b)
+    one_by_one = [_kernels.quartic_form(c[n], a[n], b[n]) for n in range(3)]
+    np.testing.assert_allclose(stacked, one_by_one, rtol=1e-14)
+
+
+def _row_reference(mix, n_samples, sizes, seed):
+    """min_average_c3 rebuilt from full amplitude rows and tau3_many."""
+    base = np.vstack(
+        [np.sqrt(mix.p) * mix.psi1.amplitudes, np.sqrt(1.0 - mix.p) * mix.psi2.amplitudes]
+    )
+    all_sizes = np.asarray(sizes)[np.arange(n_samples) % len(sizes)]
+    gauss = np.random.default_rng(seed).standard_normal((n_samples, max(sizes), 2, 2))
+    best = np.inf
+    for m in sizes:
+        g = gauss[all_sizes == m, :m]
+        z = g[..., 0] + 1j * g[..., 1]
+        u1 = z[:, :, 0] / np.linalg.norm(z[:, :, 0], axis=1, keepdims=True)
+        u2 = z[:, :, 1] - np.sum(u1.conj() * z[:, :, 1], axis=1, keepdims=True) * u1
+        u2 = u2 / np.linalg.norm(u2, axis=1, keepdims=True)
+        rows = u1[:, :, None] * base[0] + u2[:, :, None] * base[1]
+        vals = np.sqrt(np.abs(_kernels.tau3_many(rows.reshape(-1, 8)))).reshape(rows.shape[:2])
+        best = min(best, float(np.min(vals.sum(axis=1))))
+    return best
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_sampler_matches_the_row_reference(p):
+    for mix in (toy_mixture(p), _haar_mixture(909).at(p)):
+        got = min_average_c3(mix, 3000, sizes=(2, 3, 4), seed=17)
+        want = _row_reference(mix, 3000, (2, 3, 4), 17)
+        assert abs(got - want) <= 1e-12
+
+
+def test_sampler_pure_ends_equal_the_pure_tangles():
+    for mix in (toy_mixture(), _haar_mixture(910)):
+        assert abs(min_average_c3(mix.at(0.0), 2000, seed=3) - c3(mix.psi2)) <= 1e-15
+        assert abs(min_average_c3(mix.at(1.0), 2000, seed=3) - c3(mix.psi1)) <= 1e-15
 
 
 def test_sampler_skips_degenerate_draws():
@@ -24,18 +126,19 @@ def test_sampler_skips_degenerate_draws():
     gauss[0, :, 0, :] = 0.0  # first column identically zero
     gauss[3, :, 1, :] = gauss[3, :, 0, :]  # second column parallel to first
     sizes = np.full(8, 3, dtype=np.int64)
-    out = _kernels.min_average_batch(base, gauss, sizes)
+    out = _kernels.min_average_batch(_coeffs(base[0], base[1]), (1.0, 1.0), gauss, sizes)
     assert np.isfinite(out) and out >= 0.0
 
 
 def test_sampler_is_min_over_size_groups():
     rng = np.random.default_rng(404)
     base = _random_amps(rng, 2)
+    coeffs, scales = _coeffs(base[0], base[1]), (1.0, 1.0)
     gauss = _random_gauss(rng, 60)
     sizes = np.array([2, 3, 4] * 20, dtype=np.int64)
-    combined = _kernels.min_average_batch(base, gauss, sizes)
+    combined = _kernels.min_average_batch(coeffs, scales, gauss, sizes)
     per_group = [
-        _kernels.min_average_batch(base, gauss[sizes == m], sizes[sizes == m])
+        _kernels.min_average_batch(coeffs, scales, gauss[sizes == m], sizes[sizes == m])
         for m in (2, 3, 4)
     ]
     assert abs(combined - min(per_group)) <= 1e-15

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tangleroof import _kernels
 from tangleroof.invariants import c3
 from tangleroof.sampling import average_c3, min_average_c3, random_decomposition
 from tangleroof.states import PureState, RankTwoMixture
@@ -82,3 +83,17 @@ def test_average_c3_matches_manual_average(toy_mix):
     weights, states = random_decomposition(state, 4, np.random.default_rng(21))
     manual = float(sum(w * c3(s) for w, s in zip(weights, states)))
     assert average_c3(weights, states) == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_samples", [1000, 100_000])
+def test_sampler_builds_one_pencil_and_no_rows(n_samples, toy_mix, monkeypatch):
+    calls = []
+    original = _kernels.tau3_many
+
+    def counted(amps):
+        calls.append(len(amps))
+        return original(amps)
+
+    monkeypatch.setattr(_kernels, "tau3_many", counted)
+    min_average_c3(toy_mix.at(0.4), n_samples, seed=8)
+    assert calls == [5]
