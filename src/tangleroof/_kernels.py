@@ -5,10 +5,11 @@ Inside the span of a pair (psi1, psi2) the tangle is the binary quartic
 
     tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k,
 
-where c_0..c_4 are the coefficients of the pencil P(z) = tau3(psi1 + z psi2).
-``tau3_many`` evaluates the polynomial on full amplitude rows and serves the
-pencil interpolation; every span state is then evaluated by ``quartic_form``
-on its two span coordinates.
+where c_0..c_4 are the coefficients of the pencil P(z) = tau3(psi1 + z psi2),
+with c_0 = tau3(psi1) and c_4 = tau3(psi2) exact
+(``PencilPolynomial.form_coefficients``). ``tau3_many`` evaluates the
+polynomial on full amplitude rows and serves the pencil interpolation; every
+span state is then evaluated by ``quartic_form`` on its two span coordinates.
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ def min_average_batch(
 ) -> float:
     """Smallest decomposition average of sqrt|tau3| over a batch of draws.
 
-    coeffs are the pencil coefficients of the mixture's eigenpair
+    coeffs are the quartic-form coefficients of the mixture's eigenpair
     (psi1, psi2) and scales the pair (sqrt(w1), sqrt(w2)) of square-root
     weights. Sample s builds a random sizes[s] x 2 isometry U by
     Gram-Schmidt on the Gaussian block gauss[s, :sizes[s]] (layout [row,
@@ -77,24 +78,22 @@ def min_average_batch(
     gauss = np.asarray(gauss, dtype=float)
     sizes = np.asarray(sizes, dtype=np.int64)
     best = np.inf
-    for m in np.flatnonzero(np.bincount(sizes)):
-        g = gauss[sizes == m, :m]
+    for m in np.unique(sizes):
+        sel = sizes == m
+        g = gauss[sel, :m]
         c = g[..., 0] + 1j * g[..., 1]
-        # drop degenerate draws; the masks copy, so only when one occurs
-        n1 = np.linalg.norm(c[:, :, 0], axis=1)
+        u1 = c[:, :, 0]
+        n1 = np.linalg.norm(u1, axis=1)
         ok = n1 > 1e-12
-        if not ok.all():
-            c, n1 = c[ok], n1[ok]
-        u1 = c[:, :, 0] / n1[:, None]
-        u2 = c[:, :, 1]
+        u1 = u1[ok] / n1[ok, None]
+        u2 = c[ok, :, 1]
         u2 = u2 - np.sum(u1.conj() * u2, axis=1, keepdims=True) * u1
         n2 = np.linalg.norm(u2, axis=1)
         ok2 = n2 > 1e-12
         if not np.any(ok2):
             continue
-        if not ok2.all():
-            u1, u2, n2 = u1[ok2], u2[ok2], n2[ok2]
-        u2 = u2 / n2[:, None]
+        u2 = u2[ok2] / n2[ok2, None]
+        u1 = u1[ok2]
         vals = np.sqrt(np.abs(quartic_form(coeffs, s1 * u1, s2 * u2)))
         group_best = float(np.min(vals.sum(axis=1)))
         if group_best < best:

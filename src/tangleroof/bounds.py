@@ -27,7 +27,7 @@ from .bloch import (
     build_polytope,
     state_from_bloch,
 )
-from .pencil import IdenticallyZeroPencilError, ZeroSet, pencil_polynomial, zero_set
+from .pencil import IdenticallyZeroPencilError, ZeroSet, _zero_set, pencil_polynomial
 from .states import PureState, RankTwoMixture
 
 __all__ = [
@@ -51,9 +51,10 @@ GRID_SIZE_DEFAULT = 401
 class SpanGeometry:
     """Zero-set geometry of a rank-two span, shared across bound evaluations.
 
-    ``coefficients`` are the ascending pencil coefficients c_0..c_4 of the
-    span: the tangle of a psi1 + b psi2 is quartic_form(coefficients, a, b).
-    An identically vanishing pencil is stored as zeros.
+    ``coefficients`` are the span's quartic-form coefficients c_0..c_4
+    (``PencilPolynomial.form_coefficients``): the tangle of a psi1 + b psi2
+    is quartic_form(coefficients, a, b), exact at either pure end. An
+    identically vanishing pencil is stored as zeros.
     """
 
     coefficients: np.ndarray
@@ -74,14 +75,15 @@ class SpanGeometry:
 
 
 def span_geometry(mix: RankTwoMixture) -> SpanGeometry:
-    """Pencil coefficients, zero set, polytope, and axis interval of the span."""
+    """Quartic-form coefficients, zero set, polytope, and axis interval of the span."""
+    poly = pencil_polynomial(mix.psi1, mix.psi2)
     try:
-        zeros = zero_set(mix)
+        zeros = _zero_set(poly)
     except IdenticallyZeroPencilError:
         return SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True)
     polytope = build_polytope(zeros)
     interval = axis_zero_interval(polytope)
-    return SpanGeometry(zeros.coefficients, zeros, polytope, interval, False)
+    return SpanGeometry(poly.form_coefficients, zeros, polytope, interval, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +145,7 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
     b = -e^{i phi} sqrt(1 - p).
     """
     ps = np.asarray(grid, dtype=float)
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
     tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
 

@@ -44,11 +44,18 @@ class IdenticallyZeroPencilError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class PencilPolynomial:
-    """Tangle polynomial P(z) = sum c_k z^k along psi1 + z*psi2."""
+    """Tangle polynomial P(z) = sum c_k z^k along psi1 + z*psi2.
+
+    ``coefficients`` interpolate P at the 5th roots of unity; the roots are
+    found from them. ``ends``, when given, holds the tangles
+    (tau3(psi1), tau3(psi2)), which are c_0 and c_4 without interpolation
+    roundoff.
+    """
 
     coefficients: np.ndarray
     psi1: Optional[PureState] = None
     psi2: Optional[PureState] = None
+    ends: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex).ravel()
@@ -57,6 +64,23 @@ class PencilPolynomial:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
+        if self.ends is not None:
+            e = np.array(self.ends, dtype=complex)
+            e.setflags(write=False)
+            object.__setattr__(self, "ends", e)
+
+    @property
+    def form_coefficients(self) -> np.ndarray:
+        """Coefficients of the binary quartic form tau3(a psi1 + b psi2).
+
+        The interpolated coefficients with c_0 and c_4 taken from ``ends``,
+        so the form is exact at either pure end (a structural zero of
+        psi1 or psi2 reads exactly 0).
+        """
+        c = self.coefficients.copy()
+        if self.ends is not None:
+            c[0], c[DEGREE] = self.ends
+        return c
 
     def __call__(self, z):
         return npoly.polyval(z, self.coefficients)
@@ -97,15 +121,13 @@ class ZeroSet:
 
     ``roots`` holds the distinct extended roots with multiplicity; ``p0``,
     ``phases`` and ``states`` are expanded with multiplicity to length 4,
-    aligned with the root order. ``coefficients`` are the ascending pencil
-    coefficients the roots were found from.
+    aligned with the root order.
     """
 
     roots: tuple
     p0: np.ndarray
     phases: np.ndarray
     states: tuple
-    coefficients: np.ndarray
 
     def __post_init__(self):
         p0 = np.asarray(self.p0, dtype=float)
@@ -129,19 +151,35 @@ def pencil_coefficients(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
     amps2 = np.asarray(amps2, dtype=complex)
     if amps1.ndim != 2 or amps1.shape[1] != 8 or amps2.shape != amps1.shape:
         raise ValueError("pencil coefficients need two (N, 8) amplitude stacks")
+    values = _kernels.tau3_many(_node_samples(amps1, amps2).reshape(-1, 8))
+    return _interpolate(values.reshape(-1, DEGREE + 1))
+
+
+def _node_samples(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
+    """(N, 5, 8) amplitudes amps1 + z*amps2 at the interpolation nodes."""
     samples = _NODES[None, :, None] * amps2[:, None, :]
     samples += amps1[:, None, :]
-    values = _kernels.tau3_many(samples.reshape(-1, 8)).reshape(-1, DEGREE + 1)
+    return samples
+
+
+def _interpolate(values: np.ndarray) -> np.ndarray:
+    """(N, 5) coefficients from the (N, 5) pencil values at the nodes."""
     # one matrix-vector product per row, as for a single pair
     return np.matmul(_VANDERMONDE_INV, values[..., None])[..., 0]
 
 
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
-    """Interpolate the tangle along psi1 + z*psi2 at 5 roots of unity."""
+    """Interpolate the tangle along psi1 + z*psi2 at 5 roots of unity.
+
+    The tangles of psi1 and psi2 (the polynomial's ``ends``) are two more
+    rows of the same tau3_many call.
+    """
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
-    coeffs = pencil_coefficients(psi1.amplitudes[None, :], psi2.amplitudes[None, :])
-    return PencilPolynomial(coeffs[0], psi1, psi2)
+    a1, a2 = psi1.amplitudes[None, :], psi2.amplitudes[None, :]
+    values = _kernels.tau3_many(np.vstack([_node_samples(a1, a2)[0], a1, a2]))
+    coeffs = _interpolate(values[None, : DEGREE + 1])[0]
+    return PencilPolynomial(coeffs, psi1, psi2, values[DEGREE + 1 :])
 
 
 def _degrees(coeffs: np.ndarray, tol: float) -> np.ndarray:
@@ -305,19 +343,22 @@ def zero_set(mix: RankTwoMixture, tol: float = COEFF_TOL) -> ZeroSet:
     """Roots of the mixture's pencil with axis coordinates and zero states."""
     if mix.n_qubits != 3:
         raise ValueError("zero sets are defined for 3-qubit mixtures")
-    poly = pencil_polynomial(mix.psi1, mix.psi2)
+    return _zero_set(pencil_polynomial(mix.psi1, mix.psi2), tol)
+
+
+def _zero_set(poly: PencilPolynomial, tol: float = COEFF_TOL) -> ZeroSet:
+    """Zero set of a pencil built from its pair (poly.psi1, poly.psi2)."""
+    psi1, psi2 = poly.psi1, poly.psi2
     roots = polynomial_roots(poly, tol)
     p0, phases, states = [], [], []
     for root in roots:
         if root.at_infinity:
-            state = mix.psi2
+            state = psi2
         else:
-            amps = mix.psi1.amplitudes + root.z * mix.psi2.amplitudes
+            amps = psi1.amplitudes + root.z * psi2.amplitudes
             state = PureState(3, amps / np.linalg.norm(amps))
         for _ in range(root.multiplicity):
             p0.append(root.p0)
             phases.append(root.phase)
             states.append(state)
-    return ZeroSet(
-        tuple(roots), np.array(p0), np.array(phases), tuple(states), poly.coefficients
-    )
+    return ZeroSet(tuple(roots), np.array(p0), np.array(phases), tuple(states))

@@ -32,9 +32,9 @@ def min_average_c3(
 
     Decomposition sizes cycle through ``sizes``; the weighted average of
     each decomposition reduces to a sum of sqrt|tau3| over unnormalized
-    members by degree-4 homogeneity. The pencil coefficients of the pair
-    are computed once, and every member is evaluated as their binary
-    quartic form. Deterministic for a fixed seed.
+    members by degree-4 homogeneity. The quartic-form coefficients of the
+    pair are computed once, with one tau3_many call, and every member is
+    evaluated by the form. Deterministic for a fixed seed.
     """
     if mix.n_qubits != 3:
         raise ValueError("decomposition sampling needs a 3-qubit mixture")
@@ -43,7 +43,7 @@ def min_average_c3(
         raise ValueError("decomposition sizes must be at least 2")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     m_max = max(sizes)
     all_sizes = np.asarray(sizes, dtype=np.int64)[np.arange(n_samples) % len(sizes)]

@@ -204,10 +204,28 @@ def test_report_tangle_calls_do_not_grow_with_the_grid(monkeypatch):
     assert counts[0] == counts[1] and counts[2] == counts[3]
 
 
-def test_span_geometry_keeps_the_pencil(toy_mix):
+def test_span_geometry_keeps_the_form_coefficients(toy_mix):
     geom = span_geometry(toy_mix)
-    assert np.array_equal(geom.coefficients, geom.zeros.coefficients)
-    assert geom.c3_psi1 == float(np.sqrt(abs(geom.coefficients[0])))
-    assert geom.c3_psi2 == float(np.sqrt(abs(geom.coefficients[4])))
-    assert abs(geom.c3_psi1 - c3(toy_mix.psi1)) <= 1e-15
-    assert abs(geom.c3_psi2 - c3(toy_mix.psi2)) <= 1e-15
+    poly = pencil.pencil_polynomial(toy_mix.psi1, toy_mix.psi2)
+    assert np.array_equal(geom.coefficients, poly.form_coefficients)
+    assert np.array_equal(geom.coefficients[1:4], poly.coefficients[1:4])
+    assert geom.c3_psi1 == c3(toy_mix.psi1)
+    assert geom.c3_psi2 == c3(toy_mix.psi2)
+
+
+@pytest.mark.parametrize(
+    "psi1, psi2",
+    [(make_ghz(3), make_w(3)), (PureState(3, np.eye(8)[0]), PureState(3, np.eye(8)[7]))],
+    ids=["ghz_w", "000_111"],
+)
+def test_structural_zero_ends_are_exact(psi1, psi2):
+    mix = RankTwoMixture(psi1, psi2, 0.5)
+    geom = span_geometry(mix)
+    assert geom.c3_psi2 == c3(psi2)
+    assert geom.c3_psi1 == c3(psi1)
+    for phi in (0.0, 1.3):
+        curve = characteristic_curve(mix, phi, [0.0, 1.0])
+        assert curve[0, 1] == c3(psi2)
+        assert curve[1, 1] == c3(psi1)
+    lin = linearized_upper_bound(mix, geom)
+    assert lin(0.0) == c3(psi2) and lin(1.0) == c3(psi1)

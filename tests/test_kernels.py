@@ -3,7 +3,7 @@ import pytest
 
 from tangleroof import _kernels
 from tangleroof.invariants import c3
-from tangleroof.pencil import pencil_coefficients
+from tangleroof.pencil import pencil_polynomial
 from tangleroof.sampling import min_average_c3
 from tangleroof.scenarios import toy_mixture
 from tangleroof.states import PureState, RankTwoMixture, make_ghz, make_w
@@ -18,7 +18,7 @@ def _random_gauss(rng, n, m_max=4):
 
 
 def _coeffs(amps1, amps2):
-    return pencil_coefficients(np.atleast_2d(amps1), np.atleast_2d(amps2))[0]
+    return pencil_polynomial(PureState(3, amps1), PureState(3, amps2)).form_coefficients
 
 
 def _orthonormal_pair(g):
@@ -70,9 +70,10 @@ def test_quartic_form_is_exact_at_the_pure_ends():
     t = rng.normal(size=16) + 1j * rng.normal(size=16)
     assert np.array_equal(_kernels.quartic_form(c, t, 0.0), c[0] * ((t * t) * (t * t)))
     assert np.array_equal(_kernels.quartic_form(c, 0.0, t), (((c[4] * t) * t) * t) * t)
-    # GHZ3/W3: the W3 end has no tangle, so a = 0 reads c_4 = 0 up to roundoff
+    # GHZ3/W3: c_4 is the tangle of W3 itself, so the W3 end reads exactly 0
     c = _coeffs(make_ghz(3).amplitudes, make_w(3).amplitudes)
-    assert abs(_kernels.quartic_form(c, 0.0, 1.0)) <= 1e-15
+    assert c[4] == 0.0
+    assert _kernels.quartic_form(c, 0.0, np.exp(0.3j)) == 0.0
 
 
 def test_quartic_form_broadcasts_stacked_coefficients():
@@ -117,6 +118,8 @@ def test_sampler_pure_ends_equal_the_pure_tangles():
     for mix in (toy_mixture(), _haar_mixture(910)):
         assert abs(min_average_c3(mix.at(0.0), 2000, seed=3) - c3(mix.psi2)) <= 1e-15
         assert abs(min_average_c3(mix.at(1.0), 2000, seed=3) - c3(mix.psi1)) <= 1e-15
+    ghz_w = RankTwoMixture(make_ghz(3), make_w(3), 0.0)
+    assert min_average_c3(ghz_w, 2000, seed=3) == 0.0
 
 
 def test_sampler_skips_degenerate_draws():

@@ -96,4 +96,4 @@ def test_sampler_builds_one_pencil_and_no_rows(n_samples, toy_mix, monkeypatch):
 
     monkeypatch.setattr(_kernels, "tau3_many", counted)
     min_average_c3(toy_mix.at(0.4), n_samples, seed=8)
-    assert calls == [5]
+    assert calls == [7]  # 5 interpolation nodes and the two pure ends
