@@ -278,13 +278,17 @@ def _sphere_exit_many(anchors: np.ndarray, targets: np.ndarray):
     Solves |anchor + (target - anchor)/lam|^2 = 1 for lam in (0, 1] using a
     subtraction-free form that stays stable for anchors on the sphere, and
     writes the boundary relative to the target so it is exact at lam = 1.
-    Pairs with anchor == target get lam = nan.
+    Pairs with anchor == target get lam = nan. The dot products over the
+    length-3 axis are written out component by component, in the order of
+    numpy's sum, which is bitwise the same and avoids a reduction call.
     """
     anchors = np.atleast_2d(anchors)
     d = targets[:, None, :] - anchors[None, :, :]
-    dd = np.sum(d * d, axis=2)
-    c = np.sum(anchors[None, :, :] * d, axis=2)
-    disc = c * c + (1.0 - np.sum(anchors * anchors, axis=1))[None, :] * dd
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    ax, ay, az = anchors[:, 0], anchors[:, 1], anchors[:, 2]
+    dd = dx * dx + dy * dy + dz * dz
+    c = ax * dx + ay * dy + az * dz
+    disc = c * c + (1.0 - (ax * ax + ay * ay + az * az))[None, :] * dd
     denom = np.sqrt(np.clip(disc, 0.0, None)) - c
     with np.errstate(divide="ignore", invalid="ignore"):
         lam = np.where((dd > 0) & (denom > 0), dd / denom, np.nan)

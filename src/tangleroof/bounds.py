@@ -11,8 +11,8 @@ decomposition of any intermediate mixture.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -322,8 +322,9 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
     pts = pts[keep]
     if pts.shape[0] < 2:
         raise ValueError("samples collapse to a single abscissa")
+    # Python floats run the same IEEE operations as numpy scalars, faster
     hull = []
-    for q in pts:
+    for q in pts.tolist():
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
             cross = (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0])
@@ -332,16 +333,25 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
             else:
                 break
         hull.append(q)
-    knots = np.array(hull)
-    prov = []
-    for idx in range(knots.shape[0]):
-        if idx == 0 or idx == knots.shape[0] - 1:
-            prov.append("endpoint")
-        elif abs(knots[idx, 1]) <= 1e-12:
-            prov.append("zero-interval")
-        else:
-            prov.append("pivot")
-    return BoundCurve(knots, tuple(prov))
+    prov = ["endpoint"]
+    for _, value in hull[1:-1]:
+        prov.append("zero-interval" if abs(value) <= 1e-12 else "pivot")
+    prov.append("endpoint")
+    return BoundCurve(np.array(hull), tuple(prov))
+
+
+class _GridPivot(NamedTuple):
+    """Best anchor ray at each grid point of a report.
+
+    ``anchor`` is the index of the argmin anchor, ``value`` its candidate
+    lam * c3(boundary), and ``lam``/``boundary`` its ray; shapes (n,), (n,),
+    (n,) and (n, 3) for an n-point grid.
+    """
+
+    anchor: np.ndarray
+    value: np.ndarray
+    lam: np.ndarray
+    boundary: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,6 +361,9 @@ class BoundReport:
     ``achieving`` labels which family realizes the reported bound at each
     grid point; ``p_left``/``p_right`` are the envelope knots adjacent to
     the zero interval (where the envelope departs from the straight chords).
+    The best anchor ray of each grid point is kept from the report's one
+    pivot pass, so knot certificates read it instead of searching again; it
+    is None when there are no anchors.
     """
 
     mix: RankTwoMixture
@@ -365,6 +378,7 @@ class BoundReport:
     achieving: tuple
     p_left: Optional[float]
     p_right: Optional[float]
+    _grid_pivot: Optional[_GridPivot] = field(default=None, repr=False)
 
     def __post_init__(self):
         for name in ("grid", "linearized", "pivot", "envelope"):
@@ -417,13 +431,16 @@ class BoundReport:
             return np.array([1.0]), (self.mix.psi2,)
         if p >= 1.0 - 1e-12:
             return np.array([1.0]), (self.mix.psi1,)
-        lin = float(_linearized_value(geom, p))
-        cand, lam, boundary = _pivot_candidates(geom.coefficients, np.array([p]), self.anchors)
-        best = int(np.argmin(cand[0]))
-        if np.min(cand[0]) < lin - 1e-15:
-            anchor = self.anchors[best]
-            lam_b = float(lam[0, best])
-            bstate = state_from_bloch(self.mix, boundary[0, best])
+        # every envelope knot is a grid sample: convex_envelope keeps sample
+        # coordinates, so the knot's best ray is the grid pass's
+        k = int(np.searchsorted(self.grid, p))
+        if k >= self.grid.shape[0] or self.grid[k] != p:
+            raise ValueError(f"knot p = {p!r} is not a grid point of the report")
+        piv = self._grid_pivot
+        if piv is not None and piv.value[k] < self.linearized[k] - 1e-15:
+            anchor = self.anchors[int(piv.anchor[k])]
+            lam_b = float(piv.lam[k])
+            bstate = state_from_bloch(self.mix, piv.boundary[k])
             weights = [lam_b] + [(1.0 - lam_b) * w for w in anchor.weights]
             states = (bstate,) + tuple(
                 geom.polytope.states[i] for i in anchor.face
@@ -496,11 +513,16 @@ def upper_bound_report(
             env_curve, tuple(["zero-interval"] * grid.shape[0]), None, None,
         )
     anchor_set = default_anchors(mix, geom) if anchors is None else tuple(anchors)
+    grid_pivot = None
     if len(anchor_set) == 0:
         pivot_vals = lin_vals.copy()
     else:
-        cand = _pivot_candidates(geom.coefficients, grid, anchor_set)[0]
-        pivot_vals = np.minimum(lin_vals, np.min(cand, axis=1))
+        cand, lam, boundary = _pivot_candidates(geom.coefficients, grid, anchor_set)
+        best = np.argmin(cand, axis=1)
+        rows = np.arange(grid.shape[0])
+        grid_pivot = _GridPivot(best, cand[rows, best], lam[rows, best], boundary[rows, best])
+        pivot_vals = np.minimum(lin_vals, grid_pivot.value)
+    inside = np.zeros(grid.shape, dtype=bool)
     if geom.interval is not None:
         inside = (grid >= geom.interval.p_low - 1e-12) & (
             grid <= geom.interval.p_high + 1e-12
@@ -515,17 +537,12 @@ def upper_bound_report(
         before = xs[xs < geom.interval.p_low - 1e-9]
         p_right = float(after[0]) if after.size else None
         p_left = float(before[-1]) if before.size else None
-    achieving = []
-    for i in range(grid.shape[0]):
-        if geom.interval is not None and (
-            geom.interval.p_low - 1e-12 <= grid[i] <= geom.interval.p_high + 1e-12
-        ):
-            achieving.append("zero-interval")
-        elif env_vals[i] < lin_vals[i] - 1e-12:
-            achieving.append("pivot")
-        else:
-            achieving.append("linearized")
+    achieving = np.where(
+        inside,
+        "zero-interval",
+        np.where(env_vals < lin_vals - 1e-12, "pivot", "linearized"),
+    ).tolist()
     return BoundReport(
         mix, geom, anchor_set, grid, lin_vals, pivot_vals, env_vals,
-        lin_curve, env_curve, tuple(achieving), p_left, p_right,
+        lin_curve, env_curve, tuple(achieving), p_left, p_right, grid_pivot,
     )

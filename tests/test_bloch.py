@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tangleroof.bloch import (
+    _sphere_exit_many,
     axis_point,
     axis_zero_interval,
     barycentric_weights,
@@ -108,6 +109,46 @@ def test_ray_extend_unit_lambda_on_sphere_target():
         ray_extend(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         ray_extend(np.zeros(3), np.zeros(3))
+
+
+def _sphere_exit_reference(anchors, targets):
+    """_sphere_exit_many with its dot products as np.sum over the length-3 axis."""
+    d = targets[:, None, :] - anchors[None, :, :]
+    dd = np.sum(d * d, axis=2)
+    c = np.sum(anchors[None, :, :] * d, axis=2)
+    disc = c * c + (1.0 - np.sum(anchors * anchors, axis=1))[None, :] * dd
+    denom = np.sqrt(np.clip(disc, 0.0, None)) - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where((dd > 0) & (denom > 0), dd / denom, np.nan)
+        boundary = targets[:, None, :] + d * (1.0 / lam - 1.0)[:, :, None]
+    return boundary, lam
+
+
+def test_sphere_exit_many_equals_the_axis_sum_form():
+    rng = np.random.default_rng(71)
+    inner = rng.normal(size=(40, 3))
+    inner *= rng.uniform(0.0, 1.0, (40, 1)) / np.linalg.norm(inner, axis=1, keepdims=True)
+    surface = rng.normal(size=(10, 3))
+    surface /= np.linalg.norm(surface, axis=1, keepdims=True)
+    on_sphere = np.array(
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
+    )
+    anchors = np.vstack([inner, surface, on_sphere[:2], np.zeros((1, 3))])
+    # interior targets, axis targets, one target equal to each kind of anchor,
+    # and targets on the sphere
+    axis = np.column_stack([np.zeros(21), np.zeros(21), np.linspace(-0.9, 0.9, 21)])
+    targets = np.vstack([inner[:20] * 0.7, axis, inner[:1], surface[:1], on_sphere])
+    boundary, lam = _sphere_exit_many(anchors, targets)
+    ref_boundary, ref_lam = _sphere_exit_reference(anchors, targets)
+    np.testing.assert_array_equal(lam, ref_lam)
+    np.testing.assert_array_equal(boundary, ref_boundary)
+    assert np.isnan(lam[41, 0]) and np.isnan(lam[42, 40])
+    # targets on the sphere: lam is 1 from the centre, 1 to rounding from
+    # any other interior anchor
+    assert np.all(lam[-5:, -1] == 1.0)
+    assert np.all(np.abs(lam[-5:, :40] - 1.0) <= 4.0 * np.finfo(float).eps)
+    finite = np.isfinite(lam)
+    assert np.all((lam[finite] > 0.0) & (lam[finite] <= 1.0 + 1e-15))
 
 
 def test_state_from_bloch_poles_and_vertices():

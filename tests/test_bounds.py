@@ -131,6 +131,7 @@ def test_decompositions_achieve_reported_envelope(toy_rep):
 def test_achieving_labels_cover_all_families(toy_rep):
     labels = set(toy_rep.report.achieving)
     assert labels == {"zero-interval", "pivot", "linearized"}
+    assert all(type(label) is str for label in toy_rep.report.achieving)
 
 
 def _seeded_pairs(seed, n):
@@ -229,3 +230,134 @@ def test_structural_zero_ends_are_exact(psi1, psi2):
         assert curve[1, 1] == c3(psi1)
     lin = linearized_upper_bound(mix, geom)
     assert lin(0.0) == c3(psi2) and lin(1.0) == c3(psi1)
+
+
+# the p values at which the benchmark asks each report for a decomposition
+CERTIFICATE_PS = (0.0, 0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95, 1.0)
+
+
+def _certificate_mixtures():
+    ghz_w = RankTwoMixture(make_ghz(3), make_w(3), 0.5)
+    return [toy_mixture(), ghz_w] + _seeded_pairs(83, 3)
+
+
+def _assert_certifies(rep, mix, p):
+    """The decomposition at p reconstructs rho(p) and averages to the envelope.
+
+    Interval witnesses are polytope vertex states, whose c3 carries root
+    noise of a few 1e-8. Returns the average.
+    """
+    weights, states = rep.decomposition_at(p)
+    assert np.all(weights > 0.0) and abs(float(np.sum(weights)) - 1.0) <= 1e-12
+    avg = float(sum(w * c3(s) for w, s in zip(weights, states)))
+    assert abs(avg - float(rep.envelope_curve(p))) <= 1e-7
+    recon = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(weights, states))
+    target = mix.at(p).density_matrix().matrix
+    assert float(np.abs(recon - target).max()) <= 1e-12
+    return avg
+
+
+def test_empty_anchor_set_certifies_the_linearized_bound():
+    interior_knots = 0
+    for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
+        rep = upper_bound_report(mix, grid_size=401, anchors=())
+        assert rep.anchors == ()
+        inside = np.array(rep.achieving) == "zero-interval"
+        assert np.array_equal(rep.pivot, np.where(inside, 0.0, rep.linearized))
+        # rounding in the chords keeps knots that are neither ends nor interval
+        interior_knots += rep.envelope_curve.provenance.count("pivot")
+        for p in CERTIFICATE_PS + (0.3, 0.71):
+            assert _assert_certifies(rep, mix, p) <= float(rep.linearized_curve(p)) + 1e-7
+    assert interior_knots > 0
+
+
+def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
+    calls = []
+    original = bounds._pivot_candidates
+
+    def counted(coeffs, ps, anchors):
+        calls.append(len(ps))
+        return original(coeffs, ps, anchors)
+
+    monkeypatch.setattr(bounds, "_pivot_candidates", counted)
+    for mix in _certificate_mixtures():
+        calls.clear()
+        rep = upper_bound_report(mix, grid_size=401)
+        assert calls == [rep.grid.shape[0]]
+        for p in CERTIFICATE_PS:
+            _assert_certifies(rep, mix, p)
+        assert calls == [rep.grid.shape[0]]
+
+
+def _searched_certificate(rep, p):
+    """A knot certificate by a fresh single-p anchor search, as a reference."""
+    geom = rep.geometry
+    cand, lam, boundary = bounds._pivot_candidates(geom.coefficients, np.array([p]), rep.anchors)
+    best = int(np.argmin(cand[0]))
+    lin = float(bounds._linearized_value(geom, p))
+    if not np.min(cand[0]) < lin - 1e-15:
+        return None
+    anchor = rep.anchors[best]
+    lam_b = float(lam[0, best])
+    weights = [lam_b] + [(1.0 - lam_b) * w for w in anchor.weights]
+    states = (state_from_bloch(rep.mix, boundary[0, best]),) + tuple(
+        geom.polytope.states[i] for i in anchor.face
+    )
+    return np.array(weights), states
+
+
+def test_knot_certificates_equal_a_fresh_anchor_search():
+    pivot_knots = 0
+    for mix in _certificate_mixtures():
+        rep = upper_bound_report(mix, grid_size=401)
+        iv = rep.interval
+        for p, label in zip(rep.envelope_curve.knots[:, 0], rep.envelope_curve.provenance):
+            if label != "pivot" or (iv is not None and iv.p_low - 1e-12 <= p <= iv.p_high + 1e-12):
+                continue
+            expected = _searched_certificate(rep, float(p))
+            weights, states = rep._knot_certificate(float(p))
+            if expected is None:
+                assert states[0] is mix.psi1 or states[0] is mix.psi2
+                continue
+            pivot_knots += 1
+            assert np.array_equal(weights, expected[0])
+            assert len(states) == len(expected[1])
+            for s, e in zip(states, expected[1]):
+                assert np.array_equal(s.amplitudes, e.amplitudes)
+    assert pivot_knots > 0
+
+
+def _numpy_scalar_hull(samples):
+    """Lower hull by the cross <= 0 rule over numpy scalars, as a reference."""
+    pts = np.asarray(samples, dtype=float)
+    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(pts.shape[0], dtype=bool)
+    keep[1:] = np.diff(pts[:, 0]) > 0
+    hull = []
+    for q in pts[keep]:
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0]) <= 0.0:
+                hull.pop()
+            else:
+                break
+        hull.append(q)
+    return np.array(hull)
+
+
+def test_convex_envelope_knots_equal_a_numpy_scalar_hull():
+    xs = np.linspace(0.0, 1.0, 9)
+    collinear = np.column_stack([xs, 0.5 - 0.25 * xs])
+    duplicates = [[0.5, 1.0], [0.0, 2.0], [0.5, 0.25], [1.0, 2.0], [0.0, 3.0], [0.5, 0.5]]
+    integers = [[0, 4], [1, 2], [2, 0], [3, 1], [4, 2], [5, 4], [2, 3]]
+    cases = [collinear, duplicates, integers]
+    for mix in _certificate_mixtures():
+        rep = upper_bound_report(mix, grid_size=401)
+        cases.append(np.column_stack([rep.grid, rep.pivot]))
+    for samples in cases:
+        curve = convex_envelope(samples)
+        assert np.array_equal(curve.knots, _numpy_scalar_hull(samples))
+        assert all(type(label) is str for label in curve.provenance)
+    assert convex_envelope(collinear).knots.tolist() == [[0.0, 0.5], [1.0, 0.25]]
+    assert convex_envelope(duplicates).knots.tolist() == [[0.0, 2.0], [0.5, 0.25], [1.0, 2.0]]
+    assert convex_envelope(integers).knots.tolist() == [[0, 4], [2, 0], [4, 2], [5, 4]]
