@@ -70,12 +70,24 @@ def axis_point(p: float) -> np.ndarray:
     return np.array([0.0, 0.0, 2.0 * float(p) - 1.0])
 
 
+# vertex subsets of size 1, 2 and 3 of a polytope with k vertices, one
+# (count, size) index array per size in lexicographic order; taken in that
+# order they list the faces by size, then by index
+FACES = {
+    k: tuple(
+        np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
+        for size in (1, 2, 3)
+    )
+    for k in range(1, 5)
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ZeroPolytope:
     """Convex hull data of the zero-tangle Bloch points.
 
-    ``faces`` lists every vertex subset of size 1 to 3; intersection tests
-    pick the applicable subsets based on the polytope's shape.
+    The faces tested against the axis are the vertex subsets of size 1 to
+    3 in ``FACES[n_vertices]``.
     """
 
     vertices: np.ndarray
@@ -85,7 +97,6 @@ class ZeroPolytope:
     states: tuple
     dimension: int
     volume: float
-    faces: tuple
 
     def __post_init__(self):
         for name in ("vertices", "p0", "phases", "multiplicities"):
@@ -122,97 +133,166 @@ class AxisInterval:
     witness_high: IntervalWitness
 
 
-def _affine_frame(vertices: np.ndarray):
-    center = vertices.mean(axis=0)
-    sv, vt = np.linalg.svd(vertices - center, full_matrices=True)[1:]
-    rank = int(np.sum(sv > AFFINE_RANK_TOL))
-    return center, sv, vt, rank
+def _affine_frames(vertices: np.ndarray):
+    """Centre, singular values, right singular vectors and affine rank of
+    each (k, 3) point set of an (M, k, 3) stack, from one SVD call."""
+    center = vertices.mean(axis=1)
+    sv, vt = np.linalg.svd(vertices - center[:, None, :], full_matrices=True)[1:]
+    return center, sv, vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
 
 
-def _polygon_area(vertices: np.ndarray, vt: np.ndarray) -> float:
-    uv = (vertices - vertices.mean(axis=0)) @ vt[:2].T
-    order = np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))
-    u = uv[order]
-    shoelace = 0.5 * abs(
-        float(np.sum(u[:, 0] * np.roll(u[:, 1], -1) - np.roll(u[:, 0], -1) * u[:, 1]))
+def _polygon_areas(vertices: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Areas of (M, k, 3) planar point sets in the planes of vt[:, :2]."""
+    uv = (vertices - vertices.mean(axis=1)[:, None, :]) @ vt[:, :2].swapaxes(1, 2)
+    order = np.argsort(np.arctan2(uv[..., 1], uv[..., 0]), axis=1)
+    u = np.take_along_axis(uv, order[..., None], axis=1)
+    x, y = u[..., 0], u[..., 1]
+    shoelace = 0.5 * np.abs(
+        np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
     )
-    best_triangle = 0.0
-    for i, j, k in combinations(range(uv.shape[0]), 3):
-        e1 = uv[j] - uv[i]
-        e2 = uv[k] - uv[i]
-        t = 0.5 * abs(float(e1[0] * e2[1] - e1[1] * e2[0]))
-        best_triangle = max(best_triangle, t)
+    tri = FACES[vertices.shape[1]][2]
+    e1 = uv[:, tri[:, 1]] - uv[:, tri[:, 0]]
+    e2 = uv[:, tri[:, 2]] - uv[:, tri[:, 0]]
+    t = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     # angle-sorted shoelace undercounts when one point lies inside the hull
-    return max(shoelace, best_triangle)
+    return np.maximum(shoelace, np.max(t, axis=1, initial=0.0))
+
+
+def _by_vertex_count(counts):
+    """(k, indices) of the items with each vertex count k, in item order."""
+    counts = np.asarray(counts)
+    return [(k, np.flatnonzero(counts == k)) for k in sorted(set(counts.tolist()))]
+
+
+def _polytopes(zero_sets) -> list:
+    """Zero polytope of each zero set; sets with equal vertex counts share
+    one SVD, one determinant and one polygon-area pass."""
+    zs_of = [[np.inf if r.z is None else r.z for r in zs.roots] for zs in zero_sets]
+    counts = [len(z) for z in zs_of]
+    if 0 in counts:
+        raise ValueError("empty zero set has no polytope")
+    out: list = [None] * len(zero_sets)
+    if not zero_sets:
+        return out
+    points = bloch_from_z(np.concatenate(zs_of))
+    starts = np.cumsum([0] + counts)
+    for k, idx in _by_vertex_count(counts):
+        v = points[starts[idx, None] + np.arange(k)]
+        _, _, vt, rank = _affine_frames(v)
+        volume = np.zeros(idx.size)
+        solid, flat = rank == 3, rank == 2
+        if solid.any():
+            volume[solid] = np.abs(np.linalg.det(v[solid, 1:] - v[solid, :1])) / 6.0
+        if flat.any():
+            volume[flat] = _polygon_areas(v[flat], vt[flat])
+        for j, i in enumerate(idx.tolist()):
+            zeros = zero_sets[i]
+            p0, phases, mults, states = [], [], [], []
+            offset = 0
+            for root in zeros.roots:
+                p0.append(root.p0)
+                phases.append(root.phase)
+                mults.append(root.multiplicity)
+                states.append(zeros.states[offset])
+                offset += root.multiplicity
+            out[i] = ZeroPolytope(
+                vertices=v[j],
+                p0=np.array(p0),
+                phases=np.array(phases),
+                multiplicities=np.array(mults, dtype=int),
+                states=tuple(states),
+                dimension=int(rank[j]),
+                volume=float(volume[j]),
+            )
+    return out
 
 
 def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
-    """Vertices, affine dimension, volume, and faces of the zero polytope."""
-    if len(zeros.roots) == 0:
-        raise ValueError("empty zero set has no polytope")
-    p0, phases, mults, states = [], [], [], []
-    offset = 0
-    for root in zeros.roots:
-        p0.append(root.p0)
-        phases.append(root.phase)
-        mults.append(root.multiplicity)
-        states.append(zeros.states[offset])
-        offset += root.multiplicity
-    vertices = bloch_from_z([np.inf if r.z is None else r.z for r in zeros.roots])
-    k = vertices.shape[0]
-    _, _, vt, rank = _affine_frame(vertices)
-    if rank == 3:
-        d = vertices[1:] - vertices[0]
-        volume = abs(float(np.linalg.det(d))) / 6.0
-    elif rank == 2:
-        volume = _polygon_area(vertices, vt)
-    else:
-        volume = 0.0
-    faces = tuple(
-        f for size in range(1, min(3, k) + 1) for f in combinations(range(k), size)
-    )
-    return ZeroPolytope(
-        vertices=vertices,
-        p0=np.array(p0),
-        phases=np.array(phases),
-        multiplicities=np.array(mults, dtype=int),
-        states=tuple(states),
-        dimension=rank,
-        volume=volume,
-        faces=faces,
-    )
+    """Vertices, affine dimension, and volume of the zero polytope."""
+    return _polytopes([zeros])[0]
 
 
-def _plane_contains_axis(vertices: np.ndarray) -> bool:
-    center, _, vt, rank = _affine_frame(vertices)
-    if rank >= 3:
-        return False
-    if rank <= 1:
-        return True
-    normal = vt[2]
-    return abs(normal[2]) <= AFFINE_RANK_TOL and abs(normal @ center) <= AFFINE_RANK_TOL
+def _face_solves(sub: np.ndarray):
+    """Convex weights putting each face of an (..., m, 3) stack on the axis.
+
+    Solves [1; x; y] w = [1; 0; 0] in the least-squares, minimum-norm sense
+    through one stacked SVD, with lstsq's default cutoff eps * max(3, m) on
+    the singular values. Returns the clipped, normalized weights and the
+    mask of faces whose residual is at most FACE_RESIDUAL_TOL and whose
+    weights are at least -WEIGHT_TOL.
+    """
+    m = sub.shape[-2]
+    x, y = sub[..., 0], sub[..., 1]
+    a = np.stack([np.ones_like(x), x, y], axis=-2)
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(3, m) * s[..., :1]
+    # w = V S^+ U^T b, and U^T b is the first row of U for b = e1
+    c = np.where(keep, u[..., 0, :] / np.where(keep, s, 1.0), 0.0)
+    w = (vt * c[..., None]).sum(axis=-2)
+    r = np.stack([w.sum(axis=-1) - 1.0, (w * x).sum(axis=-1), (w * y).sum(axis=-1)])
+    residual = np.sqrt((r * r).sum(axis=0))
+    ok = (residual <= FACE_RESIDUAL_TOL) & (w.min(axis=-1) >= -WEIGHT_TOL)
+    w = np.clip(w, 0.0, None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = w / w.sum(axis=-1, keepdims=True)
+    return w, ok
 
 
-def _face_hit(vertices: np.ndarray, face: tuple):
-    """Weights putting a convex combination of ``face`` on the vertical axis."""
-    sub = vertices[list(face)]
-    if len(face) == 1:
-        if np.hypot(sub[0, 0], sub[0, 1]) > ON_AXIS_TOL:
-            return None
-        w = np.array([1.0])
-    else:
-        a = np.vstack([np.ones(len(face)), sub[:, 0], sub[:, 1]])
-        b = np.array([1.0, 0.0, 0.0])
-        w = np.linalg.lstsq(a, b, rcond=None)[0]
-        if np.linalg.norm(a @ w - b) > FACE_RESIDUAL_TOL:
-            return None
-        if np.min(w) < -WEIGHT_TOL:
-            return None
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-    t = float(w @ sub[:, 2])
-    p = min(max(0.5 * (1.0 + t), 0.0), 1.0)
-    return p, w
+def _axis_intervals(polytopes) -> list:
+    """Axis zero interval of each polytope (None where it misses the axis).
+
+    Polytopes with equal vertex counts are stacked, and every face size is
+    solved for all of them at once: vertices on the axis, then pairs, then
+    triples (see axis_zero_interval for which faces count).
+    """
+    out: list = [None] * len(polytopes)
+    for k, idx in _by_vertex_count([poly.n_vertices for poly in polytopes]):
+        v = np.array([polytopes[i].vertices for i in idx])
+        dims = np.array([polytopes[i].dimension for i in idx])
+        use_triangles = dims == 3
+        flat = np.flatnonzero(dims == 2)
+        if flat.size:
+            # a flat polytope uses triangles only when its plane misses the axis
+            center, _, vt, _ = _affine_frames(v[flat])
+            normal = vt[:, 2]
+            use_triangles[flat] = (np.abs(normal[:, 2]) > AFFINE_RANK_TOL) | (
+                np.abs((normal * center).sum(axis=1)) > AFFINE_RANK_TOL
+            )
+        faces, ps, hits, weights = [], [], [], []
+        for size, table in enumerate(FACES[k], start=1):
+            if table.shape[0] == 0:
+                continue
+            sub = v[:, table]  # (M, F, size, 3)
+            if size == 1:
+                w = np.ones(sub.shape[:-1])
+                ok = np.hypot(sub[..., 0, 0], sub[..., 0, 1]) <= ON_AXIS_TOL
+            else:
+                w, ok = _face_solves(sub)
+                if size == 3:
+                    ok &= use_triangles[:, None]
+            t = (w * sub[..., 2]).sum(axis=-1)
+            faces += [tuple(f) for f in table.tolist()]
+            ps.append(np.clip(0.5 * (1.0 + t), 0.0, 1.0))
+            hits.append(ok)
+            weights += [w[:, f] for f in range(table.shape[0])]
+        p, hit = np.concatenate(ps, axis=1), np.concatenate(hits, axis=1)
+        p_low = np.where(hit, p, np.inf).min(axis=1)
+        p_high = np.where(hit, p, -np.inf).max(axis=1)
+        # the witness is the first face, by size then index, within 1e-12
+        # of the extreme
+        f_low = np.argmax(hit & (np.abs(p - p_low[:, None]) <= 1e-12), axis=1)
+        f_high = np.argmax(hit & (np.abs(p - p_high[:, None]) <= 1e-12), axis=1)
+        for j, i in enumerate(idx.tolist()):
+            if not hit[j].any():
+                continue
+            lo, hi = int(f_low[j]), int(f_high[j])
+            out[i] = AxisInterval(
+                float(p_low[j]),
+                float(p_high[j]),
+                IntervalWitness(faces[lo], weights[lo][j]),
+                IntervalWitness(faces[hi], weights[hi][j]),
+            )
+    return out
 
 
 def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
@@ -224,29 +304,7 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     deficient, and the boundary edges and vertices already delimit the
     in-plane clip, so only subsets of size 1 and 2 are used there.
     """
-    v = polytope.vertices
-    use_triangles = polytope.dimension == 3 or (
-        polytope.dimension == 2 and not _plane_contains_axis(v)
-    )
-    hits = []
-    for face in polytope.faces:
-        if len(face) == 3 and not use_triangles:
-            continue
-        hit = _face_hit(v, face)
-        if hit is not None:
-            hits.append((hit[0], face, hit[1]))
-    if not hits:
-        return None
-    ps = np.array([h[0] for h in hits])
-
-    def pick(target: float) -> IntervalWitness:
-        near = [h for h in hits if abs(h[0] - target) <= 1e-12]
-        _, face, w = min(near, key=lambda h: (len(h[1]), h[1]))
-        return IntervalWitness(face, w)
-
-    p_low = float(ps.min())
-    p_high = float(ps.max())
-    return AxisInterval(p_low, p_high, pick(p_low), pick(p_high))
+    return _axis_intervals([polytope])[0]
 
 
 def barycentric_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray:

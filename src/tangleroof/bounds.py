@@ -18,22 +18,24 @@ import numpy as np
 
 from ._kernels import quartic_form
 from .bloch import (
+    FACES,
     AxisInterval,
     ZeroPolytope,
+    _axis_intervals,
+    _polytopes,
     _span_coordinates,
     _sphere_exit_many,
     axis_point,
-    axis_zero_interval,
-    build_polytope,
     state_from_bloch,
 )
-from .pencil import IdenticallyZeroPencilError, ZeroSet, _zero_set, pencil_polynomial
+from .pencil import ZeroSet, _form_coefficients, _pencils, _zero_sets, pencil_polynomial
 from .states import PureState, RankTwoMixture
 
 __all__ = [
     "Anchor",
     "BoundCurve",
     "SpanGeometry",
+    "span_geometries",
     "span_geometry",
     "characteristic_curve",
     "linearized_upper_bound",
@@ -74,16 +76,37 @@ class SpanGeometry:
         return float(np.sqrt(abs(self.coefficients[4])))
 
 
+def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
+    """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks.
+
+    One tau3_many call on 7N rows gives every pencil and its two exact
+    ends; one finite_roots call gives the raw roots; spans with equal
+    vertex counts share their affine-frame SVD and their stacked face
+    solves for the axis interval.
+    """
+    amps1 = np.asarray(amps1, dtype=complex)
+    amps2 = np.asarray(amps2, dtype=complex)
+    if amps1.ndim != 2 or amps1.shape[1] != 8 or amps2.shape != amps1.shape:
+        raise ValueError("span geometries need two (N, 8) amplitude stacks")
+    coeffs, ends = _pencils(amps1, amps2)
+    form = _form_coefficients(coeffs, ends)
+    zero_sets = _zero_sets(coeffs, amps1, amps2)
+    live = [zs for zs in zero_sets if zs is not None]
+    polytopes = _polytopes(live)
+    pieces = iter(zip(polytopes, _axis_intervals(polytopes)))
+    out = []
+    for n, zeros in enumerate(zero_sets):
+        if zeros is None:
+            out.append(SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True))
+            continue
+        polytope, interval = next(pieces)
+        out.append(SpanGeometry(form[n], zeros, polytope, interval, False))
+    return out
+
+
 def span_geometry(mix: RankTwoMixture) -> SpanGeometry:
     """Quartic-form coefficients, zero set, polytope, and axis interval of the span."""
-    poly = pencil_polynomial(mix.psi1, mix.psi2)
-    try:
-        zeros = _zero_set(poly)
-    except IdenticallyZeroPencilError:
-        return SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True)
-    polytope = build_polytope(zeros)
-    interval = axis_zero_interval(polytope)
-    return SpanGeometry(poly.form_coefficients, zeros, polytope, interval, False)
+    return span_geometries(mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +114,10 @@ class BoundCurve:
     """Piecewise-linear curve over p in [0, 1] with per-knot provenance.
 
     Provenance labels: "endpoint" (pure eigenstate ends), "zero-interval"
-    (knots where the bound is exactly zero), "pivot" (anchor ray knots).
+    (knots where the bound is exactly zero), "pivot" (anchor ray knots),
+    and, on the envelope of a BoundReport, "linearized" (interior knots off
+    the zero interval where no anchor ray beats the linearized bound, so
+    the knot is certified by a linearized decomposition).
     """
 
     knots: np.ndarray
@@ -176,7 +202,10 @@ def linearized_upper_bound(
     axis interval the curve is the single chord between the pure ends, and an
     identically vanishing pencil gives the flat zero curve.
     """
-    geom = geometry if geometry is not None else span_geometry(mix)
+    return _linearized_curve(geometry if geometry is not None else span_geometry(mix))
+
+
+def _linearized_curve(geom: SpanGeometry) -> BoundCurve:
     if geom.identically_zero:
         return BoundCurve(
             np.array([[0.0, 0.0], [1.0, 0.0]]), ("zero-interval", "zero-interval")
@@ -244,10 +273,8 @@ def default_anchors(
             (geom.interval.p_high, geom.interval.witness_high),
         ):
             candidates.append((axis_point(p), "axis-interval-point", wit.face, wit.weights))
-    for face in poly.faces:
-        if len(face) != 3:
-            continue
-        sub = v[list(face)]
+    for face in FACES[poly.n_vertices][2].tolist():
+        sub = v[face]
         candidates.extend((w @ sub, "face-grid", face, w) for w in _FACE_GRID)
 
     keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
@@ -487,6 +514,26 @@ class BoundReport:
         return weights[keep], tuple(s for s, k in zip(states, keep) if k)
 
 
+def _certified_provenance(
+    curve: BoundCurve, grid: np.ndarray, lin_vals: np.ndarray, grid_pivot: Optional[_GridPivot]
+) -> BoundCurve:
+    """The envelope with every "pivot" knot that no anchor ray certifies
+    relabelled "linearized".
+
+    A knot keeps "pivot" only when the best ray at its grid point is below
+    the linearized bound by more than 1e-15, the rule by which
+    ``_knot_certificate`` picks a ray certificate over a linearized one.
+    """
+    prov = list(curve.provenance)
+    k = np.searchsorted(grid, curve.knots[:, 0])
+    for i, label in enumerate(prov):
+        if label == "pivot" and not (
+            grid_pivot is not None and grid_pivot.value[k[i]] < lin_vals[k[i]] - 1e-15
+        ):
+            prov[i] = "linearized"
+    return BoundCurve(curve.knots, tuple(prov))
+
+
 def upper_bound_report(
     mix: RankTwoMixture,
     grid_size: int = GRID_SIZE_DEFAULT,
@@ -528,7 +575,9 @@ def upper_bound_report(
             grid <= geom.interval.p_high + 1e-12
         )
         pivot_vals = np.where(inside, 0.0, pivot_vals)
-    env_curve = convex_envelope(np.column_stack([grid, pivot_vals]))
+    env_curve = _certified_provenance(
+        convex_envelope(np.column_stack([grid, pivot_vals])), grid, lin_vals, grid_pivot
+    )
     env_vals = env_curve(grid)
     p_left = p_right = None
     if geom.interval is not None:

@@ -20,7 +20,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -251,35 +250,51 @@ def _run_char(cfg: RunConfig):
     return _render_json({"phi": cfg.phi, "rows": rows})
 
 
-def _scan4q_point(args):
-    p, phi, rank_tol = args
-    row = scenarios._scan_row(p, phi, rank_tol)
-    lo, hi = (None, None) if row.interval is None else row.interval
-    return (row.p, row.volume, row.dimension, lo, hi)
-
-
 def _phi_point(args):
     phi, = args
     return (phi, scenarios.has_interior_volume_zero(phi))
 
 
-def _monogamy_point(args):
-    p, phi, rank_tol = args
-    rep = scenarios.monogamy_report(p, phi, rank_tol)
-    return (
+def _scan4q_rows(args):
+    ps, phi, rank_tol = args
+    return [
+        (row.p, row.volume, row.dimension)
+        + ((None, None) if row.interval is None else row.interval)
+        for row in scenarios.simplex_scan(phi, ps, rank_tol)
+    ]
+
+
+def _monogamy_rows(args):
+    ps, phis, rank_tol = args
+    return [
         (rep.p, rep.phi, rep.one_tangle)
         + rep.pairwise
         + rep.three_tangle_bounds
         + (rep.residual,)
-    )
+        for rep in scenarios.monogamy_curve(ps, phis, rank_tol)
+    ]
 
 
 def _map_ordered(cfg: RunConfig, func, items):
     items = list(items)
     if cfg.parallelism == 1 or len(items) < 2:
         return [func(it) for it in items]
+    # imported here: only a parallel run pays for it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * cfg.parallelism))))
+
+
+def _map_chunks(cfg: RunConfig, func, arrays, *extra):
+    """Rows of a batched func over ``parallelism`` contiguous chunks of a grid.
+
+    ``arrays`` are the grid's equal-length item arrays, split together;
+    ``extra`` goes to every chunk. One worker runs the grid as one chunk.
+    """
+    splits = [np.array_split(a, cfg.parallelism) for a in arrays]
+    chunks = [tuple(parts) + extra for parts in zip(*splits) if parts[0].size]
+    return [row for rows in _map_ordered(cfg, func, chunks) for row in rows]
 
 
 def _run_scan4q(cfg: RunConfig):
@@ -293,9 +308,7 @@ def _run_scan4q(cfg: RunConfig):
         )
     # interior grid: the reductions degenerate at p = 0 and p = 1
     ps = np.linspace(0.0, 1.0, cfg.grid_size() + 2)[1:-1]
-    rows = _map_ordered(
-        cfg, _scan4q_point, [(float(p), cfg.phi, cfg.tol_rank) for p in ps]
-    )
+    rows = _map_chunks(cfg, _scan4q_rows, [ps], cfg.phi, cfg.tol_rank)
     if cfg.format == "csv":
         return _render_csv(("p", "volume", "dimension", "p_low", "p_high"), rows)
     payload = [
@@ -324,10 +337,10 @@ def _run_monogamy(cfg: RunConfig):
         phis = np.linspace(0.0, np.pi / 2.0, cfg.phi_grid, endpoint=False)
     else:
         phis = np.array([cfg.phi])
-    items = [
-        (float(p), float(phi), cfg.tol_rank) for phi in phis for p in ps
-    ]
-    rows = _map_ordered(cfg, _monogamy_point, items)
+    # items run phase by phase, p fastest
+    rows = _map_chunks(
+        cfg, _monogamy_rows, [np.tile(ps, phis.size), np.repeat(phis, ps.size)], cfg.tol_rank
+    )
     if cfg.format == "csv":
         return _render_csv(_MONOGAMY_HEADER, rows)
     return _render_json(

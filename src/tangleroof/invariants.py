@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from .states import DensityMatrix, PureState, partial_trace
+from .states import DensityMatrix, PureState, _partial_traces
 
 __all__ = [
     "three_tangle",
@@ -52,20 +52,28 @@ _SY_SY = np.array(
 )
 
 
+def _concurrences(matrices: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each matrix of an (N, 4, 4) stack, one eigvals call."""
+    flipped = _SY_SY @ matrices.conj() @ _SY_SY
+    ev = np.linalg.eigvals(matrices @ flipped)
+    lam = np.sqrt(np.clip(ev.real, 0.0, None))
+    lam.sort(axis=-1)
+    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
+
+
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Two-qubit concurrence max(0, λ1-λ2-λ3-λ4) from the spin-flip spectrum."""
     if rho.n_qubits != 2:
         raise ValueError(f"concurrence is defined for 2 qubits, got {rho.n_qubits}")
-    m = rho.matrix
-    flipped = _SY_SY @ m.conj() @ _SY_SY
-    ev = np.linalg.eigvals(m @ flipped)
-    lam = np.sqrt(np.clip(ev.real, 0.0, None))
-    lam.sort()
-    return float(max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4]))
+    return float(_concurrences(rho.matrix[None])[0])
+
+
+def _one_tangles(amps: np.ndarray, n: int, cut: int) -> np.ndarray:
+    """4 det of the single-qubit reduction at ``cut`` of each normalized row, in [0, 1]."""
+    val = 4.0 * np.linalg.det(_partial_traces(amps, n, (cut,))).real
+    return np.clip(val, 0.0, 1.0)
 
 
 def one_tangle(psi: PureState, cut: int) -> float:
     """4 det of the single-qubit reduction at index ``cut``; in [0, 1]."""
-    rho1 = partial_trace(psi, {cut})
-    val = 4.0 * np.linalg.det(rho1.matrix).real
-    return float(min(max(val, 0.0), 1.0))
+    return float(_one_tangles(psi.normalized().amplitudes[None, :], psi.n_qubits, cut)[0])

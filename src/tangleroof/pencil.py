@@ -15,7 +15,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import _kernels
-from .states import PureState, RankTwoMixture
+from .states import PureState, RankTwoMixture, _row_norms
 
 __all__ = [
     "PencilPolynomial",
@@ -53,8 +53,6 @@ class PencilPolynomial:
     """
 
     coefficients: np.ndarray
-    psi1: Optional[PureState] = None
-    psi2: Optional[PureState] = None
     ends: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -77,10 +75,9 @@ class PencilPolynomial:
         so the form is exact at either pure end (a structural zero of
         psi1 or psi2 reads exactly 0).
         """
-        c = self.coefficients.copy()
-        if self.ends is not None:
-            c[0], c[DEGREE] = self.ends
-        return c
+        if self.ends is None:
+            return self.coefficients.copy()
+        return _form_coefficients(self.coefficients[None, :], self.ends[None, :])[0]
 
     def __call__(self, z):
         return npoly.polyval(z, self.coefficients)
@@ -168,6 +165,30 @@ def _interpolate(values: np.ndarray) -> np.ndarray:
     return np.matmul(_VANDERMONDE_INV, values[..., None])[..., 0]
 
 
+def _pencils(amps1: np.ndarray, amps2: np.ndarray):
+    """Pencils and pure-end tangles of stacked 3-qubit pairs.
+
+    amps1 and amps2 are (N, 8) amplitude stacks. One tau3_many call on 7N
+    rows evaluates each pencil at the 5 roots of unity and the tangles of
+    both pure ends. Returns the (N, 5) interpolated coefficients and the
+    (N, 2) ends (tau3(amps1[n]), tau3(amps2[n])).
+    """
+    n = amps1.shape[0]
+    rows = np.concatenate(
+        [_node_samples(amps1, amps2), amps1[:, None, :], amps2[:, None, :]], axis=1
+    )
+    values = _kernels.tau3_many(rows.reshape(-1, 8)).reshape(n, DEGREE + 3)
+    return _interpolate(values[:, : DEGREE + 1]), values[:, DEGREE + 1 :]
+
+
+def _form_coefficients(coeffs: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """(N, 5) quartic-form coefficients: the pencils with c_0 and c_4 from their ends."""
+    form = coeffs.copy()
+    form[:, 0] = ends[:, 0]
+    form[:, DEGREE] = ends[:, 1]
+    return form
+
+
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
     """Interpolate the tangle along psi1 + z*psi2 at 5 roots of unity.
 
@@ -176,10 +197,8 @@ def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
     """
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
-    a1, a2 = psi1.amplitudes[None, :], psi2.amplitudes[None, :]
-    values = _kernels.tau3_many(np.vstack([_node_samples(a1, a2)[0], a1, a2]))
-    coeffs = _interpolate(values[None, : DEGREE + 1])[0]
-    return PencilPolynomial(coeffs, psi1, psi2, values[DEGREE + 1 :])
+    coeffs, ends = _pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])
+    return PencilPolynomial(coeffs[0], ends[0])
 
 
 def _degrees(coeffs: np.ndarray, tol: float) -> np.ndarray:
@@ -296,31 +315,10 @@ def _order_key(item):
     return (1, z.real, abs(z.imag), -np.sign(z.imag))
 
 
-def polynomial_roots(
-    poly: PencilPolynomial,
-    tol: float = COEFF_TOL,
-    cluster_tol: float = CLUSTER_TOL,
+def _extended_roots(
+    c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float, cluster_tol: float
 ) -> list:
-    """All 4 extended roots of the pencil, counted with multiplicity.
-
-    Finite roots come from finite_roots and are merged when they lie within
-    relative distance cluster_tol. Real-coefficient input yields exactly
-    conjugate-paired (or real) roots. Ordering: real roots ascending, then
-    conjugate pairs (positive imaginary part first), then the point at
-    infinity.
-
-    Raises IdenticallyZeroPencilError when max|c| <= tol: the whole span
-    is a zero set and callers must treat the axis interval as [0, 1].
-    """
-    c = poly.coefficients
-    peak = float(np.max(np.abs(c)))
-    if peak <= tol:
-        raise IdenticallyZeroPencilError(
-            "all pencil coefficients vanish; every state in the span has zero tangle"
-        )
-    roots, n_inf = finite_roots(c[None, :], tol)
-    n_inf = int(n_inf[0])
-    raw = roots[0, : DEGREE - n_inf]
+    """Clustered, ordered extended roots of one pencil from its raw finite roots."""
     merged: list = []
     if raw.size:
         real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak
@@ -339,26 +337,89 @@ def polynomial_roots(
     return roots
 
 
+def _roots_many(
+    coeffs: np.ndarray, tol: float = COEFF_TOL, cluster_tol: float = CLUSTER_TOL
+) -> list:
+    """Extended roots of each row of an (N, 5) stack; None for a row with max|c| <= tol.
+
+    The raw roots of every row come from one finite_roots call; the
+    conjugate pairing, clustering and ordering run per row.
+    """
+    peaks = np.max(np.abs(coeffs), axis=1)
+    live = np.nonzero(~(peaks <= tol))[0]
+    out: list = [None] * coeffs.shape[0]
+    if live.size:
+        raw, n_inf = finite_roots(coeffs[live], tol)
+        for i, row, k in zip(live.tolist(), raw, n_inf.tolist()):
+            out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k, float(peaks[i]), cluster_tol)
+    return out
+
+
+_IDENTICALLY_ZERO = "all pencil coefficients vanish; every state in the span has zero tangle"
+
+
+def polynomial_roots(
+    poly: PencilPolynomial,
+    tol: float = COEFF_TOL,
+    cluster_tol: float = CLUSTER_TOL,
+) -> list:
+    """All 4 extended roots of the pencil, counted with multiplicity.
+
+    Finite roots come from finite_roots and are merged when they lie within
+    relative distance cluster_tol. Real-coefficient input yields exactly
+    conjugate-paired (or real) roots. Ordering: real roots ascending, then
+    conjugate pairs (positive imaginary part first), then the point at
+    infinity.
+
+    Raises IdenticallyZeroPencilError when max|c| <= tol: the whole span
+    is a zero set and callers must treat the axis interval as [0, 1].
+    """
+    roots = _roots_many(poly.coefficients[None, :], tol, cluster_tol)[0]
+    if roots is None:
+        raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
+    return roots
+
+
+def _zero_sets(
+    coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray, tol: float = COEFF_TOL
+) -> list:
+    """Zero set of each pair of rows of two (N, 8) stacks whose pencils are coeffs.
+
+    None marks an identically vanishing pencil. The states of all finite
+    roots are built and normalized in one pass; a root at infinity is the
+    pure amps2 end.
+    """
+    all_roots = _roots_many(coeffs, tol)
+    finite = [
+        (n, r.z) for n, roots in enumerate(all_roots) if roots for r in roots if r.z is not None
+    ]
+    rows = np.array([n for n, _ in finite], dtype=np.intp)
+    zs = np.array([z for _, z in finite], dtype=complex)
+    amps = amps1[rows] + zs[:, None] * amps2[rows]
+    finite_states = iter(amps / _row_norms(amps)[:, None])
+    out: list = []
+    for n, roots in enumerate(all_roots):
+        if roots is None:
+            out.append(None)
+            continue
+        p0, phases, states = [], [], []
+        for root in roots:
+            amp = amps2[n] if root.at_infinity else next(finite_states)
+            state = PureState(3, amp)
+            for _ in range(root.multiplicity):
+                p0.append(root.p0)
+                phases.append(root.phase)
+                states.append(state)
+        out.append(ZeroSet(tuple(roots), np.array(p0), np.array(phases), tuple(states)))
+    return out
+
+
 def zero_set(mix: RankTwoMixture, tol: float = COEFF_TOL) -> ZeroSet:
     """Roots of the mixture's pencil with axis coordinates and zero states."""
     if mix.n_qubits != 3:
         raise ValueError("zero sets are defined for 3-qubit mixtures")
-    return _zero_set(pencil_polynomial(mix.psi1, mix.psi2), tol)
-
-
-def _zero_set(poly: PencilPolynomial, tol: float = COEFF_TOL) -> ZeroSet:
-    """Zero set of a pencil built from its pair (poly.psi1, poly.psi2)."""
-    psi1, psi2 = poly.psi1, poly.psi2
-    roots = polynomial_roots(poly, tol)
-    p0, phases, states = [], [], []
-    for root in roots:
-        if root.at_infinity:
-            state = psi2
-        else:
-            amps = psi1.amplitudes + root.z * psi2.amplitudes
-            state = PureState(3, amps / np.linalg.norm(amps))
-        for _ in range(root.multiplicity):
-            p0.append(root.p0)
-            phases.append(root.phase)
-            states.append(state)
-    return ZeroSet(tuple(roots), np.array(p0), np.array(phases), tuple(states))
+    a1, a2 = mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :]
+    zeros = _zero_sets(_pencils(a1, a2)[0], a1, a2, tol)[0]
+    if zeros is None:
+        raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
+    return zeros

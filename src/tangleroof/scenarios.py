@@ -16,18 +16,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bloch import AxisInterval, ZeroPolytope, bloch_from_z
-from .bounds import (
-    BoundReport,
-    linearized_upper_bound,
-    span_geometry,
-    upper_bound_report,
-)
-from .invariants import c3, one_tangle, wootters_concurrence
+from .bounds import BoundReport, _linearized_curve, span_geometries, upper_bound_report
+from .invariants import _concurrences, _one_tangles, c3, c3_many
 from .pencil import ZeroSet, finite_roots, pencil_coefficients
 from .states import (
     RANK_TOL,
     PureState,
     RankTwoMixture,
+    _partial_traces,
+    _rank_two_eigenpairs,
+    _row_norms,
     make_ghz,
     make_w,
     partial_trace,
@@ -152,18 +150,6 @@ def _family_coefficients(ps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """Norm of each row of a complex (N, 8) stack.
-
-    Each row's squared norm is re.re + im.im as one dot product per row,
-    the sum np.linalg.norm forms for a single vector, so a row normalizes
-    to the same bits alone or in a stack.
-    """
-    re, im = v.real, v.imag
-    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
-    return np.sqrt(sq[:, 0, 0])
-
-
 def _family_eigenvectors(ps: np.ndarray, phi: float):
     """Normalized (N, 8) stacks of the two closed-form reduction eigenvectors."""
     f1, g1, h1, f2, g2, h2 = _family_coefficients(ps)
@@ -225,6 +211,21 @@ def four_qubit_state(p: float, phi: float = 0.0) -> PureState:
     )
 
 
+def _family_states(ps: np.ndarray, phis) -> np.ndarray:
+    """(N, 16) normalized four-qubit states over arrays of p and phi.
+
+    Row n is four_qubit_state(ps[n], phis[n]) normalized by _row_norms, so
+    each row has the bits of the state built alone.
+    """
+    ps = np.asarray(ps, dtype=float)
+    _check_p(ps)
+    beta = -np.exp(1j * np.asarray(phis, dtype=float)) * np.sqrt(1.0 - ps)
+    psi = np.sqrt(ps)[:, None] * make_ghz(4).amplitudes + beta[:, None] * make_w(4).amplitudes
+    if not np.all(np.isfinite(psi.view(float))):
+        raise ValueError("amplitudes must be finite")
+    return psi / _row_norms(psi)[:, None]
+
+
 def reduced_mixture(p: float, phi: float = 0.0, rank_tol: float = RANK_TOL) -> RankTwoMixture:
     """Trace the last qubit of the four-qubit state and eigendecompose."""
     rho = partial_trace(four_qubit_state(p, phi), (0, 1, 2))
@@ -241,24 +242,27 @@ class SimplexScanRow:
     interval: Optional[tuple]
 
 
-def _scan_row(p: float, phi: float, rank_tol: float = RANK_TOL) -> SimplexScanRow:
-    geom = span_geometry(reduced_mixture(p, phi, rank_tol))
-    if geom.identically_zero:
-        return SimplexScanRow(float(p), 0.0, 0, (0.0, 1.0))
-    iv = geom.interval
-    pair = None if iv is None else (iv.p_low, iv.p_high)
-    return SimplexScanRow(
-        float(p), geom.polytope.volume, geom.polytope.dimension, pair
-    )
-
-
 def simplex_scan(phi: float, p_grid: Sequence[float], rank_tol: float = RANK_TOL):
-    """Zero-polytope metrics of the reduced mixtures over a p grid in (0, 1)."""
-    ps = [float(p) for p in p_grid]
-    for p in ps:
+    """Zero-polytope metrics of the reduced mixtures over a p grid in (0, 1).
+
+    The whole grid is one batch: partial traces of the stacked family
+    states, one eigh call and span_geometries.
+    """
+    ps = np.array([float(p) for p in p_grid])
+    for p in ps.tolist():
         if not 0.0 < p < 1.0:
             raise ValueError(f"scan grid must lie strictly inside (0, 1), got {p}")
-    return [_scan_row(p, float(phi), rank_tol) for p in ps]
+    rho = _partial_traces(_family_states(ps, float(phi)), 4, (0, 1, 2))
+    v1, v2, _, _ = _rank_two_eigenpairs(rho, rank_tol)
+    rows = []
+    for p, geom in zip(ps.tolist(), span_geometries(v1, v2)):
+        if geom.identically_zero:
+            rows.append(SimplexScanRow(p, 0.0, 0, (0.0, 1.0)))
+            continue
+        iv = geom.interval
+        pair = None if iv is None else (iv.p_low, iv.p_high)
+        rows.append(SimplexScanRow(p, geom.polytope.volume, geom.polytope.dimension, pair))
+    return rows
 
 
 def _pencil_bloch_vertices(ps: np.ndarray, phi: float) -> np.ndarray:
@@ -360,27 +364,56 @@ class MonogamyReport:
         return self.one_tangle - sum(self.pairwise) - sum(self.three_tangle_bounds)
 
 
-def _linearized_c3(mix: RankTwoMixture) -> float:
-    if mix.degenerate_rank:
-        return c3(mix.psi1)
-    return float(linearized_upper_bound(mix)(mix.p))
-
-
 def monogamy_report(p: float, phi: float = 0.0, rank_tol: float = RANK_TOL) -> MonogamyReport:
-    psi4 = four_qubit_state(p, phi)
-    tau1 = one_tangle(psi4, 0)
-    pairwise = tuple(
-        wootters_concurrence(partial_trace(psi4, (0, j))) ** 2 for j in (1, 2, 3)
+    return monogamy_curve([p], phi, rank_tol)[0]
+
+
+def _linearized_c3(v1: np.ndarray, v2: np.ndarray, q: np.ndarray, degenerate: np.ndarray) -> list:
+    """Linearized c3 bound of each reduction at its own weight q.
+
+    A rank-one reduction is the pure state v1, whose c3 is exact.
+    """
+    out = [0.0] * v1.shape[0]
+    pure = np.nonzero(degenerate)[0]
+    if pure.size:
+        for i, value in zip(pure.tolist(), c3_many(v1[pure]).tolist()):
+            out[i] = value
+    mixed = np.nonzero(~degenerate)[0]
+    for i, geom in zip(mixed.tolist(), span_geometries(v1[mixed], v2[mixed])):
+        out[i] = float(_linearized_curve(geom)(q[i]))
+    return out
+
+
+def monogamy_curve(p_grid: Sequence[float], phi=0.0, rank_tol: float = RANK_TOL):
+    """MonogamyReport of every (p, phi) item in one batched pass.
+
+    ``phi`` is one phase or one per p. The family states are stacked; the
+    pairwise and three-qubit reductions come from batched partial traces,
+    the concurrences from one eigvals call, the eigenpairs of all three
+    reductions from one eigh call and their spans from span_geometries.
+    """
+    ps, phis = np.broadcast_arrays(
+        np.asarray(p_grid, dtype=float).ravel(), np.asarray(phi, dtype=float)
     )
-    triples = []
-    for j, k in ((1, 2), (1, 3), (2, 3)):
-        mix = rank_two_eigendecomposition(partial_trace(psi4, (0, j, k)), tol=rank_tol)
-        triples.append(_linearized_c3(mix) ** 2)
-    return MonogamyReport(float(p), float(phi), tau1, pairwise, tuple(triples))
-
-
-def monogamy_curve(p_grid: Sequence[float], phi: float = 0.0, rank_tol: float = RANK_TOL):
-    return [monogamy_report(float(p), float(phi), rank_tol) for p in p_grid]
+    psi = _family_states(ps, phis)
+    n = ps.shape[0]
+    tau1 = _one_tangles(psi, 4, 0).tolist()
+    pairs = np.concatenate([_partial_traces(psi, 4, (0, j)) for j in (1, 2, 3)])
+    c2 = _concurrences(pairs).tolist()
+    triples = np.concatenate(
+        [_partial_traces(psi, 4, (0, j, k)) for j, k in ((1, 2), (1, 3), (2, 3))]
+    )
+    c3s = _linearized_c3(*_rank_two_eigenpairs(triples, rank_tol))
+    return [
+        MonogamyReport(
+            float(ps[i]),
+            float(phis[i]),
+            tau1[i],
+            tuple(c2[i + m * n] ** 2 for m in range(3)),
+            tuple(c3s[i + m * n] ** 2 for m in range(3)),
+        )
+        for i in range(n)
+    ]
 
 
 def ghzw_mixture_zero_check(p: float):

@@ -180,34 +180,86 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Norm of each row of a complex (N, d) stack.
+
+    Each row's squared norm is re.re + im.im as one dot product per row,
+    the sum np.linalg.norm forms for a single vector, so a row normalizes
+    to the same bits alone or in a stack.
+    """
+    re, im = v.real, v.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    return np.sqrt(sq[:, 0, 0])
+
+
+def _partial_traces(amps: np.ndarray, n: int, keep: Iterable[int]) -> np.ndarray:
+    """Reduced density matrices of the normalized rows of an (N, 2^n) stack.
+
+    Returns (N, 2^k, 2^k) for the k kept qubits in ascending order: each
+    row is reshaped so the kept qubits index the rows of an amplitude
+    matrix m, and the reduction is m m^dagger, one product per row.
+    """
+    keep = sorted(set(int(k) for k in keep))
+    if not keep:
+        raise ValueError("keep set must be nonempty")
+    if keep[0] < 0 or keep[-1] >= n:
+        raise ValueError(f"keep indices must lie in [0, {n})")
+    drop = [q for q in range(n) if q not in keep]
+    # qubit q is tensor axis q + 1 because qubit 0 is the most significant bit
+    axes = [0] + [q + 1 for q in keep + drop]
+    m = amps.reshape((-1,) + (2,) * n).transpose(axes).reshape(amps.shape[0], 2 ** len(keep), -1)
+    return m @ m.conj().swapaxes(-1, -2)
+
+
 def partial_trace(state: PureState, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix of ``state`` on the ``keep`` qubits.
 
     ``keep`` is a nonempty set of qubit indices; the traced-out qubits are
     the complement. Kept qubits appear in ascending index order.
     """
-    keep = sorted(set(int(k) for k in keep))
-    n = state.n_qubits
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices must lie in [0, {n})")
-    drop = [q for q in range(n) if q not in keep]
-    psi = state.normalized().amplitudes.reshape([2] * n)
-    # qubit q is tensor axis q because qubit 0 is the most significant bit
-    m = psi.transpose(keep + drop).reshape(2 ** len(keep), -1)
-    return DensityMatrix(len(keep), m @ m.conj().T)
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude entry is real positive."""
-    k = int(np.argmax(np.abs(v)))
-    ph = np.angle(v[k])
-    return v * np.exp(-1j * ph)
+    rho = _partial_traces(state.normalized().amplitudes[None, :], state.n_qubits, keep)[0]
+    return DensityMatrix(rho.shape[0].bit_length() - 1, rho)
 
 
 def _lex_key(v: np.ndarray) -> tuple:
     return tuple(np.stack([v.real, v.imag], axis=1).ravel())
+
+
+def _rank_two_eigenpairs(matrices: np.ndarray, tol: float = RANK_TOL):
+    """Eigenpairs of a stack of numerically rank-<=2 density matrices.
+
+    One eigh call over the (N, d, d) stack. Returns (v1, v2, p, degenerate):
+    the (N, d) eigenvectors of the two largest eigenvalues, each rotated so
+    its largest-magnitude amplitude is real positive, the weight p of v1,
+    and the rank-one flag. A degenerate pair (eigenvalues within tol) is
+    ordered by descending amplitude lexicographic order.
+
+    Raises RankExceededError when a third eigenvalue of any matrix exceeds
+    ``tol``; the first such matrix is named in the message.
+    """
+    w, vecs = np.linalg.eigh(matrices)
+    if w.shape[1] > 2:
+        over = np.nonzero(w[:, -3] > tol)[0]
+        if over.size:
+            raise RankExceededError(
+                f"third eigenvalue {w[over[0], -3]:.3e} exceeds rank tolerance {tol:.1e}"
+            )
+    rows = np.arange(w.shape[0])
+    lam1, lam2 = w[:, -1].copy(), w[:, -2].copy()
+    pairs = []
+    for v in (vecs[:, :, -1], vecs[:, :, -2]):
+        # rotate the global phase so the largest-magnitude entry is real positive
+        ph = np.angle(v[rows, np.argmax(np.abs(v), axis=1)])
+        pairs.append(v * np.exp(-1j * ph)[:, None])
+    v1, v2 = pairs
+    for i in np.nonzero(np.abs(lam1 - lam2) <= tol)[0]:
+        if _lex_key(v2[i]) > _lex_key(v1[i]):
+            v1[i], v2[i] = v2[i].copy(), v1[i].copy()
+            lam1[i], lam2[i] = lam2[i], lam1[i]
+    degenerate = lam2 <= tol
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.where(degenerate, 1.0, lam1 / (lam1 + lam2))
+    return v1, v2, np.clip(p, 0.0, 1.0), degenerate
 
 
 def rank_two_eigendecomposition(rho: DensityMatrix, tol: float = RANK_TOL) -> RankTwoMixture:
@@ -220,22 +272,11 @@ def rank_two_eigendecomposition(rho: DensityMatrix, tol: float = RANK_TOL) -> Ra
     Raises RankExceededError when a third eigenvalue exceeds ``tol``; a
     rank-one input sets ``degenerate_rank`` with psi2 taken from the kernel.
     """
-    w, vecs = np.linalg.eigh(rho.matrix)
-    if w.shape[0] > 2 and w[-3] > tol:
-        raise RankExceededError(
-            f"third eigenvalue {w[-3]:.3e} exceeds rank tolerance {tol:.1e}"
-        )
-    lam1, lam2 = float(w[-1]), float(w[-2])
-    v1 = _fix_phase(vecs[:, -1])
-    v2 = _fix_phase(vecs[:, -2])
-    if abs(lam1 - lam2) <= tol and _lex_key(v2) > _lex_key(v1):
-        v1, v2 = v2, v1
-        lam1, lam2 = lam2, lam1
-    degenerate = lam2 <= tol
-    p = 1.0 if degenerate else lam1 / (lam1 + lam2)
-    p = min(max(p, 0.0), 1.0)
+    v1, v2, p, degenerate = _rank_two_eigenpairs(rho.matrix[None], tol)
     n = rho.n_qubits
-    return RankTwoMixture(PureState(n, v1), PureState(n, v2), p, degenerate)
+    return RankTwoMixture(
+        PureState(n, v1[0]), PureState(n, v2[0]), float(p[0]), bool(degenerate[0])
+    )
 
 
 def load_state(path: str, renormalize: bool = False) -> PureState:

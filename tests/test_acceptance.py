@@ -2,7 +2,7 @@
 import numpy as np
 
 import tangleroof as tr
-from tangleroof.scenarios import FourQubitFamily, _scan_row, reduced_mixture
+from tangleroof.scenarios import FourQubitFamily, reduced_mixture
 
 
 def _witness_rho_error(mix, p, witness, states):
@@ -98,11 +98,10 @@ def test_criterion_07_simplex_dimension():
     for row in tr.simplex_scan(np.pi / 4.0, np.linspace(0.05, 0.95, 19)):
         assert row.dimension == 3
     lo, hi = 0.70, 0.75
-    assert _scan_row(lo, 0.0).dimension == 3
-    assert _scan_row(hi, 0.0).dimension == 2
+    assert [row.dimension for row in tr.simplex_scan(0.0, (lo, hi))] == [3, 2]
     for _ in range(20):
         mid = 0.5 * (lo + hi)
-        if _scan_row(mid, 0.0).dimension == 3:
+        if tr.simplex_scan(0.0, (mid,))[0].dimension == 3:
             lo = mid
         else:
             hi = mid
@@ -118,10 +117,9 @@ def test_criterion_08_phi_threshold():
 
 def test_criterion_09_phi_periodicity():
     shift = np.pi / 2.0
-    for p in (0.2, 0.55, 0.8):
-        for phi in (0.0, 0.3, 1.1):
-            a = _scan_row(p, phi)
-            b = _scan_row(p, phi + shift)
+    ps = (0.2, 0.55, 0.8)
+    for phi in (0.0, 0.3, 1.1):
+        for p, a, b in zip(ps, tr.simplex_scan(phi, ps), tr.simplex_scan(phi + shift, ps)):
             assert a.dimension == b.dimension
             assert abs(a.volume - b.volume) <= 1e-9
             assert (a.interval is None) == (b.interval is None)

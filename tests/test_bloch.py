@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tangleroof.bloch import (
+    FACES,
+    _axis_intervals,
     _sphere_exit_many,
     axis_point,
     axis_zero_interval,
@@ -15,7 +17,7 @@ from tangleroof.bloch import (
 from tangleroof.invariants import c3
 from tangleroof.pencil import ExtendedRoot, zero_set
 from tangleroof.scenarios import reduced_mixture, toy_mixture
-from tangleroof.states import inner_product
+from tangleroof.states import PureState, RankTwoMixture, inner_product, make_ghz, make_w
 
 
 def test_bloch_from_z_reference_points():
@@ -44,7 +46,7 @@ def test_build_polytope_toy_shape():
     assert poly.n_vertices == 4
     assert poly.dimension == 3
     assert poly.volume > 0.1
-    assert len(poly.faces) == 4 + 6 + 4
+    assert [len(table) for table in FACES[poly.n_vertices]] == [4, 6, 4]
     norms = np.linalg.norm(poly.vertices, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -163,3 +165,96 @@ def test_state_from_bloch_poles_and_vertices():
         rebuilt = state_from_bloch(mix, vertex)
         assert abs(abs(inner_product(rebuilt, state)) - 1.0) <= 1e-10
         assert c3(rebuilt) <= 1e-6
+
+
+def _lstsq_axis_interval(poly):
+    """(p_low, p_high, witness_low, witness_high) by one lstsq call per face.
+
+    The per-face reference the stacked solves replace: faces of size 1 to 3
+    in size-then-index order, triangles only when the polytope is solid or
+    its plane misses the axis, residual and weight floors of 1e-9, and the
+    first face within 1e-12 of each extreme as its witness.
+    """
+    v = poly.vertices
+    center = v.mean(axis=0)
+    _, sv, vt = np.linalg.svd(v - center, full_matrices=True)
+    contains_axis = poly.dimension <= 1 or (
+        abs(vt[2, 2]) <= 1e-8 and abs(vt[2] @ center) <= 1e-8
+    )
+    use_triangles = poly.dimension == 3 or (poly.dimension == 2 and not contains_axis)
+    hits = []
+    for table in FACES[poly.n_vertices]:
+        for face in map(tuple, table.tolist()):
+            sub = v[list(face)]
+            if len(face) == 1:
+                if np.hypot(sub[0, 0], sub[0, 1]) > 1e-9:
+                    continue
+                w = np.array([1.0])
+            else:
+                if len(face) == 3 and not use_triangles:
+                    continue
+                a = np.vstack([np.ones(len(face)), sub[:, 0], sub[:, 1]])
+                b = np.array([1.0, 0.0, 0.0])
+                w = np.linalg.lstsq(a, b, rcond=None)[0]
+                if np.linalg.norm(a @ w - b) > 1e-9 or np.min(w) < -1e-9:
+                    continue
+                w = np.clip(w, 0.0, None)
+                w = w / w.sum()
+            hits.append((min(max(0.5 * (1.0 + float(w @ sub[:, 2])), 0.0), 1.0), face, w))
+    if not hits:
+        return None
+    lo = min(h[0] for h in hits)
+    hi = max(h[0] for h in hits)
+    first = lambda target: next(h for h in hits if abs(h[0] - target) <= 1e-12)
+    return lo, hi, first(lo), first(hi)
+
+
+def _interval_cases():
+    rng = np.random.default_rng(101)
+    pairs = []
+    for real in (False,) * 12 + (True,) * 24:
+        g = rng.standard_normal((8, 2))
+        if not real:
+            g = g + 1j * rng.standard_normal((8, 2))
+        q = np.linalg.qr(g)[0].astype(complex)
+        pairs.append((PureState(3, q[:, 0]), PureState(3, q[:, 1])))
+    ket000, ket111 = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
+    ket000[0] = ket111[7] = 1.0
+    pairs.append((PureState(3, ket000), PureState(3, ket111)))
+    pairs.append((make_ghz(3), make_w(3)))
+    return [build_polytope(zero_set(RankTwoMixture(a, b, 0.5))) for a, b in pairs]
+
+
+def test_stacked_axis_interval_matches_per_face_lstsq():
+    polytopes = _interval_cases()
+    flat_on_axis = 0
+    for poly in polytopes:
+        iv = axis_zero_interval(poly)
+        ref = _lstsq_axis_interval(poly)
+        assert (iv is None) == (ref is None)
+        if iv is None:
+            continue
+        flat_on_axis += poly.dimension == 2 and len(ref[2][1]) <= 2 and len(ref[3][1]) <= 2
+        # two SVD routines round differently: endpoints and weights agree
+        # to a few units in the last place
+        assert abs(iv.p_low - ref[0]) <= 1e-14 and abs(iv.p_high - ref[1]) <= 1e-14
+        for wit, (_, face, w) in ((iv.witness_low, ref[2]), (iv.witness_high, ref[3])):
+            assert wit.face == face
+            np.testing.assert_allclose(wit.weights, w, rtol=0.0, atol=1e-14)
+    assert flat_on_axis > 0
+    # |000>/|111>: double roots at both poles, the whole axis
+    iv = axis_zero_interval(polytopes[-2])
+    assert polytopes[-2].n_vertices == 2
+    assert (iv.p_low, iv.p_high) == (0.0, 1.0)
+    assert (iv.witness_low.face, iv.witness_high.face) == ((1,), (0,))
+    # GHZ3/W3: one root at infinity, the south pole
+    assert polytopes[-1].vertices[-1].tolist() == [0.0, 0.0, -1.0]
+    # a stack of polytopes with mixed vertex counts gives each its own interval
+    stacked = _axis_intervals(polytopes)
+    for poly, iv in zip(polytopes, stacked):
+        alone = axis_zero_interval(poly)
+        assert (iv is None) == (alone is None)
+        if iv is not None:
+            assert (iv.p_low, iv.p_high) == (alone.p_low, alone.p_high)
+            assert iv.witness_low.face == alone.witness_low.face
+            assert np.array_equal(iv.witness_high.weights, alone.witness_high.weights)

@@ -10,6 +10,7 @@ from tangleroof.bounds import (
     default_anchors,
     linearized_upper_bound,
     pivot_upper_bound,
+    span_geometries,
     span_geometry,
     upper_bound_report,
 )
@@ -174,17 +175,59 @@ def test_ghz_w_zero_interval_matches_literature():
 
 
 def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
+    # the pencil's 5 node samples and its 2 pure ends are one tau3_many call,
+    # for one span or a stack of them
     calls = []
-    original = pencil.pencil_polynomial
+    original = _kernels.tau3_many
 
-    def counted(psi1, psi2):
-        calls.append((psi1, psi2))
-        return original(psi1, psi2)
+    def counted(amps):
+        calls.append(len(amps))
+        return original(amps)
 
-    monkeypatch.setattr(pencil, "pencil_polynomial", counted)
-    monkeypatch.setattr(bounds, "pencil_polynomial", counted, raising=False)
+    monkeypatch.setattr(_kernels, "tau3_many", counted)
     span_geometry(toy_mix)
-    assert len(calls) == 1
+    assert calls == [7]
+    calls.clear()
+    pairs = _seeded_pairs(5, 6)
+    span_geometries(
+        np.array([m.psi1.amplitudes for m in pairs]), np.array([m.psi2.amplitudes for m in pairs])
+    )
+    assert calls == [7 * len(pairs)]
+
+
+def test_span_geometries_equal_batches_of_one():
+    ket = np.eye(8, dtype=complex)
+    mixes = _seeded_pairs(29, 5) + [
+        RankTwoMixture(make_ghz(3), make_w(3), 0.5),
+        RankTwoMixture(PureState(3, ket[0]), PureState(3, ket[7]), 0.5),
+        _basis_pair(),  # identically zero pencil
+        toy_mixture(),
+    ]
+    stacked = span_geometries(
+        np.array([m.psi1.amplitudes for m in mixes]), np.array([m.psi2.amplitudes for m in mixes])
+    )
+    for mix, geom in zip(mixes, stacked):
+        alone = span_geometry(mix)
+        assert geom.identically_zero == alone.identically_zero
+        assert np.array_equal(geom.coefficients, alone.coefficients)
+        if alone.identically_zero:
+            continue
+        assert [(r.z, r.multiplicity) for r in geom.zeros.roots] == [
+            (r.z, r.multiplicity) for r in alone.zeros.roots
+        ]
+        for a, b in zip(geom.polytope.states, alone.polytope.states):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(geom.polytope.vertices, alone.polytope.vertices)
+        assert (geom.polytope.dimension, geom.polytope.volume) == (
+            alone.polytope.dimension,
+            alone.polytope.volume,
+        )
+        assert (geom.interval is None) == (alone.interval is None)
+        if alone.interval is not None:
+            a, b = geom.interval, alone.interval
+            assert (a.p_low, a.p_high) == (b.p_low, b.p_high)
+            for wa, wb in ((a.witness_low, b.witness_low), (a.witness_high, b.witness_high)):
+                assert wa.face == wb.face and np.array_equal(wa.weights, wb.weights)
 
 
 def test_report_tangle_calls_do_not_grow_with_the_grid(monkeypatch):
@@ -258,17 +301,19 @@ def _assert_certifies(rep, mix, p):
 
 
 def test_empty_anchor_set_certifies_the_linearized_bound():
-    interior_knots = 0
+    linearized_knots = 0
     for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
         rep = upper_bound_report(mix, grid_size=401, anchors=())
         assert rep.anchors == ()
         inside = np.array(rep.achieving) == "zero-interval"
         assert np.array_equal(rep.pivot, np.where(inside, 0.0, rep.linearized))
-        # rounding in the chords keeps knots that are neither ends nor interval
-        interior_knots += rep.envelope_curve.provenance.count("pivot")
+        # rounding in the chords keeps knots that are neither ends nor
+        # interval; with no anchor ray none of them is a pivot knot
+        assert rep.envelope_curve.provenance.count("pivot") == 0
+        linearized_knots += rep.envelope_curve.provenance.count("linearized")
         for p in CERTIFICATE_PS + (0.3, 0.71):
             assert _assert_certifies(rep, mix, p) <= float(rep.linearized_curve(p)) + 1e-7
-    assert interior_knots > 0
+    assert linearized_knots > 0
 
 
 def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):

@@ -180,6 +180,15 @@ def test_scan4q_parallel_byte_identity(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_monogamy_parallel_byte_identity(tmp_path):
+    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
+    base = ["monogamy", "--p-grid", "9", "--out"]
+    assert main(base + [str(serial), "--parallelism", "1"]) == 0
+    assert main(base + [str(parallel), "--parallelism", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert len(serial.read_text().splitlines()) == 10
+
+
 def test_monogamy_rows_nonnegative_residual(capsys):
     assert main(["monogamy", "--p-grid", "9", "--parallelism", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")

@@ -2,23 +2,24 @@ import numpy as np
 import pytest
 
 from tangleroof import _kernels
-from tangleroof.invariants import c3, one_tangle
+from tangleroof.bounds import linearized_upper_bound, span_geometry
+from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
     FourQubitFamily,
     _match_rows,
     _pencil_bloch_vertices,
-    _scan_row,
     _tracked_volumes,
     has_interior_volume_zero,
     four_qubit_state,
     ghzw_mixture_zero_check,
+    monogamy_curve,
     monogamy_report,
     q_of_p,
     reduced_mixture,
     simplex_scan,
     toy_states,
 )
-from tangleroof.states import make_ghz, make_w, partial_trace
+from tangleroof.states import make_ghz, make_w, partial_trace, rank_two_eigendecomposition
 
 
 def test_toy_states_orthonormal():
@@ -186,13 +187,13 @@ def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
 
 def test_scan_row_fields():
     # volume degrades to polygon area when the polytope is flat
-    row = _scan_row(0.85, 0.0, 1e-11)
+    row, = simplex_scan(0.0, [0.85], 1e-11)
     assert row.dimension == 2
     assert row.interval is not None
     lo, hi = row.interval
     assert 0.0 <= lo < hi <= 1.0
     assert row.volume > 0.0
-    row3 = _scan_row(0.5, np.pi / 4, 1e-11)
+    row3, = simplex_scan(np.pi / 4, [0.5], 1e-11)
     assert row3.dimension == 3
     assert row3.volume > 1e-6
 
@@ -206,3 +207,52 @@ def test_monogamy_residual_identity_and_symmetry():
     assert max(rep.three_tangle_bounds) - min(rep.three_tangle_bounds) <= 1e-10
     state = four_qubit_state(0.63, 0.4)
     assert rep.one_tangle == pytest.approx(one_tangle(state, 0), abs=1e-12)
+
+
+def _monogamy_reference(p, phi):
+    """One monogamy point from the scalar functions, reduction by reduction."""
+    psi4 = four_qubit_state(p, phi)
+    pairwise = tuple(wootters_concurrence(partial_trace(psi4, (0, j))) ** 2 for j in (1, 2, 3))
+    triples = []
+    for keep in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
+        mix = rank_two_eigendecomposition(partial_trace(psi4, keep))
+        bound = c3(mix.psi1) if mix.degenerate_rank else float(linearized_upper_bound(mix)(mix.p))
+        triples.append(bound ** 2)
+    return (p, phi, one_tangle(psi4, 0), pairwise, tuple(triples))
+
+
+def _scan_reference(p, phi):
+    geom = span_geometry(reduced_mixture(p, phi))
+    iv = geom.interval
+    pair = None if iv is None else (iv.p_low, iv.p_high)
+    return (p, geom.polytope.volume, geom.polytope.dimension, pair)
+
+
+# p = 1 is GHZ4, whose reductions carry the degenerate pair ordered by the
+# lexicographic swap; p = 0 is W4
+@pytest.mark.parametrize("phi", [0.0, 0.4, np.pi / 4])
+def test_batched_scans_equal_batches_of_one(phi):
+    ps = np.concatenate([np.linspace(0.0, 1.0, 23), [1e-13, 0.6, 0.722, 1.0 - 1e-9]])
+    curve = monogamy_curve(ps, phi)
+    for p, rep in zip(ps.tolist(), curve):
+        alone = monogamy_report(p, phi)
+        fields = (rep.p, rep.phi, rep.one_tangle, rep.pairwise, rep.three_tangle_bounds)
+        assert fields == (
+            alone.p, alone.phi, alone.one_tangle, alone.pairwise, alone.three_tangle_bounds
+        )
+        assert fields == _monogamy_reference(p, phi)
+        assert rep.residual == alone.residual
+    inner = ps[(ps > 0.0) & (ps < 1.0)]
+    for p, row in zip(inner.tolist(), simplex_scan(phi, inner)):
+        alone, = simplex_scan(phi, [p])
+        fields = (row.p, row.volume, row.dimension, row.interval)
+        assert fields == (alone.p, alone.volume, alone.dimension, alone.interval)
+        assert fields == _scan_reference(p, phi)
+
+
+def test_monogamy_curve_takes_one_phase_per_point():
+    ps = np.array([0.0, 0.3, 0.3, 1.0])
+    phis = np.array([0.0, 0.0, 0.9, 0.9])
+    for rep, p, phi in zip(monogamy_curve(ps, phis), ps, phis):
+        assert (rep.p, rep.phi) == (p, phi)
+        assert rep.pairwise == monogamy_report(p, phi).pairwise
