@@ -14,6 +14,8 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
+# np.linalg.lstsq is this gufunc restricted to one 2-D system
+from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .pencil import ExtendedRoot, ZeroSet
 from .states import PureState, RankTwoMixture
@@ -38,6 +40,7 @@ FACE_RESIDUAL_TOL = 1e-9
 WEIGHT_TOL = 1e-9
 
 _SOUTH_POLE = np.array([0.0, 0.0, -1.0])
+_AXIS_RHS = np.array([[1.0], [0.0], [0.0]])
 
 
 def bloch_from_z(z) -> np.ndarray:
@@ -79,6 +82,15 @@ FACES = {
         for size in (1, 2, 3)
     )
     for k in range(1, 5)
+}
+# (size position, row, face) of every face of FACES[k] in that order
+_FACE_ORDER = {
+    k: [
+        (pos, row, tuple(face))
+        for pos, table in enumerate(t for t in tables if t.shape[0])
+        for row, face in enumerate(table.tolist())
+    ]
+    for k, tables in FACES.items()
 }
 
 
@@ -216,21 +228,21 @@ def _face_solves(sub: np.ndarray):
     """Convex weights putting each face of an (..., m, 3) stack on the axis.
 
     Solves [1; x; y] w = [1; 0; 0] in the least-squares, minimum-norm sense
-    through one stacked SVD, with lstsq's default cutoff eps * max(3, m) on
-    the singular values. Returns the clipped, normalized weights and the
-    mask of faces whose residual is at most FACE_RESIDUAL_TOL and whose
-    weights are at least -WEIGHT_TOL.
+    with the LAPACK routine and default cutoff eps * max(3, m) of
+    np.linalg.lstsq, whose gufunc takes the whole stack, so each face gets
+    the bits of its own lstsq call. Returns the clipped, normalized weights
+    and the mask of faces whose residual is at most FACE_RESIDUAL_TOL and
+    whose weights are at least -WEIGHT_TOL.
     """
     m = sub.shape[-2]
-    x, y = sub[..., 0], sub[..., 1]
-    a = np.stack([np.ones_like(x), x, y], axis=-2)
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(3, m) * s[..., :1]
-    # w = V S^+ U^T b, and U^T b is the first row of U for b = e1
-    c = np.where(keep, u[..., 0, :] / np.where(keep, s, 1.0), 0.0)
-    w = (vt * c[..., None]).sum(axis=-2)
-    r = np.stack([w.sum(axis=-1) - 1.0, (w * x).sum(axis=-1), (w * y).sum(axis=-1)])
-    residual = np.sqrt((r * r).sum(axis=0))
+    a = np.empty(sub.shape[:-2] + (3, m))
+    a[..., 0, :] = 1.0
+    a[..., 1:, :] = sub[..., :2].swapaxes(-1, -2)
+    with np.errstate(all="ignore"):
+        w = _lstsq(a, _AXIS_RHS, np.finfo(float).eps * max(3, m), signature="ddd->ddid")[0][..., 0]
+    r = a @ w[..., None]
+    r[..., 0, 0] -= 1.0
+    residual = np.sqrt((r * r).sum(axis=(-2, -1)))
     ok = (residual <= FACE_RESIDUAL_TOL) & (w.min(axis=-1) >= -WEIGHT_TOL)
     w = np.clip(w, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,7 +270,7 @@ def _axis_intervals(polytopes) -> list:
             use_triangles[flat] = (np.abs(normal[:, 2]) > AFFINE_RANK_TOL) | (
                 np.abs((normal * center).sum(axis=1)) > AFFINE_RANK_TOL
             )
-        faces, ps, hits, weights = [], [], [], []
+        ps, hits, weights = [], [], []
         for size, table in enumerate(FACES[k], start=1):
             if table.shape[0] == 0:
                 continue
@@ -266,15 +278,16 @@ def _axis_intervals(polytopes) -> list:
             if size == 1:
                 w = np.ones(sub.shape[:-1])
                 ok = np.hypot(sub[..., 0, 0], sub[..., 0, 1]) <= ON_AXIS_TOL
+                t = sub[..., 0, 2]
             else:
                 w, ok = _face_solves(sub)
                 if size == 3:
                     ok &= use_triangles[:, None]
-            t = (w * sub[..., 2]).sum(axis=-1)
-            faces += [tuple(f) for f in table.tolist()]
+                # a BLAS dot, as w @ z of one face
+                t = (w[..., None, :] @ sub[..., 2:])[..., 0, 0]
             ps.append(np.clip(0.5 * (1.0 + t), 0.0, 1.0))
             hits.append(ok)
-            weights += [w[:, f] for f in range(table.shape[0])]
+            weights.append(w)
         p, hit = np.concatenate(ps, axis=1), np.concatenate(hits, axis=1)
         p_low = np.where(hit, p, np.inf).min(axis=1)
         p_high = np.where(hit, p, -np.inf).max(axis=1)
@@ -282,15 +295,16 @@ def _axis_intervals(polytopes) -> list:
         # of the extreme
         f_low = np.argmax(hit & (np.abs(p - p_low[:, None]) <= 1e-12), axis=1)
         f_high = np.argmax(hit & (np.abs(p - p_high[:, None]) <= 1e-12), axis=1)
+        faces = _FACE_ORDER[k]
         for j, i in enumerate(idx.tolist()):
             if not hit[j].any():
                 continue
-            lo, hi = int(f_low[j]), int(f_high[j])
+            (s_lo, r_lo, face_lo), (s_hi, r_hi, face_hi) = faces[f_low[j]], faces[f_high[j]]
             out[i] = AxisInterval(
                 float(p_low[j]),
                 float(p_high[j]),
-                IntervalWitness(faces[lo], weights[lo][j]),
-                IntervalWitness(faces[hi], weights[hi][j]),
+                IntervalWitness(face_lo, weights[s_lo][j, r_lo]),
+                IntervalWitness(face_hi, weights[s_hi][j, r_hi]),
             )
     return out
 

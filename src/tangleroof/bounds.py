@@ -464,7 +464,7 @@ class BoundReport:
         if k >= self.grid.shape[0] or self.grid[k] != p:
             raise ValueError(f"knot p = {p!r} is not a grid point of the report")
         piv = self._grid_pivot
-        if piv is not None and piv.value[k] < self.linearized[k] - 1e-15:
+        if _ray_certifies(piv, self.linearized, k):
             anchor = self.anchors[int(piv.anchor[k])]
             lam_b = float(piv.lam[k])
             bstate = state_from_bloch(self.mix, piv.boundary[k])
@@ -514,24 +514,27 @@ class BoundReport:
         return weights[keep], tuple(s for s, k in zip(states, keep) if k)
 
 
+def _ray_certifies(grid_pivot: Optional[_GridPivot], lin_vals: np.ndarray, k):
+    """Whether the best anchor ray at grid index (or index array) k is below
+    the linearized bound by more than 1e-15, so that it certifies the knot
+    there; with no anchors nothing is certified."""
+    if grid_pivot is None:
+        return np.zeros(np.shape(k), dtype=bool)
+    return grid_pivot.value[k] < lin_vals[k] - 1e-15
+
+
 def _certified_provenance(
     curve: BoundCurve, grid: np.ndarray, lin_vals: np.ndarray, grid_pivot: Optional[_GridPivot]
 ) -> BoundCurve:
     """The envelope with every "pivot" knot that no anchor ray certifies
-    relabelled "linearized".
-
-    A knot keeps "pivot" only when the best ray at its grid point is below
-    the linearized bound by more than 1e-15, the rule by which
-    ``_knot_certificate`` picks a ray certificate over a linearized one.
-    """
-    prov = list(curve.provenance)
-    k = np.searchsorted(grid, curve.knots[:, 0])
-    for i, label in enumerate(prov):
-        if label == "pivot" and not (
-            grid_pivot is not None and grid_pivot.value[k[i]] < lin_vals[k[i]] - 1e-15
-        ):
-            prov[i] = "linearized"
-    return BoundCurve(curve.knots, tuple(prov))
+    relabelled "linearized"; every knot is a grid sample (convex_envelope
+    keeps sample coordinates)."""
+    certified = _ray_certifies(grid_pivot, lin_vals, np.searchsorted(grid, curve.knots[:, 0]))
+    prov = tuple(
+        "linearized" if label == "pivot" and not ok else label
+        for label, ok in zip(curve.provenance, certified.tolist())
+    )
+    return BoundCurve(curve.knots, prov)
 
 
 def upper_bound_report(

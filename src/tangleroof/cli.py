@@ -255,26 +255,6 @@ def _phi_point(args):
     return (phi, scenarios.has_interior_volume_zero(phi))
 
 
-def _scan4q_rows(args):
-    ps, phi, rank_tol = args
-    return [
-        (row.p, row.volume, row.dimension)
-        + ((None, None) if row.interval is None else row.interval)
-        for row in scenarios.simplex_scan(phi, ps, rank_tol)
-    ]
-
-
-def _monogamy_rows(args):
-    ps, phis, rank_tol = args
-    return [
-        (rep.p, rep.phi, rep.one_tangle)
-        + rep.pairwise
-        + rep.three_tangle_bounds
-        + (rep.residual,)
-        for rep in scenarios.monogamy_curve(ps, phis, rank_tol)
-    ]
-
-
 def _map_ordered(cfg: RunConfig, func, items):
     items = list(items)
     if cfg.parallelism == 1 or len(items) < 2:
@@ -284,17 +264,6 @@ def _map_ordered(cfg: RunConfig, func, items):
 
     with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
         return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * cfg.parallelism))))
-
-
-def _map_chunks(cfg: RunConfig, func, arrays, *extra):
-    """Rows of a batched func over ``parallelism`` contiguous chunks of a grid.
-
-    ``arrays`` are the grid's equal-length item arrays, split together;
-    ``extra`` goes to every chunk. One worker runs the grid as one chunk.
-    """
-    splits = [np.array_split(a, cfg.parallelism) for a in arrays]
-    chunks = [tuple(parts) + extra for parts in zip(*splits) if parts[0].size]
-    return [row for rows in _map_ordered(cfg, func, chunks) for row in rows]
 
 
 def _run_scan4q(cfg: RunConfig):
@@ -308,7 +277,11 @@ def _run_scan4q(cfg: RunConfig):
         )
     # interior grid: the reductions degenerate at p = 0 and p = 1
     ps = np.linspace(0.0, 1.0, cfg.grid_size() + 2)[1:-1]
-    rows = _map_chunks(cfg, _scan4q_rows, [ps], cfg.phi, cfg.tol_rank)
+    rows = [
+        (row.p, row.volume, row.dimension)
+        + ((None, None) if row.interval is None else row.interval)
+        for row in scenarios.simplex_scan(cfg.phi, ps, cfg.tol_rank)
+    ]
     if cfg.format == "csv":
         return _render_csv(("p", "volume", "dimension", "p_low", "p_high"), rows)
     payload = [
@@ -337,10 +310,16 @@ def _run_monogamy(cfg: RunConfig):
         phis = np.linspace(0.0, np.pi / 2.0, cfg.phi_grid, endpoint=False)
     else:
         phis = np.array([cfg.phi])
-    # items run phase by phase, p fastest
-    rows = _map_chunks(
-        cfg, _monogamy_rows, [np.tile(ps, phis.size), np.repeat(phis, ps.size)], cfg.tol_rank
-    )
+    # rows run phase by phase, p fastest
+    rows = [
+        (rep.p, rep.phi, rep.one_tangle)
+        + rep.pairwise
+        + rep.three_tangle_bounds
+        + (rep.residual,)
+        for rep in scenarios.monogamy_curve(
+            np.tile(ps, phis.size), np.repeat(phis, ps.size), cfg.tol_rank
+        )
+    ]
     if cfg.format == "csv":
         return _render_csv(_MONOGAMY_HEADER, rows)
     return _render_json(
@@ -469,12 +448,12 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             help="relative coefficient floor for the pencil degree, in (0, 1)",
         )
 
-    def add_parallelism(p):
+    def add_parallelism(p, what):
         p.add_argument(
             "--parallelism",
             type=int,
             default=dflt("parallelism", 1),
-            help="worker processes for grid scans (default 1)",
+            help=f"{what} (default 1)",
         )
 
     def add_pgrid(p, cmd):
@@ -529,7 +508,9 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         "instead of scanning p",
     )
     add_rank(p_scan)
-    add_parallelism(p_scan)
+    add_parallelism(
+        p_scan, "worker processes for --phi-grid; a p grid runs as one batch in this process"
+    )
     add_common(p_scan)
 
     p_mono = sub.add_parser("monogamy", help="extended monogamy residual curve")
@@ -544,7 +525,9 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         help="also sweep this many phases over [0, pi/2)",
     )
     add_rank(p_mono)
-    add_parallelism(p_mono)
+    add_parallelism(
+        p_mono, "accepted for scripts that pass it; the grid runs as one batch in this process"
+    )
     add_common(p_mono)
 
     p_toy = sub.add_parser("toy", help="full report for the built-in toy pair")

@@ -4,6 +4,7 @@ import pytest
 from tangleroof.bloch import (
     FACES,
     _axis_intervals,
+    _face_solves,
     _sphere_exit_many,
     axis_point,
     axis_zero_interval,
@@ -218,6 +219,13 @@ def _interval_cases():
             g = g + 1j * rng.standard_normal((8, 2))
         q = np.linalg.qr(g)[0].astype(complex)
         pairs.append((PureState(3, q[:, 0]), PureState(3, q[:, 1])))
+    # the first 12 real pairs again with a relative phase: their polytopes
+    # turn about the axis, and the flat ones lie in vertical planes through
+    # it at a generic azimuth, where every triangle is singular only up to
+    # rounding
+    for a, b in pairs[12:24]:
+        phase = np.exp(1j * rng.uniform(0.2, 1.4))
+        pairs.append((a, PureState(3, phase * b.amplitudes)))
     ket000, ket111 = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
     ket000[0] = ket111[7] = 1.0
     pairs.append((PureState(3, ket000), PureState(3, ket111)))
@@ -235,13 +243,22 @@ def test_stacked_axis_interval_matches_per_face_lstsq():
         if iv is None:
             continue
         flat_on_axis += poly.dimension == 2 and len(ref[2][1]) <= 2 and len(ref[3][1]) <= 2
-        # two SVD routines round differently: endpoints and weights agree
-        # to a few units in the last place
-        assert abs(iv.p_low - ref[0]) <= 1e-14 and abs(iv.p_high - ref[1]) <= 1e-14
+        # the stacked solves run lstsq's own LAPACK routine: equal bits
+        assert (iv.p_low, iv.p_high) == ref[:2]
         for wit, (_, face, w) in ((iv.witness_low, ref[2]), (iv.witness_high, ref[3])):
             assert wit.face == face
-            np.testing.assert_allclose(wit.weights, w, rtol=0.0, atol=1e-14)
+            assert np.array_equal(wit.weights, w)
     assert flat_on_axis > 0
+    # a relative phase turns a real pair's polytope about the axis and
+    # leaves its interval in place
+    turned_flat = 0
+    for real, phased in zip(polytopes[12:24], polytopes[36:48]):
+        a, b = axis_zero_interval(real), axis_zero_interval(phased)
+        turned_flat += phased.dimension == 2
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert abs(a.p_low - b.p_low) <= 1e-12 and abs(a.p_high - b.p_high) <= 1e-12
+    assert turned_flat > 0
     # |000>/|111>: double roots at both poles, the whole axis
     iv = axis_zero_interval(polytopes[-2])
     assert polytopes[-2].n_vertices == 2
@@ -258,3 +275,22 @@ def test_stacked_axis_interval_matches_per_face_lstsq():
             assert (iv.p_low, iv.p_high) == (alone.p_low, alone.p_high)
             assert iv.witness_low.face == alone.witness_low.face
             assert np.array_equal(iv.witness_high.weights, alone.witness_high.weights)
+
+
+def test_face_solve_cuts_rounding_level_singular_values():
+    # three points of a vertical great circle through the axis: the face
+    # matrix [1; x; y] has rank two up to a relative singular value of
+    # 1.6e-16, which the cutoff drops; solved without the cutoff, the
+    # weights turn negative and the face misses the axis
+    sub = np.array([
+        [0.13701499910014775, 0.863858997791803, -0.4847417064331563],
+        [-0.033339044290432614, -0.2101976687020873, -0.9770902968497887],
+        [-0.15371527482114983, -0.969151728820811, 0.19265653586185877],
+    ])
+    w, ok = _face_solves(sub[None])
+    assert ok.tolist() == [True]
+    a = np.vstack([np.ones(3), sub[:, 0], sub[:, 1]])
+    ref = np.linalg.lstsq(a, np.array([1.0, 0.0, 0.0]), rcond=None)[0]
+    assert ref.min() > 0.0
+    assert np.array_equal(w[0], ref / ref.sum())
+    np.testing.assert_allclose(w[0] @ sub[:, :2], 0.0, atol=1e-15)
