@@ -413,4 +413,4 @@ def state_from_bloch(mix: RankTwoMixture, point: np.ndarray) -> PureState:
     point = np.asarray(point, dtype=float).ravel()
     a1, a2 = _span_coordinates(point)
     amps = a1 * mix.psi1.amplitudes + a2 * mix.psi2.amplitudes
-    return PureState(mix.psi1.n_qubits, amps).normalized()
+    return PureState(mix.psi1.n_qubits, amps / np.linalg.norm(amps))

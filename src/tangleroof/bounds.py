@@ -514,6 +514,30 @@ class BoundReport:
         return weights[keep], tuple(s for s, k in zip(states, keep) if k)
 
 
+def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, anchors: tuple):
+    """The _GridPivot of a report grid, searched only where ``off`` is set.
+
+    Grid points off the zero interval get their best anchor ray; the others,
+    whose bound is 0 and whose certificates come from the interval
+    witnesses, read anchor 0, value inf and a nan ray.
+    """
+    idx = np.nonzero(off)[0]
+    cand, lam, boundary = _pivot_candidates(coeffs, grid[idx], anchors)
+    best = np.argmin(cand, axis=1)
+    rows = np.arange(idx.size)
+    out = _GridPivot(
+        np.zeros(grid.shape, dtype=np.intp),
+        np.full(grid.shape, np.inf),
+        np.full(grid.shape, np.nan),
+        np.full(grid.shape + (3,), np.nan),
+    )
+    out.anchor[idx] = best
+    out.value[idx] = cand[rows, best]
+    out.lam[idx] = lam[rows, best]
+    out.boundary[idx] = boundary[rows, best]
+    return out
+
+
 def _ray_certifies(grid_pivot: Optional[_GridPivot], lin_vals: np.ndarray, k):
     """Whether the best anchor ray at grid index (or index array) k is below
     the linearized bound by more than 1e-15, so that it certifies the knot
@@ -548,9 +572,9 @@ def upper_bound_report(
     geom = span_geometry(mix)
     grid = np.linspace(0.0, 1.0, grid_size)
     if geom.interval is not None:
-        grid = np.unique(
-            np.concatenate([grid, [geom.interval.p_low, geom.interval.p_high]])
-        )
+        # a single-point interval whose computed ends differ by an ulp adds one row
+        lo, hi = geom.interval.p_low, geom.interval.p_high
+        grid = np.unique(np.concatenate([grid, [lo] if hi - lo <= 1e-15 else [lo, hi]]))
     lin_curve = linearized_upper_bound(mix, geom)
     lin_vals = _linearized_value(geom, grid)
     if geom.identically_zero:
@@ -562,24 +586,25 @@ def upper_bound_report(
             mix, geom, (), grid, zeros, zeros.copy(), zeros.copy(), lin_curve,
             env_curve, tuple(["zero-interval"] * grid.shape[0]), None, None,
         )
-    anchor_set = default_anchors(mix, geom) if anchors is None else tuple(anchors)
-    grid_pivot = None
-    if len(anchor_set) == 0:
-        pivot_vals = lin_vals.copy()
-    else:
-        cand, lam, boundary = _pivot_candidates(geom.coefficients, grid, anchor_set)
-        best = np.argmin(cand, axis=1)
-        rows = np.arange(grid.shape[0])
-        grid_pivot = _GridPivot(best, cand[rows, best], lam[rows, best], boundary[rows, best])
-        pivot_vals = np.minimum(lin_vals, grid_pivot.value)
     inside = np.zeros(grid.shape, dtype=bool)
     if geom.interval is not None:
         inside = (grid >= geom.interval.p_low - 1e-12) & (
             grid <= geom.interval.p_high + 1e-12
         )
-        pivot_vals = np.where(inside, 0.0, pivot_vals)
+    anchor_set = default_anchors(mix, geom) if anchors is None else tuple(anchors)
+    grid_pivot = None
+    pivot_vals = lin_vals.copy()
+    if len(anchor_set):
+        grid_pivot = _grid_pivots(geom.coefficients, grid, ~inside, anchor_set)
+        pivot_vals = np.minimum(lin_vals, grid_pivot.value)
+    pivot_vals[inside] = 0.0
+    # the inner zero samples are collinear with the outer two, which the hull keeps
+    hull = ~inside
+    if inside.any():
+        hull[np.nonzero(inside)[0][[0, -1]]] = True
     env_curve = _certified_provenance(
-        convex_envelope(np.column_stack([grid, pivot_vals])), grid, lin_vals, grid_pivot
+        convex_envelope(np.column_stack([grid[hull], pivot_vals[hull]])),
+        grid, lin_vals, grid_pivot,
     )
     env_vals = env_curve(grid)
     p_left = p_right = None

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _kernels
 from .states import PureState, RankTwoMixture, _row_norms
@@ -80,7 +79,9 @@ class PencilPolynomial:
         return _form_coefficients(self.coefficients[None, :], self.ends[None, :])[0]
 
     def __call__(self, z):
-        return npoly.polyval(z, self.coefficients)
+        if isinstance(z, (list, tuple)):
+            z = np.asarray(z)
+        return _horner(self.coefficients, z)
 
     def degree(self, tol: float = COEFF_TOL) -> int:
         """Numerical degree: largest k with |c_k| above tol * max|c|."""
@@ -209,26 +210,119 @@ def _degrees(coeffs: np.ndarray, tol: float) -> np.ndarray:
     """
     mags = np.abs(coeffs)
     above = mags > tol * mags.max(axis=1, keepdims=True)
-    return np.where(above.any(axis=1), DEGREE - np.argmax(above[:, ::-1], axis=1), -1)
+    return (above * np.arange(1, coeffs.shape[1] + 1)).max(axis=1) - 1
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise polynomial values in npoly.polyval's order, c[k] + v*x."""
-    v = c[:, -1:] + x * 0
-    for k in range(c.shape[1] - 2, -1, -1):
-        v = c[:, k : k + 1] + v * x
+def _horner(c: np.ndarray, x) -> np.ndarray:
+    """Polynomial values in numpy.polynomial.polyval's order, c[..., k] + v*x.
+
+    c holds ascending coefficients in its last axis; c[..., k] broadcasts
+    against x.
+    """
+    v = c[..., -1] + x * 0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        v = c[..., k] + v * x
     return v
 
 
-def _polish(roots: np.ndarray, c: np.ndarray, steps: int = 2) -> np.ndarray:
-    dc = c[:, 1:] * np.arange(1, c.shape[1])
+def _polish(roots: np.ndarray, c: np.ndarray, steps: int = 2):
+    """Newton steps on the roots of each row of c; returns the roots and the last step.
+
+    P and P' come from one Horner pass over the coefficients of P stacked
+    on those of P' padded with a leading zero; the pad only adds an exact
+    zero to P''s leading coefficient, so P' has the bits of its own pass.
+    """
+    n = c.shape[1]
+    both = np.zeros((2, c.shape[0], 1, n), dtype=complex)
+    both[0, :, 0] = c
+    both[1, :, 0, :-1] = c[:, 1:] * np.arange(1, n)
     out = roots
     for _ in range(steps):
-        pv = _horner(c, out)
-        dv = _horner(dc, out)
-        safe = np.abs(dv) > 1e-30
-        out = np.where(safe, out - pv / np.where(safe, dv, 1.0), out)
-    return out
+        pv, dv = _horner(both, out)
+        step = np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > 1e-30)
+        out = out - step
+    return out, step
+
+
+# cube roots of unity, and index rolls over the three resolvent roots
+_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
+_OMEGA_BAR = _OMEGA.conj()
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
+def _along(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d or -d, whichever makes b + d the larger in modulus (no cancellation).
+
+    Flips d in place where Re(conj(b) d) < 0.
+    """
+    return np.negative(d, out=d, where=(b.conj() * d).real < 0.0)
+
+
+def _ferrari(c: np.ndarray) -> np.ndarray:
+    """Ferrari's radicals for the four roots of each row of an (M, 5) quartic stack.
+
+    The monic quartic z^4 + a_3 z^3 + a_2 z^2 + a_1 z + a_0 splits into
+    (z^2 + alpha z + beta)(z^2 + alpha' z + beta'). Each root y of the
+    resolvent cubic y^3 - a_2 y^2 + (a_1 a_3 - 4 a_0) y - (a_0 a_3^2 + a_1^2
+    - 4 a_0 a_2) is beta + beta' for one pairing of the roots, and then
+    (alpha - alpha')^2 = a_3^2 - 4 a_2 + 4 y. Cardano's formula gives all
+    three. The one taken maximizes |alpha - alpha'| times its distance to
+    the nearest other root, so that it is computed accurately (two roots
+    close together relative to the others pull two resolvent roots
+    together) and the betas follow from alpha beta' + alpha' beta = a_1
+    and beta + beta' = y by a well-conditioned linear solve. The smaller
+    alpha, the smaller beta and the smaller root of each factor come from
+    products (a_2 - y, a_0, beta), so that spread roots keep their relative
+    accuracy. Rows where the formula degenerates come out non-finite.
+    """
+    m = c.shape[0]
+    a0, a1, a2, a3 = (c[:, :DEGREE] / c[:, DEGREE:]).T
+    # the resolvent cubic depressed by y = t + a_2/3: t^3 + 3 p3 t - 2 hq
+    four_a0 = 4.0 * a0
+    a33 = a3 * a3
+    k3 = (a1 * a3 - four_a0) / 3.0
+    a22 = a2 * a2
+    p3 = k3 - a22 / 9.0
+    hq = 0.5 * (a0 * a33 + a1 * a1 - a2 * (k3 - a22 * (2.0 / 27.0) + four_a0))
+    u = (hq + _along(np.sqrt(hq * hq + p3 * p3 * p3), hq)) ** (1.0 / 3.0)
+    y = u[:, None] * _OMEGA - (p3 / u)[:, None] * _OMEGA_BAR + (a2 / 3.0)[:, None]
+    center = a2 - 0.25 * a33  # y - center = (alpha - alpha')^2 / 4
+    apart = np.abs(y - y[:, _NEXT])
+    score = np.abs(y - center[:, None]) * np.minimum(apart, apart[:, _PREV])
+    y = y[np.arange(m), np.argmax(score, axis=1)]
+    gap = _along(2.0 * np.sqrt(y - center), a3)  # alpha - alpha'
+    factors = np.empty((m, 2, 2), dtype=complex)  # (alpha, beta) of either factor
+    alpha, beta = factors[..., 0], factors[..., 1]
+    alpha[:, 0] = 0.5 * (a3 + gap)
+    alpha[:, 1] = (a2 - y) / alpha[:, 0]
+    beta[:, 0] = (alpha[:, 0] * y - a1) / gap
+    beta[:, 1] = y - beta[:, 0]
+    size = np.abs(beta)
+    beta[...] = np.where(size >= size[:, ::-1], beta, a0[:, None] / beta[:, ::-1])
+    big = -0.5 * (alpha + _along(np.sqrt(alpha * alpha - 4.0 * beta), alpha))
+    return np.concatenate([big, beta / big], axis=1)
+
+
+_DIAGONAL = np.eye(DEGREE, dtype=bool)
+
+
+def _radical_roots(c: np.ndarray):
+    """Radical roots of each row of an (M, 5) quartic stack after one Newton
+    step, and which rows hold.
+
+    A row holds when the Newton step of every root is at most
+    1e-12 (1 + |z|), so that the step leaves it converged, and every two
+    of its roots lie more than CLUSTER_TOL (1 + |z|) apart for either z.
+    Clustered and double roots fail this and are left to the companion
+    matrix.
+    """
+    with np.errstate(all="ignore"):
+        roots, step = _polish(_ferrari(c), c, steps=1)
+        scale = 1.0 + np.abs(roots)
+        ok = np.abs(roots[:, :, None] - roots[:, None, :]) > CLUSTER_TOL * scale[:, :, None]
+        ok[:, _DIAGONAL] = np.abs(step) <= 1e-12 * scale  # a root's own cell: converged
+    return roots, ok.all(axis=(1, 2))
 
 
 def finite_roots(coeffs: np.ndarray, tol: float = COEFF_TOL):
@@ -237,18 +331,23 @@ def finite_roots(coeffs: np.ndarray, tol: float = COEFF_TOL):
     Returns an (N, 4) complex array and the (N,) number of roots at
     infinity. Each leading coefficient at or below tol * max|c| counts as
     one root at infinity, at most 4 per row; those slots hold inf after
-    the finite roots. Finite roots come from the companion matrices of the
-    monic reductions, one eigvals call per numerical degree, polished by
-    two Newton steps. They are neither merged nor conjugate-symmetrized,
-    so they move smoothly with the pair.
+    the finite roots. A row of degree 4 takes Ferrari's radicals and one
+    Newton step when they pass the checks of _radical_roots. The other
+    rows take the eigenvalues of the companion matrices of their monic
+    reductions (one eigvals call per numerical degree) and two Newton
+    steps. Roots are neither merged nor conjugate-symmetrized, so they move
+    smoothly with the pair.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     deg = _degrees(coeffs, tol)
     roots = np.full((coeffs.shape[0], DEGREE), np.inf, dtype=complex)
-    for d in range(1, DEGREE + 1):
-        rows = np.nonzero(deg == d)[0]
-        if rows.size == 0:
-            continue
+    companion = deg.copy()  # the degree of each row left to the companion matrix
+    quartic = np.nonzero(deg == DEGREE)[0]
+    if quartic.size:
+        roots[quartic], holds = _radical_roots(coeffs[quartic])
+        companion[quartic[holds]] = 0
+    for d in sorted(set(companion.tolist()) - {-1, 0}):
+        rows = np.nonzero(companion == d)[0]
         c = coeffs[rows, : d + 1]
         if d == 1:
             raw = -c[:, :1] / c[:, 1:]
@@ -257,7 +356,7 @@ def finite_roots(coeffs: np.ndarray, tol: float = COEFF_TOL):
             comp[:, 1:, :-1] = np.eye(d - 1)
             comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
             raw = np.linalg.eigvals(comp)
-        roots[rows, :d] = _polish(raw, c)
+        roots[rows, :d] = _polish(raw, c)[0]
     return roots, DEGREE - np.maximum(deg, 0)
 
 

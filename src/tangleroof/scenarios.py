@@ -280,23 +280,32 @@ def _match_rows(pts: np.ndarray) -> np.ndarray:
     """Reorder each row of an (N, 4, 3) stack to follow the row before it.
 
     Slot by slot, each tracked point takes the nearest unused point of the
-    next row (first minimum on ties). The distances between consecutive
-    raw rows come from one call; only the greedy choice runs per row.
+    next row (first minimum on ties). When the nearest next points of a
+    row's raw points are all different, that greedy picks them in any slot
+    order, so the row takes them directly; only rows with a collision run
+    the greedy scan. All distances and nearest points come from one call
+    each.
     """
     n = pts.shape[1]
-    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1).ravel().tolist()
+    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1)
+    nearest = np.argmin(dist, axis=2)
+    distinct = np.bitwise_or.reduce(1 << nearest, axis=1) == (1 << n) - 1
     prev = list(range(n))
-    rows = [prev]
-    for base in range(0, len(dist), n * n):
-        free = list(range(n))
-        cur = []
-        for i in prev:
-            j = min(free, key=dist[base + i * n : base + (i + 1) * n].__getitem__)
-            free.remove(j)
-            cur.append(j)
-        rows.append(cur)
-        prev = cur
-    return np.take_along_axis(pts, np.array(rows)[:, :, None], axis=1)
+    order = list(prev)
+    for r, (near, direct) in enumerate(zip(nearest.tolist(), distinct.tolist())):
+        if direct:
+            prev = [near[i] for i in prev]
+        else:
+            d = dist[r].tolist()
+            free = list(range(n))
+            cur = []
+            for i in prev:
+                j = min(free, key=d[i].__getitem__)
+                free.remove(j)
+                cur.append(j)
+            prev = cur
+        order.extend(prev)
+    return np.take_along_axis(pts, np.array(order).reshape(-1, n, 1), axis=1)
 
 
 def _tracked_volumes(ps: np.ndarray, phi: float) -> np.ndarray:

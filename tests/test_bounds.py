@@ -328,10 +328,12 @@ def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
     for mix in _certificate_mixtures():
         calls.clear()
         rep = upper_bound_report(mix, grid_size=401)
-        assert calls == [rep.grid.shape[0]]
+        # one pass over the grid points off the zero interval, whose bound is 0
+        off = sum(label != "zero-interval" for label in rep.achieving)
+        assert calls == [off]
         for p in CERTIFICATE_PS:
             _assert_certifies(rep, mix, p)
-        assert calls == [rep.grid.shape[0]]
+        assert calls == [off]
 
 
 def _searched_certificate(rep, p):
@@ -406,3 +408,34 @@ def test_convex_envelope_knots_equal_a_numpy_scalar_hull():
     assert convex_envelope(collinear).knots.tolist() == [[0.0, 0.5], [1.0, 0.25]]
     assert convex_envelope(duplicates).knots.tolist() == [[0.0, 2.0], [0.5, 0.25], [1.0, 2.0]]
     assert convex_envelope(integers).knots.tolist() == [[0, 4], [2, 0], [4, 2], [5, 4]]
+
+
+# two real pairs of perfbench's pair_set (seed 1201 real3, seed 1205 real90)
+# whose zero interval is a single point with two computed ends under 1e-15 apart
+_SINGLE_POINT_PAIRS = [
+    (
+        [-0.19727804686289008, -0.543104038998575, 0.291019122587672, 0.4252246907597092,
+         -0.19189913430457184, 0.08695554553485994, 0.5783939353261298, -0.14725867932944603],
+        [0.03474375636732836, -0.08156696228784457, 0.6566951490929428, -0.014090719158182873,
+         0.22791379742638757, 0.46034251279114585, -0.2559334724414517, 0.4809685690270224],
+    ),
+    (
+        [-0.28743889967909086, 0.5665317931336534, -0.2208839670710412, -0.25170778539420136,
+         -0.004842826150303254, -0.2919754960636875, 0.32183777895855675, 0.5435267895432674],
+        [-0.22286891244952922, -0.1483592341926926, -0.2799662912696552, 0.5252596794769092,
+         0.44811658717108666, 0.022819245464141005, 0.587650000159914, -0.16546423786573713],
+    ),
+]
+
+
+@pytest.mark.parametrize("amps", _SINGLE_POINT_PAIRS)
+def test_single_point_interval_adds_one_grid_row(amps):
+    psi1, psi2 = (PureState(3, np.array(a, dtype=complex)) for a in amps)
+    rep = upper_bound_report(RankTwoMixture(psi1, psi2, 0.5), grid_size=401)
+    lo, hi = rep.interval.p_low, rep.interval.p_high
+    assert hi - lo <= 1e-15
+    assert rep.grid.shape == (402,)
+    assert np.count_nonzero(np.abs(rep.grid - lo) <= 1e-15) == 1 and lo in rep.grid
+    # a second row an ulp away made the chord into it read -2.8e-17 there
+    assert rep.envelope.min() >= 0.0
+    assert rep.envelope_curve.knots[:, 1].min() >= 0.0

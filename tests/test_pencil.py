@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+from tangleroof import pencil
 from tangleroof.invariants import three_tangle
 from tangleroof.pencil import (
     ExtendedRoot,
@@ -12,6 +13,7 @@ from tangleroof.pencil import (
     polynomial_roots,
     zero_set,
 )
+from tangleroof.scenarios import toy_states
 from tangleroof.states import PureState, RankTwoMixture, make_ghz, make_w
 
 
@@ -154,3 +156,107 @@ def test_zero_set_deterministic_ordering():
     finite = [r.z for r in a.roots if not r.at_infinity]
     reals = [z.real for z in finite if z.imag == 0.0]
     assert reals == sorted(reals)
+
+
+def _stress_sets(rows=60):
+    """Quartic coefficient stacks that stress a closed-form root solver."""
+    rng = np.random.default_rng(17)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def from_roots(roots):
+        return np.array([npoly.polyfromroots(r) for r in roots]).astype(complex)
+
+    sets = {"generic": cplx(rows, 5), "real": rng.normal(size=(rows, 5)).astype(complex)}
+    c = cplx(rows, 5)  # a root near infinity: |c_4| just above COEFF_TOL
+    c[:, 4] *= 3e-10 * np.abs(c[:, :4]).max(axis=1) / np.abs(c[:, 4])
+    sets["c4_3e-10"] = c
+    c = cplx(rows, 5)  # a root near zero
+    c[:, 0] *= 1e-12 / np.abs(c[:, 0])
+    sets["c0_1e-12"] = c
+    for gap in (1e-9, 1e-5):
+        roots = cplx(rows, 4)
+        roots[:, 1] = roots[:, 0] + gap * np.exp(2j * np.pi * rng.random(rows))
+        sets[f"double_{gap:g}"] = from_roots(roots)
+    c = cplx(rows, 5)
+    c[:, 1] = c[:, 3] = 0.0
+    sets["biquadratic"] = c
+    roots = np.exp(2j * np.pi * rng.random((rows, 4))) * 10.0 ** rng.uniform(-3, 3, (rows, 4))
+    roots[:, 0] *= 1e-3 / np.abs(roots[:, 0])
+    roots[:, 1] *= 1e3 / np.abs(roots[:, 1])
+    sets["spread"] = from_roots(roots) * cplx(rows, 1)
+    return sets
+
+
+# which stress rows take the radicals; the others fall back to the companion matrix
+_RADICAL_ROWS = {
+    "generic": 60, "real": 60, "c4_3e-10": 60, "c0_1e-12": 60,
+    "double_1e-09": 0, "biquadratic": 60, "spread": 60,
+}
+
+
+def _worst_relative_error(coeffs, roots, exact):
+    worst = 0.0
+    for row, ref in zip(roots, exact):
+        for z in row:
+            k = np.argmin(np.abs(ref - z))
+            worst = max(worst, abs(ref[k] - z) / abs(ref[k]))
+    return worst
+
+
+def test_radical_roots_no_worse_than_the_companion_matrix(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(row):
+        with mpmath.workdps(40):
+            roots = mpmath.polyroots(
+                [mpmath.mpc(complex(c)) for c in row[::-1]], maxsteps=400, extraprec=400
+            )
+        return np.array([complex(z) for z in roots])
+
+    for name, coeffs in _stress_sets().items():
+        _, holds = pencil._radical_roots(coeffs)
+        if name in _RADICAL_ROWS:
+            assert int(holds.sum()) == _RADICAL_ROWS[name], name
+        roots, n_inf = finite_roots(coeffs)
+        assert not n_inf.any()
+        with monkeypatch.context() as m:
+            m.setattr(pencil, "_radical_roots", lambda c: (c[:, :4], np.zeros(len(c), bool)))
+            companion, _ = finite_roots(coeffs)
+        np.testing.assert_array_equal(roots[~holds], companion[~holds])
+        refs = [exact(row) for row in coeffs]
+        # both paths end at rounding level, where they differ by a few ulps either way
+        assert _worst_relative_error(coeffs, roots, refs) <= _worst_relative_error(
+            coeffs, companion, refs
+        ) + 4.0 * np.finfo(float).eps, name
+
+
+def test_eigvals_only_for_rejected_rows_and_lower_degrees(monkeypatch):
+    sizes = []
+    original = np.linalg.eigvals
+
+    def counted(a):
+        sizes.append(a.shape[:-2])
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    rng = np.random.default_rng(8)
+    generic = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    finite_roots(generic)
+    assert sizes == []
+    # radicals and Newton give this double root exactly, so only the gap check rejects it
+    double = npoly.polyfromroots([0.5, 0.5, -1.0, 2.0]).astype(complex)
+    lower = generic[:2].copy()
+    lower[0, 4] = lower[1, 3:] = 0.0
+    roots, n_inf = finite_roots(np.vstack([generic, double, lower]))
+    assert sorted(sizes) == [(1,), (1,), (1,)]  # the double root, degree 3, degree 2
+    np.testing.assert_array_equal(n_inf, [0] * 6 + [1, 2])
+    np.testing.assert_allclose(np.sort_complex(roots[5]), [-1.0, 0.5, 0.5, 2.0], atol=1e-7)
+
+
+def test_pencil_polynomial_evaluates_in_polyval_order():
+    poly = pencil_polynomial(*toy_states())
+    z = np.array([0.3 - 0.2j, 2.0, -1.5j])
+    np.testing.assert_array_equal(poly(z), npoly.polyval(z, poly.coefficients))
+    assert poly(0.7 + 0.1j) == npoly.polyval(0.7 + 0.1j, poly.coefficients)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from tangleroof import _kernels
+from tangleroof import _kernels, pencil
 from tangleroof.bounds import linearized_upper_bound, span_geometry
 from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
     FourQubitFamily,
+    _family_eigenvectors,
     _match_rows,
     _pencil_bloch_vertices,
     _tracked_volumes,
     has_interior_volume_zero,
+    phi_threshold_bisect,
     four_qubit_state,
     ghzw_mixture_zero_check,
     monogamy_curve,
@@ -142,6 +144,76 @@ def test_match_rows_restores_order():
     pts = rng.normal(size=(4, 3))
     tracked = _match_rows(np.stack([pts, pts[[2, 0, 3, 1]], pts[[3, 1, 0, 2]]]))
     np.testing.assert_array_equal(tracked, np.stack([pts, pts, pts]))
+
+
+def _greedy_match_rows(pts):
+    """Reference matcher: every row runs the greedy scan, slot by slot, each
+    tracked point taking the nearest unused point of the next row (first
+    minimum on ties)."""
+    n = pts.shape[1]
+    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1).ravel().tolist()
+    prev = list(range(n))
+    rows = [prev]
+    for base in range(0, len(dist), n * n):
+        free = list(range(n))
+        cur = []
+        for i in prev:
+            j = min(free, key=dist[base + i * n : base + (i + 1) * n].__getitem__)
+            free.remove(j)
+            cur.append(j)
+        rows.append(cur)
+        prev = cur
+    return np.take_along_axis(pts, np.array(rows)[:, :, None], axis=1)
+
+
+def _colliding_rows(pts):
+    """Rows whose raw points share a nearest point in the next row."""
+    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1)
+    nearest = np.argmin(dist, axis=2)
+    return int(sum(len(set(row)) < pts.shape[1] for row in nearest.tolist()))
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.5234375, np.pi / 4, 1.2])
+def test_match_rows_equals_greedy_on_family_grid(phi):
+    pts = _pencil_bloch_vertices(np.linspace(0.02, 0.99, 1201), phi)
+    assert _colliding_rows(pts) > 0
+    np.testing.assert_array_equal(_match_rows(pts), _greedy_match_rows(pts))
+
+
+def test_match_rows_equals_greedy_on_random_walks():
+    rng = np.random.default_rng(2024)
+    colliding = 0
+    for _ in range(200):
+        n_rows = int(rng.integers(2, 40))
+        steps = rng.normal(scale=float(rng.choice([1e-3, 0.05, 0.3])), size=(n_rows, 4, 3))
+        pts = rng.normal(size=(1, 4, 3)) + np.cumsum(steps, axis=0)
+        for r in range(n_rows):
+            kind = rng.integers(4)
+            if kind == 1:  # two points of a row nearly coincide
+                i, j = rng.choice(4, size=2, replace=False)
+                pts[r, j] = pts[r, i] + rng.normal(scale=1e-12, size=3)
+            elif kind == 2:  # exact coincidence: equal distances tie
+                i, j = rng.choice(4, size=2, replace=False)
+                pts[r, j] = pts[r, i]
+            pts[r] = pts[r, rng.permutation(4)]  # raw order carries no tracking
+        if rng.integers(2):  # on a coarse lattice, equal distances tie often
+            pts = np.round(pts * 4.0) / 4.0
+        colliding += _colliding_rows(pts)
+        np.testing.assert_array_equal(_match_rows(pts), _greedy_match_rows(pts))
+    assert colliding > 100
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.5234375, 1.0])
+def test_tracking_grid_roots_take_the_radicals(phi):
+    v1, v2 = _family_eigenvectors(np.linspace(0.02, 0.99, 1201), phi)
+    _, holds = pencil._radical_roots(pencil.pencil_coefficients(v1, v2))
+    assert holds.all()
+
+
+def test_interior_zero_sweep_and_threshold_are_pinned():
+    flags = [has_interior_volume_zero(phi) for phi in np.linspace(0.0, np.pi / 2, 64, endpoint=False)]
+    assert flags == [True] * 22 + [False] * 21 + [True] * 21
+    assert phi_threshold_bisect() == 0.5234375
 
 
 def _matched_one_by_one(ps, phi):
