@@ -30,7 +30,6 @@ __all__ = [
     "build_polytope",
     "axis_zero_interval",
     "barycentric_weights",
-    "ray_extend",
     "state_from_bloch",
 ]
 
@@ -342,51 +341,51 @@ def barycentric_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _sphere_exit_many(anchors: np.ndarray, targets: np.ndarray):
-    """Sphere crossings of rays from each anchor through each interior target.
+def _axis_exits(anchors: np.ndarray, heights: np.ndarray):
+    """Sphere crossings of rays from each anchor through each axis point.
 
-    anchors is (n_a, 3) and targets (n_t, 3); returns boundary (n_t, n_a, 3)
-    and lam (n_t, n_a) with target = lam * boundary + (1 - lam) * anchor.
-    Solves |anchor + (target - anchor)/lam|^2 = 1 for lam in (0, 1] using a
-    subtraction-free form that stays stable for anchors on the sphere, and
-    writes the boundary relative to the target so it is exact at lam = 1.
-    Pairs with anchor == target get lam = nan. The dot products over the
-    length-3 axis are written out component by component, in the order of
-    numpy's sum, which is bitwise the same and avoids a reduction call.
+    anchors is (n_a, 3) and heights (n_t,); the ray from an anchor a
+    through the axis point (0, 0, h) exits the sphere at the boundary point
+    _axis_boundary(a, h, s), with (0, 0, h) = lam * boundary + (1 - lam) * a.
+    Returns lam and s = 1/lam - 1, each (n_t, n_a). lam solves
+    |a + ((0, 0, h) - a)/lam|^2 = 1 in (0, 1] in a subtraction-free form
+    that stays stable for anchors on the sphere. With the ray direction
+    d = (-a_x, -a_y, h - a_z), the dot products need only the per-anchor
+    constants a_x^2 + a_y^2 and a_z; written out in the order of numpy's sum
+    over the three components of d, they keep its bits. Pairs with
+    anchor == target get lam = nan.
     """
-    anchors = np.atleast_2d(anchors)
-    d = targets[:, None, :] - anchors[None, :, :]
-    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
     ax, ay, az = anchors[:, 0], anchors[:, 1], anchors[:, 2]
-    dd = dx * dx + dy * dy + dz * dz
-    c = ax * dx + ay * dy + az * dz
-    disc = c * c + (1.0 - (ax * ax + ay * ay + az * az))[None, :] * dd
-    denom = np.sqrt(np.clip(disc, 0.0, None)) - c
+    r2 = ax * ax + ay * ay
+    # in place, which keeps the bits: dd = r2 + dz^2, c = az dz - r2,
+    # disc = c^2 + (1 - |a|^2) dd and denom = sqrt(max(disc, 0)) - c
+    dz = heights[:, None] - az
+    dd = dz * dz
+    dd += r2
+    c = az * dz
+    c -= r2
+    disc = c * c
+    disc += (1.0 - (r2 + az * az)) * dd
+    denom = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
+    denom -= c
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where((dd > 0) & (denom > 0), dd / denom, np.nan)
-        boundary = targets[:, None, :] + d * (1.0 / lam - 1.0)[:, :, None]
-    return boundary, lam
+        lam = dd / denom
+        lam[(dd <= 0) | (denom <= 0)] = np.nan
+        s = 1.0 / lam
+    s -= 1.0
+    return lam, s
 
 
-def ray_extend(anchor: np.ndarray, target: np.ndarray):
-    """Extend the ray from a strictly interior anchor through target to the sphere.
+def _axis_boundary(anchors: np.ndarray, heights, s) -> np.ndarray:
+    """Boundary points target + (target - anchor) * s of axis rays.
 
-    Returns (boundary, lam) with target = lam * boundary + (1 - lam) * anchor
-    and lam in (0, 1]; lam = 1 exactly when the target is already on the
-    sphere. Anchors on the sphere are rejected as ill-posed.
+    anchors (..., 3), heights and s broadcast against anchors[..., 0]; the
+    target is (0, 0, h), so a ray with s = 0 (lam = 1) ends exactly on it.
     """
-    anchor = np.asarray(anchor, dtype=float).ravel()
-    target = np.asarray(target, dtype=float).ravel()
-    if anchor.shape != (3,) or target.shape != (3,):
-        raise ValueError("anchor and target must be 3-vectors")
-    if np.linalg.norm(anchor) >= 1.0 - 1e-12:
-        raise ValueError("anchor must lie strictly inside the unit ball")
-    if np.linalg.norm(target) > 1.0 + 1e-10:
-        raise ValueError("target must lie inside or on the unit ball")
-    boundary, lam = _sphere_exit_many(anchor[None, :], target[None, :])
-    if not np.isfinite(lam[0, 0]):
-        raise ValueError("target coincides with the anchor")
-    return boundary[0, 0], float(lam[0, 0])
+    heights = np.asarray(heights, dtype=float)
+    target = np.zeros(np.broadcast_shapes(heights.shape, np.shape(anchors)[:-1]) + (3,))
+    target[..., 2] = heights
+    return target + (target - anchors) * np.asarray(s)[..., None]
 
 
 def _span_coordinates(points: np.ndarray):

@@ -21,10 +21,11 @@ from .bloch import (
     FACES,
     AxisInterval,
     ZeroPolytope,
+    _axis_boundary,
+    _axis_exits,
     _axis_intervals,
     _polytopes,
     _span_coordinates,
-    _sphere_exit_many,
     axis_point,
     state_from_bloch,
 )
@@ -162,6 +163,18 @@ class Anchor:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "face", tuple(int(i) for i in self.face))
 
+    @classmethod
+    def _stored(cls, point, construction, face, weights, certificate_c3):
+        """An anchor from fields already in the form __post_init__ gives them
+        (read-only float arrays, a tuple of ints), without converting them
+        again: default_anchors builds some 36 per span."""
+        anchor = object.__new__(cls)
+        vars(anchor).update(
+            point=point, construction=construction, face=face, weights=weights,
+            certificate_c3=certificate_c3,
+        )
+        return anchor
+
 
 def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float]) -> np.ndarray:
     """c3 along sqrt(p) psi1 - e^{i phi} sqrt(1-p) psi2; rows (p, c3).
@@ -227,23 +240,25 @@ def _linearized_curve(geom: SpanGeometry) -> BoundCurve:
     return BoundCurve(np.array(knots), tuple(prov))
 
 
-def _conjugate_pairs(vertices: np.ndarray):
-    pairs = []
-    k = vertices.shape[0]
-    for i in range(k):
-        if vertices[i, 1] <= 1e-9:
-            continue
-        mirror = vertices[i] * np.array([1.0, -1.0, 1.0])
-        for j in range(k):
-            if j != i and np.linalg.norm(vertices[j] - mirror) <= 1e-8:
-                pairs.append((i, j))
-                break
-    return pairs
+def _conjugate_pairs(vertices: np.ndarray) -> np.ndarray:
+    """(m, 2) index pairs (i, j): each vertex i above the y = 0 plane by more
+    than 1e-9 with the first other vertex j within 1e-8 of its mirror image."""
+    mirror = vertices * np.array([1.0, -1.0, 1.0])
+    dist = np.linalg.norm(vertices[None, :, :] - mirror[:, None, :], axis=2)
+    np.fill_diagonal(dist, np.inf)
+    close = (dist <= 1e-8) & (vertices[:, 1] > 1e-9)[:, None]
+    i = np.flatnonzero(close.any(axis=1))
+    return np.column_stack([i, np.argmax(close[i], axis=1)])
 
 
-# barycentric weights of the face-grid anchors, in construction order
-_FACE_GRID = tuple(
-    np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# barycentric weights of the face-grid anchors of one triangle, in construction order
+_FACE_GRID = _read_only(
+    np.array([[a, b, 4 - a - b] for a in range(5) for b in range(5 - a)], dtype=float) / 4.0
 )
 
 
@@ -254,58 +269,118 @@ def default_anchors(
     and a barycentric grid over every triangle face.
 
     Candidates whose points agree to 12 decimals are built once, as the
-    first of them.
+    first of them. The face-grid points of all faces come from one matrix
+    product, and the certificates of all anchors from one stacked product of
+    their weights with the c3 values of their face vertices.
     """
     geom = geometry if geometry is not None else span_geometry(mix)
     if geom.polytope is None:
         return ()
     poly = geom.polytope
-    v = poly.vertices
+    v, k = poly.vertices, poly.n_vertices
     vertex_c3 = np.sqrt(np.abs(quartic_form(geom.coefficients, *_span_coordinates(v))))
+    pairs = _conjugate_pairs(v)
+    tri = FACES[k][2]
 
-    # (point, construction, face, weights) in construction order
-    candidates = [(v[i], "vertex", (i,), [1.0]) for i in range(poly.n_vertices)]
-    for i, j in _conjugate_pairs(v):
-        candidates.append((0.5 * (v[i] + v[j]), "pair-mixture", (i, j), [0.5, 0.5]))
+    # every candidate's construction, point, and face and weights padded to
+    # three vertices with zero weights, in construction order
+    m = pairs.shape[0]
+    witnesses, axis_points = (), np.empty((0, 3))
     if geom.interval is not None:
-        for p, wit in (
-            (geom.interval.p_low, geom.interval.witness_low),
-            (geom.interval.p_high, geom.interval.witness_high),
-        ):
-            candidates.append((axis_point(p), "axis-interval-point", wit.face, wit.weights))
-    for face in FACES[poly.n_vertices][2].tolist():
-        sub = v[face]
-        candidates.extend((w @ sub, "face-grid", face, w) for w in _FACE_GRID)
+        iv = geom.interval
+        witnesses = (iv.witness_low, iv.witness_high)
+        axis_points = np.array([axis_point(iv.p_low), axis_point(iv.p_high)])
+    n_grid = tri.shape[0] * _FACE_GRID.shape[0]
+    construction = (
+        ["vertex"] * k + ["pair-mixture"] * m
+        + ["axis-interval-point"] * len(witnesses) + ["face-grid"] * n_grid
+    )
+    sizes = [1] * k + [2] * m + [len(wit.face) for wit in witnesses] + [3] * n_grid
+    points = _read_only(np.concatenate([
+        v,
+        0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]]),
+        axis_points,
+        (_FACE_GRID @ v[tri]).reshape(-1, 3),
+    ]))
+    faces = np.zeros((len(sizes), 3), dtype=np.intp)
+    weights = np.zeros((len(sizes), 3))
+    faces[:k, 0], weights[:k, 0] = np.arange(k), 1.0
+    row = k + m
+    faces[k:row, :2], weights[k:row, :2] = pairs, 0.5
+    for wit in witnesses:
+        size = len(wit.face)
+        faces[row, :size], weights[row, :size] = wit.face, wit.weights
+        row += 1
+    faces[row:] = np.repeat(tri, _FACE_GRID.shape[0], axis=0)
+    weights[row:] = np.tile(_FACE_GRID, (tri.shape[0], 1))
+    _read_only(weights)
 
-    keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
-    seen = {}
-    for key, (point, construction, face, weights) in zip(keys, candidates):
-        key = tuple(key)
-        if key in seen:
-            continue
-        w = np.asarray(weights, dtype=float)
-        cert = float(w @ vertex_c3[list(face)])
-        seen[key] = Anchor(point, construction, face, w, cert)
-    return tuple(seen.values())
+    first = {}
+    for n, key in enumerate(map(tuple, np.round(points, 12).tolist())):
+        first.setdefault(key, n)
+    keep = list(first.values())
+    # a stack of length-3 dot products, each with the bits of w @ vertex_c3[face]
+    certificates = (weights[keep, None, :] @ vertex_c3[faces[keep], None])[:, 0, 0].tolist()
+    face_rows = faces.tolist()
+    return tuple(
+        Anchor._stored(
+            points[n], construction[n], tuple(face_rows[n][: sizes[n]]),
+            weights[n, : sizes[n]], cert,
+        )
+        for n, cert in zip(keep, certificates)
+    )
 
 
 def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, anchors: tuple):
     """Candidate bound lam * c3(boundary) per (grid point, anchor).
 
-    The ray from each anchor through the axis point of each p exits the
-    sphere at a boundary point; its c3 is the quartic form of the span's
-    pencil coefficients at the boundary point's half-angle coordinates, so
-    no amplitudes are built. Returns (candidates, lam, boundary), each with
-    leading shape (len(ps), len(anchors)).
+    The ray from each anchor a through the axis point (0, 0, h), h = 2p - 1,
+    exits the sphere at b = (-s a_x, -s a_y, h + (h - a_z) s), s = 1/lam - 1
+    (bloch._axis_exits). With w = a_x + i a_y and the real t = -s / (1 + |b_z|),
+    the half-angle span coordinates of b are proportional to (1, w t) on the
+    northern hemisphere and to (conj(w) t, 1) on the southern one, so the
+    tangle at b is a quartic in t with coefficients fixed per anchor:
+    quartic_form(c_k w^k, 1, t) in the north and
+    quartic_form(c_k conj(w)^(4-k), t, 1) in the south, both evaluated in the
+    Horner order of the former, and c3 = sqrt|form| / (1 + t^2 |w|^2). At the
+    pure ends t = 0, so c3 there is sqrt|c_0| or sqrt|c_4| exactly. No
+    boundary point or amplitude is built. Returns (candidates, lam, s), each
+    of shape (len(ps), len(anchors)); the boundary of a ray is
+    bloch._axis_boundary(anchor, 2p - 1, s).
     """
-    targets = np.column_stack(
-        [np.zeros_like(ps), np.zeros_like(ps), 2.0 * ps - 1.0]
-    )
-    boundary, lam = _sphere_exit_many(np.array([a.point for a in anchors]), targets)
-    vals = np.sqrt(np.abs(quartic_form(coeffs, *_span_coordinates(boundary))))
-    lam = np.minimum(lam, 1.0)
-    cand = np.where(np.isfinite(lam), lam * vals, np.inf)
-    return cand, lam, boundary
+    points = np.array([a.point for a in anchors])
+    heights = 2.0 * ps - 1.0
+    lam, s = _axis_exits(points, heights)
+    ax, ay, az = points[:, 0], points[:, 1], points[:, 2]
+    w = ax + 1j * ay
+    powers = np.cumprod(np.column_stack([np.ones_like(w), w, w, w, w]), axis=1)
+    # coefficients of t^0..t^4, one column per anchor and chart: the northern
+    # chart's c_k w^k, then the southern chart's c_(4-k) conj(w)^k
+    table = np.concatenate([coeffs * powers, coeffs[::-1] * powers.conj()]).T
+    n_a = points.shape[0]
+    # (grid, anchor) arrays are updated in place: on a pair's ~300 x 36 grid a
+    # fresh temporary costs more than the arithmetic
+    bz = heights[:, None] - az
+    bz *= s
+    bz += heights[:, None]
+    chart = np.where(bz >= 0.0, np.arange(n_a), np.arange(n_a, 2 * n_a))
+    t = np.abs(bz, out=bz)
+    t += 1.0
+    np.divide(s, t, out=t)
+    np.negative(t, out=t)
+    form = table[4].take(chart)
+    for j in (3, 2, 1, 0):
+        form *= t
+        form += table[j].take(chart)
+    cand = np.sqrt(np.abs(form))
+    norm = np.multiply(t, t, out=t)
+    norm *= ax * ax + ay * ay
+    norm += 1.0
+    cand /= norm
+    lam = np.minimum(lam, 1.0, out=lam)
+    cand *= lam
+    cand[~np.isfinite(lam)] = np.inf
+    return cand, lam, s
 
 
 def pivot_upper_bound(
@@ -522,9 +597,10 @@ def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, anchors:
     witnesses, read anchor 0, value inf and a nan ray.
     """
     idx = np.nonzero(off)[0]
-    cand, lam, boundary = _pivot_candidates(coeffs, grid[idx], anchors)
+    cand, lam, s = _pivot_candidates(coeffs, grid[idx], anchors)
     best = np.argmin(cand, axis=1)
     rows = np.arange(idx.size)
+    points = np.array([a.point for a in anchors])
     out = _GridPivot(
         np.zeros(grid.shape, dtype=np.intp),
         np.full(grid.shape, np.inf),
@@ -534,7 +610,8 @@ def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, anchors:
     out.anchor[idx] = best
     out.value[idx] = cand[rows, best]
     out.lam[idx] = lam[rows, best]
-    out.boundary[idx] = boundary[rows, best]
+    # the boundary of each winning ray only
+    out.boundary[idx] = _axis_boundary(points[best], 2.0 * grid[idx] - 1.0, s[rows, best])
     return out
 
 

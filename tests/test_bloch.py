@@ -4,15 +4,15 @@ import pytest
 from tangleroof.bloch import (
     FACES,
     _axis_intervals,
+    _axis_boundary,
+    _axis_exits,
     _face_solves,
-    _sphere_exit_many,
     axis_point,
     axis_zero_interval,
     barycentric_weights,
     bloch_from_root,
     bloch_from_z,
     build_polytope,
-    ray_extend,
     state_from_bloch,
 )
 from tangleroof.invariants import c3
@@ -86,17 +86,24 @@ def test_barycentric_weights_roundtrip():
         barycentric_weights(np.array([2.0, 2.0, 0.0]), tri)
 
 
-def test_ray_extend_reaches_sphere():
-    boundary, lam = ray_extend(np.zeros(3), np.array([0.0, 0.0, 0.5]))
+def _axis_ray(anchor, h):
+    """(boundary, lam) of the ray from one anchor through the axis point (0, 0, h)."""
+    anchor = np.asarray(anchor, dtype=float)
+    lam, s = _axis_exits(anchor[None, :], np.array([h]))
+    return _axis_boundary(anchor, h, s[0, 0]), float(lam[0, 0])
+
+
+def test_axis_exit_reaches_sphere():
+    boundary, lam = _axis_ray(np.zeros(3), 0.5)
     assert abs(lam - 0.5) <= 1e-12
     np.testing.assert_allclose(boundary, [0.0, 0.0, 1.0], atol=1e-12)
     rng = np.random.default_rng(47)
     for _ in range(10):
         anchor = rng.normal(size=3) * 0.3
-        target = rng.normal(size=3) * 0.3
+        target = np.array([0.0, 0.0, rng.uniform(-1.0, 1.0)])
         if np.linalg.norm(target - anchor) < 1e-3:
             continue
-        boundary, lam = ray_extend(anchor, target)
+        boundary, lam = _axis_ray(anchor, target[2])
         assert abs(np.linalg.norm(boundary) - 1.0) <= 1e-10
         np.testing.assert_allclose(
             lam * boundary + (1.0 - lam) * anchor, target, atol=1e-10
@@ -104,18 +111,20 @@ def test_ray_extend_reaches_sphere():
         assert 0.0 < lam <= 1.0
 
 
-def test_ray_extend_unit_lambda_on_sphere_target():
-    boundary, lam = ray_extend(np.zeros(3), np.array([0.0, 1.0, 0.0]))
-    assert abs(lam - 1.0) <= 1e-12
-    np.testing.assert_allclose(boundary, [0.0, 1.0, 0.0], atol=1e-12)
-    with pytest.raises(ValueError):
-        ray_extend(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-    with pytest.raises(ValueError):
-        ray_extend(np.zeros(3), np.zeros(3))
+def test_axis_exit_unit_lambda_on_sphere_target():
+    for h in (1.0, -1.0):
+        boundary, lam = _axis_ray(np.zeros(3), h)
+        assert lam == 1.0
+        np.testing.assert_array_equal(boundary, [0.0, 0.0, h])
+    # an anchor equal to the target has no ray
+    assert np.isnan(_axis_ray(np.array([0.0, 0.0, 0.3]), 0.3)[1])
+    assert np.isnan(_axis_ray(np.zeros(3), 0.0)[1])
 
 
 def _sphere_exit_reference(anchors, targets):
-    """_sphere_exit_many with its dot products as np.sum over the length-3 axis."""
+    """Sphere exits of the rays from each anchor through each target, with
+    the dot products as np.sum over the length-3 axis: boundary
+    (n_t, n_a, 3) and lam (n_t, n_a), lam = nan where anchor == target."""
     d = targets[:, None, :] - anchors[None, :, :]
     dd = np.sum(d * d, axis=2)
     c = np.sum(anchors[None, :, :] * d, axis=2)
@@ -127,7 +136,7 @@ def _sphere_exit_reference(anchors, targets):
     return boundary, lam
 
 
-def test_sphere_exit_many_equals_the_axis_sum_form():
+def test_axis_exits_equal_the_axis_sum_form():
     rng = np.random.default_rng(71)
     inner = rng.normal(size=(40, 3))
     inner *= rng.uniform(0.0, 1.0, (40, 1)) / np.linalg.norm(inner, axis=1, keepdims=True)
@@ -136,22 +145,29 @@ def test_sphere_exit_many_equals_the_axis_sum_form():
     on_sphere = np.array(
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
     )
-    anchors = np.vstack([inner, surface, on_sphere[:2], np.zeros((1, 3))])
-    # interior targets, axis targets, one target equal to each kind of anchor,
-    # and targets on the sphere
-    axis = np.column_stack([np.zeros(21), np.zeros(21), np.linspace(-0.9, 0.9, 21)])
-    targets = np.vstack([inner[:20] * 0.7, axis, inner[:1], surface[:1], on_sphere])
-    boundary, lam = _sphere_exit_many(anchors, targets)
+    on_axis = np.array([[0.0, 0.0, 0.25], [0.0, 0.0, -0.6]])
+    anchors = np.vstack([inner, surface, on_sphere, on_axis, np.zeros((1, 3))])
+    # heights inside the ball, the heights of the on-axis anchors, and the
+    # two poles on the sphere
+    heights = np.concatenate([np.linspace(-0.9, 0.9, 21), rng.uniform(-1.0, 1.0, 20),
+                              [0.25, -0.6, -1.0, 1.0]])
+    targets = np.column_stack([np.zeros_like(heights), np.zeros_like(heights), heights])
+    lam, s = _axis_exits(anchors, heights)
+    boundary = _axis_boundary(anchors[None, :, :], heights[:, None], s)
     ref_boundary, ref_lam = _sphere_exit_reference(anchors, targets)
     np.testing.assert_array_equal(lam, ref_lam)
     np.testing.assert_array_equal(boundary, ref_boundary)
-    assert np.isnan(lam[41, 0]) and np.isnan(lam[42, 40])
+    # anchors equal to a target: the on-axis anchors and the two poles
+    assert np.isnan(lam[41, 55]) and np.isnan(lam[42, 56])
+    assert np.isnan(lam[43, 52]) and np.isnan(lam[44, 53])
+    assert np.count_nonzero(np.isnan(lam)) == 4
     # targets on the sphere: lam is 1 from the centre, 1 to rounding from
     # any other interior anchor
-    assert np.all(lam[-5:, -1] == 1.0)
-    assert np.all(np.abs(lam[-5:, :40] - 1.0) <= 4.0 * np.finfo(float).eps)
+    assert np.all(lam[-2:, -1] == 1.0)
+    assert np.all(np.abs(lam[-2:, :40] - 1.0) <= 4.0 * np.finfo(float).eps)
     finite = np.isfinite(lam)
     assert np.all((lam[finite] > 0.0) & (lam[finite] <= 1.0 + 1e-15))
+    np.testing.assert_allclose(np.linalg.norm(boundary[finite], axis=1), 1.0, atol=1e-10)
 
 
 def test_state_from_bloch_poles_and_vertices():

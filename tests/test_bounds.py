@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tangleroof import _kernels, bounds, pencil
-from tangleroof.bloch import state_from_bloch
+from tangleroof.bloch import FACES, _axis_boundary, _span_coordinates, axis_point, state_from_bloch
 from tangleroof.bounds import (
     BoundCurve,
     characteristic_curve,
@@ -339,7 +339,7 @@ def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
 def _searched_certificate(rep, p):
     """A knot certificate by a fresh single-p anchor search, as a reference."""
     geom = rep.geometry
-    cand, lam, boundary = bounds._pivot_candidates(geom.coefficients, np.array([p]), rep.anchors)
+    cand, lam, s = bounds._pivot_candidates(geom.coefficients, np.array([p]), rep.anchors)
     best = int(np.argmin(cand[0]))
     lin = float(bounds._linearized_value(geom, p))
     if not np.min(cand[0]) < lin - 1e-15:
@@ -347,7 +347,8 @@ def _searched_certificate(rep, p):
     anchor = rep.anchors[best]
     lam_b = float(lam[0, best])
     weights = [lam_b] + [(1.0 - lam_b) * w for w in anchor.weights]
-    states = (state_from_bloch(rep.mix, boundary[0, best]),) + tuple(
+    boundary = _axis_boundary(anchor.point, 2.0 * p - 1.0, s[0, best])
+    states = (state_from_bloch(rep.mix, boundary),) + tuple(
         geom.polytope.states[i] for i in anchor.face
     )
     return np.array(weights), states
@@ -439,3 +440,173 @@ def test_single_point_interval_adds_one_grid_row(amps):
     # a second row an ulp away made the chord into it read -2.8e-17 there
     assert rep.envelope.min() >= 0.0
     assert rep.envelope_curve.knots[:, 1].min() >= 0.0
+
+
+# The pivot pass and the anchor builder as they were before rays were solved
+# on the mixing axis, kept as references: general 3-D ray exits, the stacked
+# boundary points, their half-angle span coordinates and the quartic form;
+# and one anchor candidate at a time.
+
+
+def _reference_sphere_exits(anchors, targets):
+    """Boundary (n_t, n_a, 3) and lam (n_t, n_a) of the rays from each anchor
+    through each target, the dot products written out component by component."""
+    d = targets[:, None, :] - anchors[None, :, :]
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    ax, ay, az = anchors[:, 0], anchors[:, 1], anchors[:, 2]
+    dd = dx * dx + dy * dy + dz * dz
+    c = ax * dx + ay * dy + az * dz
+    disc = c * c + (1.0 - (ax * ax + ay * ay + az * az))[None, :] * dd
+    denom = np.sqrt(np.clip(disc, 0.0, None)) - c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.where((dd > 0) & (denom > 0), dd / denom, np.nan)
+        boundary = targets[:, None, :] + d * (1.0 / lam - 1.0)[:, :, None]
+    return boundary, lam
+
+
+def _reference_pivot_candidates(coeffs, ps, anchors):
+    """(candidates, lam, boundary, tangle) per (grid point, anchor)."""
+    targets = np.column_stack([np.zeros_like(ps), np.zeros_like(ps), 2.0 * ps - 1.0])
+    boundary, lam = _reference_sphere_exits(np.array([a.point for a in anchors]), targets)
+    tau = _kernels.quartic_form(coeffs, *_span_coordinates(boundary))
+    lam = np.minimum(lam, 1.0)
+    cand = np.where(np.isfinite(lam), lam * np.sqrt(np.abs(tau)), np.inf)
+    return cand, lam, boundary, tau
+
+
+def _reference_grid_pivots(coeffs, grid, off, anchors):
+    idx = np.nonzero(off)[0]
+    cand, lam, boundary, _ = _reference_pivot_candidates(coeffs, grid[idx], anchors)
+    best = np.argmin(cand, axis=1)
+    rows = np.arange(idx.size)
+    out = bounds._GridPivot(
+        np.zeros(grid.shape, dtype=np.intp),
+        np.full(grid.shape, np.inf),
+        np.full(grid.shape, np.nan),
+        np.full(grid.shape + (3,), np.nan),
+    )
+    out.anchor[idx] = best
+    out.value[idx] = cand[rows, best]
+    out.lam[idx] = lam[rows, best]
+    out.boundary[idx] = boundary[rows, best]
+    return out
+
+
+def _reference_conjugate_pairs(vertices):
+    pairs = []
+    k = vertices.shape[0]
+    for i in range(k):
+        if vertices[i, 1] <= 1e-9:
+            continue
+        mirror = vertices[i] * np.array([1.0, -1.0, 1.0])
+        for j in range(k):
+            if j != i and np.linalg.norm(vertices[j] - mirror) <= 1e-8:
+                pairs.append((i, j))
+                break
+    return pairs
+
+
+def _reference_anchors(geom):
+    """(point, construction, face, weights, certificate_c3) per anchor."""
+    if geom.polytope is None:
+        return []
+    v = geom.polytope.vertices
+    vertex_c3 = np.sqrt(np.abs(_kernels.quartic_form(geom.coefficients, *_span_coordinates(v))))
+    candidates = [(v[i], "vertex", (i,), [1.0]) for i in range(v.shape[0])]
+    for i, j in _reference_conjugate_pairs(v):
+        candidates.append((0.5 * (v[i] + v[j]), "pair-mixture", (i, j), [0.5, 0.5]))
+    if geom.interval is not None:
+        for p, wit in (
+            (geom.interval.p_low, geom.interval.witness_low),
+            (geom.interval.p_high, geom.interval.witness_high),
+        ):
+            candidates.append((axis_point(p), "axis-interval-point", wit.face, wit.weights))
+    grid = [np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)]
+    for face in FACES[v.shape[0]][2].tolist():
+        candidates.extend((w @ v[face], "face-grid", tuple(face), w) for w in grid)
+    keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
+    seen = {}
+    for key, (point, construction, face, weights) in zip(keys, candidates):
+        if tuple(key) not in seen:
+            w = np.asarray(weights, dtype=float)
+            cert = float(w @ vertex_c3[list(face)])
+            seen[tuple(key)] = (point, construction, tuple(face), w, cert)
+    return list(seen.values())
+
+
+def _reference_mixtures():
+    """The toy pair, GHZ3/W3 (a root at infinity), |000>/|111> (double
+    roots), |000>/|001> (identically zero pencil), and 24 Haar and 24 real
+    seeded pairs."""
+    e = np.eye(8, dtype=complex)
+    return [
+        toy_mixture(),
+        RankTwoMixture(make_ghz(3), make_w(3), 0.5),
+        RankTwoMixture(PureState(3, e[0]), PureState(3, e[7]), 0.5),
+        _basis_pair(),
+    ] + _seeded_pairs(97, 24)
+
+
+def test_default_anchors_equal_the_per_candidate_builder():
+    anchored = 0
+    for mix in _reference_mixtures():
+        geom = span_geometry(mix)
+        got = default_anchors(mix, geom)
+        expected = _reference_anchors(geom)
+        assert len(got) == len(expected)
+        anchored += bool(got)
+        for a, (point, construction, face, weights, cert) in zip(got, expected):
+            assert np.array_equal(a.point, point)
+            assert a.construction == construction
+            assert a.face == face
+            assert np.array_equal(a.weights, weights) and a.weights.shape == weights.shape
+            assert a.certificate_c3 == cert
+            assert not a.point.flags.writeable and not a.weights.flags.writeable
+    assert anchored >= 40
+
+
+def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
+    ties = 0
+    for mix in _reference_mixtures():
+        rep = upper_bound_report(mix, grid_size=401)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "_grid_pivots", _reference_grid_pivots)
+            ref = upper_bound_report(mix, grid_size=401)
+        assert np.max(np.abs(rep.pivot - ref.pivot)) <= 1e-14
+        assert np.max(np.abs(rep.envelope - ref.envelope)) <= 1e-14
+        assert np.array_equal(rep.envelope_curve.knots[:, 0], ref.envelope_curve.knots[:, 0])
+        assert rep.envelope_curve.provenance == ref.envelope_curve.provenance
+        assert rep.achieving == ref.achieving
+        assert (rep.p_left, rep.p_right) == (ref.p_left, ref.p_right)
+        if not rep.anchors:
+            assert rep.identically_zero
+            continue
+        coeffs = rep.geometry.coefficients
+        idx = np.nonzero(np.array(rep.achieving) != "zero-interval")[0]
+        ps = rep.grid[idx]
+        cand, lam, s = bounds._pivot_candidates(coeffs, ps, rep.anchors)
+        ref_cand, ref_lam, ref_boundary, ref_tau = _reference_pivot_candidates(
+            coeffs, ps, rep.anchors
+        )
+        np.testing.assert_array_equal(lam, ref_lam)
+        # the tangle before the square root, c3^2 = (cand / lam)^2
+        ray = np.isfinite(ref_cand)
+        assert np.array_equal(np.isfinite(cand), ray)
+        tau = (cand[ray] / lam[ray]) ** 2
+        assert np.max(np.abs(tau - np.abs(ref_tau[ray])), initial=0.0) <= 1e-14 * np.max(
+            np.abs(coeffs)
+        )
+        # the winner of each grid point: its ray has the reference's bits,
+        # and where the argmin moved the two anchors tie in the reference
+        piv, rows = rep._grid_pivot, np.arange(idx.size)
+        best, ref_best = piv.anchor[idx], np.argmin(ref_cand, axis=1)
+        moved = best != ref_best
+        ties += int(moved.any())
+        assert np.all(
+            np.abs(ref_cand[rows, best] - ref_cand[rows, ref_best]) <= 1e-15
+        )
+        assert np.array_equal(piv.boundary[idx], ref_boundary[rows, best])
+        assert np.array_equal(piv.lam[idx], ref_lam[rows, best])
+        assert np.array_equal(piv.value[idx], cand[rows, best])
+        assert np.array_equal(piv.boundary[idx][~moved], ref._grid_pivot.boundary[idx][~moved])
+    assert ties > 0
