@@ -1,5 +1,5 @@
 """Batched numeric cores: the tangle polynomial, its binary quartic form on a
-span, and the sampler's inner loop.
+span, the random isometries of the sampler and its inner loop.
 
 Inside the span of a pair (psi1, psi2) the tangle is the binary quartic
 
@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["backend_name", "tau3_many", "quartic_form", "min_average_batch"]
+__all__ = [
+    "backend_name", "tau3_many", "quartic_form", "isometry_columns", "min_average_batch",
+]
 
 
 def backend_name() -> str:
@@ -57,6 +59,48 @@ def quartic_form(c: np.ndarray, a, b) -> np.ndarray:
     return v * b + c[..., 0] * (a2 * a2)
 
 
+# A column whose squared norm is at most this is degenerate: a Gram-Schmidt
+# norm of at most 1e-12, compared squared.
+_TINY_NORM_SQ = 1e-24
+
+
+def isometry_columns(planes: np.ndarray, scales) -> tuple:
+    """Scaled orthonormal column pairs of random isometries, by real Gram-Schmidt.
+
+    planes holds two complex columns z1, z2 per sample as real planes, in the
+    layout [column, re/im, row, sample]. Returns (ok, a, b): a = s1 u1 and
+    b = s2 u2 are (row, sample) complex arrays, where u1 = z1/|z1|,
+    u2 = w/|w| with w = z2 - <u1, z2> u1, and (s1, s2) = scales. ok is False
+    where |z1|^2 or |w|^2 is at most 1e-24; a and b are finite there but
+    mean nothing.
+    """
+    s1, s2 = (float(s) for s in scales)
+    v1, v2 = np.ascontiguousarray(planes, dtype=float)
+    (x1, y1), (x2, y2) = v1, v2
+    n1sq = np.einsum("zji,zji->i", v1, v1)
+    ok = n1sq > _TINY_NORM_SQ
+    n1sq[~ok] = 1.0
+    # <z1, z2> / |z1|^2 = re + i im
+    re = np.einsum("zji,zji->i", v1, v2) / n1sq
+    im = (np.einsum("ji,ji->i", x1, y2) - np.einsum("ji,ji->i", y1, x2)) / n1sq
+    x2 = x2 - re * x1
+    x2 += im * y1
+    y2 = y2 - re * y1
+    y2 -= im * x1
+    n2sq = np.einsum("ji,ji->i", x2, x2) + np.einsum("ji,ji->i", y2, y2)
+    ok &= n2sq > _TINY_NORM_SQ
+    n2sq[~ok] = 1.0
+    a = np.empty(x1.shape, dtype=complex)
+    b = np.empty(x1.shape, dtype=complex)
+    r1 = s1 / np.sqrt(n1sq)
+    r2 = s2 / np.sqrt(n2sq)
+    np.multiply(x1, r1, out=a.real)
+    np.multiply(y1, r1, out=a.imag)
+    np.multiply(x2, r2, out=b.real)
+    np.multiply(y2, r2, out=b.imag)
+    return ok, a, b
+
+
 def min_average_batch(
     coeffs: np.ndarray, scales, gauss: np.ndarray, sizes: np.ndarray
 ) -> float:
@@ -72,30 +116,17 @@ def min_average_batch(
     sum_i sqrt|quartic_form(coeffs, a_i, b_i)| with a_i = U[i, 0] sqrt(w1)
     and b_i = U[i, 1] sqrt(w2). The weights scale (a, b), not the
     coefficients, so a zero weight leaves the other pure end exact.
+    Samples whose isometry is degenerate (``isometry_columns``) are skipped;
+    a batch of only those gives inf.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    s1, s2 = (float(s) for s in scales)
     gauss = np.asarray(gauss, dtype=float)
     sizes = np.asarray(sizes, dtype=np.int64)
     best = np.inf
-    for m in np.unique(sizes):
-        sel = sizes == m
-        g = gauss[sel, :m]
-        c = g[..., 0] + 1j * g[..., 1]
-        u1 = c[:, :, 0]
-        n1 = np.linalg.norm(u1, axis=1)
-        ok = n1 > 1e-12
-        u1 = u1[ok] / n1[ok, None]
-        u2 = c[ok, :, 1]
-        u2 = u2 - np.sum(u1.conj() * u2, axis=1, keepdims=True) * u1
-        n2 = np.linalg.norm(u2, axis=1)
-        ok2 = n2 > 1e-12
-        if not np.any(ok2):
-            continue
-        u2 = u2[ok2] / n2[ok2, None]
-        u1 = u1[ok2]
-        vals = np.sqrt(np.abs(quartic_form(coeffs, s1 * u1, s2 * u2)))
-        group_best = float(np.min(vals.sum(axis=1)))
-        if group_best < best:
-            best = group_best
+    for m in np.flatnonzero(np.bincount(sizes)):  # the sizes present
+        g = gauss.take(np.flatnonzero(sizes == m), axis=0)[:, :m]
+        ok, a, b = isometry_columns(g.transpose(2, 3, 1, 0), scales)
+        totals = np.sqrt(np.abs(quartic_form(coeffs, a, b))).sum(axis=0)
+        totals[~ok] = np.inf
+        best = min(best, float(totals.min()))
     return best

@@ -155,8 +155,9 @@ class Anchor:
     certificate_c3: float
 
     def __post_init__(self):
-        pt = np.asarray(self.point, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        # copies, so that freezing them leaves the caller's arrays writable
+        pt = np.array(self.point, dtype=float)
+        w = np.array(self.weights, dtype=float)
         pt.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "point", pt)

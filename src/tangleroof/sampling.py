@@ -20,13 +20,18 @@ from .states import PureState, RankTwoMixture
 
 __all__ = ["min_average_c3", "random_decomposition", "average_c3"]
 
+# Samples per kernel call. With the default sizes a (4096, 4, 2, 2) Gaussian
+# block is 512 KB, so the block and the kernel's temporaries stay within a
+# 2 MB L2 cache. The draws do not depend on it: consecutive blocks continue
+# one Gaussian stream.
+_BLOCK = 4096
+
 
 def min_average_c3(
     mix: RankTwoMixture,
     n_samples: int,
     sizes: Sequence[int] = (2, 3, 4),
     seed: int = 0,
-    chunk: int = 20000,
 ) -> float:
     """Smallest average c3 over ``n_samples`` random decompositions.
 
@@ -49,8 +54,8 @@ def min_average_c3(
     all_sizes = np.asarray(sizes, dtype=np.int64)[np.arange(n_samples) % len(sizes)]
     rng = np.random.default_rng(seed)
     best = np.inf
-    for start in range(0, n_samples, chunk):
-        stop = min(start + chunk, n_samples)
+    for start in range(0, n_samples, _BLOCK):
+        stop = min(start + _BLOCK, n_samples)
         gauss = rng.standard_normal((stop - start, m_max, 2, 2))
         val = _kernels.min_average_batch(coeffs, scales, gauss, all_sizes[start:stop])
         best = min(best, val)
@@ -68,23 +73,13 @@ def random_decomposition(
     if size < 2:
         raise ValueError("decomposition size must be at least 2")
     rng = np.random.default_rng(seed)
-    base = np.vstack(
-        [np.sqrt(mix.p) * mix.psi1.amplitudes, np.sqrt(1.0 - mix.p) * mix.psi2.amplitudes]
-    )
+    scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     while True:
         g = rng.standard_normal((size, 2, 2))
-        u1 = g[:, 0, 0] + 1j * g[:, 0, 1]
-        u2 = g[:, 1, 0] + 1j * g[:, 1, 1]
-        n1 = np.linalg.norm(u1)
-        if n1 <= 1e-12:
-            continue
-        u1 = u1 / n1
-        u2 = u2 - (u1.conj() @ u2) * u1
-        n2 = np.linalg.norm(u2)
-        if n2 > 1e-12:
-            u2 = u2 / n2
+        ok, a, b = _kernels.isometry_columns(g.transpose(1, 2, 0)[..., None], scales)
+        if ok[0]:
             break
-    rows = u1[:, None] * base[0] + u2[:, None] * base[1]
+    rows = a * mix.psi1.amplitudes + b * mix.psi2.amplitudes
     weights = np.sum(np.abs(rows) ** 2, axis=1)
     states = tuple(
         PureState(3, rows[i] / np.sqrt(weights[i])) for i in range(size)

@@ -4,6 +4,7 @@ import pytest
 from tangleroof import _kernels, bounds, pencil
 from tangleroof.bloch import FACES, _axis_boundary, _span_coordinates, axis_point, state_from_bloch
 from tangleroof.bounds import (
+    Anchor,
     BoundCurve,
     characteristic_curve,
     convex_envelope,
@@ -70,6 +71,19 @@ def test_default_anchors_are_certified_zeros(toy_mix):
         assert abs(float(np.sum(a.weights)) - 1.0) <= 1e-9
     # dedup leaves no repeated anchor points
     assert len({tuple(np.round(p, 12)) for p in pts}) == len(anchors)
+
+
+def test_anchor_freezes_copies_of_the_caller_arrays():
+    p = np.array([0.1, -0.2, 0.3])
+    w = np.array([0.25, 0.75])
+    a = Anchor(p, "pair-mixture", (0, 1), w, 0.0)
+    assert a.point is not p and a.weights is not w
+    assert p.flags.writeable and w.flags.writeable
+    assert not a.point.flags.writeable and not a.weights.flags.writeable
+    p[0] = 9.0
+    w[0] = 9.0
+    assert a.point[0] == 0.1 and a.weights[0] == 0.25
+    assert a.face == (0, 1)
 
 
 def test_pivot_bound_dominated_by_linearized(toy_mix):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tangleroof import _kernels
+from tangleroof import _kernels, sampling
 from tangleroof.invariants import c3
 from tangleroof.pencil import pencil_polynomial
 from tangleroof.sampling import min_average_c3
@@ -145,3 +145,108 @@ def test_sampler_is_min_over_size_groups():
         for m in (2, 3, 4)
     ]
     assert abs(combined - min(per_group)) <= 1e-15
+
+
+def _reference_min_average_batch(coeffs, scales, gauss, sizes):
+    """The complex Gram-Schmidt kernel that the real-plane kernel replaced."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    s1, s2 = (float(s) for s in scales)
+    gauss = np.asarray(gauss, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    best = np.inf
+    for m in np.unique(sizes):
+        sel = sizes == m
+        g = gauss[sel, :m]
+        c = g[..., 0] + 1j * g[..., 1]
+        u1 = c[:, :, 0]
+        n1 = np.linalg.norm(u1, axis=1)
+        ok = n1 > 1e-12
+        u1 = u1[ok] / n1[ok, None]
+        u2 = c[ok, :, 1]
+        u2 = u2 - np.sum(u1.conj() * u2, axis=1, keepdims=True) * u1
+        n2 = np.linalg.norm(u2, axis=1)
+        ok2 = n2 > 1e-12
+        if not np.any(ok2):
+            continue
+        u2 = u2[ok2] / n2[ok2, None]
+        u1 = u1[ok2]
+        vals = np.sqrt(np.abs(_kernels.quartic_form(coeffs, s1 * u1, s2 * u2)))
+        group_best = float(np.min(vals.sum(axis=1)))
+        if group_best < best:
+            best = group_best
+    return best
+
+
+def _edge_block(rng):
+    """Size-3 draws at the degeneracy rule's edges, each labelled.
+
+    Second columns with a tiny norm are exactly orthogonal to the first
+    (other rows), so their Gram-Schmidt residual is as accurate as the
+    column itself.
+    """
+    gauss = rng.normal(size=(9, 5, 2, 2))
+    gauss[0, :, 0, :] = 0.0  # zero first column
+    gauss[1, :, 1, :] = 0.0  # zero second column
+    gauss[2, :, 1, :] = gauss[2, :, 0, :]  # parallel columns
+    z = (0.3 - 1.7j) * (gauss[3, :, 0, 0] + 1j * gauss[3, :, 0, 1])
+    gauss[3, :, 1, 0], gauss[3, :, 1, 1] = z.real, z.imag  # complex multiple
+    for s, n1 in ((4, 0.5e-12), (5, 2e-12)):  # first column norm either side of 1e-12
+        gauss[s, :, 0, :] *= n1 / np.linalg.norm(gauss[s, :3, 0, :])
+    for s, n2 in ((6, 0.5e-12), (7, 2e-12)):  # second column likewise
+        gauss[s, 0, 1, :] = 0.0
+        gauss[s, 1:, 0, :] = 0.0
+        gauss[s, :, 1, :] *= n2 / np.linalg.norm(gauss[s, :3, 1, :])
+    degenerate = [True, True, True, True, True, False, True, False, False]
+    return gauss, np.full(9, 3, dtype=np.int64), degenerate
+
+
+@pytest.mark.parametrize("scales", [(0.6, 0.8), (0.0, 1.0), (1.0, 0.0)])
+def test_real_kernel_matches_the_complex_reference(scales):
+    rng = np.random.default_rng(111)
+    pairs = _pairs()
+    for psi1, psi2 in pairs:
+        coeffs = _coeffs(psi1, psi2)
+        gauss = _random_gauss(rng, 600, m_max=5)
+        sizes = rng.integers(2, 6, size=600)
+        got = _kernels.min_average_batch(coeffs, scales, gauss, sizes)
+        want = _reference_min_average_batch(coeffs, scales, gauss, sizes)
+        assert abs(got - want) <= 1e-14
+    gauss, sizes, degenerate = _edge_block(rng)
+    coeffs = _coeffs(*pairs[0])
+    for s, skipped in enumerate(degenerate):
+        one = (coeffs, scales, gauss[s : s + 1], sizes[s : s + 1])
+        got, want = _kernels.min_average_batch(*one), _reference_min_average_batch(*one)
+        assert (got == np.inf) == skipped
+        assert got == want or abs(got - want) <= 1e-14  # inf == inf
+    got = _kernels.min_average_batch(coeffs, scales, gauss, sizes)
+    assert abs(got - _reference_min_average_batch(coeffs, scales, gauss, sizes)) <= 1e-14
+
+
+def test_all_degenerate_block_gives_inf():
+    gauss = np.random.default_rng(112).normal(size=(6, 4, 2, 2))
+    gauss[:3, :, 0, :] = 0.0
+    gauss[3:, :, 1, :] = 2.5 * gauss[3:, :, 0, :]
+    sizes = np.array([2, 3, 4, 2, 3, 4], dtype=np.int64)
+    coeffs = _coeffs(*_pairs()[0])
+    assert _kernels.min_average_batch(coeffs, (0.6, 0.8), gauss, sizes) == np.inf
+    assert _reference_min_average_batch(coeffs, (0.6, 0.8), gauss, sizes) == np.inf
+
+
+def test_isometry_columns_are_scaled_orthonormal():
+    planes = np.random.default_rng(113).normal(size=(2, 2, 5, 40))
+    ok, a, b = _kernels.isometry_columns(planes, (0.6, 0.8))
+    assert ok.all() and a.shape == b.shape == (5, 40)
+    np.testing.assert_allclose(np.sum(np.abs(a) ** 2, axis=0), 0.36, rtol=1e-14)
+    np.testing.assert_allclose(np.sum(np.abs(b) ** 2, axis=0), 0.64, rtol=1e-14)
+    assert np.abs(np.sum(a.conj() * b, axis=0)).max() <= 1e-15
+    # a is the first column, rescaled
+    z1 = planes[0, 0] + 1j * planes[0, 1]
+    np.testing.assert_allclose(a, 0.6 * z1 / np.linalg.norm(z1, axis=0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("block", [7, 1000, sampling._BLOCK])
+def test_sampler_does_not_depend_on_the_block_size(block, monkeypatch):
+    mix = _haar_mixture(911).at(0.45)
+    want = min_average_c3(mix, 12_345, sizes=(2, 3, 4), seed=29)
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    assert min_average_c3(mix, 12_345, sizes=(2, 3, 4), seed=29) == want
