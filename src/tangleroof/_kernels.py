@@ -101,32 +101,23 @@ def isometry_columns(planes: np.ndarray, scales) -> tuple:
     return ok, a, b
 
 
-def min_average_batch(
-    coeffs: np.ndarray, scales, gauss: np.ndarray, sizes: np.ndarray
-) -> float:
-    """Smallest decomposition average of sqrt|tau3| over a batch of draws.
+def min_average_batch(coeffs: np.ndarray, scales, gauss: np.ndarray) -> float:
+    """Smallest decomposition average of sqrt|tau3| over a batch of size-m draws.
 
     coeffs are the quartic-form coefficients of the mixture's eigenpair
     (psi1, psi2) and scales the pair (sqrt(w1), sqrt(w2)) of square-root
-    weights. Sample s builds a random sizes[s] x 2 isometry U by
-    Gram-Schmidt on the Gaussian block gauss[s, :sizes[s]] (layout [row,
-    column, re/im]). Its rows give the unnormalized decomposition members
+    weights. gauss has shape (n, m, 2, 2), layout [sample, row, column,
+    re/im]: sample s builds a random m x 2 isometry U by Gram-Schmidt on
+    gauss[s]. Its rows give the unnormalized decomposition members
     U[i, 0] sqrt(w1) psi1 + U[i, 1] sqrt(w2) psi2, whose weights are
     absorbed by degree-4 homogeneity, so the decomposition average is
     sum_i sqrt|quartic_form(coeffs, a_i, b_i)| with a_i = U[i, 0] sqrt(w1)
     and b_i = U[i, 1] sqrt(w2). The weights scale (a, b), not the
     coefficients, so a zero weight leaves the other pure end exact.
-    Samples whose isometry is degenerate (``isometry_columns``) are skipped;
-    a batch of only those gives inf.
+    Samples whose isometry is degenerate (``isometry_columns``) total inf,
+    so a batch of only those gives inf.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    gauss = np.asarray(gauss, dtype=float)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    best = np.inf
-    for m in np.flatnonzero(np.bincount(sizes)):  # the sizes present
-        g = gauss.take(np.flatnonzero(sizes == m), axis=0)[:, :m]
-        ok, a, b = isometry_columns(g.transpose(2, 3, 1, 0), scales)
-        totals = np.sqrt(np.abs(quartic_form(coeffs, a, b))).sum(axis=0)
-        totals[~ok] = np.inf
-        best = min(best, float(totals.min()))
-    return best
+    ok, a, b = isometry_columns(np.transpose(gauss, (2, 3, 1, 0)), scales)
+    totals = np.sqrt(np.abs(quartic_form(coeffs, a, b))).sum(axis=0)
+    totals[~ok] = np.inf
+    return float(totals.min())

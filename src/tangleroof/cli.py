@@ -384,6 +384,22 @@ def run(config: RunConfig) -> int:
     return 0
 
 
+class _Given(argparse.Action):
+    """Store a flag's value and record on the namespace that it was given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
+
+
+# Flags that a phase sweep does not read, per command. Given on the command
+# line they are rejected rather than ignored; TANGLEROOF_* defaults are not.
+_PHI_GRID_UNUSED = {
+    "scan4q": ("--phi", "--p-grid", "--tol-rank"),
+    "monogamy": ("--phi",),
+}
+
+
 _ENV_CASTS = {
     "phi": ("TANGLEROOF_PHI", float),
     "p_grid": ("TANGLEROOF_P_GRID", int),
@@ -460,6 +476,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         p.add_argument(
             "--p-grid",
             type=int,
+            action=_Given,
             default=dflt("p_grid", None),
             help=f"mixing-weight grid size (default {_GRID_DEFAULTS[cmd]})",
         )
@@ -468,6 +485,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         p.add_argument(
             "--tol-rank",
             type=float,
+            action=_Given,
             default=dflt("tol_rank", RANK_TOL),
             help="eigenvalue floor treated as rank",
         )
@@ -497,7 +515,11 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan4q", help="four-qubit reduction simplex scan")
     p_scan.add_argument(
-        "--phi", type=float, default=dflt("phi", 0.0), help="family phase (radians)"
+        "--phi",
+        type=float,
+        action=_Given,
+        default=dflt("phi", 0.0),
+        help="family phase (radians)",
     )
     add_pgrid(p_scan, "scan4q")
     p_scan.add_argument(
@@ -515,7 +537,11 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
     p_mono = sub.add_parser("monogamy", help="extended monogamy residual curve")
     p_mono.add_argument(
-        "--phi", type=float, default=dflt("phi", 0.0), help="family phase (radians)"
+        "--phi",
+        type=float,
+        action=_Given,
+        default=dflt("phi", 0.0),
+        help="family phase (radians)",
     )
     add_pgrid(p_mono, "monogamy")
     p_mono.add_argument(
@@ -538,6 +564,14 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    if getattr(args, "phi_grid", None) is not None:
+        given = getattr(args, "given", frozenset())
+        unused = [f for f in _PHI_GRID_UNUSED.get(args.command, ()) if f in given]
+        if unused:
+            raise ValueError(
+                f"{', '.join(unused)}: not used by a phase sweep "
+                "(--phi-grid, TANGLEROOF_PHI_GRID)"
+            )
     return RunConfig(
         command=args.command,
         state_paths=tuple(getattr(args, "states", ()) or ()),

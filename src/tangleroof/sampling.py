@@ -20,26 +20,32 @@ from .states import PureState, RankTwoMixture
 
 __all__ = ["min_average_c3", "random_decomposition", "average_c3"]
 
-# Samples per kernel call. With the default sizes a (4096, 4, 2, 2) Gaussian
-# block is 512 KB, so the block and the kernel's temporaries stay within a
-# 2 MB L2 cache. The draws do not depend on it: consecutive blocks continue
-# one Gaussian stream.
-_BLOCK = 4096
+# Samples per kernel call and stream. A (1024, 4, 2, 2) Gaussian block is
+# 128 KB, so the block, its plane copy and the kernel's temporaries stay
+# well within a 2 MB L2 cache. The draws do not depend on it: consecutive
+# blocks of a size continue that size's stream.
+_BLOCK = 1024
 
 
 def min_average_c3(
     mix: RankTwoMixture,
     n_samples: int,
     sizes: Sequence[int] = (2, 3, 4),
-    seed: int = 0,
+    seed=0,
 ) -> float:
     """Smallest average c3 over ``n_samples`` random decompositions.
 
-    Decomposition sizes cycle through ``sizes``; the weighted average of
-    each decomposition reduces to a sum of sqrt|tau3| over unnormalized
-    members by degree-4 homogeneity. The quartic-form coefficients of the
-    pair are computed once, with one tau3_many call, and every member is
-    evaluated by the form. Deterministic for a fixed seed.
+    Sample i has size sizes[i % len(sizes)]. Position j of ``sizes`` has a
+    stream of its own, child j of
+    ``np.random.default_rng(seed).spawn(len(sizes))`` (``seed`` is anything
+    ``default_rng`` accepts); its n_j samples are drawn as consecutive
+    sample-major (k, m_j, 2, 2) standard-normal blocks, so every draw is
+    used and the result does not depend on the block size. The weighted
+    average of each decomposition reduces to a sum of sqrt|tau3| over
+    unnormalized members by degree-4 homogeneity. The quartic-form
+    coefficients of the pair are computed once, with one tau3_many call,
+    and every member is evaluated by the form. Deterministic for a fixed
+    integer seed.
     """
     if mix.n_qubits != 3:
         raise ValueError("decomposition sampling needs a 3-qubit mixture")
@@ -50,15 +56,13 @@ def min_average_c3(
         raise ValueError("need at least one sample")
     coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
-    m_max = max(sizes)
-    all_sizes = np.asarray(sizes, dtype=np.int64)[np.arange(n_samples) % len(sizes)]
-    rng = np.random.default_rng(seed)
+    streams = np.random.default_rng(seed).spawn(len(sizes))
     best = np.inf
-    for start in range(0, n_samples, _BLOCK):
-        stop = min(start + _BLOCK, n_samples)
-        gauss = rng.standard_normal((stop - start, m_max, 2, 2))
-        val = _kernels.min_average_batch(coeffs, scales, gauss, all_sizes[start:stop])
-        best = min(best, val)
+    for j, (m, rng) in enumerate(zip(sizes, streams)):
+        n = len(range(j, n_samples, len(sizes)))  # samples j, j + len(sizes), ...
+        for start in range(0, n, _BLOCK):
+            gauss = rng.standard_normal((min(_BLOCK, n - start), m, 2, 2))
+            best = min(best, _kernels.min_average_batch(coeffs, scales, gauss))
     return float(best)
 
 

@@ -172,6 +172,39 @@ def test_scan4q_phi_grid_flags(capsys):
     assert second[1] == "false"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan4q", "--phi-grid", "4", "--phi", "1.0", "--p-grid", "7", "--tol-rank", "0.5"],
+        ["scan4q", "--phi-grid", "4", "--phi", "1.0"],
+        ["scan4q", "--phi-grid", "4", "--p-grid", "7"],
+        ["scan4q", "--phi-grid", "4", "--tol-rank", "0.5"],
+        ["monogamy", "--phi-grid", "2", "--phi", "1.0", "--p-grid", "3"],
+    ],
+)
+def test_flags_a_phase_sweep_ignores_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not used by a phase sweep" in captured.err
+
+
+def test_env_defaults_do_not_clash_with_a_phase_sweep(capsys, monkeypatch):
+    scan = ["scan4q", "--phi-grid", "2", "--parallelism", "1"]
+    mono = ["monogamy", "--phi-grid", "2", "--p-grid", "3"]
+    assert main(scan) == 0
+    plain_scan = capsys.readouterr().out
+    assert main(mono) == 0
+    plain_mono = capsys.readouterr().out
+    monkeypatch.setenv("TANGLEROOF_PHI", "1.0")
+    monkeypatch.setenv("TANGLEROOF_P_GRID", "7")
+    monkeypatch.setenv("TANGLEROOF_TOL_RANK", "0.5")
+    assert main(scan) == 0
+    assert capsys.readouterr().out == plain_scan
+    monkeypatch.delenv("TANGLEROOF_TOL_RANK")  # a monogamy sweep reads it
+    assert main(mono) == 0
+    assert capsys.readouterr().out == plain_mono
+
+
 def test_scan4q_parallel_byte_identity(tmp_path):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     base = ["scan4q", "--p-grid", "5", "--out"]

@@ -91,11 +91,10 @@ def _row_reference(mix, n_samples, sizes, seed):
     base = np.vstack(
         [np.sqrt(mix.p) * mix.psi1.amplitudes, np.sqrt(1.0 - mix.p) * mix.psi2.amplitudes]
     )
-    all_sizes = np.asarray(sizes)[np.arange(n_samples) % len(sizes)]
-    gauss = np.random.default_rng(seed).standard_normal((n_samples, max(sizes), 2, 2))
+    streams = np.random.default_rng(seed).spawn(len(sizes))
     best = np.inf
-    for m in sizes:
-        g = gauss[all_sizes == m, :m]
+    for j, (m, rng) in enumerate(zip(sizes, streams)):
+        g = rng.standard_normal((len(range(j, n_samples, len(sizes))), m, 2, 2))
         z = g[..., 0] + 1j * g[..., 1]
         u1 = z[:, :, 0] / np.linalg.norm(z[:, :, 0], axis=1, keepdims=True)
         u2 = z[:, :, 1] - np.sum(u1.conj() * z[:, :, 1], axis=1, keepdims=True) * u1
@@ -128,21 +127,19 @@ def test_sampler_skips_degenerate_draws():
     gauss = _random_gauss(rng, 8)
     gauss[0, :, 0, :] = 0.0  # first column identically zero
     gauss[3, :, 1, :] = gauss[3, :, 0, :]  # second column parallel to first
-    sizes = np.full(8, 3, dtype=np.int64)
-    out = _kernels.min_average_batch(_coeffs(base[0], base[1]), (1.0, 1.0), gauss, sizes)
+    out = _kernels.min_average_batch(_coeffs(base[0], base[1]), (1.0, 1.0), gauss[:, :3])
     assert np.isfinite(out) and out >= 0.0
 
 
 def test_sampler_is_min_over_size_groups():
-    rng = np.random.default_rng(404)
-    base = _random_amps(rng, 2)
-    coeffs, scales = _coeffs(base[0], base[1]), (1.0, 1.0)
-    gauss = _random_gauss(rng, 60)
-    sizes = np.array([2, 3, 4] * 20, dtype=np.int64)
-    combined = _kernels.min_average_batch(coeffs, scales, gauss, sizes)
+    mix = _haar_mixture(404).at(0.3)
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
+    scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
+    combined = min_average_c3(mix, 60, sizes=(2, 3, 4), seed=404)
+    streams = np.random.default_rng(404).spawn(3)
     per_group = [
-        _kernels.min_average_batch(coeffs, scales, gauss[sizes == m], sizes[sizes == m])
-        for m in (2, 3, 4)
+        _kernels.min_average_batch(coeffs, scales, rng.standard_normal((20, m, 2, 2)))
+        for m, rng in zip((2, 3, 4), streams)
     ]
     assert abs(combined - min(per_group)) <= 1e-15
 
@@ -208,17 +205,19 @@ def test_real_kernel_matches_the_complex_reference(scales):
         coeffs = _coeffs(psi1, psi2)
         gauss = _random_gauss(rng, 600, m_max=5)
         sizes = rng.integers(2, 6, size=600)
-        got = _kernels.min_average_batch(coeffs, scales, gauss, sizes)
-        want = _reference_min_average_batch(coeffs, scales, gauss, sizes)
-        assert abs(got - want) <= 1e-14
+        for m in range(2, 6):  # one kernel call per size group
+            group = sizes == m
+            got = _kernels.min_average_batch(coeffs, scales, gauss[group, :m])
+            want = _reference_min_average_batch(coeffs, scales, gauss[group], sizes[group])
+            assert abs(got - want) <= 1e-14
     gauss, sizes, degenerate = _edge_block(rng)
     coeffs = _coeffs(*pairs[0])
     for s, skipped in enumerate(degenerate):
-        one = (coeffs, scales, gauss[s : s + 1], sizes[s : s + 1])
-        got, want = _kernels.min_average_batch(*one), _reference_min_average_batch(*one)
+        got = _kernels.min_average_batch(coeffs, scales, gauss[s : s + 1, :3])
+        want = _reference_min_average_batch(coeffs, scales, gauss[s : s + 1], sizes[s : s + 1])
         assert (got == np.inf) == skipped
         assert got == want or abs(got - want) <= 1e-14  # inf == inf
-    got = _kernels.min_average_batch(coeffs, scales, gauss, sizes)
+    got = _kernels.min_average_batch(coeffs, scales, gauss[:, :3])
     assert abs(got - _reference_min_average_batch(coeffs, scales, gauss, sizes)) <= 1e-14
 
 
@@ -228,7 +227,9 @@ def test_all_degenerate_block_gives_inf():
     gauss[3:, :, 1, :] = 2.5 * gauss[3:, :, 0, :]
     sizes = np.array([2, 3, 4, 2, 3, 4], dtype=np.int64)
     coeffs = _coeffs(*_pairs()[0])
-    assert _kernels.min_average_batch(coeffs, (0.6, 0.8), gauss, sizes) == np.inf
+    for m in (2, 3, 4):  # one kernel call per size group
+        group = sizes == m
+        assert _kernels.min_average_batch(coeffs, (0.6, 0.8), gauss[group, :m]) == np.inf
     assert _reference_min_average_batch(coeffs, (0.6, 0.8), gauss, sizes) == np.inf
 
 
@@ -244,9 +245,50 @@ def test_isometry_columns_are_scaled_orthonormal():
     np.testing.assert_allclose(a, 0.6 * z1 / np.linalg.norm(z1, axis=0), rtol=1e-14)
 
 
-@pytest.mark.parametrize("block", [7, 1000, sampling._BLOCK])
+@pytest.mark.parametrize("block", [7, 1000, 4096])
 def test_sampler_does_not_depend_on_the_block_size(block, monkeypatch):
     mix = _haar_mixture(911).at(0.45)
     want = min_average_c3(mix, 12_345, sizes=(2, 3, 4), seed=29)
     monkeypatch.setattr(sampling, "_BLOCK", block)
     assert min_average_c3(mix, 12_345, sizes=(2, 3, 4), seed=29) == want
+
+
+def _stream_reference(mix, n_samples, sizes, seed):
+    """min_average_c3 with stream j drawing its (n_j, m_j, 2, 2) block in one go."""
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
+    scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    best = np.inf
+    for j, (m, child) in enumerate(zip(sizes, children)):
+        n = len(range(j, n_samples, len(sizes)))  # samples j, j + len(sizes), ...
+        if n:
+            gauss = np.random.default_rng(child).standard_normal((n, m, 2, 2))
+            best = min(best, _kernels.min_average_batch(coeffs, scales, gauss))
+    return best
+
+
+@pytest.mark.parametrize("block", [7, 1000, sampling._BLOCK])
+@pytest.mark.parametrize(
+    "n_samples, sizes", [(12_346, (2, 3, 4)), (12_346, (2, 2, 3)), (2, (2, 3, 4))]
+)
+def test_sampler_draws_each_size_from_its_own_stream(n_samples, sizes, block, monkeypatch):
+    mix = _haar_mixture(912).at(0.45)
+    want = _stream_reference(mix, n_samples, sizes, 31)
+    monkeypatch.setattr(sampling, "_BLOCK", block)
+    assert min_average_c3(mix, n_samples, sizes=sizes, seed=31) == want
+
+
+def test_sampler_takes_a_generator_and_draws_only_what_it_uses():
+    drawn = []
+
+    class Counting(np.random.Generator):  # spawn() builds children of this type
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            drawn.append(size)
+            return super().standard_normal(size, dtype, out)
+
+    mix = _haar_mixture(913).at(0.6)
+    want = min_average_c3(mix, 2, sizes=(2, 3, 4), seed=31)
+    assert min_average_c3(mix, 2, sizes=(2, 3, 4), seed=Counting(np.random.PCG64(31))) == want
+    assert drawn == [(1, 2, 2, 2), (1, 3, 2, 2)]  # the size-4 stream has no sample
+    want = min_average_c3(mix, 500, seed=32)
+    assert min_average_c3(mix, 500, seed=np.random.default_rng(32)) == want
