@@ -17,12 +17,11 @@ import numpy as np
 # np.linalg.lstsq is this gufunc restricted to one 2-D system
 from numpy.linalg._umath_linalg import lstsq as _lstsq
 
-from .pencil import ExtendedRoot, ZeroSet
-from .states import PureState, RankTwoMixture
+from .pencil import ZeroSet
+from .states import PureState, RankTwoMixture, _row_norms
 
 __all__ = [
     "bloch_from_z",
-    "bloch_from_root",
     "axis_point",
     "ZeroPolytope",
     "IntervalWitness",
@@ -61,10 +60,6 @@ def bloch_from_z(z) -> np.ndarray:
     pts /= (1.0 + mod2)[..., None]
     pts[~finite] = _SOUTH_POLE
     return pts
-
-
-def bloch_from_root(root: ExtendedRoot) -> np.ndarray:
-    return bloch_from_z(root.z)
 
 
 def axis_point(p: float) -> np.ndarray:
@@ -152,6 +147,20 @@ def _affine_frames(vertices: np.ndarray):
     return center, sv, vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
 
 
+def _solves_triangles(dims: np.ndarray, center: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Whether the 3-vertex faces of each polytope count for its axis
+    interval, from its affine dimension and frame: solid polytopes, and
+    flat ones whose plane misses the axis."""
+    out = dims == 3
+    flat = np.flatnonzero(dims == 2)
+    if flat.size:
+        normal, center = vt[flat, 2], center[flat]
+        out[flat] = (np.abs(normal[:, 2]) > AFFINE_RANK_TOL) | (
+            np.abs((normal * center).sum(axis=1)) > AFFINE_RANK_TOL
+        )
+    return out
+
+
 def _polygon_areas(vertices: np.ndarray, vt: np.ndarray) -> np.ndarray:
     """Areas of (M, k, 3) planar point sets in the planes of vt[:, :2]."""
     uv = (vertices - vertices.mean(axis=1)[:, None, :]) @ vt[:, :2].swapaxes(1, 2)
@@ -175,21 +184,25 @@ def _by_vertex_count(counts):
     return [(k, np.flatnonzero(counts == k)) for k in sorted(set(counts.tolist()))]
 
 
-def _polytopes(zero_sets) -> list:
-    """Zero polytope of each zero set; sets with equal vertex counts share
-    one SVD, one determinant and one polygon-area pass."""
+def _polytopes(zero_sets):
+    """Zero polytope of each zero set, and whether each solves triangles
+    for its axis interval (the input of _axis_intervals); sets with equal
+    vertex counts share one SVD, one determinant and one polygon-area
+    pass."""
     zs_of = [[np.inf if r.z is None else r.z for r in zs.roots] for zs in zero_sets]
     counts = [len(z) for z in zs_of]
     if 0 in counts:
         raise ValueError("empty zero set has no polytope")
     out: list = [None] * len(zero_sets)
+    triangles = np.zeros(len(zero_sets), dtype=bool)
     if not zero_sets:
-        return out
+        return out, triangles
     points = bloch_from_z(np.concatenate(zs_of))
     starts = np.cumsum([0] + counts)
     for k, idx in _by_vertex_count(counts):
         v = points[starts[idx, None] + np.arange(k)]
-        _, _, vt, rank = _affine_frames(v)
+        center, _, vt, rank = _affine_frames(v)
+        triangles[idx] = _solves_triangles(rank, center, vt)
         volume = np.zeros(idx.size)
         solid, flat = rank == 3, rank == 2
         if solid.any():
@@ -215,12 +228,12 @@ def _polytopes(zero_sets) -> list:
                 dimension=int(rank[j]),
                 volume=float(volume[j]),
             )
-    return out
+    return out, triangles
 
 
 def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
     """Vertices, affine dimension, and volume of the zero polytope."""
-    return _polytopes([zeros])[0]
+    return _polytopes([zeros])[0][0]
 
 
 def _face_solves(sub: np.ndarray):
@@ -249,26 +262,20 @@ def _face_solves(sub: np.ndarray):
     return w, ok
 
 
-def _axis_intervals(polytopes) -> list:
+def _axis_intervals(polytopes, triangles) -> list:
     """Axis zero interval of each polytope (None where it misses the axis).
 
-    Polytopes with equal vertex counts are stacked, and every face size is
-    solved for all of them at once: vertices on the axis, then pairs, then
-    triples (see axis_zero_interval for which faces count).
+    ``triangles`` tells per polytope whether its 3-vertex faces count
+    (_solves_triangles, as _polytopes returns it). Polytopes with equal
+    vertex counts are stacked, and every face size is solved for all of
+    them at once: vertices on the axis, then pairs, then triples (see
+    axis_zero_interval for which faces count).
     """
     out: list = [None] * len(polytopes)
+    triangles = np.asarray(triangles, dtype=bool)
     for k, idx in _by_vertex_count([poly.n_vertices for poly in polytopes]):
         v = np.array([polytopes[i].vertices for i in idx])
-        dims = np.array([polytopes[i].dimension for i in idx])
-        use_triangles = dims == 3
-        flat = np.flatnonzero(dims == 2)
-        if flat.size:
-            # a flat polytope uses triangles only when its plane misses the axis
-            center, _, vt, _ = _affine_frames(v[flat])
-            normal = vt[:, 2]
-            use_triangles[flat] = (np.abs(normal[:, 2]) > AFFINE_RANK_TOL) | (
-                np.abs((normal * center).sum(axis=1)) > AFFINE_RANK_TOL
-            )
+        use_triangles = triangles[idx]
         ps, hits, weights = [], [], []
         for size, table in enumerate(FACES[k], start=1):
             if table.shape[0] == 0:
@@ -317,7 +324,9 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     deficient, and the boundary edges and vertices already delimit the
     in-plane clip, so only subsets of size 1 and 2 are used there.
     """
-    return _axis_intervals([polytope])[0]
+    center, _, vt, _ = _affine_frames(polytope.vertices[None])
+    triangles = _solves_triangles(np.array([polytope.dimension]), center, vt)
+    return _axis_intervals([polytope], triangles)[0]
 
 
 def barycentric_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray:
@@ -407,9 +416,21 @@ def _span_coordinates(points: np.ndarray):
         return a1 / norm, a2 / norm
 
 
+def _span_amplitudes(mix: RankTwoMixture, points: np.ndarray) -> np.ndarray:
+    """Normalized amplitudes of the span states at an (N, 3) stack of Bloch
+    points on the unit sphere, shape (N, 2^n); rows of nan points stay nan.
+
+    Each row is a1 psi1 + a2 psi2 over its _row_norms norm, so it has the
+    same bits alone or in a stack.
+    """
+    a1, a2 = _span_coordinates(points)
+    amps = a1[:, None] * mix.psi1.amplitudes + a2[:, None] * mix.psi2.amplitudes
+    with np.errstate(invalid="ignore"):
+        return amps / _row_norms(amps)[:, None]
+
+
 def state_from_bloch(mix: RankTwoMixture, point: np.ndarray) -> PureState:
-    """Normalized pure state of the span at a Bloch point on the unit sphere."""
-    point = np.asarray(point, dtype=float).ravel()
-    a1, a2 = _span_coordinates(point)
-    amps = a1 * mix.psi1.amplitudes + a2 * mix.psi2.amplitudes
-    return PureState(mix.psi1.n_qubits, amps / np.linalg.norm(amps))
+    """Normalized pure state of the span at a Bloch point on the unit sphere,
+    as _span_amplitudes of a stack of one."""
+    point = np.asarray(point, dtype=float).reshape(1, 3)
+    return PureState(mix.psi1.n_qubits, _span_amplitudes(mix, point)[0])

@@ -11,6 +11,7 @@ decomposition of any intermediate mixture.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -25,9 +26,9 @@ from .bloch import (
     _axis_exits,
     _axis_intervals,
     _polytopes,
+    _span_amplitudes,
     _span_coordinates,
     axis_point,
-    state_from_bloch,
 )
 from .pencil import ZeroSet, _form_coefficients, _pencils, _zero_sets, pencil_polynomial
 from .states import PureState, RankTwoMixture
@@ -41,7 +42,6 @@ __all__ = [
     "characteristic_curve",
     "linearized_upper_bound",
     "default_anchors",
-    "pivot_upper_bound",
     "convex_envelope",
     "BoundReport",
     "upper_bound_report",
@@ -93,8 +93,8 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     form = _form_coefficients(coeffs, ends)
     zero_sets = _zero_sets(coeffs, amps1, amps2)
     live = [zs for zs in zero_sets if zs is not None]
-    polytopes = _polytopes(live)
-    pieces = iter(zip(polytopes, _axis_intervals(polytopes)))
+    polytopes, triangles = _polytopes(live)
+    pieces = iter(zip(polytopes, _axis_intervals(polytopes, triangles)))
     out = []
     for n, zeros in enumerate(zero_sets):
         if zeros is None:
@@ -332,10 +332,11 @@ def default_anchors(
     )
 
 
-def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, anchors: tuple):
-    """Candidate bound lam * c3(boundary) per (grid point, anchor).
+def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
+    """Candidate bound lam * c3(boundary) per (grid point, anchor point).
 
-    The ray from each anchor a through the axis point (0, 0, h), h = 2p - 1,
+    ``points`` is the (n_a, 3) stack of anchor points. The ray from each
+    anchor a through the axis point (0, 0, h), h = 2p - 1,
     exits the sphere at b = (-s a_x, -s a_y, h + (h - a_z) s), s = 1/lam - 1
     (bloch._axis_exits). With w = a_x + i a_y and the real t = -s / (1 + |b_z|),
     the half-angle span coordinates of b are proportional to (1, w t) on the
@@ -343,38 +344,44 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, anchors: tuple):
     tangle at b is a quartic in t with coefficients fixed per anchor:
     quartic_form(c_k w^k, 1, t) in the north and
     quartic_form(c_k conj(w)^(4-k), t, 1) in the south, both evaluated in the
-    Horner order of the former, and c3 = sqrt|form| / (1 + t^2 |w|^2). At the
-    pure ends t = 0, so c3 there is sqrt|c_0| or sqrt|c_4| exactly. No
-    boundary point or amplitude is built. Returns (candidates, lam, s), each
-    of shape (len(ps), len(anchors)); the boundary of a ray is
-    bloch._axis_boundary(anchor, 2p - 1, s).
+    Horner order of the former, and c3 = sqrt|form| / (1 + t^2 |w|^2). Horner
+    runs in u = -t >= 0 with the odd coefficients negated, which flips the
+    sign of every partial sum and so keeps the bits of |form|. At the pure
+    ends t = 0, so c3 there is sqrt|c_0| or sqrt|c_4| exactly. No boundary
+    point or amplitude is built. Returns (candidates, lam, s), each of shape
+    (len(ps), len(points)); the boundary of a ray is
+    bloch._axis_boundary(point, 2p - 1, s).
     """
-    points = np.array([a.point for a in anchors])
     heights = 2.0 * ps - 1.0
     lam, s = _axis_exits(points, heights)
     ax, ay, az = points[:, 0], points[:, 1], points[:, 2]
-    w = ax + 1j * ay
-    powers = np.cumprod(np.column_stack([np.ones_like(w), w, w, w, w]), axis=1)
+    n_a = points.shape[0]
+    powers = np.empty((n_a, 5), dtype=complex)
+    powers[:, 0] = 1.0
+    powers[:, 1:] = (ax + 1j * ay)[:, None]
+    np.cumprod(powers, axis=1, out=powers)
     # coefficients of t^0..t^4, one column per anchor and chart: the northern
     # chart's c_k w^k, then the southern chart's c_(4-k) conj(w)^k
     table = np.concatenate([coeffs * powers, coeffs[::-1] * powers.conj()]).T
-    n_a = points.shape[0]
+    np.negative(table[1::2], out=table[1::2])
     # (grid, anchor) arrays are updated in place: on a pair's ~300 x 36 grid a
     # fresh temporary costs more than the arithmetic
     bz = heights[:, None] - az
     bz *= s
     bz += heights[:, None]
-    chart = np.where(bz >= 0.0, np.arange(n_a), np.arange(n_a, 2 * n_a))
-    t = np.abs(bz, out=bz)
-    t += 1.0
-    np.divide(s, t, out=t)
-    np.negative(t, out=t)
+    # table column of each (grid point, anchor); the southern chart's columns
+    # start at n_a, and a ray with a nan exit reads inf whatever its chart
+    chart = (bz < 0.0) * n_a
+    chart += np.arange(n_a)
+    u = np.abs(bz, out=bz)
+    u += 1.0
+    np.divide(s, u, out=u)
     form = table[4].take(chart)
     for j in (3, 2, 1, 0):
-        form *= t
+        form *= u
         form += table[j].take(chart)
     cand = np.sqrt(np.abs(form))
-    norm = np.multiply(t, t, out=t)
+    norm = np.multiply(u, u, out=u)
     norm *= ax * ax + ay * ay
     norm += 1.0
     cand /= norm
@@ -382,31 +389,6 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, anchors: tuple):
     cand *= lam
     cand[~np.isfinite(lam)] = np.inf
     return cand, lam, s
-
-
-def pivot_upper_bound(
-    mix: RankTwoMixture,
-    p: float,
-    anchors: Optional[tuple] = None,
-    geometry: Optional[SpanGeometry] = None,
-) -> float:
-    """Best anchor-ray bound at p, never above the linearized bound.
-
-    Zero inside the axis interval; with an empty anchor set the linearized
-    value is returned unchanged.
-    """
-    geom = geometry if geometry is not None else span_geometry(mix)
-    lin = float(_linearized_value(geom, float(p)))
-    if geom.identically_zero:
-        return 0.0
-    if geom.interval is not None and geom.interval.p_low <= p <= geom.interval.p_high:
-        return 0.0
-    if anchors is None:
-        anchors = default_anchors(mix, geom)
-    if len(anchors) == 0:
-        return lin
-    cand = _pivot_candidates(geom.coefficients, np.array([float(p)]), anchors)[0]
-    return float(min(lin, np.min(cand[0])))
 
 
 def convex_envelope(samples: Sequence) -> BoundCurve:
@@ -418,20 +400,21 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two (p, value) samples")
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    keep = np.ones(pts.shape[0], dtype=bool)
-    keep[1:] = np.diff(pts[:, 0]) > 0
-    pts = pts[keep]
+    # the samples of a report come strictly increasing; others are sorted
+    if not (np.diff(pts[:, 0]) > 0).all():
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        keep = np.ones(pts.shape[0], dtype=bool)
+        keep[1:] = np.diff(pts[:, 0]) > 0
+        pts = pts[keep]
     if pts.shape[0] < 2:
         raise ValueError("samples collapse to a single abscissa")
     # Python floats run the same IEEE operations as numpy scalars, faster
     hull = []
     for q in pts.tolist():
+        qx, qy = q
         while len(hull) >= 2:
-            o, a = hull[-2], hull[-1]
-            cross = (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0])
-            if cross <= 0.0:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 0.0:
                 hull.pop()
             else:
                 break
@@ -457,6 +440,21 @@ class _GridPivot(NamedTuple):
     boundary: np.ndarray
 
 
+class _KnotTable(NamedTuple):
+    """Certificate data of the envelope knots of a report, built once.
+
+    ``ps`` are the knot abscissae and ``rows`` their grid rows, ``certified``
+    tells whether the best anchor ray of each knot certifies it, and row i
+    of ``amplitudes`` is the normalized boundary state of knot i's best ray
+    (nan where the knot has none); None when there are no anchors.
+    """
+
+    ps: list
+    rows: list
+    certified: list
+    amplitudes: Optional[np.ndarray]
+
+
 @dataclass(frozen=True, eq=False)
 class BoundReport:
     """Grid evaluation of the linearized, pivot, and envelope bounds.
@@ -465,8 +463,9 @@ class BoundReport:
     grid point; ``p_left``/``p_right`` are the envelope knots adjacent to
     the zero interval (where the envelope departs from the straight chords).
     The best anchor ray of each grid point is kept from the report's one
-    pivot pass, so knot certificates read it instead of searching again; it
-    is None when there are no anchors.
+    pivot pass (None when there are no anchors), and the boundary states of
+    the envelope knots from one batched pass, so decomposition_at only looks
+    certificates up; each knot certificate is assembled on first use.
     """
 
     mix: RankTwoMixture
@@ -482,6 +481,8 @@ class BoundReport:
     p_left: Optional[float]
     p_right: Optional[float]
     _grid_pivot: Optional[_GridPivot] = field(default=None, repr=False)
+    _knots: Optional[_KnotTable] = field(default=None, repr=False)
+    _certificates: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         for name in ("grid", "linearized", "pivot", "envelope"):
@@ -509,60 +510,60 @@ class BoundReport:
             )
 
     def _interval_decomposition(self, p: float):
+        """Weights (a tuple of floats) and states of the witness mixture at p."""
         geom = self.geometry
         interval, poly = geom.interval, geom.polytope
         lo, hi = interval.p_low, interval.p_high
         if hi - lo <= 1e-15:
             wit = interval.witness_low
-            states = tuple(poly.states[i] for i in wit.face)
-            return np.asarray(wit.weights, dtype=float), states
+            return tuple(wit.weights.tolist()), tuple(poly.states[i] for i in wit.face)
         mu = (hi - p) / (hi - lo)
         weights, states = [], []
         for scale, wit in ((mu, interval.witness_low), (1.0 - mu, interval.witness_high)):
-            for idx, w in zip(wit.face, wit.weights):
+            for idx, w in zip(wit.face, wit.weights.tolist()):
                 if scale * w > 1e-15:
                     weights.append(scale * w)
                     states.append(poly.states[idx])
-        return np.array(weights), tuple(states)
+        return tuple(weights), tuple(states)
 
-    def _knot_certificate(self, p: float):
-        geom = self.geometry
+    def _knot_certificate(self, i: int):
+        """Weights (a tuple of floats) and states certifying envelope knot i,
+        assembled on first use and kept."""
+        cert = self._certificates.get(i)
+        if cert is None:
+            cert = self._certificates[i] = self._certify_knot(i)
+        return cert
+
+    def _certify_knot(self, i: int):
+        geom, knots, mix = self.geometry, self._knots, self.mix
+        p = knots.ps[i]
         interval = geom.interval
         if interval is not None and interval.p_low - 1e-12 <= p <= interval.p_high + 1e-12:
             return self._interval_decomposition(min(max(p, interval.p_low), interval.p_high))
         if p <= 1e-12:
-            return np.array([1.0]), (self.mix.psi2,)
+            return (1.0,), (mix.psi2,)
         if p >= 1.0 - 1e-12:
-            return np.array([1.0]), (self.mix.psi1,)
-        # every envelope knot is a grid sample: convex_envelope keeps sample
-        # coordinates, so the knot's best ray is the grid pass's
-        k = int(np.searchsorted(self.grid, p))
-        if k >= self.grid.shape[0] or self.grid[k] != p:
-            raise ValueError(f"knot p = {p!r} is not a grid point of the report")
-        piv = self._grid_pivot
-        if _ray_certifies(piv, self.linearized, k):
-            anchor = self.anchors[int(piv.anchor[k])]
-            lam_b = float(piv.lam[k])
-            bstate = state_from_bloch(self.mix, piv.boundary[k])
-            weights = [lam_b] + [(1.0 - lam_b) * w for w in anchor.weights]
-            states = (bstate,) + tuple(
-                geom.polytope.states[i] for i in anchor.face
+            return (1.0,), (mix.psi1,)
+        if knots.certified[i]:
+            k = knots.rows[i]
+            anchor = self.anchors[int(self._grid_pivot.anchor[k])]
+            lam = float(self._grid_pivot.lam[k])
+            weights = (lam,) + tuple((1.0 - lam) * w for w in anchor.weights.tolist())
+            states = (PureState(mix.n_qubits, knots.amplitudes[i]),) + tuple(
+                geom.polytope.states[j] for j in anchor.face
             )
-            return np.array(weights), states
+            return weights, states
         if interval is None:
-            return np.array([p, 1.0 - p]), (self.mix.psi1, self.mix.psi2)
+            return (p, 1.0 - p), (mix.psi1, mix.psi2)
         if p > interval.p_high:
             theta = (p - interval.p_high) / (1.0 - interval.p_high)
             w_in, s_in = self._interval_decomposition(interval.p_high)
-            pure = self.mix.psi1
+            pure = mix.psi1
         else:
             theta = (interval.p_low - p) / interval.p_low
             w_in, s_in = self._interval_decomposition(interval.p_low)
-            pure = self.mix.psi2
-        return (
-            np.concatenate([[theta], (1.0 - theta) * w_in]),
-            (pure,) + s_in,
-        )
+            pure = mix.psi2
+        return (theta,) + tuple((1.0 - theta) * w for w in w_in), (pure,) + s_in
 
     def decomposition_at(self, p: float):
         """Explicit decomposition (weights, states) achieving the envelope at p.
@@ -576,32 +577,35 @@ class BoundReport:
             return np.array([p, 1.0 - p]), (self.mix.psi1, self.mix.psi2)
         interval = geom.interval
         if interval is not None and interval.p_low - 1e-12 <= p <= interval.p_high + 1e-12:
-            return self._interval_decomposition(min(max(p, interval.p_low), interval.p_high))
-        xs = self.envelope_curve.knots[:, 0]
-        j = int(np.searchsorted(xs, p, side="right"))
-        j = min(max(j, 1), xs.shape[0] - 1)
-        left, right = float(xs[j - 1]), float(xs[j])
+            weights, states = self._interval_decomposition(
+                min(max(p, interval.p_low), interval.p_high)
+            )
+            return np.array(weights), states
+        xs = self._knots.ps
+        j = min(max(bisect_right(xs, p), 1), len(xs) - 1)
+        left, right = xs[j - 1], xs[j]
         theta = 1.0 if right <= left else (right - p) / (right - left)
-        w_l, s_l = self._knot_certificate(left)
-        w_r, s_r = self._knot_certificate(right)
-        weights = np.concatenate([theta * w_l, (1.0 - theta) * w_r])
-        states = s_l + s_r
-        keep = weights > 1e-15
-        return weights[keep], tuple(s for s, k in zip(states, keep) if k)
+        weights, states = [], []
+        for scale, knot in ((theta, j - 1), (1.0 - theta, j)):
+            for w, state in zip(*self._knot_certificate(knot)):
+                if scale * w > 1e-15:
+                    weights.append(scale * w)
+                    states.append(state)
+        return np.array(weights), tuple(states)
 
 
-def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, anchors: tuple):
+def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: np.ndarray):
     """The _GridPivot of a report grid, searched only where ``off`` is set.
 
-    Grid points off the zero interval get their best anchor ray; the others,
-    whose bound is 0 and whose certificates come from the interval
-    witnesses, read anchor 0, value inf and a nan ray.
+    ``points`` is the (n_a, 3) stack of anchor points. Grid points off the
+    zero interval get their best anchor ray; the others, whose bound is 0
+    and whose certificates come from the interval witnesses, read anchor 0,
+    value inf and a nan ray.
     """
     idx = np.nonzero(off)[0]
-    cand, lam, s = _pivot_candidates(coeffs, grid[idx], anchors)
+    cand, lam, s = _pivot_candidates(coeffs, grid[idx], points)
     best = np.argmin(cand, axis=1)
     rows = np.arange(idx.size)
-    points = np.array([a.point for a in anchors])
     out = _GridPivot(
         np.zeros(grid.shape, dtype=np.intp),
         np.full(grid.shape, np.inf),
@@ -625,18 +629,33 @@ def _ray_certifies(grid_pivot: Optional[_GridPivot], lin_vals: np.ndarray, k):
     return grid_pivot.value[k] < lin_vals[k] - 1e-15
 
 
-def _certified_provenance(
-    curve: BoundCurve, grid: np.ndarray, lin_vals: np.ndarray, grid_pivot: Optional[_GridPivot]
-) -> BoundCurve:
+def _certified_knots(
+    mix: RankTwoMixture,
+    curve: BoundCurve,
+    grid: np.ndarray,
+    lin_vals: np.ndarray,
+    grid_pivot: Optional[_GridPivot],
+):
     """The envelope with every "pivot" knot that no anchor ray certifies
-    relabelled "linearized"; every knot is a grid sample (convex_envelope
-    keeps sample coordinates)."""
-    certified = _ray_certifies(grid_pivot, lin_vals, np.searchsorted(grid, curve.knots[:, 0]))
-    prov = tuple(
+    relabelled "linearized", and its _KnotTable. Every knot is a grid sample
+    (convex_envelope keeps sample coordinates), so searchsorted finds its
+    row, and one _span_amplitudes pass builds the boundary states of all
+    knots."""
+    ps = curve.knots[:, 0]
+    rows = np.searchsorted(grid, ps)
+    certified = _ray_certifies(grid_pivot, lin_vals, rows).tolist()
+    prov = tuple([
         "linearized" if label == "pivot" and not ok else label
-        for label, ok in zip(curve.provenance, certified.tolist())
-    )
-    return BoundCurve(curve.knots, prov)
+        for label, ok in zip(curve.provenance, certified)
+    ])
+    amplitudes = None
+    if grid_pivot is not None:
+        amplitudes = _read_only(_span_amplitudes(mix, grid_pivot.boundary[rows]))
+    return BoundCurve(curve.knots, prov), _KnotTable(ps.tolist(), rows.tolist(), certified, amplitudes)
+
+
+# achieving labels by code: 0 inside the zero interval, 1 pivot, 2 linearized
+_ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 
 
 def upper_bound_report(
@@ -673,14 +692,16 @@ def upper_bound_report(
     grid_pivot = None
     pivot_vals = lin_vals.copy()
     if len(anchor_set):
-        grid_pivot = _grid_pivots(geom.coefficients, grid, ~inside, anchor_set)
+        points = np.array([a.point for a in anchor_set])
+        grid_pivot = _grid_pivots(geom.coefficients, grid, ~inside, points)
         pivot_vals = np.minimum(lin_vals, grid_pivot.value)
     pivot_vals[inside] = 0.0
     # the inner zero samples are collinear with the outer two, which the hull keeps
     hull = ~inside
     if inside.any():
         hull[np.nonzero(inside)[0][[0, -1]]] = True
-    env_curve = _certified_provenance(
+    env_curve, knots = _certified_knots(
+        mix,
         convex_envelope(np.column_stack([grid[hull], pivot_vals[hull]])),
         grid, lin_vals, grid_pivot,
     )
@@ -692,12 +713,10 @@ def upper_bound_report(
         before = xs[xs < geom.interval.p_low - 1e-9]
         p_right = float(after[0]) if after.size else None
         p_left = float(before[-1]) if before.size else None
-    achieving = np.where(
-        inside,
-        "zero-interval",
-        np.where(env_vals < lin_vals - 1e-12, "pivot", "linearized"),
-    ).tolist()
+    codes = 2 - (env_vals < lin_vals - 1e-12)
+    codes[inside] = 0
     return BoundReport(
         mix, geom, anchor_set, grid, lin_vals, pivot_vals, env_vals,
-        lin_curve, env_curve, tuple(achieving), p_left, p_right, grid_pivot,
+        lin_curve, env_curve, tuple(_ACHIEVING.take(codes).tolist()),
+        p_left, p_right, grid_pivot, knots,
     )

@@ -393,7 +393,10 @@ class _Given(argparse.Action):
 
 
 # Flags that a phase sweep does not read, per command. Given on the command
-# line they are rejected rather than ignored; TANGLEROOF_* defaults are not.
+# line together with --phi-grid they are rejected rather than ignored; given
+# against a phase grid from TANGLEROOF_PHI_GRID alone they win over it, and
+# the command runs without the sweep. TANGLEROOF_* defaults of these flags
+# are never rejected.
 _PHI_GRID_UNUSED = {
     "scan4q": ("--phi", "--p-grid", "--tol-rank"),
     "monogamy": ("--phi",),
@@ -525,6 +528,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
     p_scan.add_argument(
         "--phi-grid",
         type=int,
+        action=_Given,
         default=dflt("phi_grid", None),
         help="sweep this many phases over [0, pi/2) for the interior-zero flag "
         "instead of scanning p",
@@ -547,6 +551,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
     p_mono.add_argument(
         "--phi-grid",
         type=int,
+        action=_Given,
         default=dflt("phi_grid", None),
         help="also sweep this many phases over [0, pi/2)",
     )
@@ -564,20 +569,20 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "phi_grid", None) is not None:
+    phi_grid = getattr(args, "phi_grid", None)
+    if phi_grid is not None:
         given = getattr(args, "given", frozenset())
         unused = [f for f in _PHI_GRID_UNUSED.get(args.command, ()) if f in given]
+        if unused and "--phi-grid" in given:
+            raise ValueError(f"{', '.join(unused)}: not used by a phase sweep (--phi-grid)")
         if unused:
-            raise ValueError(
-                f"{', '.join(unused)}: not used by a phase sweep "
-                "(--phi-grid, TANGLEROOF_PHI_GRID)"
-            )
+            phi_grid = None
     return RunConfig(
         command=args.command,
         state_paths=tuple(getattr(args, "states", ()) or ()),
         phi=float(getattr(args, "phi", 0.0)),
         p_grid=getattr(args, "p_grid", None),
-        phi_grid=getattr(args, "phi_grid", None),
+        phi_grid=phi_grid,
         out=args.out,
         format=args.format,
         tol_rank=float(getattr(args, "tol_rank", RANK_TOL)),

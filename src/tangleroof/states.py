@@ -58,7 +58,7 @@ class PureState:
             raise ValueError(
                 f"expected {2**n} amplitudes for {n} qubits, got {amps.shape[0]}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "n_qubits", int(n))
         object.__setattr__(self, "amplitudes", _readonly(amps))

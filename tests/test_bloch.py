@@ -7,10 +7,10 @@ from tangleroof.bloch import (
     _axis_boundary,
     _axis_exits,
     _face_solves,
+    _polytopes,
     axis_point,
     axis_zero_interval,
     barycentric_weights,
-    bloch_from_root,
     bloch_from_z,
     build_polytope,
     state_from_bloch,
@@ -33,7 +33,7 @@ def test_bloch_points_lie_on_unit_sphere():
     for _ in range(20):
         z = complex(rng.normal(scale=3.0), rng.normal(scale=3.0))
         assert abs(np.linalg.norm(bloch_from_z(z)) - 1.0) <= 1e-12
-    assert np.allclose(bloch_from_root(ExtendedRoot(None)), [0.0, 0.0, -1.0])
+    assert np.allclose(bloch_from_z(ExtendedRoot(None).z), [0.0, 0.0, -1.0])
 
 
 def test_axis_point_endpoints():
@@ -226,7 +226,7 @@ def _lstsq_axis_interval(poly):
     return lo, hi, first(lo), first(hi)
 
 
-def _interval_cases():
+def _interval_zero_sets():
     rng = np.random.default_rng(101)
     pairs = []
     for real in (False,) * 12 + (True,) * 24:
@@ -246,7 +246,11 @@ def _interval_cases():
     ket000[0] = ket111[7] = 1.0
     pairs.append((PureState(3, ket000), PureState(3, ket111)))
     pairs.append((make_ghz(3), make_w(3)))
-    return [build_polytope(zero_set(RankTwoMixture(a, b, 0.5))) for a, b in pairs]
+    return [zero_set(RankTwoMixture(a, b, 0.5)) for a, b in pairs]
+
+
+def _interval_cases():
+    return [build_polytope(zs) for zs in _interval_zero_sets()]
 
 
 def test_stacked_axis_interval_matches_per_face_lstsq():
@@ -282,9 +286,12 @@ def test_stacked_axis_interval_matches_per_face_lstsq():
     assert (iv.witness_low.face, iv.witness_high.face) == ((1,), (0,))
     # GHZ3/W3: one root at infinity, the south pole
     assert polytopes[-1].vertices[-1].tolist() == [0.0, 0.0, -1.0]
-    # a stack of polytopes with mixed vertex counts gives each its own interval
-    stacked = _axis_intervals(polytopes)
-    for poly, iv in zip(polytopes, stacked):
+    # a stack of polytopes with mixed vertex counts gives each its own
+    # interval, from the triangle flags of the stacked polytope pass
+    stacked_polytopes, triangles = _polytopes(_interval_zero_sets())
+    stacked = _axis_intervals(stacked_polytopes, triangles)
+    for poly, stacked_poly, iv in zip(polytopes, stacked_polytopes, stacked):
+        assert np.array_equal(stacked_poly.vertices, poly.vertices)
         alone = axis_zero_interval(poly)
         assert (iv is None) == (alone is None)
         if iv is not None:

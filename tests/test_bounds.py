@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from tangleroof import _kernels, bounds, pencil
-from tangleroof.bloch import FACES, _axis_boundary, _span_coordinates, axis_point, state_from_bloch
+from tangleroof import _kernels, bloch, bounds, pencil
+from tangleroof.bloch import (
+    FACES,
+    _axis_boundary,
+    _span_amplitudes,
+    _span_coordinates,
+    axis_point,
+    state_from_bloch,
+)
 from tangleroof.bounds import (
     Anchor,
     BoundCurve,
@@ -10,7 +17,6 @@ from tangleroof.bounds import (
     convex_envelope,
     default_anchors,
     linearized_upper_bound,
-    pivot_upper_bound,
     span_geometries,
     span_geometry,
     upper_bound_report,
@@ -87,12 +93,11 @@ def test_anchor_freezes_copies_of_the_caller_arrays():
 
 
 def test_pivot_bound_dominated_by_linearized(toy_mix):
-    geom = span_geometry(toy_mix)
-    grid = np.linspace(0.0, 1.0, 101)
-    pivot = np.array([pivot_upper_bound(toy_mix, p, geometry=geom) for p in grid])
-    lin_curve = linearized_upper_bound(toy_mix, geom)
+    rep = upper_bound_report(toy_mix, grid_size=101)
+    grid, pivot = rep.grid, rep.pivot
+    lin_curve = linearized_upper_bound(toy_mix, rep.geometry)
     assert np.all(pivot <= lin_curve(grid) + 1e-12)
-    iv = geom.interval
+    iv = rep.interval
     inside = (grid >= iv.p_low) & (grid <= iv.p_high)
     assert np.all(pivot[inside] == 0.0)
     assert pivot[-1] == pytest.approx(c3(toy_mix.psi1), abs=1e-8)
@@ -353,7 +358,8 @@ def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
 def _searched_certificate(rep, p):
     """A knot certificate by a fresh single-p anchor search, as a reference."""
     geom = rep.geometry
-    cand, lam, s = bounds._pivot_candidates(geom.coefficients, np.array([p]), rep.anchors)
+    points = np.array([a.point for a in rep.anchors])
+    cand, lam, s = bounds._pivot_candidates(geom.coefficients, np.array([p]), points)
     best = int(np.argmin(cand[0]))
     lin = float(bounds._linearized_value(geom, p))
     if not np.min(cand[0]) < lin - 1e-15:
@@ -373,11 +379,12 @@ def test_knot_certificates_equal_a_fresh_anchor_search():
     for mix in _certificate_mixtures():
         rep = upper_bound_report(mix, grid_size=401)
         iv = rep.interval
-        for p, label in zip(rep.envelope_curve.knots[:, 0], rep.envelope_curve.provenance):
+        knots = enumerate(zip(rep.envelope_curve.knots[:, 0], rep.envelope_curve.provenance))
+        for i, (p, label) in knots:
             if label != "pivot" or (iv is not None and iv.p_low - 1e-12 <= p <= iv.p_high + 1e-12):
                 continue
             expected = _searched_certificate(rep, float(p))
-            weights, states = rep._knot_certificate(float(p))
+            weights, states = rep._knot_certificate(i)
             if expected is None:
                 assert states[0] is mix.psi1 or states[0] is mix.psi2
                 continue
@@ -478,19 +485,19 @@ def _reference_sphere_exits(anchors, targets):
     return boundary, lam
 
 
-def _reference_pivot_candidates(coeffs, ps, anchors):
-    """(candidates, lam, boundary, tangle) per (grid point, anchor)."""
+def _reference_pivot_candidates(coeffs, ps, points):
+    """(candidates, lam, boundary, tangle) per (grid point, anchor point)."""
     targets = np.column_stack([np.zeros_like(ps), np.zeros_like(ps), 2.0 * ps - 1.0])
-    boundary, lam = _reference_sphere_exits(np.array([a.point for a in anchors]), targets)
+    boundary, lam = _reference_sphere_exits(points, targets)
     tau = _kernels.quartic_form(coeffs, *_span_coordinates(boundary))
     lam = np.minimum(lam, 1.0)
     cand = np.where(np.isfinite(lam), lam * np.sqrt(np.abs(tau)), np.inf)
     return cand, lam, boundary, tau
 
 
-def _reference_grid_pivots(coeffs, grid, off, anchors):
+def _reference_grid_pivots(coeffs, grid, off, points):
     idx = np.nonzero(off)[0]
-    cand, lam, boundary, _ = _reference_pivot_candidates(coeffs, grid[idx], anchors)
+    cand, lam, boundary, _ = _reference_pivot_candidates(coeffs, grid[idx], points)
     best = np.argmin(cand, axis=1)
     rows = np.arange(idx.size)
     out = bounds._GridPivot(
@@ -598,10 +605,9 @@ def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
         coeffs = rep.geometry.coefficients
         idx = np.nonzero(np.array(rep.achieving) != "zero-interval")[0]
         ps = rep.grid[idx]
-        cand, lam, s = bounds._pivot_candidates(coeffs, ps, rep.anchors)
-        ref_cand, ref_lam, ref_boundary, ref_tau = _reference_pivot_candidates(
-            coeffs, ps, rep.anchors
-        )
+        points = np.array([a.point for a in rep.anchors])
+        cand, lam, s = bounds._pivot_candidates(coeffs, ps, points)
+        ref_cand, ref_lam, ref_boundary, ref_tau = _reference_pivot_candidates(coeffs, ps, points)
         np.testing.assert_array_equal(lam, ref_lam)
         # the tangle before the square root, c3^2 = (cand / lam)^2
         ray = np.isfinite(ref_cand)
@@ -624,3 +630,71 @@ def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
         assert np.array_equal(piv.value[idx], cand[rows, best])
         assert np.array_equal(piv.boundary[idx][~moved], ref._grid_pivot.boundary[idx][~moved])
     assert ties > 0
+
+
+def _lookup_mixtures():
+    """The toy pair, GHZ3/W3, |000>/|111>, |000>/|001> and 4 Haar and 4
+    real seeded pairs."""
+    return _reference_mixtures()[:4] + _seeded_pairs(97, 4)
+
+
+def test_decomposition_at_builds_no_state_from_a_bloch_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("decomposition_at rebuilt a state from a Bloch point")
+
+    reports = [upper_bound_report(mix, grid_size=401) for mix in _lookup_mixtures()]
+    for module in (bloch, bounds):
+        if hasattr(module, "state_from_bloch"):
+            monkeypatch.setattr(module, "state_from_bloch", refuse)
+    monkeypatch.setattr(bloch, "_span_amplitudes", refuse)
+    monkeypatch.setattr(bounds, "_span_amplitudes", refuse)
+    for rep in reports:
+        for p in CERTIFICATE_PS + (0.3, 0.71):
+            if rep.identically_zero:
+                assert rep.decomposition_at(p)[1] == (rep.mix.psi1, rep.mix.psi2)
+            else:
+                _assert_certifies(rep, rep.mix, p)
+
+
+def test_ray_knot_states_equal_state_from_bloch_bitwise():
+    ray_knots = 0
+    for mix in _lookup_mixtures():
+        rep = upper_bound_report(mix, grid_size=401)
+        knots, piv = rep._knots, rep._grid_pivot
+        if rep.identically_zero:
+            assert knots is None
+            continue
+        for i, row in enumerate(knots.rows):
+            if not knots.certified[i]:
+                continue
+            expected = state_from_bloch(mix, piv.boundary[row])
+            assert np.array_equal(knots.amplitudes[i], expected.amplitudes)
+            if rep.envelope_curve.provenance[i] == "pivot":
+                # a pivot knot's certificate opens with its ray's boundary state
+                ray_knots += 1
+                states = rep._knot_certificate(i)[1]
+                assert np.array_equal(states[0].amplitudes, expected.amplitudes)
+    assert ray_knots > 0
+
+
+def test_repeated_decompositions_are_equal_and_share_states():
+    for mix in _lookup_mixtures():
+        rep = upper_bound_report(mix, grid_size=401)
+        for p in CERTIFICATE_PS + (0.3, 0.71):
+            w1, s1 = rep.decomposition_at(p)
+            w2, s2 = rep.decomposition_at(p)
+            assert np.array_equal(w1, w2) and w1.dtype == w2.dtype == float
+            assert len(s1) == len(s2) and all(a is b for a, b in zip(s1, s2))
+
+
+def test_span_amplitudes_keep_nan_rows_quietly():
+    # the tier-1 configuration turns RuntimeWarning into an error, so a
+    # warning from the nan row would fail this test
+    mix = toy_mixture()
+    points = np.array([[0.0, 0.0, 1.0], [np.nan, np.nan, np.nan], [0.6, 0.0, -0.8]])
+    amps = _span_amplitudes(mix, points)
+    assert amps.shape == (3, 8)
+    assert np.all(np.isnan(amps[1]))
+    for row, point in ((0, points[0]), (2, points[2])):
+        assert np.array_equal(amps[row], state_from_bloch(mix, point).amplitudes)
+    assert abs(inner_product(PureState(3, amps[0]), mix.psi1)) == pytest.approx(1.0, abs=1e-15)

@@ -205,6 +205,38 @@ def test_env_defaults_do_not_clash_with_a_phase_sweep(capsys, monkeypatch):
     assert capsys.readouterr().out == plain_mono
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan4q", "--p-grid", "5", "--phi", "0.3", "--tol-rank", "1e-9"],
+        ["scan4q", "--p-grid", "5"],
+        ["scan4q", "--phi", "0.3"],
+        ["scan4q", "--tol-rank", "1e-9"],
+        ["monogamy", "--phi", "0.3", "--p-grid", "3"],
+    ],
+)
+def test_flags_win_over_a_phase_grid_from_the_environment(argv, capsys, monkeypatch):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("TANGLEROOF_PHI_GRID", "4")
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == plain and captured.err == ""
+    # the flag itself is still refused next to an explicit phase grid
+    assert main(argv + ["--phi-grid", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not used by a phase sweep" in captured.err
+
+
+def test_a_phase_grid_from_the_environment_runs_the_sweep(capsys, monkeypatch):
+    scan = ["scan4q", "--phi-grid", "2", "--parallelism", "1"]
+    assert main(scan) == 0
+    sweep = capsys.readouterr().out
+    monkeypatch.setenv("TANGLEROOF_PHI_GRID", "2")
+    assert main(["scan4q", "--parallelism", "1"]) == 0
+    assert capsys.readouterr().out == sweep
+
+
 def test_scan4q_parallel_byte_identity(tmp_path):
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     base = ["scan4q", "--p-grid", "5", "--out"]
