@@ -28,7 +28,6 @@ __all__ = [
     "AxisInterval",
     "build_polytope",
     "axis_zero_interval",
-    "barycentric_weights",
     "state_from_bloch",
 ]
 
@@ -327,27 +326,6 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     center, _, vt, _ = _affine_frames(polytope.vertices[None])
     triangles = _solves_triangles(np.array([polytope.dimension]), center, vt)
     return _axis_intervals([polytope], triangles)[0]
-
-
-def barycentric_weights(target: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Convex weights over 1-3 vertices reconstructing ``target``.
-
-    Raises ValueError when the target is outside the face's affine hull
-    (residual above 1e-9) or the solution needs negative weights.
-    """
-    target = np.asarray(target, dtype=float).ravel()
-    verts = np.atleast_2d(np.asarray(vertices, dtype=float))
-    if not 1 <= verts.shape[0] <= 3 or verts.shape[1] != 3:
-        raise ValueError("face must consist of 1 to 3 Bloch points")
-    a = np.vstack([np.ones(verts.shape[0]), verts.T])
-    b = np.concatenate([[1.0], target])
-    w = np.linalg.lstsq(a, b, rcond=None)[0]
-    if np.linalg.norm(a @ w - b) > FACE_RESIDUAL_TOL:
-        raise ValueError("target lies outside the face")
-    if np.min(w) < -WEIGHT_TOL:
-        raise ValueError("target needs negative weights; outside the face")
-    w = np.clip(w, 0.0, None)
-    return w / w.sum()
 
 
 def _axis_exits(anchors: np.ndarray, heights: np.ndarray):

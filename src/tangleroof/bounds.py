@@ -1,13 +1,13 @@
 """Convex-roof upper bounds: characteristic curves, linearized and pivot bounds.
 
 Every value reported here is certified by an explicit pure-state
-decomposition of rho(p). Inside the axis zero interval the bound is exactly
-zero (interval witnesses); outside it, the linearized bound mixes a pure
-endpoint with an interval endpoint, and the pivot bound mixes a zero-tangle
-anchor inside the polytope with the boundary state where the ray through
-rho(p) exits the sphere. The lower convex envelope of pivot samples is again
-an upper bound because decompositions of two mixtures mix into a
-decomposition of any intermediate mixture.
+decomposition of rho(p), and every certificate comes from one rule:
+decompositions of two mixtures on the axis mix into a decomposition of any
+mixture between them (_mix). The linearized curve's knots are certified by
+the pure ends and the interval witnesses; the envelope's knots by the pivot
+ray that produced them (a zero-tangle anchor inside the polytope mixed with
+the boundary state where the ray through rho(p) exits the sphere) or else by
+the linearized curve; every p between knots by mixing its two neighbours.
 """
 from __future__ import annotations
 
@@ -188,23 +188,6 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
     coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
     tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
-
-
-def _linearized_value(geom: SpanGeometry, p) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if geom.identically_zero:
-        return np.zeros_like(p)
-    if geom.interval is None:
-        return p * geom.c3_psi1 + (1.0 - p) * geom.c3_psi2
-    lo, hi = geom.interval.p_low, geom.interval.p_high
-    out = np.zeros_like(p)
-    if lo > 0.0:
-        left = p < lo
-        out = np.where(left, geom.c3_psi2 * (lo - p) / lo, out)
-    if hi < 1.0:
-        right = p > hi
-        out = np.where(right, geom.c3_psi1 * (p - hi) / (1.0 - hi), out)
-    return out
 
 
 def linearized_upper_bound(
@@ -509,89 +492,79 @@ class BoundReport:
                 self.achieving[i],
             )
 
-    def _interval_decomposition(self, p: float):
-        """Weights (a tuple of floats) and states of the witness mixture at p."""
-        geom = self.geometry
-        interval, poly = geom.interval, geom.polytope
-        lo, hi = interval.p_low, interval.p_high
-        if hi - lo <= 1e-15:
-            wit = interval.witness_low
-            return tuple(wit.weights.tolist()), tuple(poly.states[i] for i in wit.face)
-        mu = (hi - p) / (hi - lo)
-        weights, states = [], []
-        for scale, wit in ((mu, interval.witness_low), (1.0 - mu, interval.witness_high)):
-            for idx, w in zip(wit.face, wit.weights.tolist()):
-                if scale * w > 1e-15:
-                    weights.append(scale * w)
-                    states.append(poly.states[idx])
-        return tuple(weights), tuple(states)
+    def _linearized_certificate(self, i: int):
+        """Weights and states certifying knot i of the linearized curve: a
+        pure end (every knot without an axis interval), or the interval
+        witness at p_low or p_high."""
+        p = float(self.linearized_curve.knots[i, 0])
+        interval = self.geometry.interval
+        if interval is None or self.linearized_curve.provenance[i] == "endpoint":
+            return (1.0,), (self.mix.psi2 if p == 0.0 else self.mix.psi1,)
+        wit = interval.witness_low if p == interval.p_low else interval.witness_high
+        states = self.geometry.polytope.states
+        return tuple(wit.weights.tolist()), tuple(states[j] for j in wit.face)
 
     def _knot_certificate(self, i: int):
-        """Weights (a tuple of floats) and states certifying envelope knot i,
-        assembled on first use and kept."""
+        """Weights and states certifying envelope knot i, assembled on first
+        use and kept: the best anchor ray where it certifies an interior
+        knot, and the linearized curve mixed at the knot's p elsewhere (at
+        the pure ends, the pure states themselves)."""
         cert = self._certificates.get(i)
-        if cert is None:
-            cert = self._certificates[i] = self._certify_knot(i)
-        return cert
-
-    def _certify_knot(self, i: int):
-        geom, knots, mix = self.geometry, self._knots, self.mix
-        p = knots.ps[i]
-        interval = geom.interval
-        if interval is not None and interval.p_low - 1e-12 <= p <= interval.p_high + 1e-12:
-            return self._interval_decomposition(min(max(p, interval.p_low), interval.p_high))
-        if p <= 1e-12:
-            return (1.0,), (mix.psi2,)
-        if p >= 1.0 - 1e-12:
-            return (1.0,), (mix.psi1,)
-        if knots.certified[i]:
+        if cert is not None:
+            return cert
+        knots, mix = self._knots, self.mix
+        if 0 < i < len(knots.ps) - 1 and knots.certified[i]:
             k = knots.rows[i]
             anchor = self.anchors[int(self._grid_pivot.anchor[k])]
             lam = float(self._grid_pivot.lam[k])
             weights = (lam,) + tuple((1.0 - lam) * w for w in anchor.weights.tolist())
             states = (PureState(mix.n_qubits, knots.amplitudes[i]),) + tuple(
-                geom.polytope.states[j] for j in anchor.face
+                self.geometry.polytope.states[j] for j in anchor.face
             )
-            return weights, states
-        if interval is None:
-            return (p, 1.0 - p), (mix.psi1, mix.psi2)
-        if p > interval.p_high:
-            theta = (p - interval.p_high) / (1.0 - interval.p_high)
-            w_in, s_in = self._interval_decomposition(interval.p_high)
-            pure = mix.psi1
+            cert = weights, states
         else:
-            theta = (interval.p_low - p) / interval.p_low
-            w_in, s_in = self._interval_decomposition(interval.p_low)
-            pure = mix.psi2
-        return (theta,) + tuple((1.0 - theta) * w for w in w_in), (pure,) + s_in
+            xs = self.linearized_curve.knots[:, 0].tolist()
+            cert = _mix(xs, self._linearized_certificate, knots.ps[i])
+        self._certificates[i] = cert
+        return cert
 
     def decomposition_at(self, p: float):
         """Explicit decomposition (weights, states) achieving the envelope at p.
 
         The weighted c3 average of the returned states equals the envelope
-        value and the weighted projector sum reconstructs rho(p).
+        value and the weighted projector sum reconstructs rho(p). Raises
+        ValueError unless 0 <= p <= 1.
         """
-        p = min(max(float(p), 0.0), 1.0)
-        geom = self.geometry
-        if geom.identically_zero:
-            return np.array([p, 1.0 - p]), (self.mix.psi1, self.mix.psi2)
-        interval = geom.interval
-        if interval is not None and interval.p_low - 1e-12 <= p <= interval.p_high + 1e-12:
-            weights, states = self._interval_decomposition(
-                min(max(p, interval.p_low), interval.p_high)
-            )
-            return np.array(weights), states
-        xs = self._knots.ps
-        j = min(max(bisect_right(xs, p), 1), len(xs) - 1)
-        left, right = xs[j - 1], xs[j]
-        theta = 1.0 if right <= left else (right - p) / (right - left)
-        weights, states = [], []
-        for scale, knot in ((theta, j - 1), (1.0 - theta, j)):
-            for w, state in zip(*self._knot_certificate(knot)):
-                if scale * w > 1e-15:
-                    weights.append(scale * w)
-                    states.append(state)
-        return np.array(weights), tuple(states)
+        p = float(p)
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"mixing weight p must lie in [0, 1], got {p}")
+        weights, states = _mix(self._knots.ps, self._knot_certificate, p)
+        return np.array(weights), states
+
+
+def _mix(xs: list, certificate, p: float):
+    """Decomposition at p mixed from the certificates of the two knots of
+    ``xs`` around it.
+
+    ``xs`` is a strictly increasing list of knot abscissae and
+    ``certificate(i)`` the weights and states certifying knot i. The left
+    knot's certificate is scaled by (right - p) / (right - left), the right
+    one's by the rest, and weights at or below 1e-15 are dropped. A p
+    beyond either end knot reads that knot, as np.interp does: the
+    linearized curve's end knots may sit up to 1e-15 inside [0, 1], where
+    an interval end merged with a pure end. Returns (weights, states) as a
+    list and a tuple.
+    """
+    j = min(max(bisect_right(xs, p), 1), len(xs) - 1)
+    left, right = xs[j - 1], xs[j]
+    theta = min(max((right - p) / (right - left), 0.0), 1.0)
+    weights, states = [], []
+    for scale, knot in ((theta, j - 1), (1.0 - theta, j)):
+        for w, state in zip(*certificate(knot)):
+            if scale * w > 1e-15:
+                weights.append(scale * w)
+                states.append(state)
+    return weights, tuple(states)
 
 
 def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: np.ndarray):
@@ -673,15 +646,13 @@ def upper_bound_report(
         lo, hi = geom.interval.p_low, geom.interval.p_high
         grid = np.unique(np.concatenate([grid, [lo] if hi - lo <= 1e-15 else [lo, hi]]))
     lin_curve = linearized_upper_bound(mix, geom)
-    lin_vals = _linearized_value(geom, grid)
+    lin_vals = lin_curve(grid)
     if geom.identically_zero:
-        zeros = np.zeros_like(grid)
-        env_curve = BoundCurve(
-            np.array([[0.0, 0.0], [1.0, 0.0]]), ("zero-interval", "zero-interval")
-        )
+        # the flat zero curve: the pure ends certify it everywhere
+        knots = _KnotTable([0.0, 1.0], [0, grid.shape[0] - 1], [False, False], None)
         return BoundReport(
-            mix, geom, (), grid, zeros, zeros.copy(), zeros.copy(), lin_curve,
-            env_curve, tuple(["zero-interval"] * grid.shape[0]), None, None,
+            mix, geom, (), grid, lin_vals, lin_vals, lin_vals, lin_curve, lin_curve,
+            tuple(["zero-interval"] * grid.shape[0]), None, None, None, knots,
         )
     inside = np.zeros(grid.shape, dtype=bool)
     if geom.interval is not None:

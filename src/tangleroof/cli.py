@@ -69,6 +69,8 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None and value < 2:
                 raise ValueError(f"{name.replace('_', '-')} must be at least 2")
+        if not np.isfinite(self.phi):
+            raise ValueError("phi must be finite")
         for name in ("tol_rank", "tol_root"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):

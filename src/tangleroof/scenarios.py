@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloch import AxisInterval, ZeroPolytope, bloch_from_z
 from .bounds import BoundReport, _linearized_curve, span_geometries, upper_bound_report
-from .invariants import _concurrences, _one_tangles, c3, c3_many
+from .invariants import _concurrences, _one_tangles, c3_many
 from .pencil import ZeroSet, finite_roots, pencil_coefficients
 from .states import (
     RANK_TOL,
@@ -49,7 +49,6 @@ __all__ = [
     "MonogamyReport",
     "monogamy_report",
     "monogamy_curve",
-    "ghzw_mixture_zero_check",
 ]
 
 
@@ -423,30 +422,3 @@ def monogamy_curve(p_grid: Sequence[float], phi=0.0, rank_tol: float = RANK_TOL)
         )
         for i in range(n)
     ]
-
-
-def ghzw_mixture_zero_check(p: float):
-    """Zero-tangle witness for the reduction of p GHZ4 + (1-p) W4 mixtures.
-
-    Keeps the four natural terms (|000> and |111> from the GHZ part, |000>
-    and |W3> from the W part) without merging repeats, dropping exact zero
-    weights at the endpoints. Returns (all c3 at most 1e-10, weights, states).
-    """
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    zero = np.zeros(8, dtype=complex)
-    ket000, ket111 = zero.copy(), zero.copy()
-    ket000[0] = 1.0
-    ket111[7] = 1.0
-    entries = [
-        (p / 2.0, PureState(3, ket000)),
-        (p / 2.0, PureState(3, ket111)),
-        ((1.0 - p) / 4.0, PureState(3, ket000.copy())),
-        (3.0 * (1.0 - p) / 4.0, make_w(3)),
-    ]
-    entries = [(w, s) for w, s in entries if w > 0.0]
-    weights = np.array([w for w, _ in entries])
-    states = tuple(s for _, s in entries)
-    ok = bool(all(c3(s) <= 1e-10 for s in states))
-    return ok, weights, states

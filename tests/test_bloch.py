@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tangleroof.bloch import (
     FACES,
@@ -10,7 +9,6 @@ from tangleroof.bloch import (
     _polytopes,
     axis_point,
     axis_zero_interval,
-    barycentric_weights,
     bloch_from_z,
     build_polytope,
     state_from_bloch,
@@ -74,16 +72,6 @@ def test_axis_interval_planar_case_uses_small_faces():
     assert iv is not None
     assert len(iv.witness_low.face) <= 2
     assert len(iv.witness_high.face) <= 2
-
-
-def test_barycentric_weights_roundtrip():
-    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    w = np.array([0.2, 0.3, 0.5])
-    target = w @ tri
-    got = barycentric_weights(target, tri)
-    np.testing.assert_allclose(got, w, atol=1e-12)
-    with pytest.raises(ValueError):
-        barycentric_weights(np.array([2.0, 2.0, 0.0]), tri)
 
 
 def _axis_ray(anchor, h):

@@ -361,7 +361,7 @@ def _searched_certificate(rep, p):
     points = np.array([a.point for a in rep.anchors])
     cand, lam, s = bounds._pivot_candidates(geom.coefficients, np.array([p]), points)
     best = int(np.argmin(cand[0]))
-    lin = float(bounds._linearized_value(geom, p))
+    lin = float(rep.linearized_curve(p))
     if not np.min(cand[0]) < lin - 1e-15:
         return None
     anchor = rep.anchors[best]
@@ -650,10 +650,7 @@ def test_decomposition_at_builds_no_state_from_a_bloch_point(monkeypatch):
     monkeypatch.setattr(bounds, "_span_amplitudes", refuse)
     for rep in reports:
         for p in CERTIFICATE_PS + (0.3, 0.71):
-            if rep.identically_zero:
-                assert rep.decomposition_at(p)[1] == (rep.mix.psi1, rep.mix.psi2)
-            else:
-                _assert_certifies(rep, rep.mix, p)
+            _assert_certifies(rep, rep.mix, p)
 
 
 def test_ray_knot_states_equal_state_from_bloch_bitwise():
@@ -662,7 +659,7 @@ def test_ray_knot_states_equal_state_from_bloch_bitwise():
         rep = upper_bound_report(mix, grid_size=401)
         knots, piv = rep._knots, rep._grid_pivot
         if rep.identically_zero:
-            assert knots is None
+            assert not any(knots.certified)
             continue
         for i, row in enumerate(knots.rows):
             if not knots.certified[i]:
@@ -685,6 +682,12 @@ def test_repeated_decompositions_are_equal_and_share_states():
             w2, s2 = rep.decomposition_at(p)
             assert np.array_equal(w1, w2) and w1.dtype == w2.dtype == float
             assert len(s1) == len(s2) and all(a is b for a, b in zip(s1, s2))
+
+
+@pytest.mark.parametrize("p", [float("nan"), -0.1, 1.7, float("inf")])
+def test_decomposition_at_rejects_p_outside_the_unit_interval(toy_rep, p):
+    with pytest.raises(ValueError, match="must lie in"):
+        toy_rep.report.decomposition_at(p)
 
 
 def test_span_amplitudes_keep_nan_rows_quietly():

@@ -82,6 +82,15 @@ def test_non_finite_tol_rank_exits_2(value, capsys, monkeypatch):
     assert "tol-rank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_phi_exits_2(value, capsys, monkeypatch):
+    assert main(["char", "--phi", value]) == 2
+    assert "phi" in capsys.readouterr().err
+    monkeypatch.setenv("TANGLEROOF_PHI", value)
+    assert main(["scan4q", "--p-grid", "3"]) == 2
+    assert "phi" in capsys.readouterr().err
+
+
 def test_zeros_identically_zero_pair(tmp_path, capsys):
     a = _state_file(tmp_path, "a.json", 0)
     b = _state_file(tmp_path, "b.json", 1)

@@ -13,7 +13,6 @@ from tangleroof.scenarios import (
     has_interior_volume_zero,
     phi_threshold_bisect,
     four_qubit_state,
-    ghzw_mixture_zero_check,
     monogamy_curve,
     monogamy_report,
     q_of_p,
@@ -21,7 +20,7 @@ from tangleroof.scenarios import (
     simplex_scan,
     toy_states,
 )
-from tangleroof.states import make_ghz, make_w, partial_trace, rank_two_eigendecomposition
+from tangleroof.states import make_w, partial_trace, rank_two_eigendecomposition
 
 
 def test_toy_states_orthonormal():
@@ -96,29 +95,6 @@ def test_reduced_mixture_small_p_limit():
     mix = reduced_mixture(1e-13, 0.0)
     w3 = make_w(3)
     assert abs(abs(np.vdot(mix.psi1.amplitudes, w3.amplitudes)) - 1.0) <= 1e-6
-
-
-def test_ghzw_mixture_reconstruction():
-    for p in (0.0, 0.5, 1.0):
-        ok, weights, states = ghzw_mixture_zero_check(p)
-        assert ok
-        assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
-        assert len(states) == (2 if p in (0.0, 1.0) else 4)
-        for s in states:
-            assert c3(s) <= 1e-12
-
-
-def test_ghzw_states_match_partial_trace():
-    # reduction of the incoherent p GHZ4 + (1-p) W4 mixture, not the
-    # coherent superposition family
-    p = 0.5
-    _, weights, states = ghzw_mixture_zero_check(p)
-    recon = np.zeros((8, 8), dtype=complex)
-    for w, s in zip(weights, states):
-        recon += w * np.outer(s.amplitudes, s.amplitudes.conj())
-    rho = p * partial_trace(make_ghz(4), keep=(0, 1, 2)).matrix
-    rho = rho + (1.0 - p) * partial_trace(make_w(4), keep=(0, 1, 2)).matrix
-    assert float(np.abs(recon - rho).max()) <= 1e-12
 
 
 def test_simplex_scan_rejects_boundary_p():
