@@ -570,10 +570,10 @@ def _mix(xs: list, certificate, p: float):
 def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: np.ndarray):
     """The _GridPivot of a report grid, searched only where ``off`` is set.
 
-    ``points`` is the (n_a, 3) stack of anchor points. Grid points off the
-    zero interval get their best anchor ray; the others, whose bound is 0
-    and whose certificates come from the interval witnesses, read anchor 0,
-    value inf and a nan ray.
+    ``points`` is the (n_a, 3) stack of anchor points. Grid points where
+    ``off`` is set get their best anchor ray; the others, whose bound the
+    interval witnesses or the pure ends certify, read anchor 0, value inf
+    and a nan ray.
     """
     idx = np.nonzero(off)[0]
     cand, lam, s = _pivot_candidates(coeffs, grid[idx], points)
@@ -664,7 +664,11 @@ def upper_bound_report(
     pivot_vals = lin_vals.copy()
     if len(anchor_set):
         points = np.array([a.point for a in anchor_set])
-        grid_pivot = _grid_pivots(geom.coefficients, grid, ~inside, points)
+        # rho(0) and rho(1) are pure: their roof is the exact end c3, which a
+        # ray with lam just under 1 could undercut by rounding
+        off = ~inside
+        off[[0, -1]] = False
+        grid_pivot = _grid_pivots(geom.coefficients, grid, off, points)
         pivot_vals = np.minimum(lin_vals, grid_pivot.value)
     pivot_vals[inside] = 0.0
     # the inner zero samples are collinear with the outer two, which the hull keeps

@@ -57,7 +57,6 @@ class RunConfig:
     format: str = "csv"
     tol_rank: float = RANK_TOL
     tol_root: float = COEFF_TOL
-    parallelism: int = 1
     renormalize: bool = False
 
     def __post_init__(self):
@@ -78,8 +77,6 @@ class RunConfig:
         # a relative floor of 1 or more leaves no coefficient above it
         if not self.tol_root < 1.0:
             raise ValueError("tol-root must lie in (0, 1)")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
         object.__setattr__(self, "state_paths", tuple(self.state_paths))
 
     def grid_size(self) -> int:
@@ -252,26 +249,10 @@ def _run_char(cfg: RunConfig):
     return _render_json({"phi": cfg.phi, "rows": rows})
 
 
-def _phi_point(args):
-    phi, = args
-    return (phi, scenarios.has_interior_volume_zero(phi))
-
-
-def _map_ordered(cfg: RunConfig, func, items):
-    items = list(items)
-    if cfg.parallelism == 1 or len(items) < 2:
-        return [func(it) for it in items]
-    # imported here: only a parallel run pays for it
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-        return list(pool.map(func, items, chunksize=max(1, len(items) // (4 * cfg.parallelism))))
-
-
 def _run_scan4q(cfg: RunConfig):
     if cfg.phi_grid is not None:
         phis = np.linspace(0.0, np.pi / 2.0, cfg.phi_grid, endpoint=False)
-        rows = _map_ordered(cfg, _phi_point, [(float(phi),) for phi in phis])
+        rows = [(phi, scenarios.has_interior_volume_zero(phi)) for phi in phis.tolist()]
         if cfg.format == "csv":
             return _render_csv(("phi", "has_interior_volume_zero"), rows)
         return _render_json(
@@ -412,7 +393,6 @@ _ENV_CASTS = {
     "format": ("TANGLEROOF_FORMAT", str),
     "tol_rank": ("TANGLEROOF_TOL_RANK", float),
     "tol_root": ("TANGLEROOF_TOL_ROOT", float),
-    "parallelism": ("TANGLEROOF_PARALLELISM", int),
 }
 
 
@@ -469,14 +449,6 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             help="relative coefficient floor for the pencil degree, in (0, 1)",
         )
 
-    def add_parallelism(p, what):
-        p.add_argument(
-            "--parallelism",
-            type=int,
-            default=dflt("parallelism", 1),
-            help=f"{what} (default 1)",
-        )
-
     def add_pgrid(p, cmd):
         p.add_argument(
             "--p-grid",
@@ -494,6 +466,32 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             default=dflt("tol_rank", RANK_TOL),
             help="eigenvalue floor treated as rank",
         )
+
+    def add_family(cmd, help, phi_grid_help):
+        p = sub.add_parser(cmd, help=help)
+        p.add_argument(
+            "--phi",
+            type=float,
+            action=_Given,
+            default=dflt("phi", 0.0),
+            help="family phase (radians)",
+        )
+        add_pgrid(p, cmd)
+        p.add_argument(
+            "--phi-grid",
+            type=int,
+            action=_Given,
+            default=dflt("phi_grid", None),
+            help=phi_grid_help,
+        )
+        add_rank(p)
+        p.add_argument(
+            "--parallelism",
+            type=int,
+            choices=(1,),
+            help="accepted for scripts that pass it; every command runs in this process",
+        )
+        add_common(p)
 
     p_zeros = sub.add_parser("zeros", help="pencil roots of a 3-qubit pair")
     add_pair(p_zeros)
@@ -518,50 +516,14 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
     add_pgrid(p_char, "char")
     add_common(p_char)
 
-    p_scan = sub.add_parser("scan4q", help="four-qubit reduction simplex scan")
-    p_scan.add_argument(
-        "--phi",
-        type=float,
-        action=_Given,
-        default=dflt("phi", 0.0),
-        help="family phase (radians)",
+    add_family(
+        "scan4q",
+        "four-qubit reduction simplex scan",
+        "sweep this many phases over [0, pi/2) for the interior-zero flag instead of scanning p",
     )
-    add_pgrid(p_scan, "scan4q")
-    p_scan.add_argument(
-        "--phi-grid",
-        type=int,
-        action=_Given,
-        default=dflt("phi_grid", None),
-        help="sweep this many phases over [0, pi/2) for the interior-zero flag "
-        "instead of scanning p",
+    add_family(
+        "monogamy", "extended monogamy residual curve", "also sweep this many phases over [0, pi/2)"
     )
-    add_rank(p_scan)
-    add_parallelism(
-        p_scan, "worker processes for --phi-grid; a p grid runs as one batch in this process"
-    )
-    add_common(p_scan)
-
-    p_mono = sub.add_parser("monogamy", help="extended monogamy residual curve")
-    p_mono.add_argument(
-        "--phi",
-        type=float,
-        action=_Given,
-        default=dflt("phi", 0.0),
-        help="family phase (radians)",
-    )
-    add_pgrid(p_mono, "monogamy")
-    p_mono.add_argument(
-        "--phi-grid",
-        type=int,
-        action=_Given,
-        default=dflt("phi_grid", None),
-        help="also sweep this many phases over [0, pi/2)",
-    )
-    add_rank(p_mono)
-    add_parallelism(
-        p_mono, "accepted for scripts that pass it; the grid runs as one batch in this process"
-    )
-    add_common(p_mono)
 
     p_toy = sub.add_parser("toy", help="full report for the built-in toy pair")
     add_pgrid(p_toy, "toy")
@@ -589,7 +551,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         format=args.format,
         tol_rank=float(getattr(args, "tol_rank", RANK_TOL)),
         tol_root=float(getattr(args, "tol_root", COEFF_TOL)),
-        parallelism=int(getattr(args, "parallelism", 1)),
         renormalize=bool(getattr(args, "renormalize", False)),
     )
 

@@ -338,13 +338,17 @@ def has_interior_volume_zero(
 
 def phi_threshold_bisect(lo: float = 0.40, hi: float = 0.60, tol: float = 0.005) -> float:
     """Bisect the phi where the interior volume zero disappears."""
-    lo, hi = float(lo), float(hi)
+    lo, hi, tol = float(lo), float(hi), float(tol)
+    if not (np.isfinite([lo, hi, tol]).all() and lo < hi and tol > 0.0):
+        raise ValueError("bisection needs finite lo < hi and a finite tol > 0")
     if not has_interior_volume_zero(lo):
         raise ValueError("lower bracket must still carry the interior zero")
     if has_interior_volume_zero(hi):
         raise ValueError("upper bracket must already lack the interior zero")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # one ulp apart: the midpoint rounds onto an end
+            break
         if has_interior_volume_zero(mid):
             lo = mid
         else:

@@ -175,6 +175,15 @@ def test_envelope_reaches_pure_tangles_at_both_ends():
         assert abs(rep.envelope_curve(0.0) - c3(mix.psi2)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [0, 1, 9])
+def test_pure_end_bounds_are_the_exact_end_tangles(seed):
+    # rho(0) and rho(1) are pure: no anchor ray may undercut their exact c3
+    q = np.linalg.qr(np.random.default_rng(seed).standard_normal((8, 2)))[0].astype(complex)
+    rep = upper_bound_report(RankTwoMixture(PureState(3, q[:, 0]), PureState(3, q[:, 1]), 0.5))
+    for vals in (rep.envelope, rep.pivot):
+        assert vals[0] == rep.geometry.c3_psi2 and vals[-1] == rep.geometry.c3_psi1
+
+
 def test_state_from_bloch_next_to_the_poles_is_pure(toy_mix):
     # axis points one or two ulps inside the sphere stand for the poles
     for eps in (2.0**-53, 2.0**-52):
@@ -347,8 +356,9 @@ def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
     for mix in _certificate_mixtures():
         calls.clear()
         rep = upper_bound_report(mix, grid_size=401)
-        # one pass over the grid points off the zero interval, whose bound is 0
-        off = sum(label != "zero-interval" for label in rep.achieving)
+        # one pass over the grid points off the zero interval, whose bound is
+        # 0, and off the pure ends, whose bound is the exact end c3
+        off = sum(label != "zero-interval" for label in rep.achieving[1:-1])
         assert calls == [off]
         for p in CERTIFICATE_PS:
             _assert_certifies(rep, mix, p)
@@ -603,7 +613,9 @@ def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
             assert rep.identically_zero
             continue
         coeffs = rep.geometry.coefficients
-        idx = np.nonzero(np.array(rep.achieving) != "zero-interval")[0]
+        # the pure ends are not searched
+        assert np.all(np.isinf(rep._grid_pivot.value[[0, -1]]))
+        idx = np.nonzero(np.array(rep.achieving[1:-1]) != "zero-interval")[0] + 1
         ps = rep.grid[idx]
         points = np.array([a.point for a in rep.anchors])
         cand, lam, s = bounds._pivot_candidates(coeffs, ps, points)

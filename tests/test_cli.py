@@ -246,26 +246,29 @@ def test_a_phase_grid_from_the_environment_runs_the_sweep(capsys, monkeypatch):
     assert capsys.readouterr().out == sweep
 
 
-def test_scan4q_parallel_byte_identity(tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    base = ["scan4q", "--p-grid", "5", "--out"]
-    assert main(base + [str(serial), "--parallelism", "1"]) == 0
-    assert main(base + [str(parallel), "--parallelism", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_monogamy_parallel_byte_identity(tmp_path):
-    serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-    base = ["monogamy", "--p-grid", "9", "--out"]
-    assert main(base + [str(serial), "--parallelism", "1"]) == 0
-    assert main(base + [str(parallel), "--parallelism", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    assert len(serial.read_text().splitlines()) == 10
+@pytest.mark.parametrize(
+    "argv",
+    [["scan4q", "--phi-grid", "2"], ["scan4q", "--p-grid", "5"], ["monogamy", "--p-grid", "9"]],
+    ids=["scan4q-phi-grid", "scan4q-p-grid", "monogamy"],
+)
+def test_parallelism_accepts_only_1(argv, capsys, monkeypatch):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--parallelism", "1"]) == 0
+    assert capsys.readouterr().out == plain
+    assert main(argv + ["--parallelism", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--parallelism" in captured.err
+    # no environment variable sets it
+    monkeypatch.setenv("TANGLEROOF_PARALLELISM", "2")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_monogamy_rows_nonnegative_residual(capsys):
     assert main(["monogamy", "--p-grid", "9", "--parallelism", "1"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 10
     assert lines[0].startswith("p,phi,one_tangle")
     for ln in lines[1:]:
         residual = float(ln.split(",")[-1])

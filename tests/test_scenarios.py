@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tangleroof import _kernels, pencil
+from tangleroof import _kernels, pencil, scenarios
 from tangleroof.bounds import linearized_upper_bound, span_geometry
 from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
@@ -190,6 +190,45 @@ def test_interior_zero_sweep_and_threshold_are_pinned():
     flags = [has_interior_volume_zero(phi) for phi in np.linspace(0.0, np.pi / 2, 64, endpoint=False)]
     assert flags == [True] * 22 + [False] * 21 + [True] * 21
     assert phi_threshold_bisect() == 0.5234375
+
+
+@pytest.fixture
+def threshold_at_half(monkeypatch):
+    """A cheap interior-zero flag that flips at phi = 0.5 and stops a bisection
+    that no longer shrinks its bracket, rather than letting it run on."""
+    calls = []
+
+    def below_half(phi):
+        calls.append(phi)
+        if len(calls) > 200:
+            raise RuntimeError("the bracket stopped shrinking")
+        return phi < 0.5
+
+    monkeypatch.setattr(scenarios, "has_interior_volume_zero", below_half)
+
+
+@pytest.mark.parametrize("tol", [1e-300, 5e-324])
+def test_threshold_bisect_ends_at_one_ulp(tol, threshold_at_half):
+    phi = phi_threshold_bisect(0.40, 0.60, tol)
+    assert np.nextafter(0.5, 0.0) <= phi <= np.nextafter(0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, tol",
+    [
+        (0.4, 0.6, 0.0),
+        (0.4, 0.6, np.nan),
+        (0.4, 0.6, -1.0),
+        (0.4, 0.6, np.inf),
+        (0.6, 0.4, 0.005),
+        (0.5, 0.5, 0.005),
+        (np.nan, 0.6, 0.005),
+        (0.4, np.inf, 0.005),
+    ],
+)
+def test_threshold_bisect_rejects_a_bad_bracket_or_tol(lo, hi, tol, threshold_at_half):
+    with pytest.raises(ValueError, match="finite"):
+        phi_threshold_bisect(lo, hi, tol)
 
 
 def _matched_one_by_one(ps, phi):
