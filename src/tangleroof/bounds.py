@@ -34,7 +34,7 @@ from .pencil import ZeroSet, _form_coefficients, _pencils, _zero_sets, pencil_po
 from .states import PureState, RankTwoMixture
 
 __all__ = [
-    "Anchor",
+    "AnchorSet",
     "BoundCurve",
     "SpanGeometry",
     "span_geometries",
@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 GRID_SIZE_DEFAULT = 401
+# a hull vertex must lie below its neighbours' chord by more than the rounding
+# of the two cross-product terms that compare them
+_HULL_ULPS = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,42 +142,40 @@ class BoundCurve:
 
 
 @dataclass(frozen=True, eq=False)
-class Anchor:
-    """Zero-tangle point inside the polytope, with its achieving decomposition.
+class AnchorSet:
+    """Zero-tangle points inside the polytope, one row per anchor.
 
-    ``construction`` is one of "vertex", "pair-mixture", "axis-interval-point",
-    or "face-grid"; ``face``/``weights`` give the convex combination of
-    polytope vertices realizing the point, and ``certificate_c3`` is the
-    decomposition average of c3 over the face states (zero up to root noise).
+    Row j is the point ``points[j]``, built as ``construction[j]`` ("vertex",
+    "pair-mixture", "axis-interval-point" or "face-grid"), the convex
+    combination ``weights[j, :sizes[j]]`` of the polytope vertices
+    ``faces[j, :sizes[j]]`` (both zero-padded to 3 columns), whose average c3
+    over those vertex states is ``certificate_c3[j]`` (zero up to root noise).
+    Every field is an array over the rows, so
+    ``AnchorSet(**{k: v[rows] for k, v in vars(table).items()})`` selects rows
+    and ``AnchorSet((), (), (), (), (), ())`` is the empty table.
     """
 
-    point: np.ndarray
-    construction: str
-    face: tuple
+    points: np.ndarray
+    construction: np.ndarray
+    faces: np.ndarray
     weights: np.ndarray
-    certificate_c3: float
+    sizes: np.ndarray
+    certificate_c3: np.ndarray
 
     def __post_init__(self):
-        # copies, so that freezing them leaves the caller's arrays writable
-        pt = np.array(self.point, dtype=float)
-        w = np.array(self.weights, dtype=float)
-        pt.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "point", pt)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "face", tuple(int(i) for i in self.face))
+        n = len(self.construction)
+        for name, dtype, shape in (
+            ("points", float, (n, 3)), ("construction", str, (n,)), ("faces", np.intp, (n, 3)),
+            ("weights", float, (n, 3)), ("sizes", np.intp, (n,)), ("certificate_c3", float, (n,)),
+        ):
+            # copies, so that freezing them leaves the caller's arrays writable
+            a = np.array(getattr(self, name), dtype=dtype)
+            if a.shape != shape and not (a.size == 0 == n):
+                raise ValueError(f"anchor {name} must have shape {shape}, got {a.shape}")
+            object.__setattr__(self, name, _read_only(a.reshape(shape)))
 
-    @classmethod
-    def _stored(cls, point, construction, face, weights, certificate_c3):
-        """An anchor from fields already in the form __post_init__ gives them
-        (read-only float arrays, a tuple of ints), without converting them
-        again: default_anchors builds some 36 per span."""
-        anchor = object.__new__(cls)
-        vars(anchor).update(
-            point=point, construction=construction, face=face, weights=weights,
-            certificate_c3=certificate_c3,
-        )
-        return anchor
+    def __len__(self) -> int:
+        return self.points.shape[0]
 
 
 def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float]) -> np.ndarray:
@@ -244,13 +245,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _FACE_GRID = _read_only(
     np.array([[a, b, 4 - a - b] for a in range(5) for b in range(5 - a)], dtype=float) / 4.0
 )
+_NO_ANCHORS = AnchorSet((), (), (), (), (), ())
 
 
 def default_anchors(
     mix: RankTwoMixture, geometry: Optional[SpanGeometry] = None
-) -> tuple:
-    """Anchor family: vertices, conjugate-pair mixtures, axis interval points,
-    and a barycentric grid over every triangle face.
+) -> AnchorSet:
+    """Anchor table: vertices, conjugate-pair mixtures, axis interval points,
+    and a barycentric grid over every triangle face; empty without a polytope.
 
     Candidates whose points agree to 12 decimals are built once, as the
     first of them. The face-grid points of all faces come from one matrix
@@ -259,7 +261,7 @@ def default_anchors(
     """
     geom = geometry if geometry is not None else span_geometry(mix)
     if geom.polytope is None:
-        return ()
+        return _NO_ANCHORS
     poly = geom.polytope
     v, k = poly.vertices, poly.n_vertices
     vertex_c3 = np.sqrt(np.abs(quartic_form(geom.coefficients, *_span_coordinates(v))))
@@ -275,17 +277,17 @@ def default_anchors(
         witnesses = (iv.witness_low, iv.witness_high)
         axis_points = np.array([axis_point(iv.p_low), axis_point(iv.p_high)])
     n_grid = tri.shape[0] * _FACE_GRID.shape[0]
-    construction = (
+    construction = np.array(
         ["vertex"] * k + ["pair-mixture"] * m
         + ["axis-interval-point"] * len(witnesses) + ["face-grid"] * n_grid
     )
-    sizes = [1] * k + [2] * m + [len(wit.face) for wit in witnesses] + [3] * n_grid
-    points = _read_only(np.concatenate([
+    sizes = np.array([1] * k + [2] * m + [len(wit.face) for wit in witnesses] + [3] * n_grid)
+    points = np.concatenate([
         v,
         0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]]),
         axis_points,
         (_FACE_GRID @ v[tri]).reshape(-1, 3),
-    ]))
+    ])
     faces = np.zeros((len(sizes), 3), dtype=np.intp)
     weights = np.zeros((len(sizes), 3))
     faces[:k, 0], weights[:k, 0] = np.arange(k), 1.0
@@ -297,21 +299,15 @@ def default_anchors(
         row += 1
     faces[row:] = np.repeat(tri, _FACE_GRID.shape[0], axis=0)
     weights[row:] = np.tile(_FACE_GRID, (tri.shape[0], 1))
-    _read_only(weights)
 
     first = {}
     for n, key in enumerate(map(tuple, np.round(points, 12).tolist())):
         first.setdefault(key, n)
     keep = list(first.values())
     # a stack of length-3 dot products, each with the bits of w @ vertex_c3[face]
-    certificates = (weights[keep, None, :] @ vertex_c3[faces[keep], None])[:, 0, 0].tolist()
-    face_rows = faces.tolist()
-    return tuple(
-        Anchor._stored(
-            points[n], construction[n], tuple(face_rows[n][: sizes[n]]),
-            weights[n, : sizes[n]], cert,
-        )
-        for n, cert in zip(keep, certificates)
+    certificates = (weights[keep, None, :] @ vertex_c3[faces[keep], None])[:, 0, 0]
+    return AnchorSet(
+        points[keep], construction[keep], faces[keep], weights[keep], sizes[keep], certificates
     )
 
 
@@ -378,7 +374,8 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
     """Greatest convex minorant of sampled (p, value) points.
 
     Piecewise linear with knots at the lower convex hull vertices of the
-    sample set; needs at least two samples.
+    sample set; needs at least two samples. A sample within a few ulps of
+    the chord of its neighbours is not a knot.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -397,7 +394,8 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
         qx, qy = q
         while len(hull) >= 2:
             (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            if (ax - ox) * (qy - oy) - (ay - oy) * (qx - ox) <= 0.0:
+            left, right = (ax - ox) * (qy - oy), (ay - oy) * (qx - ox)
+            if left - right <= _HULL_ULPS * (abs(left) + abs(right)):
                 hull.pop()
             else:
                 break
@@ -453,7 +451,7 @@ class BoundReport:
 
     mix: RankTwoMixture
     geometry: SpanGeometry
-    anchors: tuple
+    anchors: AnchorSet
     grid: np.ndarray
     linearized: np.ndarray
     pivot: np.ndarray
@@ -515,11 +513,11 @@ class BoundReport:
         knots, mix = self._knots, self.mix
         if 0 < i < len(knots.ps) - 1 and knots.certified[i]:
             k = knots.rows[i]
-            anchor = self.anchors[int(self._grid_pivot.anchor[k])]
-            lam = float(self._grid_pivot.lam[k])
-            weights = (lam,) + tuple((1.0 - lam) * w for w in anchor.weights.tolist())
+            j, table = self._grid_pivot.anchor[k], self.anchors
+            size, lam = table.sizes[j], float(self._grid_pivot.lam[k])
+            weights = (lam,) + tuple((1.0 - lam) * w for w in table.weights[j, :size].tolist())
             states = (PureState(mix.n_qubits, knots.amplitudes[i]),) + tuple(
-                self.geometry.polytope.states[j] for j in anchor.face
+                self.geometry.polytope.states[f] for f in table.faces[j, :size].tolist()
             )
             cert = weights, states
         else:
@@ -634,9 +632,10 @@ _ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 def upper_bound_report(
     mix: RankTwoMixture,
     grid_size: int = GRID_SIZE_DEFAULT,
-    anchors: Optional[tuple] = None,
+    anchors: Optional[AnchorSet] = None,
 ) -> BoundReport:
-    """Evaluate all three bounds on a uniform grid (plus the interval knots)."""
+    """Evaluate all three bounds on a uniform grid (plus the interval knots),
+    searching the rays of the AnchorSet ``anchors`` (default_anchors if None)."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     geom = span_geometry(mix)
@@ -651,7 +650,7 @@ def upper_bound_report(
         # the flat zero curve: the pure ends certify it everywhere
         knots = _KnotTable([0.0, 1.0], [0, grid.shape[0] - 1], [False, False], None)
         return BoundReport(
-            mix, geom, (), grid, lin_vals, lin_vals, lin_vals, lin_curve, lin_curve,
+            mix, geom, _NO_ANCHORS, grid, lin_vals, lin_vals, lin_vals, lin_curve, lin_curve,
             tuple(["zero-interval"] * grid.shape[0]), None, None, None, knots,
         )
     inside = np.zeros(grid.shape, dtype=bool)
@@ -659,16 +658,15 @@ def upper_bound_report(
         inside = (grid >= geom.interval.p_low - 1e-12) & (
             grid <= geom.interval.p_high + 1e-12
         )
-    anchor_set = default_anchors(mix, geom) if anchors is None else tuple(anchors)
+    anchor_set = default_anchors(mix, geom) if anchors is None else anchors
     grid_pivot = None
     pivot_vals = lin_vals.copy()
     if len(anchor_set):
-        points = np.array([a.point for a in anchor_set])
         # rho(0) and rho(1) are pure: their roof is the exact end c3, which a
         # ray with lam just under 1 could undercut by rounding
         off = ~inside
         off[[0, -1]] = False
-        grid_pivot = _grid_pivots(geom.coefficients, grid, off, points)
+        grid_pivot = _grid_pivots(geom.coefficients, grid, off, anchor_set.points)
         pivot_vals = np.minimum(lin_vals, grid_pivot.value)
     pivot_vals[inside] = 0.0
     # the inner zero samples are collinear with the outer two, which the hull keeps

@@ -353,7 +353,11 @@ def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
         text = _RUNNERS[config.command](config)
-    except ValueError as exc:
+        if config.out is not None:
+            with open(config.out, "w", newline="") as fh:
+                fh.write(text)
+    # OSError: a state file that cannot be read or an --out path that cannot be written
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RankExceededError, np.linalg.LinAlgError, FloatingPointError) as exc:
@@ -361,9 +365,6 @@ def run(config: RunConfig) -> int:
         return 3
     if config.out is None:
         sys.stdout.write(text)
-    else:
-        with open(config.out, "w", newline="") as fh:
-            fh.write(text)
     return 0
 
 

@@ -11,7 +11,7 @@ from tangleroof.bloch import (
     state_from_bloch,
 )
 from tangleroof.bounds import (
-    Anchor,
+    AnchorSet,
     BoundCurve,
     characteristic_curve,
     convex_envelope,
@@ -67,29 +67,36 @@ def test_default_anchors_are_certified_zeros(toy_mix):
     geom = span_geometry(toy_mix)
     anchors = default_anchors(toy_mix, geom)
     assert len(anchors) > 4
-    labels = {a.construction for a in anchors}
+    labels = set(anchors.construction.tolist())
     assert labels <= {"vertex", "pair-mixture", "axis-interval-point", "face-grid"}
     assert "vertex" in labels and "face-grid" in labels
-    pts = np.array([a.point for a in anchors])
-    assert np.linalg.norm(pts, axis=1).max() <= 1.0 + 1e-9
-    for a in anchors:
-        assert a.certificate_c3 <= 1e-6
-        assert abs(float(np.sum(a.weights)) - 1.0) <= 1e-9
+    assert np.linalg.norm(anchors.points, axis=1).max() <= 1.0 + 1e-9
+    assert anchors.certificate_c3.max() <= 1e-6
+    assert np.abs(anchors.weights.sum(axis=1) - 1.0).max() <= 1e-9
+    # the padding of faces and weights beyond each row's size is zero
+    pad = np.arange(3) >= anchors.sizes[:, None]
+    assert not anchors.faces[pad].any() and not anchors.weights[pad].any()
     # dedup leaves no repeated anchor points
-    assert len({tuple(np.round(p, 12)) for p in pts}) == len(anchors)
+    assert len({tuple(p) for p in np.round(anchors.points, 12).tolist()}) == len(anchors)
 
 
 def test_anchor_freezes_copies_of_the_caller_arrays():
-    p = np.array([0.1, -0.2, 0.3])
-    w = np.array([0.25, 0.75])
-    a = Anchor(p, "pair-mixture", (0, 1), w, 0.0)
-    assert a.point is not p and a.weights is not w
-    assert p.flags.writeable and w.flags.writeable
-    assert not a.point.flags.writeable and not a.weights.flags.writeable
-    p[0] = 9.0
-    w[0] = 9.0
-    assert a.point[0] == 0.1 and a.weights[0] == 0.25
-    assert a.face == (0, 1)
+    p = np.array([[0.1, -0.2, 0.3]])
+    f = np.array([[0, 1, 0]])
+    w = np.array([[0.25, 0.75, 0.0]])
+    a = AnchorSet(p, ["pair-mixture"], f, w, [2], [0.0])
+    assert len(a) == 1
+    assert a.points is not p and a.faces is not f and a.weights is not w
+    assert p.flags.writeable and f.flags.writeable and w.flags.writeable
+    assert not any(v.flags.writeable for v in vars(a).values())
+    p[0, 0], f[0, 1], w[0, 0] = 9.0, 9, 9.0
+    assert a.points[0, 0] == 0.1 and a.weights[0, 0] == 0.25
+    assert a.faces[0, : a.sizes[0]].tolist() == [0, 1]
+    assert a.construction[0] == "pair-mixture"
+    with pytest.raises(ValueError, match="weights"):
+        AnchorSet(p, ["pair-mixture"], f, [0.25, 0.75], [2], [0.0])
+    empty = AnchorSet((), (), (), (), (), ())
+    assert len(empty) == 0 and empty.points.shape == empty.weights.shape == (0, 3)
 
 
 def test_pivot_bound_dominated_by_linearized(toy_mix):
@@ -200,6 +207,14 @@ def test_ghz_w_zero_interval_matches_literature():
     cube = 4.0 * 2.0 ** (1.0 / 3.0)
     assert abs(iv.p_low) <= 1e-12
     assert abs(iv.p_high - cube / (3.0 + cube)) <= 1e-12
+
+
+def test_ghz_w_envelope_is_one_chord_right_of_the_interval():
+    # the grid sample at p = 0.9975 lies 1.1e-16 below the chord from the
+    # interval end to the pure GHZ3 end: rounding, not a knot
+    rep = upper_bound_report(RankTwoMixture(make_ghz(3), make_w(3), 0.5), grid_size=401)
+    assert rep.p_right == 1.0
+    assert rep.envelope_curve.knots[:, 0].tolist() == [0.0, rep.interval.p_high, 1.0]
 
 
 def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
@@ -331,8 +346,8 @@ def _assert_certifies(rep, mix, p):
 def test_empty_anchor_set_certifies_the_linearized_bound():
     linearized_knots = 0
     for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
-        rep = upper_bound_report(mix, grid_size=401, anchors=())
-        assert rep.anchors == ()
+        rep = upper_bound_report(mix, grid_size=401, anchors=AnchorSet((), (), (), (), (), ()))
+        assert len(rep.anchors) == 0
         inside = np.array(rep.achieving) == "zero-interval"
         assert np.array_equal(rep.pivot, np.where(inside, 0.0, rep.linearized))
         # rounding in the chords keeps knots that are neither ends nor
@@ -342,6 +357,20 @@ def test_empty_anchor_set_certifies_the_linearized_bound():
         for p in CERTIFICATE_PS + (0.3, 0.71):
             assert _assert_certifies(rep, mix, p) <= float(rep.linearized_curve(p)) + 1e-7
     assert linearized_knots > 0
+
+
+def test_an_anchor_subset_bounds_no_lower_and_certifies():
+    for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
+        full = upper_bound_report(mix, grid_size=401)
+        keep = full.anchors.construction != "face-grid"
+        subset = AnchorSet(**{k: v[keep] for k, v in vars(full.anchors).items()})
+        assert 0 < len(subset) < len(full.anchors)
+        rep = upper_bound_report(mix, grid_size=401, anchors=subset)
+        assert rep.anchors is subset and np.array_equal(rep.grid, full.grid)
+        # fewer rays can only raise the pivot bound and its convex minorant
+        assert np.all(rep.pivot >= full.pivot) and np.all(rep.envelope >= full.envelope)
+        for p in CERTIFICATE_PS + tuple(rep.envelope_curve.knots[:, 0].tolist()):
+            _assert_certifies(rep, mix, p)
 
 
 def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
@@ -367,19 +396,18 @@ def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
 
 def _searched_certificate(rep, p):
     """A knot certificate by a fresh single-p anchor search, as a reference."""
-    geom = rep.geometry
-    points = np.array([a.point for a in rep.anchors])
-    cand, lam, s = bounds._pivot_candidates(geom.coefficients, np.array([p]), points)
+    geom, table = rep.geometry, rep.anchors
+    cand, lam, s = bounds._pivot_candidates(geom.coefficients, np.array([p]), table.points)
     best = int(np.argmin(cand[0]))
     lin = float(rep.linearized_curve(p))
     if not np.min(cand[0]) < lin - 1e-15:
         return None
-    anchor = rep.anchors[best]
+    size = table.sizes[best]
     lam_b = float(lam[0, best])
-    weights = [lam_b] + [(1.0 - lam_b) * w for w in anchor.weights]
-    boundary = _axis_boundary(anchor.point, 2.0 * p - 1.0, s[0, best])
+    weights = [lam_b] + [(1.0 - lam_b) * w for w in table.weights[best, :size]]
+    boundary = _axis_boundary(table.points[best], 2.0 * p - 1.0, s[0, best])
     states = (state_from_bloch(rep.mix, boundary),) + tuple(
-        geom.polytope.states[i] for i in anchor.face
+        geom.polytope.states[i] for i in table.faces[best, :size]
     )
     return np.array(weights), states
 
@@ -407,7 +435,9 @@ def test_knot_certificates_equal_a_fresh_anchor_search():
 
 
 def _numpy_scalar_hull(samples):
-    """Lower hull by the cross <= 0 rule over numpy scalars, as a reference."""
+    """Lower hull over numpy scalars, as a reference: a vertex goes when the
+    cross product of its neighbours' chords is at most 4 ulps of its two
+    terms."""
     pts = np.asarray(samples, dtype=float)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     keep = np.ones(pts.shape[0], dtype=bool)
@@ -416,7 +446,8 @@ def _numpy_scalar_hull(samples):
     for q in pts[keep]:
         while len(hull) >= 2:
             o, a = hull[-2], hull[-1]
-            if (a[0] - o[0]) * (q[1] - o[1]) - (a[1] - o[1]) * (q[0] - o[0]) <= 0.0:
+            left, right = (a[0] - o[0]) * (q[1] - o[1]), (a[1] - o[1]) * (q[0] - o[0])
+            if left - right <= 4.0 * np.finfo(float).eps * (abs(left) + abs(right)):
                 hull.pop()
             else:
                 break
@@ -586,13 +617,14 @@ def test_default_anchors_equal_the_per_candidate_builder():
         expected = _reference_anchors(geom)
         assert len(got) == len(expected)
         anchored += bool(got)
-        for a, (point, construction, face, weights, cert) in zip(got, expected):
-            assert np.array_equal(a.point, point)
-            assert a.construction == construction
-            assert a.face == face
-            assert np.array_equal(a.weights, weights) and a.weights.shape == weights.shape
-            assert a.certificate_c3 == cert
-            assert not a.point.flags.writeable and not a.weights.flags.writeable
+        for j, (point, construction, face, weights, cert) in enumerate(expected):
+            size = got.sizes[j]
+            assert np.array_equal(got.points[j], point)
+            assert got.construction[j] == construction
+            assert tuple(got.faces[j, :size].tolist()) == face
+            assert np.array_equal(got.weights[j, :size], weights) and size == weights.shape[0]
+            assert got.certificate_c3[j] == cert
+        assert not any(v.flags.writeable for v in vars(got).values())
     assert anchored >= 40
 
 
@@ -617,7 +649,7 @@ def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
         assert np.all(np.isinf(rep._grid_pivot.value[[0, -1]]))
         idx = np.nonzero(np.array(rep.achieving[1:-1]) != "zero-interval")[0] + 1
         ps = rep.grid[idx]
-        points = np.array([a.point for a in rep.anchors])
+        points = rep.anchors.points
         cand, lam, s = bounds._pivot_candidates(coeffs, ps, points)
         ref_cand, ref_lam, ref_boundary, ref_tau = _reference_pivot_candidates(coeffs, ps, points)
         np.testing.assert_array_equal(lam, ref_lam)

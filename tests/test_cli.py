@@ -40,6 +40,24 @@ def test_malformed_state_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "{missing}/a.json", "{missing}/b.json"],
+        ["toy", "--out", "{missing}/x.json"],
+        ["toy", "--out", "{dir}"],
+    ],
+    ids=["missing-state-files", "out-in-a-missing-directory", "out-is-a-directory"],
+)
+def test_unusable_paths_exit_2(argv, tmp_path, capsys):
+    argv = [arg.format(missing=tmp_path / "missing", dir=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_tiny_grid_exits_2(capsys):
     assert main(["bounds", "--p-grid", "1"]) == 2
     assert "error:" in capsys.readouterr().err
