@@ -38,7 +38,6 @@ from .invariants import (
     wootters_concurrence,
 )
 from .pencil import (
-    ExtendedRoot,
     IdenticallyZeroPencilError,
     PencilPolynomial,
     ZeroSet,
@@ -106,7 +105,6 @@ __all__ = [
     "one_tangle",
     "three_tangle",
     "wootters_concurrence",
-    "ExtendedRoot",
     "IdenticallyZeroPencilError",
     "PencilPolynomial",
     "ZeroSet",

@@ -91,23 +91,20 @@ _FACE_ORDER = {
 class ZeroPolytope:
     """Convex hull data of the zero-tangle Bloch points.
 
-    The faces tested against the axis are the vertex subsets of size 1 to
-    3 in ``FACES[n_vertices]``.
+    Vertex j is the Bloch point of row j of the span's ZeroSet, whose
+    states, axis coordinates and multiplicities belong to it. The faces
+    tested against the axis are the vertex subsets of size 1 to 3 in
+    ``FACES[n_vertices]``.
     """
 
     vertices: np.ndarray
-    p0: np.ndarray
-    phases: np.ndarray
-    multiplicities: np.ndarray
-    states: tuple
     dimension: int
     volume: float
 
     def __post_init__(self):
-        for name in ("vertices", "p0", "phases", "multiplicities"):
-            a = np.asarray(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        v = np.asarray(self.vertices)
+        v.setflags(write=False)
+        object.__setattr__(self, "vertices", v)
 
     @property
     def n_vertices(self) -> int:
@@ -188,15 +185,14 @@ def _polytopes(zero_sets):
     for its axis interval (the input of _axis_intervals); sets with equal
     vertex counts share one SVD, one determinant and one polygon-area
     pass."""
-    zs_of = [[np.inf if r.z is None else r.z for r in zs.roots] for zs in zero_sets]
-    counts = [len(z) for z in zs_of]
+    counts = [zeros.z.shape[0] for zeros in zero_sets]
     if 0 in counts:
         raise ValueError("empty zero set has no polytope")
     out: list = [None] * len(zero_sets)
     triangles = np.zeros(len(zero_sets), dtype=bool)
     if not zero_sets:
         return out, triangles
-    points = bloch_from_z(np.concatenate(zs_of))
+    points = bloch_from_z(np.concatenate([zeros.z for zeros in zero_sets]))
     starts = np.cumsum([0] + counts)
     for k, idx in _by_vertex_count(counts):
         v = points[starts[idx, None] + np.arange(k)]
@@ -209,24 +205,7 @@ def _polytopes(zero_sets):
         if flat.any():
             volume[flat] = _polygon_areas(v[flat], vt[flat])
         for j, i in enumerate(idx.tolist()):
-            zeros = zero_sets[i]
-            p0, phases, mults, states = [], [], [], []
-            offset = 0
-            for root in zeros.roots:
-                p0.append(root.p0)
-                phases.append(root.phase)
-                mults.append(root.multiplicity)
-                states.append(zeros.states[offset])
-                offset += root.multiplicity
-            out[i] = ZeroPolytope(
-                vertices=v[j],
-                p0=np.array(p0),
-                phases=np.array(phases),
-                multiplicities=np.array(mults, dtype=int),
-                states=tuple(states),
-                dimension=int(rank[j]),
-                volume=float(volume[j]),
-            )
+            out[i] = ZeroPolytope(v[j], int(rank[j]), float(volume[j]))
     return out, triangles
 
 

@@ -499,7 +499,7 @@ class BoundReport:
         if interval is None or self.linearized_curve.provenance[i] == "endpoint":
             return (1.0,), (self.mix.psi2 if p == 0.0 else self.mix.psi1,)
         wit = interval.witness_low if p == interval.p_low else interval.witness_high
-        states = self.geometry.polytope.states
+        states = self.geometry.zeros.states
         return tuple(wit.weights.tolist()), tuple(states[j] for j in wit.face)
 
     def _knot_certificate(self, i: int):
@@ -517,7 +517,7 @@ class BoundReport:
             size, lam = table.sizes[j], float(self._grid_pivot.lam[k])
             weights = (lam,) + tuple((1.0 - lam) * w for w in table.weights[j, :size].tolist())
             states = (PureState(mix.n_qubits, knots.amplitudes[i]),) + tuple(
-                self.geometry.polytope.states[f] for f in table.faces[j, :size].tolist()
+                self.geometry.zeros.states[f] for f in table.faces[j, :size].tolist()
             )
             cert = weights, states
         else:
@@ -547,22 +547,24 @@ def _mix(xs: list, certificate, p: float):
     ``xs`` is a strictly increasing list of knot abscissae and
     ``certificate(i)`` the weights and states certifying knot i. The left
     knot's certificate is scaled by (right - p) / (right - left), the right
-    one's by the rest, and weights at or below 1e-15 are dropped. A p
-    beyond either end knot reads that knot, as np.interp does: the
-    linearized curve's end knots may sit up to 1e-15 inside [0, 1], where
-    an interval end merged with a pure end. Returns (weights, states) as a
-    list and a tuple.
+    one's by the rest. Weights at or below 1e-15 are dropped, and then
+    entries holding the same state object (a vertex state of an interval
+    witness, or a pure end, shared by both knots) are merged by summing
+    their weights in order of first appearance, so no state is listed
+    twice. A p beyond either end knot reads that knot, as np.interp does:
+    the linearized curve's end knots may sit up to 1e-15 inside [0, 1],
+    where an interval end merged with a pure end. Returns (weights,
+    states) as a list and a tuple.
     """
     j = min(max(bisect_right(xs, p), 1), len(xs) - 1)
     left, right = xs[j - 1], xs[j]
     theta = min(max((right - p) / (right - left), 0.0), 1.0)
-    weights, states = [], []
+    merged: dict = {}  # id(state) -> [weight, state], in order of first appearance
     for scale, knot in ((theta, j - 1), (1.0 - theta, j)):
         for w, state in zip(*certificate(knot)):
             if scale * w > 1e-15:
-                weights.append(scale * w)
-                states.append(state)
-    return weights, tuple(states)
+                merged.setdefault(id(state), [0.0, state])[0] += scale * w
+    return [w for w, _ in merged.values()], tuple(state for _, state in merged.values())
 
 
 def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: np.ndarray):

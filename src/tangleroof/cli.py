@@ -140,15 +140,22 @@ def _witness_payload(witness):
     }
 
 
-def _root_payload(root):
-    return {
-        "at_infinity": root.at_infinity,
-        "re": None if root.at_infinity else float(root.z.real),
-        "im": None if root.at_infinity else float(root.z.imag),
-        "multiplicity": int(root.multiplicity),
-        "p0": float(root.p0),
-        "phase": float(root.phase),
-    }
+def _root_payloads(zeros):
+    """One dict per row of a ZeroSet's root table."""
+    return [
+        {
+            "at_infinity": not finite,
+            "re": float(z.real) if finite else None,
+            "im": float(z.imag) if finite else None,
+            "multiplicity": m,
+            "p0": p0,
+            "phase": phase,
+        }
+        for z, finite, m, p0, phase in zip(
+            zeros.z.tolist(), np.isfinite(zeros.z).tolist(), zeros.multiplicity.tolist(),
+            zeros.p0.tolist(), zeros.phases.tolist(),
+        )
+    ]
 
 
 def _load_pair(cfg: RunConfig) -> RankTwoMixture:
@@ -174,7 +181,7 @@ def _run_zeros(cfg: RunConfig):
             ("identically_zero", "interval_low", "interval_high"),
             [(True, 0.0, 1.0)],
         )
-    roots = [_root_payload(r) for r in zs.roots]
+    roots = _root_payloads(zs)
     if cfg.format == "json":
         return _render_json({"identically_zero": False, "roots": roots})
     header = ("index", "re", "im", "at_infinity", "multiplicity", "p0", "phase")
@@ -320,11 +327,11 @@ def _run_toy(cfg: RunConfig):
     iv = rep.interval
     payload = {
         "interval": [iv.p_low, iv.p_high],
-        "roots": [_root_payload(r) for r in rep.zeros.roots],
-        "p0": rep.polytope.p0,
-        "phases": rep.polytope.phases,
+        "roots": _root_payloads(rep.zeros),
+        "p0": rep.zeros.p0,
+        "phases": rep.zeros.phases,
         "vertices": rep.polytope.vertices,
-        "multiplicities": rep.polytope.multiplicities,
+        "multiplicities": rep.zeros.multiplicity,
         "dimension": rep.polytope.dimension,
         "volume": rep.polytope.volume,
         "witness_low": _witness_payload(iv.witness_low),

@@ -18,7 +18,6 @@ from .states import PureState, RankTwoMixture, _row_norms
 
 __all__ = [
     "PencilPolynomial",
-    "ExtendedRoot",
     "ZeroSet",
     "IdenticallyZeroPencilError",
     "pencil_coefficients",
@@ -88,53 +87,33 @@ class PencilPolynomial:
         return int(_degrees(self.coefficients[None, :], tol)[0])
 
 
-@dataclass(frozen=True)
-class ExtendedRoot:
-    """Root of the pencil polynomial; z is None for the point at infinity."""
-
-    z: Optional[complex]
-    multiplicity: int = 1
-
-    @property
-    def at_infinity(self) -> bool:
-        return self.z is None
-
-    @property
-    def p0(self) -> float:
-        """Axis coordinate 1 / (1 + |z|^2) of the root's Bloch point."""
-        if self.z is None:
-            return 0.0
-        return float(1.0 / (1.0 + abs(self.z) ** 2))
-
-    @property
-    def phase(self) -> float:
-        if self.z is None:
-            return 0.0
-        return float(np.angle(self.z))
-
-
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
-    """Roots of the pencil with derived axis coordinates, phases, and states.
+    """Root table of a pencil: one row per distinct extended root.
 
-    ``roots`` holds the distinct extended roots with multiplicity; ``p0``,
-    ``phases`` and ``states`` are expanded with multiplicity to length 4,
-    aligned with the root order.
+    Rows run real roots ascending, then conjugate pairs (positive
+    imaginary part first), then the root at infinity. Row j holds the root
+    ``z[j]`` (inf at infinity), its ``multiplicity[j]`` (the column sums
+    to 4), the axis coordinate ``p0[j]`` = 1 / (1 + |z|^2) and the phase
+    ``phases[j]`` = arg z of its Bloch point (both 0 at infinity), and the
+    normalized zero-tangle state ``states[j]`` of psi1 + z psi2 (psi2 at
+    infinity).
     """
 
-    roots: tuple
+    z: np.ndarray
+    multiplicity: np.ndarray
     p0: np.ndarray
     phases: np.ndarray
     states: tuple
 
     def __post_init__(self):
-        p0 = np.asarray(self.p0, dtype=float)
-        ph = np.asarray(self.phases, dtype=float)
-        p0.setflags(write=False)
-        ph.setflags(write=False)
-        object.__setattr__(self, "roots", tuple(self.roots))
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "phases", ph)
+        for name, dtype in (
+            ("z", complex), ("multiplicity", int), ("p0", float), ("phases", float)
+        ):
+            # copies, so that freezing them leaves the caller's arrays writable
+            a = np.array(getattr(self, name), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         object.__setattr__(self, "states", tuple(self.states))
 
 
@@ -416,8 +395,9 @@ def _order_key(item):
 
 def _extended_roots(
     c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float, cluster_tol: float
-) -> list:
-    """Clustered, ordered extended roots of one pencil from its raw finite roots."""
+):
+    """Clustered, ordered extended roots of one pencil from its raw finite
+    roots: (z, multiplicity) arrays, with z = inf for the root at infinity."""
     merged: list = []
     if raw.size:
         real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak
@@ -427,19 +407,21 @@ def _extended_roots(
             finite = [complex(z) for z in raw]
         merged = _cluster(finite, cluster_tol)
     merged.sort(key=_order_key)
-    roots = [ExtendedRoot(z, mult) for z, mult in merged]
     if n_inf > 0:
-        roots.append(ExtendedRoot(None, n_inf))
-    total = sum(r.multiplicity for r in roots)
+        merged.append((np.inf, n_inf))
+    z = np.array([root for root, _ in merged], dtype=complex)
+    multiplicity = np.array([m for _, m in merged], dtype=int)
+    total = int(multiplicity.sum())
     if total != DEGREE:
         raise RuntimeError(f"root count {total} != {DEGREE}; numerical breakdown")
-    return roots
+    return z, multiplicity
 
 
 def _roots_many(
     coeffs: np.ndarray, tol: float = COEFF_TOL, cluster_tol: float = CLUSTER_TOL
 ) -> list:
-    """Extended roots of each row of an (N, 5) stack; None for a row with max|c| <= tol.
+    """(z, multiplicity) of each row of an (N, 5) stack, as _extended_roots
+    gives them; None for a row with max|c| <= tol.
 
     The raw roots of every row come from one finite_roots call; the
     conjugate pairing, clustering and ordering run per row.
@@ -461,8 +443,10 @@ def polynomial_roots(
     poly: PencilPolynomial,
     tol: float = COEFF_TOL,
     cluster_tol: float = CLUSTER_TOL,
-) -> list:
-    """All 4 extended roots of the pencil, counted with multiplicity.
+):
+    """The distinct extended roots of the pencil and their multiplicities,
+    as two arrays (z, multiplicity); z is inf for the root at infinity and
+    the multiplicities sum to 4.
 
     Finite roots come from finite_roots and are merged when they lie within
     relative distance cluster_tol. Real-coefficient input yields exactly
@@ -484,32 +468,32 @@ def _zero_sets(
 ) -> list:
     """Zero set of each pair of rows of two (N, 8) stacks whose pencils are coeffs.
 
-    None marks an identically vanishing pencil. The states of all finite
-    roots are built and normalized in one pass; a root at infinity is the
-    pure amps2 end.
+    None marks an identically vanishing pencil. The axis coordinates,
+    phases and states of the roots of all pencils are computed in one pass
+    each; the state of a root at infinity is the pure amps2 end.
     """
     all_roots = _roots_many(coeffs, tol)
-    finite = [
-        (n, r.z) for n, roots in enumerate(all_roots) if roots for r in roots if r.z is not None
-    ]
-    rows = np.array([n for n, _ in finite], dtype=np.intp)
-    zs = np.array([z for _, z in finite], dtype=complex)
-    amps = amps1[rows] + zs[:, None] * amps2[rows]
-    finite_states = iter(amps / _row_norms(amps)[:, None])
-    out: list = []
-    for n, roots in enumerate(all_roots):
-        if roots is None:
-            out.append(None)
-            continue
-        p0, phases, states = [], [], []
-        for root in roots:
-            amp = amps2[n] if root.at_infinity else next(finite_states)
-            state = PureState(3, amp)
-            for _ in range(root.multiplicity):
-                p0.append(root.p0)
-                phases.append(root.phase)
-                states.append(state)
-        out.append(ZeroSet(tuple(roots), np.array(p0), np.array(phases), tuple(states)))
+    live = [n for n, roots in enumerate(all_roots) if roots is not None]
+    out: list = [None] * len(all_roots)
+    if not live:
+        return out
+    z = np.concatenate([all_roots[n][0] for n in live])
+    counts = [all_roots[n][0].shape[0] for n in live]
+    rows = np.repeat(live, counts)
+    finite = np.isfinite(z)
+    amps = amps2[rows].astype(complex, copy=False)
+    at_roots = amps1[rows[finite]] + z[finite, None] * amps2[rows[finite]]
+    amps[finite] = at_roots / _row_norms(at_roots)[:, None]
+    # the C hypot and pow of Python's abs(z) ** 2 on a complex scalar, whose
+    # bits np.abs and ** on arrays do not always keep; 1 / (1 + inf) is the
+    # 0 of the root at infinity
+    p0 = 1.0 / (1.0 + np.float_power(np.hypot(z.real, z.imag), 2.0))
+    phases = np.angle(z)
+    stops = np.cumsum(counts).tolist()
+    for n, start, stop in zip(live, [0] + stops, stops):
+        table = slice(start, stop)
+        states = [PureState(3, amp) for amp in amps[table]]
+        out[n] = ZeroSet(z[table], all_roots[n][1], p0[table], phases[table], states)
     return out
 
 

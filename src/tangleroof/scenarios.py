@@ -313,22 +313,27 @@ def _tracked_volumes(ps: np.ndarray, phi: float) -> np.ndarray:
     return np.linalg.det(pts[:, 1:] - pts[:, :1]) / 6.0
 
 
-def has_interior_volume_zero(
-    phi: float, n_coarse: int = 1201, noise_floor: float = 1e-12
-) -> bool:
+# the coarse p grid of the interior-zero search over [0.02, 0.99], and the
+# tracked volume below which a sign change counts as noise
+COARSE_GRID = 1201
+VOLUME_NOISE_FLOOR = 1e-12
+
+
+def has_interior_volume_zero(phi: float) -> bool:
     """True when the tracked signed simplex volume changes sign inside (0, 1).
 
     Vertex tracking keeps the volume's orientation consistent along p, so a
-    transversal interior zero shows up as a sign change between grid
-    neighbors whose magnitudes exceed the noise floor. Candidates are
-    confirmed on a refined sweep of the bracketing interval; flat
-    lower-dimensional stretches sit below the floor and are ignored.
+    transversal interior zero shows up as a sign change between neighbors
+    of the COARSE_GRID-point grid whose magnitudes exceed
+    VOLUME_NOISE_FLOOR. Candidates are confirmed on a refined sweep of the
+    bracketing interval; flat lower-dimensional stretches sit below the
+    floor and are ignored.
     """
-    ps = np.linspace(0.02, 0.99, n_coarse)
+    ps = np.linspace(0.02, 0.99, COARSE_GRID)
     sv = _tracked_volumes(ps, float(phi))
     flips = np.nonzero(np.sign(sv[:-1]) != np.sign(sv[1:]))[0]
     for i in flips:
-        if abs(sv[i]) <= noise_floor or abs(sv[i + 1]) <= noise_floor:
+        if abs(sv[i]) <= VOLUME_NOISE_FLOOR or abs(sv[i + 1]) <= VOLUME_NOISE_FLOOR:
             continue
         fine = _tracked_volumes(np.linspace(ps[i], ps[i + 1], 41), float(phi))
         if np.any(np.sign(fine[:-1]) != np.sign(fine[1:])):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,18 @@ ACCEPTANCE_LABELS = {
 @pytest.fixture(scope="session")
 def toy_mix():
     return tr.toy_mixture()
+
+
+@pytest.fixture(scope="session")
+def benchmark_inputs():
+    """The benchmark's seeded inputs (perfbench/inputs.py, numpy only):
+    ``pair_set(seed)`` lists (name, psi1, psi2) amplitude pairs, starting
+    with the toy pair, GHZ3/W3, |000>/|111> and |000>/|001>."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -22,11 +22,11 @@ def test_criterion_01_endpoint_values(toy_mix):
 
 
 def test_criterion_02_toy_roots(toy_rep):
-    roots = toy_rep.zeros.roots
-    assert len(roots) == 4
-    assert not any(r.at_infinity for r in roots)
+    zeros = toy_rep.zeros
+    assert zeros.z.shape == (4,) and zeros.multiplicity.tolist() == [1, 1, 1, 1]
+    assert np.all(np.isfinite(zeros.z))
     # published values use the opposite pencil orientation: map z -> -z
-    mapped = [-r.z for r in roots]
+    mapped = -zeros.z
     expected = [
         1.0,
         -7.7543,
@@ -38,7 +38,7 @@ def test_criterion_02_toy_roots(toy_rep):
         phase_diff = np.angle(got * np.conj(want))
         assert abs(phase_diff) <= 1e-3
     np.testing.assert_allclose(
-        toy_rep.polytope.p0, [0.5, 0.01636, 0.74182, 0.74182], atol=1e-4
+        toy_rep.zeros.p0, [0.5, 0.01636, 0.74182, 0.74182], atol=1e-4
     )
 
 
@@ -46,7 +46,7 @@ def test_criterion_03_toy_interval(toy_rep):
     iv = toy_rep.interval
     assert abs(iv.p_low - 0.11423) <= 1e-4
     assert abs(iv.p_high - 0.69289) <= 1e-4
-    states = toy_rep.polytope.states
+    states = toy_rep.zeros.states
     mix = toy_rep.mixture
     assert _witness_rho_error(mix, iv.p_low, iv.witness_low, states) <= 1e-9
     assert _witness_rho_error(mix, iv.p_high, iv.witness_high, states) <= 1e-9

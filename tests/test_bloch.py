@@ -13,8 +13,10 @@ from tangleroof.bloch import (
     build_polytope,
     state_from_bloch,
 )
+from tangleroof._kernels import tau3_many
+from tangleroof.bounds import span_geometries
 from tangleroof.invariants import c3
-from tangleroof.pencil import ExtendedRoot, zero_set
+from tangleroof.pencil import zero_set
 from tangleroof.scenarios import reduced_mixture, toy_mixture
 from tangleroof.states import PureState, RankTwoMixture, inner_product, make_ghz, make_w
 
@@ -31,7 +33,8 @@ def test_bloch_points_lie_on_unit_sphere():
     for _ in range(20):
         z = complex(rng.normal(scale=3.0), rng.normal(scale=3.0))
         assert abs(np.linalg.norm(bloch_from_z(z)) - 1.0) <= 1e-12
-    assert np.allclose(bloch_from_z(ExtendedRoot(None).z), [0.0, 0.0, -1.0])
+    # a root table's z for the root at infinity
+    assert np.allclose(bloch_from_z(np.array([np.inf], dtype=complex)), [[0.0, 0.0, -1.0]])
 
 
 def test_axis_point_endpoints():
@@ -166,10 +169,31 @@ def test_state_from_bloch_poles_and_vertices():
     assert abs(abs(inner_product(south, mix.psi2)) - 1.0) <= 1e-12
     zs = zero_set(mix)
     poly = build_polytope(zs)
-    for vertex, state in zip(poly.vertices, poly.states):
+    for vertex, state in zip(poly.vertices, zs.states):
         rebuilt = state_from_bloch(mix, vertex)
         assert abs(abs(inner_product(rebuilt, state)) - 1.0) <= 1e-10
         assert c3(rebuilt) <= 1e-6
+
+
+def test_root_table_invariants(benchmark_inputs):
+    # the toy pair, GHZ3/W3, |000>/|111>, the identically zero |000>/|001>,
+    # and seeded Haar and real pairs (real ones with double roots)
+    pairs = benchmark_inputs.pair_set(1) + benchmark_inputs.pair_set(2)
+    geoms = span_geometries(np.array([a for _, a, _ in pairs]), np.array([b for _, _, b in pairs]))
+    tables = [g for g in geoms if g.zeros is not None]
+    assert len(geoms) - len(tables) == 2  # |000>/|001> of either seed
+    assert any((g.zeros.multiplicity > 1).any() for g in tables)
+    for geom in tables:
+        zeros, vertices = geom.zeros, geom.polytope.vertices
+        assert zeros.multiplicity.sum() == 4 and len(zeros.states) == len(zeros.z)
+        assert np.array_equal(vertices, bloch_from_z(zeros.z))
+        np.testing.assert_allclose(zeros.p0, (1.0 + vertices[:, 2]) / 2.0, rtol=0.0, atol=1e-15)
+        # bitwise the per-root scalar formulas on Python complex numbers
+        roots = [z if np.isfinite(z) else None for z in zeros.z.tolist()]
+        assert zeros.p0.tolist() == [0.0 if z is None else 1.0 / (1.0 + abs(z) ** 2) for z in roots]
+        assert zeros.phases.tolist() == [0.0 if z is None else float(np.angle(z)) for z in roots]
+        tau = tau3_many(np.array([s.amplitudes for s in zeros.states]))
+        assert np.abs(tau).max() <= 1e-12
 
 
 def _lstsq_axis_interval(poly):

@@ -255,10 +255,10 @@ def test_span_geometries_equal_batches_of_one():
         assert np.array_equal(geom.coefficients, alone.coefficients)
         if alone.identically_zero:
             continue
-        assert [(r.z, r.multiplicity) for r in geom.zeros.roots] == [
-            (r.z, r.multiplicity) for r in alone.zeros.roots
-        ]
-        for a, b in zip(geom.polytope.states, alone.polytope.states):
+        for name in ("z", "multiplicity", "p0", "phases"):
+            assert np.array_equal(getattr(geom.zeros, name), getattr(alone.zeros, name))
+        assert len(geom.zeros.states) == len(alone.zeros.states)
+        for a, b in zip(geom.zeros.states, alone.zeros.states):
             assert np.array_equal(a.amplitudes, b.amplitudes)
         assert np.array_equal(geom.polytope.vertices, alone.polytope.vertices)
         assert (geom.polytope.dimension, geom.polytope.volume) == (
@@ -343,6 +343,20 @@ def _assert_certifies(rep, mix, p):
     return avg
 
 
+def test_decompositions_list_each_state_once(benchmark_inputs):
+    # knot certificates that share an interval witness's vertex state or a
+    # pure end are merged into one entry per state object
+    for name, a, b in benchmark_inputs.pair_set(1):
+        mix = RankTwoMixture(PureState(3, a), PureState(3, b), 0.5)
+        rep = upper_bound_report(mix, grid_size=401)
+        for p in benchmark_inputs.DECOMPOSITION_PS:
+            _, states = rep.decomposition_at(p)
+            assert len({id(s) for s in states}) == len(states), (name, p)
+            _assert_certifies(rep, mix, p)
+        if name == "toy":
+            assert len(rep.decomposition_at(0.05)[1]) == 3
+
+
 def test_empty_anchor_set_certifies_the_linearized_bound():
     linearized_knots = 0
     for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
@@ -407,7 +421,7 @@ def _searched_certificate(rep, p):
     weights = [lam_b] + [(1.0 - lam_b) * w for w in table.weights[best, :size]]
     boundary = _axis_boundary(table.points[best], 2.0 * p - 1.0, s[0, best])
     states = (state_from_bloch(rep.mix, boundary),) + tuple(
-        geom.polytope.states[i] for i in table.faces[best, :size]
+        geom.zeros.states[i] for i in table.faces[best, :size]
     )
     return np.array(weights), states
 

@@ -5,7 +5,6 @@ from numpy.polynomial import polynomial as npoly
 from tangleroof import pencil
 from tangleroof.invariants import three_tangle
 from tangleroof.pencil import (
-    ExtendedRoot,
     IdenticallyZeroPencilError,
     PencilPolynomial,
     finite_roots,
@@ -46,32 +45,29 @@ def test_pencil_polynomial_coefficient_count():
 def test_polynomial_roots_quartic_with_known_roots():
     # (z - 1)(z - 2)(z - 3)(z - 4)
     c = npoly.polyfromroots([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    roots = polynomial_roots(PencilPolynomial(c))
-    got = sorted(r.z.real for r in roots)
-    np.testing.assert_allclose(got, [1.0, 2.0, 3.0, 4.0], atol=1e-10)
-    assert all(r.multiplicity == 1 and not r.at_infinity for r in roots)
+    z, mult = polynomial_roots(PencilPolynomial(c))
+    np.testing.assert_allclose(np.sort(z.real), [1.0, 2.0, 3.0, 4.0], atol=1e-10)
+    assert np.all(mult == 1) and np.all(np.isfinite(z))
 
 
 def test_polynomial_roots_degree_deficit_goes_to_infinity():
     # (z - 1)(z - 2): two finite roots, two at infinity
     c = np.zeros(5, dtype=complex)
     c[:3] = npoly.polyfromroots([1.0, 2.0])
-    roots = polynomial_roots(PencilPolynomial(c))
-    finite = [r for r in roots if not r.at_infinity]
-    infinite = [r for r in roots if r.at_infinity]
-    np.testing.assert_allclose(sorted(r.z.real for r in finite), [1.0, 2.0], atol=1e-12)
-    assert sum(r.multiplicity for r in infinite) == 2
-    assert roots[-1].at_infinity
+    z, mult = polynomial_roots(PencilPolynomial(c))
+    finite = np.isfinite(z)
+    np.testing.assert_allclose(np.sort(z[finite].real), [1.0, 2.0], atol=1e-12)
+    assert mult[~finite].sum() == 2
+    assert np.isinf(z[-1])
 
 
 def test_polynomial_roots_multiplicity_clustering():
     # (z - 1)^2 (z^2 + 1)
     c = npoly.polyfromroots([1.0, 1.0, 1j, -1j]).astype(complex)
-    roots = polynomial_roots(PencilPolynomial(c))
+    z, mult = polynomial_roots(PencilPolynomial(c))
     mults = {}
-    for r in roots:
-        key = None if r.at_infinity else complex(np.round(r.z, 6))
-        mults[key] = mults.get(key, 0) + r.multiplicity
+    for root, m in zip(np.round(z, 6).tolist(), mult.tolist()):
+        mults[root] = mults.get(root, 0) + m
     assert mults[complex(1.0)] == 2
     assert mults[1j] == 1 and mults[-1j] == 1
 
@@ -80,10 +76,10 @@ def test_polynomial_roots_exact_conjugate_pairs():
     rng = np.random.default_rng(5)
     for _ in range(10):
         c = rng.normal(size=5).astype(complex)
-        roots = polynomial_roots(PencilPolynomial(c))
-        zs = [r.z for r in roots if not r.at_infinity and abs(r.z.imag) > 0]
-        for z in zs:
-            assert any(np.conj(z) == w for w in zs if w is not z)
+        z, _ = polynomial_roots(PencilPolynomial(c))
+        complex_roots = z[np.isfinite(z) & (z.imag != 0.0)]
+        for root in complex_roots:
+            assert np.conj(root) in complex_roots
 
 
 def test_polynomial_roots_identically_zero_raises():
@@ -112,30 +108,36 @@ def test_finite_roots_floor_of_one_counts_four_at_infinity():
     coeffs = np.array([[1.0, -2.0, 0.5, 3.0, 1.0]], dtype=complex)
     roots, n_inf = finite_roots(coeffs, tol=2.0)
     assert n_inf[0] == 4 and np.all(np.isinf(roots))
-    roots = polynomial_roots(PencilPolynomial(coeffs[0] * 10.0), tol=2.0)
-    assert [(r.z, r.multiplicity) for r in roots] == [(None, 4)]
+    z, mult = polynomial_roots(PencilPolynomial(coeffs[0] * 10.0), tol=2.0)
+    assert z.tolist() == [complex(np.inf)] and mult.tolist() == [4]
 
 
 def test_polished_roots_are_accurate():
     c = npoly.polyfromroots([0.5, -3.0, 2.0 + 1.0j, 2.0 - 1.0j]).astype(complex)
-    roots = polynomial_roots(PencilPolynomial(c))
-    for r in roots:
-        assert abs(npoly.polyval(r.z, c)) <= 1e-10
+    z, _ = polynomial_roots(PencilPolynomial(c))
+    assert np.abs(npoly.polyval(z, c)).max() <= 1e-10
 
 
 def test_extended_root_properties():
-    inf = ExtendedRoot(None, 2)
-    assert inf.at_infinity and inf.p0 == 0.0 and inf.phase == 0.0
-    finite = ExtendedRoot(1.0 + 1.0j)
-    assert abs(finite.p0 - 1.0 / 3.0) <= 1e-15
-    assert abs(finite.phase - np.pi / 4.0) <= 1e-15
+    # (z - (1 + i)) with three roots at infinity
+    c = np.zeros(5, dtype=complex)
+    c[:2] = npoly.polyfromroots([1.0 + 1.0j])
+    ket = np.eye(8, dtype=complex)
+    zs = pencil._zero_sets(c[None, :], ket[None, 0], ket[None, 7])[0]
+    assert zs.z.tolist() == [1.0 + 1.0j, complex(np.inf)]
+    assert zs.multiplicity.tolist() == [1, 3]
+    np.testing.assert_allclose(zs.p0, [1.0 / 3.0, 0.0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(zs.phases, [np.pi / 4.0, 0.0], rtol=0.0, atol=1e-15)
+    # the root at infinity is the pure second state
+    np.testing.assert_array_equal(zs.states[1].amplitudes, ket[7])
 
 
 def test_zero_set_states_have_zero_tangle():
     mix = RankTwoMixture(make_ghz(3), make_w(3), 0.5)
     zs = zero_set(mix)
-    assert len(zs.states) == 4
-    assert zs.p0.shape == (4,) and zs.phases.shape == (4,)
+    # one row per distinct root: three finite roots and one at infinity
+    assert zs.multiplicity.tolist() == [1, 1, 1, 1] and np.isinf(zs.z[-1])
+    assert len(zs.states) == zs.p0.shape[0] == zs.phases.shape[0] == 4
     for state in zs.states:
         assert abs(three_tangle(state)) <= 1e-12
         assert abs(state.norm() - 1.0) <= 1e-12
@@ -151,9 +153,9 @@ def test_zero_set_deterministic_ordering():
     mix = RankTwoMixture(make_ghz(3), make_w(3), 0.5)
     a = zero_set(mix)
     b = zero_set(mix)
-    assert [r.z for r in a.roots] == [r.z for r in b.roots]
+    assert a.z.tolist() == b.z.tolist()
     # reals ascending, conjugate pair with +Im first, infinity last
-    finite = [r.z for r in a.roots if not r.at_infinity]
+    finite = a.z[np.isfinite(a.z)].tolist()
     reals = [z.real for z in finite if z.imag == 0.0]
     assert reals == sorted(reals)
 

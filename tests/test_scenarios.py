@@ -266,8 +266,9 @@ def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
     monkeypatch.setattr(_kernels, "tau3_many", counted)
     counts = []
     for n_coarse in (301, 1201):
+        monkeypatch.setattr(scenarios, "COARSE_GRID", n_coarse)
         calls.clear()
-        has_interior_volume_zero(phi, n_coarse=n_coarse)
+        has_interior_volume_zero(phi)
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
