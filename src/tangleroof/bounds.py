@@ -30,7 +30,7 @@ from .bloch import (
     _span_coordinates,
     axis_point,
 )
-from .pencil import ZeroSet, _form_coefficients, _pencils, _zero_sets, pencil_polynomial
+from .pencil import ZeroSet, _pencils, _zero_sets, pencil_polynomial
 from .states import PureState, RankTwoMixture
 
 __all__ = [
@@ -57,10 +57,11 @@ _HULL_ULPS = 4.0 * np.finfo(float).eps
 class SpanGeometry:
     """Zero-set geometry of a rank-two span, shared across bound evaluations.
 
-    ``coefficients`` are the span's quartic-form coefficients c_0..c_4
-    (``PencilPolynomial.form_coefficients``): the tangle of a psi1 + b psi2
-    is quartic_form(coefficients, a, b), exact at either pure end. An
-    identically vanishing pencil is stored as zeros.
+    ``coefficients`` are the span's pencil coefficients c_0..c_4, the ones
+    its roots come from, with c_0 = tau3(psi1) and c_4 = tau3(psi2) exact:
+    the tangle of a psi1 + b psi2 is quartic_form(coefficients, a, b),
+    exact at either pure end. An identically vanishing pencil is stored as
+    zeros.
     """
 
     coefficients: np.ndarray
@@ -83,7 +84,7 @@ class SpanGeometry:
 def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks.
 
-    One tau3_many call on 7N rows gives every pencil and its two exact
+    One tau3_many call on 7N rows gives every pencil with its two exact
     ends; one finite_roots call gives the raw roots; spans with equal
     vertex counts share their affine-frame SVD and their stacked face
     solves for the axis interval.
@@ -92,8 +93,7 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     amps2 = np.asarray(amps2, dtype=complex)
     if amps1.ndim != 2 or amps1.shape[1] != 8 or amps2.shape != amps1.shape:
         raise ValueError("span geometries need two (N, 8) amplitude stacks")
-    coeffs, ends = _pencils(amps1, amps2)
-    form = _form_coefficients(coeffs, ends)
+    coeffs = _pencils(amps1, amps2)
     zero_sets = _zero_sets(coeffs, amps1, amps2)
     live = [zs for zs in zero_sets if zs is not None]
     polytopes, triangles = _polytopes(live)
@@ -104,7 +104,7 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
             out.append(SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True))
             continue
         polytope, interval = next(pieces)
-        out.append(SpanGeometry(form[n], zeros, polytope, interval, False))
+        out.append(SpanGeometry(coeffs[n], zeros, polytope, interval, False))
     return out
 
 
@@ -186,7 +186,7 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
     b = -e^{i phi} sqrt(1 - p).
     """
     ps = np.asarray(grid, dtype=float)
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
     tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
 
@@ -407,32 +407,21 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
     return BoundCurve(np.array(hull), tuple(prov))
 
 
-class _GridPivot(NamedTuple):
-    """Best anchor ray at each grid point of a report.
-
-    ``anchor`` is the index of the argmin anchor, ``value`` its candidate
-    lam * c3(boundary), and ``lam``/``boundary`` its ray; shapes (n,), (n,),
-    (n,) and (n, 3) for an n-point grid.
-    """
-
-    anchor: np.ndarray
-    value: np.ndarray
-    lam: np.ndarray
-    boundary: np.ndarray
-
-
 class _KnotTable(NamedTuple):
     """Certificate data of the envelope knots of a report, built once.
 
-    ``ps`` are the knot abscissae and ``rows`` their grid rows, ``certified``
-    tells whether the best anchor ray of each knot certifies it, and row i
-    of ``amplitudes`` is the normalized boundary state of knot i's best ray
-    (nan where the knot has none); None when there are no anchors.
+    ``ps`` are the knot abscissae, ``certified`` tells whether the best
+    anchor ray of each knot certifies it, and ``anchor``, ``lam`` and row i
+    of ``amplitudes`` are the anchor index, the lam and the normalized
+    boundary state of knot i's best ray (anchor 0, nan lam and nan state
+    where the knot has none); the last three are None when there are no
+    anchors.
     """
 
     ps: list
-    rows: list
     certified: list
+    anchor: Optional[list]
+    lam: Optional[list]
     amplitudes: Optional[np.ndarray]
 
 
@@ -443,9 +432,8 @@ class BoundReport:
     ``achieving`` labels which family realizes the reported bound at each
     grid point; ``p_left``/``p_right`` are the envelope knots adjacent to
     the zero interval (where the envelope departs from the straight chords).
-    The best anchor ray of each grid point is kept from the report's one
-    pivot pass (None when there are no anchors), and the boundary states of
-    the envelope knots from one batched pass, so decomposition_at only looks
+    The best anchor ray of each envelope knot and its boundary state are
+    kept from the report's one pivot pass, so decomposition_at only looks
     certificates up; each knot certificate is assembled on first use.
     """
 
@@ -461,7 +449,6 @@ class BoundReport:
     achieving: tuple
     p_left: Optional[float]
     p_right: Optional[float]
-    _grid_pivot: Optional[_GridPivot] = field(default=None, repr=False)
     _knots: Optional[_KnotTable] = field(default=None, repr=False)
     _certificates: dict = field(default_factory=dict, repr=False)
 
@@ -512,9 +499,8 @@ class BoundReport:
             return cert
         knots, mix = self._knots, self.mix
         if 0 < i < len(knots.ps) - 1 and knots.certified[i]:
-            k = knots.rows[i]
-            j, table = self._grid_pivot.anchor[k], self.anchors
-            size, lam = table.sizes[j], float(self._grid_pivot.lam[k])
+            j, lam, table = knots.anchor[i], knots.lam[i], self.anchors
+            size = table.sizes[j]
             weights = (lam,) + tuple((1.0 - lam) * w for w in table.weights[j, :size].tolist())
             states = (PureState(mix.n_qubits, knots.amplitudes[i]),) + tuple(
                 self.geometry.zeros.states[f] for f in table.faces[j, :size].tolist()
@@ -568,38 +554,28 @@ def _mix(xs: list, certificate, p: float):
 
 
 def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: np.ndarray):
-    """The _GridPivot of a report grid, searched only where ``off`` is set.
+    """Best anchor ray at each point of a report grid, searched only where
+    ``off`` is set.
 
-    ``points`` is the (n_a, 3) stack of anchor points. Grid points where
-    ``off`` is set get their best anchor ray; the others, whose bound the
-    interval witnesses or the pure ends certify, read anchor 0, value inf
-    and a nan ray.
+    ``points`` is the (n_a, 3) stack of anchor points. Returns grid arrays
+    (anchor, value, lam, s): the index of the argmin anchor, its candidate
+    lam * c3(boundary), and its ray's lam and s (bloch._axis_exits). Grid
+    points where ``off`` is clear, whose bound the interval witnesses or the
+    pure ends certify, read anchor 0, value inf and a nan ray.
     """
     idx = np.nonzero(off)[0]
     cand, lam, s = _pivot_candidates(coeffs, grid[idx], points)
     best = np.argmin(cand, axis=1)
     rows = np.arange(idx.size)
-    out = _GridPivot(
-        np.zeros(grid.shape, dtype=np.intp),
-        np.full(grid.shape, np.inf),
-        np.full(grid.shape, np.nan),
-        np.full(grid.shape + (3,), np.nan),
-    )
-    out.anchor[idx] = best
-    out.value[idx] = cand[rows, best]
-    out.lam[idx] = lam[rows, best]
-    # the boundary of each winning ray only
-    out.boundary[idx] = _axis_boundary(points[best], 2.0 * grid[idx] - 1.0, s[rows, best])
-    return out
-
-
-def _ray_certifies(grid_pivot: Optional[_GridPivot], lin_vals: np.ndarray, k):
-    """Whether the best anchor ray at grid index (or index array) k is below
-    the linearized bound by more than 1e-15, so that it certifies the knot
-    there; with no anchors nothing is certified."""
-    if grid_pivot is None:
-        return np.zeros(np.shape(k), dtype=bool)
-    return grid_pivot.value[k] < lin_vals[k] - 1e-15
+    anchor = np.zeros(grid.shape, dtype=np.intp)
+    value = np.full(grid.shape, np.inf)
+    lam_best = np.full(grid.shape, np.nan)
+    s_best = np.full(grid.shape, np.nan)
+    anchor[idx] = best
+    value[idx] = cand[rows, best]
+    lam_best[idx] = lam[rows, best]
+    s_best[idx] = s[rows, best]
+    return anchor, value, lam_best, s_best
 
 
 def _certified_knots(
@@ -607,24 +583,34 @@ def _certified_knots(
     curve: BoundCurve,
     grid: np.ndarray,
     lin_vals: np.ndarray,
-    grid_pivot: Optional[_GridPivot],
+    pivots: Optional[tuple],
+    points: np.ndarray,
 ):
     """The envelope with every "pivot" knot that no anchor ray certifies
-    relabelled "linearized", and its _KnotTable. Every knot is a grid sample
-    (convex_envelope keeps sample coordinates), so searchsorted finds its
-    row, and one _span_amplitudes pass builds the boundary states of all
-    knots."""
+    relabelled "linearized", and its _KnotTable.
+
+    ``pivots`` are the _grid_pivots arrays of the grid (None without
+    anchors) and ``points`` the anchor points. A knot's best ray certifies
+    it when its value lies below the linearized bound by more than 1e-15.
+    Every knot is a grid sample (convex_envelope keeps sample coordinates),
+    so searchsorted finds its row, and one _axis_boundary and one
+    _span_amplitudes pass build the boundary states of all knots.
+    """
     ps = curve.knots[:, 0]
-    rows = np.searchsorted(grid, ps)
-    certified = _ray_certifies(grid_pivot, lin_vals, rows).tolist()
+    certified = [False] * ps.shape[0]
+    anchor = lam = amplitudes = None
+    if pivots is not None:
+        rows = np.searchsorted(grid, ps)
+        anchor, value, lam, s = (a[rows] for a in pivots)
+        certified = (value < lin_vals[rows] - 1e-15).tolist()
+        boundary = _axis_boundary(points[anchor], 2.0 * ps - 1.0, s)
+        amplitudes = _read_only(_span_amplitudes(mix, boundary))
+        anchor, lam = anchor.tolist(), lam.tolist()
     prov = tuple([
         "linearized" if label == "pivot" and not ok else label
         for label, ok in zip(curve.provenance, certified)
     ])
-    amplitudes = None
-    if grid_pivot is not None:
-        amplitudes = _read_only(_span_amplitudes(mix, grid_pivot.boundary[rows]))
-    return BoundCurve(curve.knots, prov), _KnotTable(ps.tolist(), rows.tolist(), certified, amplitudes)
+    return BoundCurve(curve.knots, prov), _KnotTable(ps.tolist(), certified, anchor, lam, amplitudes)
 
 
 # achieving labels by code: 0 inside the zero interval, 1 pivot, 2 linearized
@@ -650,10 +636,10 @@ def upper_bound_report(
     lin_vals = lin_curve(grid)
     if geom.identically_zero:
         # the flat zero curve: the pure ends certify it everywhere
-        knots = _KnotTable([0.0, 1.0], [0, grid.shape[0] - 1], [False, False], None)
+        knots = _KnotTable([0.0, 1.0], [False, False], None, None, None)
         return BoundReport(
             mix, geom, _NO_ANCHORS, grid, lin_vals, lin_vals, lin_vals, lin_curve, lin_curve,
-            tuple(["zero-interval"] * grid.shape[0]), None, None, None, knots,
+            tuple(["zero-interval"] * grid.shape[0]), None, None, knots,
         )
     inside = np.zeros(grid.shape, dtype=bool)
     if geom.interval is not None:
@@ -661,15 +647,15 @@ def upper_bound_report(
             grid <= geom.interval.p_high + 1e-12
         )
     anchor_set = default_anchors(mix, geom) if anchors is None else anchors
-    grid_pivot = None
+    pivots = None
     pivot_vals = lin_vals.copy()
     if len(anchor_set):
         # rho(0) and rho(1) are pure: their roof is the exact end c3, which a
         # ray with lam just under 1 could undercut by rounding
         off = ~inside
         off[[0, -1]] = False
-        grid_pivot = _grid_pivots(geom.coefficients, grid, off, anchor_set.points)
-        pivot_vals = np.minimum(lin_vals, grid_pivot.value)
+        pivots = _grid_pivots(geom.coefficients, grid, off, anchor_set.points)
+        pivot_vals = np.minimum(lin_vals, pivots[1])
     pivot_vals[inside] = 0.0
     # the inner zero samples are collinear with the outer two, which the hull keeps
     hull = ~inside
@@ -678,7 +664,7 @@ def upper_bound_report(
     env_curve, knots = _certified_knots(
         mix,
         convex_envelope(np.column_stack([grid[hull], pivot_vals[hull]])),
-        grid, lin_vals, grid_pivot,
+        grid, lin_vals, pivots, anchor_set.points,
     )
     env_vals = env_curve(grid)
     p_left = p_right = None
@@ -693,5 +679,5 @@ def upper_bound_report(
     return BoundReport(
         mix, geom, anchor_set, grid, lin_vals, pivot_vals, env_vals,
         lin_curve, env_curve, tuple(_ACHIEVING.take(codes).tolist()),
-        p_left, p_right, grid_pivot, knots,
+        p_left, p_right, knots,
     )

@@ -9,7 +9,7 @@ infinity (the pure psi2 end), so the root count is always exactly 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,7 +20,6 @@ __all__ = [
     "PencilPolynomial",
     "ZeroSet",
     "IdenticallyZeroPencilError",
-    "pencil_coefficients",
     "pencil_polynomial",
     "finite_roots",
     "polynomial_roots",
@@ -44,14 +43,13 @@ class IdenticallyZeroPencilError(Exception):
 class PencilPolynomial:
     """Tangle polynomial P(z) = sum c_k z^k along psi1 + z*psi2.
 
-    ``coefficients`` interpolate P at the 5th roots of unity; the roots are
-    found from them. ``ends``, when given, holds the tangles
-    (tau3(psi1), tau3(psi2)), which are c_0 and c_4 without interpolation
-    roundoff.
+    ``coefficients`` are also those of the binary quartic form
+    tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k; pencil_polynomial gives
+    them with c_0 = tau3(psi1) and c_4 = tau3(psi2) exact and c_1..c_3
+    interpolated at the 5th roots of unity.
     """
 
     coefficients: np.ndarray
-    ends: Optional[np.ndarray] = None
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=complex).ravel()
@@ -60,31 +58,15 @@ class PencilPolynomial:
         c = c.copy()
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
-        if self.ends is not None:
-            e = np.array(self.ends, dtype=complex)
-            e.setflags(write=False)
-            object.__setattr__(self, "ends", e)
-
-    @property
-    def form_coefficients(self) -> np.ndarray:
-        """Coefficients of the binary quartic form tau3(a psi1 + b psi2).
-
-        The interpolated coefficients with c_0 and c_4 taken from ``ends``,
-        so the form is exact at either pure end (a structural zero of
-        psi1 or psi2 reads exactly 0).
-        """
-        if self.ends is None:
-            return self.coefficients.copy()
-        return _form_coefficients(self.coefficients[None, :], self.ends[None, :])[0]
 
     def __call__(self, z):
         if isinstance(z, (list, tuple)):
             z = np.asarray(z)
         return _horner(self.coefficients, z)
 
-    def degree(self, tol: float = COEFF_TOL) -> int:
-        """Numerical degree: largest k with |c_k| above tol * max|c|."""
-        return int(_degrees(self.coefficients[None, :], tol)[0])
+    def degree(self) -> int:
+        """Numerical degree: largest k with |c_k| above COEFF_TOL * max|c|."""
+        return int(_degrees(self.coefficients[None, :], COEFF_TOL)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,68 +99,38 @@ class ZeroSet:
         object.__setattr__(self, "states", tuple(self.states))
 
 
-def pencil_coefficients(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
-    """Ascending coefficients of the pencils of stacked 3-qubit pairs.
-
-    amps1 and amps2 are (N, 8) amplitude stacks; row n of the (N, 5) result
-    interpolates the tangle along amps1[n] + z*amps2[n] at the 5 roots of
-    unity, all 5N samples going through one tau3_many call.
-    """
-    amps1 = np.asarray(amps1, dtype=complex)
-    amps2 = np.asarray(amps2, dtype=complex)
-    if amps1.ndim != 2 or amps1.shape[1] != 8 or amps2.shape != amps1.shape:
-        raise ValueError("pencil coefficients need two (N, 8) amplitude stacks")
-    values = _kernels.tau3_many(_node_samples(amps1, amps2).reshape(-1, 8))
-    return _interpolate(values.reshape(-1, DEGREE + 1))
-
-
-def _node_samples(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
-    """(N, 5, 8) amplitudes amps1 + z*amps2 at the interpolation nodes."""
-    samples = _NODES[None, :, None] * amps2[:, None, :]
-    samples += amps1[:, None, :]
-    return samples
-
-
-def _interpolate(values: np.ndarray) -> np.ndarray:
-    """(N, 5) coefficients from the (N, 5) pencil values at the nodes."""
-    # one matrix-vector product per row, as for a single pair
-    return np.matmul(_VANDERMONDE_INV, values[..., None])[..., 0]
-
-
-def _pencils(amps1: np.ndarray, amps2: np.ndarray):
-    """Pencils and pure-end tangles of stacked 3-qubit pairs.
+def _pencils(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
+    """(N, 5) pencil coefficients of stacked 3-qubit pairs.
 
     amps1 and amps2 are (N, 8) amplitude stacks. One tau3_many call on 7N
-    rows evaluates each pencil at the 5 roots of unity and the tangles of
-    both pure ends. Returns the (N, 5) interpolated coefficients and the
-    (N, 2) ends (tau3(amps1[n]), tau3(amps2[n])).
+    rows evaluates each pencil amps1[n] + z*amps2[n] at the 5 roots of unity
+    and the tangles of both pure ends. Row n holds c_1..c_3 interpolated
+    from the node values, and c_0 = tau3(amps1[n]) and c_4 = tau3(amps2[n])
+    exactly, so a pure end whose tangle vanishes by structure reads 0.
     """
     n = amps1.shape[0]
-    rows = np.concatenate(
-        [_node_samples(amps1, amps2), amps1[:, None, :], amps2[:, None, :]], axis=1
-    )
+    # the 7 rows of each pencil are built in place: the nodes, then both ends
+    rows = np.empty((n, DEGREE + 3, 8), dtype=complex)
+    nodes = rows[:, : DEGREE + 1]
+    np.multiply(_NODES[None, :, None], amps2[:, None, :], out=nodes)
+    nodes += amps1[:, None, :]
+    rows[:, DEGREE + 1] = amps1
+    rows[:, DEGREE + 2] = amps2
     values = _kernels.tau3_many(rows.reshape(-1, 8)).reshape(n, DEGREE + 3)
-    return _interpolate(values[:, : DEGREE + 1]), values[:, DEGREE + 1 :]
-
-
-def _form_coefficients(coeffs: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """(N, 5) quartic-form coefficients: the pencils with c_0 and c_4 from their ends."""
-    form = coeffs.copy()
-    form[:, 0] = ends[:, 0]
-    form[:, DEGREE] = ends[:, 1]
-    return form
+    # one matrix-vector product per row, as for a single pair
+    coeffs = np.matmul(_VANDERMONDE_INV, values[:, : DEGREE + 1, None])[..., 0]
+    coeffs[:, 0] = values[:, DEGREE + 1]
+    coeffs[:, DEGREE] = values[:, DEGREE + 2]
+    return coeffs
 
 
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
-    """Interpolate the tangle along psi1 + z*psi2 at 5 roots of unity.
-
-    The tangles of psi1 and psi2 (the polynomial's ``ends``) are two more
-    rows of the same tau3_many call.
-    """
+    """Tangle polynomial along psi1 + z*psi2: the pencil interpolated at the
+    5 roots of unity, with the tangles of psi1 and psi2 as c_0 and c_4 from
+    the same tau3_many call."""
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
-    coeffs, ends = _pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])
-    return PencilPolynomial(coeffs[0], ends[0])
+    return PencilPolynomial(_pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])[0])
 
 
 def _degrees(coeffs: np.ndarray, tol: float) -> np.ndarray:
@@ -393,23 +345,26 @@ def _order_key(item):
     return (1, z.real, abs(z.imag), -np.sign(z.imag))
 
 
-def _extended_roots(
-    c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float, cluster_tol: float
-):
+def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float):
     """Clustered, ordered extended roots of one pencil from its raw finite
-    roots: (z, multiplicity) arrays, with z = inf for the root at infinity."""
+    roots: (z, multiplicity) arrays, with z = inf for the root at infinity.
+
+    An exact root at zero is stored as +0 in both parts, so its phase reads
+    0 as the root at infinity's does, not the pi of a signed -0.
+    """
     merged: list = []
     if raw.size:
         real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak
         if real_coeffs:
-            finite = _symmetrize_conjugates(raw, cluster_tol)
+            finite = _symmetrize_conjugates(raw, CLUSTER_TOL)
         else:
             finite = [complex(z) for z in raw]
-        merged = _cluster(finite, cluster_tol)
+        merged = _cluster(finite, CLUSTER_TOL)
     merged.sort(key=_order_key)
     if n_inf > 0:
         merged.append((np.inf, n_inf))
-    z = np.array([root for root, _ in merged], dtype=complex)
+    # adding +0 turns -0 into +0 and leaves every other value as it is
+    z = np.array([root for root, _ in merged], dtype=complex) + 0.0
     multiplicity = np.array([m for _, m in merged], dtype=int)
     total = int(multiplicity.sum())
     if total != DEGREE:
@@ -417,9 +372,7 @@ def _extended_roots(
     return z, multiplicity
 
 
-def _roots_many(
-    coeffs: np.ndarray, tol: float = COEFF_TOL, cluster_tol: float = CLUSTER_TOL
-) -> list:
+def _roots_many(coeffs: np.ndarray, tol: float = COEFF_TOL) -> list:
     """(z, multiplicity) of each row of an (N, 5) stack, as _extended_roots
     gives them; None for a row with max|c| <= tol.
 
@@ -432,24 +385,20 @@ def _roots_many(
     if live.size:
         raw, n_inf = finite_roots(coeffs[live], tol)
         for i, row, k in zip(live.tolist(), raw, n_inf.tolist()):
-            out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k, float(peaks[i]), cluster_tol)
+            out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k, float(peaks[i]))
     return out
 
 
 _IDENTICALLY_ZERO = "all pencil coefficients vanish; every state in the span has zero tangle"
 
 
-def polynomial_roots(
-    poly: PencilPolynomial,
-    tol: float = COEFF_TOL,
-    cluster_tol: float = CLUSTER_TOL,
-):
+def polynomial_roots(poly: PencilPolynomial, tol: float = COEFF_TOL):
     """The distinct extended roots of the pencil and their multiplicities,
     as two arrays (z, multiplicity); z is inf for the root at infinity and
     the multiplicities sum to 4.
 
     Finite roots come from finite_roots and are merged when they lie within
-    relative distance cluster_tol. Real-coefficient input yields exactly
+    relative distance CLUSTER_TOL. Real-coefficient input yields exactly
     conjugate-paired (or real) roots. Ordering: real roots ascending, then
     conjugate pairs (positive imaginary part first), then the point at
     infinity.
@@ -457,7 +406,7 @@ def polynomial_roots(
     Raises IdenticallyZeroPencilError when max|c| <= tol: the whole span
     is a zero set and callers must treat the axis interval as [0, 1].
     """
-    roots = _roots_many(poly.coefficients[None, :], tol, cluster_tol)[0]
+    roots = _roots_many(poly.coefficients[None, :], tol)[0]
     if roots is None:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return roots
@@ -502,7 +451,7 @@ def zero_set(mix: RankTwoMixture, tol: float = COEFF_TOL) -> ZeroSet:
     if mix.n_qubits != 3:
         raise ValueError("zero sets are defined for 3-qubit mixtures")
     a1, a2 = mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :]
-    zeros = _zero_sets(_pencils(a1, a2)[0], a1, a2, tol)[0]
+    zeros = _zero_sets(_pencils(a1, a2), a1, a2, tol)[0]
     if zeros is None:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return zeros

@@ -54,7 +54,7 @@ def min_average_c3(
         raise ValueError("decomposition sizes must be at least 2")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).form_coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     streams = np.random.default_rng(seed).spawn(len(sizes))
     best = np.inf

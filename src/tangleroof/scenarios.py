@@ -18,7 +18,7 @@ import numpy as np
 from .bloch import AxisInterval, ZeroPolytope, bloch_from_z
 from .bounds import BoundReport, _linearized_curve, span_geometries, upper_bound_report
 from .invariants import _concurrences, _one_tangles, c3_many
-from .pencil import ZeroSet, finite_roots, pencil_coefficients
+from .pencil import ZeroSet, _pencils, finite_roots
 from .states import (
     RANK_TOL,
     PureState,
@@ -271,7 +271,7 @@ def _pencil_bloch_vertices(ps: np.ndarray, phi: float) -> np.ndarray:
     degree deficits are filled with the south pole (roots at infinity).
     """
     v1, v2 = _family_eigenvectors(ps, phi)
-    roots, _ = finite_roots(pencil_coefficients(v1, v2))
+    roots, _ = finite_roots(_pencils(v1, v2))
     return bloch_from_z(roots)
 
 

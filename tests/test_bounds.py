@@ -205,8 +205,38 @@ def test_ghz_w_zero_interval_matches_literature():
     mix = RankTwoMixture(make_ghz(3), make_w(3), 0.5)
     iv = span_geometry(mix).interval
     cube = 4.0 * 2.0 ** (1.0 / 3.0)
+    losu = cube / (3.0 + cube)
     assert abs(iv.p_low) <= 1e-12
-    assert abs(iv.p_high - cube / (3.0 + cube)) <= 1e-12
+    assert abs(iv.p_high - losu) <= 1e-12
+    # the reversed order: tau3(W3) = 0 is c_0 exactly, so z = 0 is an exact
+    # root, stored as +0, as tau3(W3) = c_4 gives the root at infinity above
+    geom = span_geometry(RankTwoMixture(make_w(3), make_ghz(3), 0.5))
+    assert abs(geom.interval.p_low - (1.0 - losu)) <= 1e-12
+    assert abs(geom.interval.p_high - 1.0) <= 1e-12
+    z = geom.zeros.z
+    at_zero = z == 0.0
+    assert at_zero.sum() == 1
+    assert not np.signbit(z[at_zero].real) and not np.signbit(z[at_zero].imag)
+    assert geom.zeros.phases[at_zero] == 0.0 and geom.zeros.p0[at_zero] == 1.0
+
+
+def test_swapping_the_pair_exchanges_the_ends_and_mirrors_the_interval(benchmark_inputs):
+    # psi1 <-> psi2 maps the Bloch point (x, y, z) to (x, -y, -z): c_0 and
+    # c_4 trade places and [lo, hi] becomes [1 - hi, 1 - lo]
+    pairs = [pair for seed in (1, 2, 3, 7) for pair in benchmark_inputs.pair_set(seed)]
+    amps1 = np.array([a for _, a, _ in pairs])
+    amps2 = np.array([b for _, _, b in pairs])
+    mirrored = 0
+    for fwd, rev in zip(span_geometries(amps1, amps2), span_geometries(amps2, amps1)):
+        assert fwd.coefficients[0] == rev.coefficients[4]
+        assert fwd.coefficients[4] == rev.coefficients[0]
+        assert (fwd.interval is None) == (rev.interval is None)
+        if fwd.interval is None:
+            continue
+        mirrored += 1
+        assert abs(rev.interval.p_low - (1.0 - fwd.interval.p_high)) <= 1e-13
+        assert abs(rev.interval.p_high - (1.0 - fwd.interval.p_low)) <= 1e-13
+    assert mirrored >= 700
 
 
 def test_ghz_w_envelope_is_one_chord_right_of_the_interval():
@@ -294,8 +324,7 @@ def test_report_tangle_calls_do_not_grow_with_the_grid(monkeypatch):
 def test_span_geometry_keeps_the_form_coefficients(toy_mix):
     geom = span_geometry(toy_mix)
     poly = pencil.pencil_polynomial(toy_mix.psi1, toy_mix.psi2)
-    assert np.array_equal(geom.coefficients, poly.form_coefficients)
-    assert np.array_equal(geom.coefficients[1:4], poly.coefficients[1:4])
+    assert np.array_equal(geom.coefficients, poly.coefficients)
     assert geom.c3_psi1 == c3(toy_mix.psi1)
     assert geom.c3_psi2 == c3(toy_mix.psi2)
 
@@ -551,20 +580,23 @@ def _reference_pivot_candidates(coeffs, ps, points):
 
 
 def _reference_grid_pivots(coeffs, grid, off, points):
+    """(anchor, value, lam, s) grid arrays from the reference candidates,
+    with s = 1/lam - 1 of the unclipped reference lam."""
     idx = np.nonzero(off)[0]
-    cand, lam, boundary, _ = _reference_pivot_candidates(coeffs, grid[idx], points)
+    cand, lam, _, _ = _reference_pivot_candidates(coeffs, grid[idx], points)
+    targets = np.column_stack([np.zeros(idx.size), np.zeros(idx.size), 2.0 * grid[idx] - 1.0])
+    with np.errstate(divide="ignore"):
+        s = 1.0 / _reference_sphere_exits(points, targets)[1] - 1.0
     best = np.argmin(cand, axis=1)
     rows = np.arange(idx.size)
-    out = bounds._GridPivot(
+    out = (
         np.zeros(grid.shape, dtype=np.intp),
         np.full(grid.shape, np.inf),
         np.full(grid.shape, np.nan),
-        np.full(grid.shape + (3,), np.nan),
+        np.full(grid.shape, np.nan),
     )
-    out.anchor[idx] = best
-    out.value[idx] = cand[rows, best]
-    out.lam[idx] = lam[rows, best]
-    out.boundary[idx] = boundary[rows, best]
+    for a, v in zip(out, (best, cand[rows, best], lam[rows, best], s[rows, best])):
+        a[idx] = v
     return out
 
 
@@ -659,11 +691,14 @@ def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
             assert rep.identically_zero
             continue
         coeffs = rep.geometry.coefficients
-        # the pure ends are not searched
-        assert np.all(np.isinf(rep._grid_pivot.value[[0, -1]]))
+        # the pure ends are not searched: their knots have no ray
+        assert np.isnan(rep._knots.lam[0]) and np.isnan(rep._knots.lam[-1])
         idx = np.nonzero(np.array(rep.achieving[1:-1]) != "zero-interval")[0] + 1
         ps = rep.grid[idx]
         points = rep.anchors.points
+        off = np.zeros(rep.grid.shape, dtype=bool)
+        off[idx] = True
+        anchor, value, grid_lam, grid_s = bounds._grid_pivots(coeffs, rep.grid, off, points)
         cand, lam, s = bounds._pivot_candidates(coeffs, ps, points)
         ref_cand, ref_lam, ref_boundary, ref_tau = _reference_pivot_candidates(coeffs, ps, points)
         np.testing.assert_array_equal(lam, ref_lam)
@@ -676,17 +711,23 @@ def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):
         )
         # the winner of each grid point: its ray has the reference's bits,
         # and where the argmin moved the two anchors tie in the reference
-        piv, rows = rep._grid_pivot, np.arange(idx.size)
-        best, ref_best = piv.anchor[idx], np.argmin(ref_cand, axis=1)
+        rows = np.arange(idx.size)
+        best, ref_best = anchor[idx], np.argmin(ref_cand, axis=1)
         moved = best != ref_best
         ties += int(moved.any())
         assert np.all(
             np.abs(ref_cand[rows, best] - ref_cand[rows, ref_best]) <= 1e-15
         )
-        assert np.array_equal(piv.boundary[idx], ref_boundary[rows, best])
-        assert np.array_equal(piv.lam[idx], ref_lam[rows, best])
-        assert np.array_equal(piv.value[idx], cand[rows, best])
-        assert np.array_equal(piv.boundary[idx][~moved], ref._grid_pivot.boundary[idx][~moved])
+        boundary = _axis_boundary(points[best], 2.0 * ps - 1.0, grid_s[idx])
+        assert np.array_equal(boundary, ref_boundary[rows, best])
+        assert np.array_equal(grid_lam[idx], ref_lam[rows, best])
+        assert np.array_equal(value[idx], cand[rows, best])
+        # knots whose winning anchor did not move keep the reference's ray and state
+        knots, ref_knots = rep._knots, ref._knots
+        same = np.array(knots.anchor) == np.array(ref_knots.anchor)
+        for got, want in ((np.array(knots.lam), np.array(ref_knots.lam)),
+                          (knots.amplitudes, ref_knots.amplitudes)):
+            assert np.array_equal(got[same], want[same], equal_nan=True)
     assert ties > 0
 
 
@@ -715,14 +756,19 @@ def test_ray_knot_states_equal_state_from_bloch_bitwise():
     ray_knots = 0
     for mix in _lookup_mixtures():
         rep = upper_bound_report(mix, grid_size=401)
-        knots, piv = rep._knots, rep._grid_pivot
+        knots = rep._knots
         if rep.identically_zero:
             assert not any(knots.certified)
             continue
-        for i, row in enumerate(knots.rows):
+        for i, p in enumerate(knots.ps):
             if not knots.certified[i]:
                 continue
-            expected = state_from_bloch(mix, piv.boundary[row])
+            # the knot's ray, solved again by the general 3-D sphere exit
+            boundary, lam = _reference_sphere_exits(
+                rep.anchors.points[[knots.anchor[i]]], np.array([[0.0, 0.0, 2.0 * p - 1.0]])
+            )
+            assert min(float(lam[0, 0]), 1.0) == knots.lam[i]
+            expected = state_from_bloch(mix, boundary[0, 0])
             assert np.array_equal(knots.amplitudes[i], expected.amplitudes)
             if rep.envelope_curve.provenance[i] == "pivot":
                 # a pivot knot's certificate opens with its ray's boundary state

@@ -182,7 +182,7 @@ def test_match_rows_equals_greedy_on_random_walks():
 @pytest.mark.parametrize("phi", [0.0, 0.3, 0.5234375, 1.0])
 def test_tracking_grid_roots_take_the_radicals(phi):
     v1, v2 = _family_eigenvectors(np.linspace(0.02, 0.99, 1201), phi)
-    _, holds = pencil._radical_roots(pencil.pencil_coefficients(v1, v2))
+    _, holds = pencil._radical_roots(pencil._pencils(v1, v2))
     assert holds.all()
 
 
