@@ -9,8 +9,10 @@ JSON, so reruns reproduce artifacts byte for byte. Exit codes: 0 success,
 tangle polynomial is a structured result (flag plus [0, 1] interval), not
 a failure.
 
-Flag values override TANGLEROOF_* environment variables, which override
-built-in defaults.
+zeros, interval and bounds read one span geometry (bounds.span_geometry).
+The root floor pencil.COEFF_TOL and the rank floor states.RANK_TOL are
+constants, not flags. Flag values override TANGLEROOF_* environment
+variables, which override built-in defaults.
 """
 from __future__ import annotations
 
@@ -26,10 +28,8 @@ from typing import Optional
 import numpy as np
 
 from . import scenarios
-from .bloch import axis_zero_interval, build_polytope
-from .bounds import upper_bound_report, characteristic_curve
-from .pencil import COEFF_TOL, IdenticallyZeroPencilError, zero_set
-from .states import RANK_TOL, RankExceededError, RankTwoMixture, load_state
+from .bounds import characteristic_curve, span_geometry, upper_bound_report
+from .states import RankExceededError, RankTwoMixture, load_state
 
 __all__ = ["RunConfig", "run", "main"]
 
@@ -46,7 +46,7 @@ _GRID_DEFAULTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated invocation: command, grids, tolerances, output target."""
+    """Validated invocation: command, state files, phase, grids, output target."""
 
     command: str
     state_paths: tuple = ()
@@ -55,8 +55,6 @@ class RunConfig:
     phi_grid: Optional[int] = None
     out: Optional[str] = None
     format: str = "csv"
-    tol_rank: float = RANK_TOL
-    tol_root: float = COEFF_TOL
     renormalize: bool = False
 
     def __post_init__(self):
@@ -70,13 +68,6 @@ class RunConfig:
                 raise ValueError(f"{name.replace('_', '-')} must be at least 2")
         if not np.isfinite(self.phi):
             raise ValueError("phi must be finite")
-        for name in ("tol_rank", "tol_root"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name.replace('_', '-')} must be finite and positive")
-        # a relative floor of 1 or more leaves no coefficient above it
-        if not self.tol_root < 1.0:
-            raise ValueError("tol-root must lie in (0, 1)")
         object.__setattr__(self, "state_paths", tuple(self.state_paths))
 
     def grid_size(self) -> int:
@@ -171,17 +162,15 @@ def _load_pair(cfg: RunConfig) -> RankTwoMixture:
 
 
 def _run_zeros(cfg: RunConfig):
-    mix = _load_pair(cfg)
-    try:
-        zs = zero_set(mix, tol=cfg.tol_root)
-    except IdenticallyZeroPencilError:
+    geom = span_geometry(_load_pair(cfg))
+    if geom.identically_zero:
         if cfg.format == "json":
             return _render_json({"identically_zero": True, "interval": [0.0, 1.0]})
         return _render_csv(
             ("identically_zero", "interval_low", "interval_high"),
             [(True, 0.0, 1.0)],
         )
-    roots = _root_payloads(zs)
+    roots = _root_payloads(geom.zeros)
     if cfg.format == "json":
         return _render_json({"identically_zero": False, "roots": roots})
     header = ("index", "re", "im", "at_infinity", "multiplicity", "p0", "phase")
@@ -193,18 +182,15 @@ def _run_zeros(cfg: RunConfig):
 
 
 def _run_interval(cfg: RunConfig):
-    mix = _load_pair(cfg)
-    try:
-        zs = zero_set(mix, tol=cfg.tol_root)
-    except IdenticallyZeroPencilError:
+    geom = span_geometry(_load_pair(cfg))
+    if geom.identically_zero:
         if cfg.format == "json":
             return _render_json({"identically_zero": True, "interval": [0.0, 1.0]})
         return _render_csv(
             ("identically_zero", "p_low", "p_high", "dimension", "volume"),
             [(True, 0.0, 1.0, None, None)],
         )
-    poly = build_polytope(zs)
-    iv = axis_zero_interval(poly)
+    poly, iv = geom.polytope, geom.interval
     if cfg.format == "json":
         return _render_json(
             {
@@ -270,7 +256,7 @@ def _run_scan4q(cfg: RunConfig):
     rows = [
         (row.p, row.volume, row.dimension)
         + ((None, None) if row.interval is None else row.interval)
-        for row in scenarios.simplex_scan(cfg.phi, ps, cfg.tol_rank)
+        for row in scenarios.simplex_scan(cfg.phi, ps)
     ]
     if cfg.format == "csv":
         return _render_csv(("p", "volume", "dimension", "p_low", "p_high"), rows)
@@ -306,9 +292,7 @@ def _run_monogamy(cfg: RunConfig):
         + rep.pairwise
         + rep.three_tangle_bounds
         + (rep.residual,)
-        for rep in scenarios.monogamy_curve(
-            np.tile(ps, phis.size), np.repeat(phis, ps.size), cfg.tol_rank
-        )
+        for rep in scenarios.monogamy_curve(np.tile(ps, phis.size), np.repeat(phis, ps.size))
     ]
     if cfg.format == "csv":
         return _render_csv(_MONOGAMY_HEADER, rows)
@@ -389,7 +373,7 @@ class _Given(argparse.Action):
 # the command runs without the sweep. TANGLEROOF_* defaults of these flags
 # are never rejected.
 _PHI_GRID_UNUSED = {
-    "scan4q": ("--phi", "--p-grid", "--tol-rank"),
+    "scan4q": ("--phi", "--p-grid"),
     "monogamy": ("--phi",),
 }
 
@@ -399,8 +383,6 @@ _ENV_CASTS = {
     "p_grid": ("TANGLEROOF_P_GRID", int),
     "phi_grid": ("TANGLEROOF_PHI_GRID", int),
     "format": ("TANGLEROOF_FORMAT", str),
-    "tol_rank": ("TANGLEROOF_TOL_RANK", float),
-    "tol_root": ("TANGLEROOF_TOL_ROOT", float),
 }
 
 
@@ -449,14 +431,6 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             help="rescale loaded amplitudes to unit norm",
         )
 
-    def add_tol_root(p):
-        p.add_argument(
-            "--tol-root",
-            type=float,
-            default=dflt("tol_root", COEFF_TOL),
-            help="relative coefficient floor for the pencil degree, in (0, 1)",
-        )
-
     def add_pgrid(p, cmd):
         p.add_argument(
             "--p-grid",
@@ -464,15 +438,6 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             action=_Given,
             default=dflt("p_grid", None),
             help=f"mixing-weight grid size (default {_GRID_DEFAULTS[cmd]})",
-        )
-
-    def add_rank(p):
-        p.add_argument(
-            "--tol-rank",
-            type=float,
-            action=_Given,
-            default=dflt("tol_rank", RANK_TOL),
-            help="eigenvalue floor treated as rank",
         )
 
     def add_family(cmd, help, phi_grid_help):
@@ -492,7 +457,6 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
             default=dflt("phi_grid", None),
             help=phi_grid_help,
         )
-        add_rank(p)
         p.add_argument(
             "--parallelism",
             type=int,
@@ -503,12 +467,10 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
     p_zeros = sub.add_parser("zeros", help="pencil roots of a 3-qubit pair")
     add_pair(p_zeros)
-    add_tol_root(p_zeros)
     add_common(p_zeros, default_format="json")
 
     p_iv = sub.add_parser("interval", help="zero polytope and axis interval")
     add_pair(p_iv)
-    add_tol_root(p_iv)
     add_common(p_iv, default_format="json")
 
     p_bounds = sub.add_parser("bounds", help="linearized/pivot/envelope bound grid")
@@ -557,8 +519,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         phi_grid=phi_grid,
         out=args.out,
         format=args.format,
-        tol_rank=float(getattr(args, "tol_rank", RANK_TOL)),
-        tol_root=float(getattr(args, "tol_root", COEFF_TOL)),
         renormalize=bool(getattr(args, "renormalize", False)),
     )
 

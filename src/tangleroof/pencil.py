@@ -59,15 +59,6 @@ class PencilPolynomial:
         c.setflags(write=False)
         object.__setattr__(self, "coefficients", c)
 
-    def __call__(self, z):
-        if isinstance(z, (list, tuple)):
-            z = np.asarray(z)
-        return _horner(self.coefficients, z)
-
-    def degree(self) -> int:
-        """Numerical degree: largest k with |c_k| above COEFF_TOL * max|c|."""
-        return int(_degrees(self.coefficients[None, :], COEFF_TOL)[0])
-
 
 @dataclass(frozen=True, eq=False)
 class ZeroSet:
@@ -133,14 +124,11 @@ def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
     return PencilPolynomial(_pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])[0])
 
 
-def _degrees(coeffs: np.ndarray, tol: float) -> np.ndarray:
-    """Numerical degree of each row: largest k with |c_k| above tol * max|c|.
-
-    Rows with no coefficient above the floor (the zero row, or any row when
-    tol >= 1) read -1.
-    """
+def _degrees(coeffs: np.ndarray) -> np.ndarray:
+    """Numerical degree of each row: largest k with |c_k| above
+    COEFF_TOL * max|c|; the zero row reads -1."""
     mags = np.abs(coeffs)
-    above = mags > tol * mags.max(axis=1, keepdims=True)
+    above = mags > COEFF_TOL * mags.max(axis=1, keepdims=True)
     return (above * np.arange(1, coeffs.shape[1] + 1)).max(axis=1) - 1
 
 
@@ -256,13 +244,13 @@ def _radical_roots(c: np.ndarray):
     return roots, ok.all(axis=(1, 2))
 
 
-def finite_roots(coeffs: np.ndarray, tol: float = COEFF_TOL):
+def finite_roots(coeffs: np.ndarray):
     """Polished finite roots, unclustered, of each row of an (N, 5) stack.
 
     Returns an (N, 4) complex array and the (N,) number of roots at
-    infinity. Each leading coefficient at or below tol * max|c| counts as
-    one root at infinity, at most 4 per row; those slots hold inf after
-    the finite roots. A row of degree 4 takes Ferrari's radicals and one
+    infinity. Each leading coefficient at or below COEFF_TOL * max|c|
+    counts as one root at infinity, at most 4 per row; those slots hold
+    inf after the finite roots. A row of degree 4 takes Ferrari's radicals and one
     Newton step when they pass the checks of _radical_roots. The other
     rows take the eigenvalues of the companion matrices of their monic
     reductions (one eigvals call per numerical degree) and two Newton
@@ -270,7 +258,7 @@ def finite_roots(coeffs: np.ndarray, tol: float = COEFF_TOL):
     smoothly with the pair.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    deg = _degrees(coeffs, tol)
+    deg = _degrees(coeffs)
     roots = np.full((coeffs.shape[0], DEGREE), np.inf, dtype=complex)
     companion = deg.copy()  # the degree of each row left to the companion matrix
     quartic = np.nonzero(deg == DEGREE)[0]
@@ -372,18 +360,18 @@ def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float):
     return z, multiplicity
 
 
-def _roots_many(coeffs: np.ndarray, tol: float = COEFF_TOL) -> list:
+def _roots_many(coeffs: np.ndarray) -> list:
     """(z, multiplicity) of each row of an (N, 5) stack, as _extended_roots
-    gives them; None for a row with max|c| <= tol.
+    gives them; None for a row with max|c| <= COEFF_TOL.
 
     The raw roots of every row come from one finite_roots call; the
     conjugate pairing, clustering and ordering run per row.
     """
     peaks = np.max(np.abs(coeffs), axis=1)
-    live = np.nonzero(~(peaks <= tol))[0]
+    live = np.nonzero(~(peaks <= COEFF_TOL))[0]
     out: list = [None] * coeffs.shape[0]
     if live.size:
-        raw, n_inf = finite_roots(coeffs[live], tol)
+        raw, n_inf = finite_roots(coeffs[live])
         for i, row, k in zip(live.tolist(), raw, n_inf.tolist()):
             out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k, float(peaks[i]))
     return out
@@ -392,7 +380,7 @@ def _roots_many(coeffs: np.ndarray, tol: float = COEFF_TOL) -> list:
 _IDENTICALLY_ZERO = "all pencil coefficients vanish; every state in the span has zero tangle"
 
 
-def polynomial_roots(poly: PencilPolynomial, tol: float = COEFF_TOL):
+def polynomial_roots(poly: PencilPolynomial):
     """The distinct extended roots of the pencil and their multiplicities,
     as two arrays (z, multiplicity); z is inf for the root at infinity and
     the multiplicities sum to 4.
@@ -403,25 +391,23 @@ def polynomial_roots(poly: PencilPolynomial, tol: float = COEFF_TOL):
     conjugate pairs (positive imaginary part first), then the point at
     infinity.
 
-    Raises IdenticallyZeroPencilError when max|c| <= tol: the whole span
-    is a zero set and callers must treat the axis interval as [0, 1].
+    Raises IdenticallyZeroPencilError when max|c| <= COEFF_TOL: the whole
+    span is a zero set and callers must treat the axis interval as [0, 1].
     """
-    roots = _roots_many(poly.coefficients[None, :], tol)[0]
+    roots = _roots_many(poly.coefficients[None, :])[0]
     if roots is None:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return roots
 
 
-def _zero_sets(
-    coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray, tol: float = COEFF_TOL
-) -> list:
+def _zero_sets(coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray) -> list:
     """Zero set of each pair of rows of two (N, 8) stacks whose pencils are coeffs.
 
     None marks an identically vanishing pencil. The axis coordinates,
     phases and states of the roots of all pencils are computed in one pass
     each; the state of a root at infinity is the pure amps2 end.
     """
-    all_roots = _roots_many(coeffs, tol)
+    all_roots = _roots_many(coeffs)
     live = [n for n, roots in enumerate(all_roots) if roots is not None]
     out: list = [None] * len(all_roots)
     if not live:
@@ -446,12 +432,12 @@ def _zero_sets(
     return out
 
 
-def zero_set(mix: RankTwoMixture, tol: float = COEFF_TOL) -> ZeroSet:
+def zero_set(mix: RankTwoMixture) -> ZeroSet:
     """Roots of the mixture's pencil with axis coordinates and zero states."""
     if mix.n_qubits != 3:
         raise ValueError("zero sets are defined for 3-qubit mixtures")
     a1, a2 = mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :]
-    zeros = _zero_sets(_pencils(a1, a2), a1, a2, tol)[0]
+    zeros = _zero_sets(_pencils(a1, a2), a1, a2)[0]
     if zeros is None:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return zeros

@@ -20,7 +20,6 @@ from .bounds import BoundReport, _linearized_curve, span_geometries, upper_bound
 from .invariants import _concurrences, _one_tangles, c3_many
 from .pencil import ZeroSet, _pencils, finite_roots
 from .states import (
-    RANK_TOL,
     PureState,
     RankTwoMixture,
     _partial_traces,
@@ -225,10 +224,10 @@ def _family_states(ps: np.ndarray, phis) -> np.ndarray:
     return psi / _row_norms(psi)[:, None]
 
 
-def reduced_mixture(p: float, phi: float = 0.0, rank_tol: float = RANK_TOL) -> RankTwoMixture:
+def reduced_mixture(p: float, phi: float = 0.0) -> RankTwoMixture:
     """Trace the last qubit of the four-qubit state and eigendecompose."""
     rho = partial_trace(four_qubit_state(p, phi), (0, 1, 2))
-    return rank_two_eigendecomposition(rho, tol=rank_tol)
+    return rank_two_eigendecomposition(rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +240,7 @@ class SimplexScanRow:
     interval: Optional[tuple]
 
 
-def simplex_scan(phi: float, p_grid: Sequence[float], rank_tol: float = RANK_TOL):
+def simplex_scan(phi: float, p_grid: Sequence[float]):
     """Zero-polytope metrics of the reduced mixtures over a p grid in (0, 1).
 
     The whole grid is one batch: partial traces of the stacked family
@@ -252,7 +251,7 @@ def simplex_scan(phi: float, p_grid: Sequence[float], rank_tol: float = RANK_TOL
         if not 0.0 < p < 1.0:
             raise ValueError(f"scan grid must lie strictly inside (0, 1), got {p}")
     rho = _partial_traces(_family_states(ps, float(phi)), 4, (0, 1, 2))
-    v1, v2, _, _ = _rank_two_eigenpairs(rho, rank_tol)
+    v1, v2, _, _ = _rank_two_eigenpairs(rho)
     rows = []
     for p, geom in zip(ps.tolist(), span_geometries(v1, v2)):
         if geom.identically_zero:
@@ -381,8 +380,8 @@ class MonogamyReport:
         return self.one_tangle - sum(self.pairwise) - sum(self.three_tangle_bounds)
 
 
-def monogamy_report(p: float, phi: float = 0.0, rank_tol: float = RANK_TOL) -> MonogamyReport:
-    return monogamy_curve([p], phi, rank_tol)[0]
+def monogamy_report(p: float, phi: float = 0.0) -> MonogamyReport:
+    return monogamy_curve([p], phi)[0]
 
 
 def _linearized_c3(v1: np.ndarray, v2: np.ndarray, q: np.ndarray, degenerate: np.ndarray) -> list:
@@ -401,7 +400,7 @@ def _linearized_c3(v1: np.ndarray, v2: np.ndarray, q: np.ndarray, degenerate: np
     return out
 
 
-def monogamy_curve(p_grid: Sequence[float], phi=0.0, rank_tol: float = RANK_TOL):
+def monogamy_curve(p_grid: Sequence[float], phi=0.0):
     """MonogamyReport of every (p, phi) item in one batched pass.
 
     ``phi`` is one phase or one per p. The family states are stacked; the
@@ -420,7 +419,7 @@ def monogamy_curve(p_grid: Sequence[float], phi=0.0, rank_tol: float = RANK_TOL)
     triples = np.concatenate(
         [_partial_traces(psi, 4, (0, j, k)) for j, k in ((1, 2), (1, 3), (2, 3))]
     )
-    c3s = _linearized_c3(*_rank_two_eigenpairs(triples, rank_tol))
+    c3s = _linearized_c3(*_rank_two_eigenpairs(triples))
     return [
         MonogamyReport(
             float(ps[i]),

@@ -225,24 +225,24 @@ def _lex_key(v: np.ndarray) -> tuple:
     return tuple(np.stack([v.real, v.imag], axis=1).ravel())
 
 
-def _rank_two_eigenpairs(matrices: np.ndarray, tol: float = RANK_TOL):
+def _rank_two_eigenpairs(matrices: np.ndarray):
     """Eigenpairs of a stack of numerically rank-<=2 density matrices.
 
     One eigh call over the (N, d, d) stack. Returns (v1, v2, p, degenerate):
     the (N, d) eigenvectors of the two largest eigenvalues, each rotated so
     its largest-magnitude amplitude is real positive, the weight p of v1,
-    and the rank-one flag. A degenerate pair (eigenvalues within tol) is
-    ordered by descending amplitude lexicographic order.
+    and the rank-one flag. A degenerate pair (eigenvalues within RANK_TOL)
+    is ordered by descending amplitude lexicographic order.
 
     Raises RankExceededError when a third eigenvalue of any matrix exceeds
-    ``tol``; the first such matrix is named in the message.
+    RANK_TOL; the first such matrix is named in the message.
     """
     w, vecs = np.linalg.eigh(matrices)
     if w.shape[1] > 2:
-        over = np.nonzero(w[:, -3] > tol)[0]
+        over = np.nonzero(w[:, -3] > RANK_TOL)[0]
         if over.size:
             raise RankExceededError(
-                f"third eigenvalue {w[over[0], -3]:.3e} exceeds rank tolerance {tol:.1e}"
+                f"third eigenvalue {w[over[0], -3]:.3e} exceeds rank tolerance {RANK_TOL:.1e}"
             )
     rows = np.arange(w.shape[0])
     lam1, lam2 = w[:, -1].copy(), w[:, -2].copy()
@@ -252,27 +252,27 @@ def _rank_two_eigenpairs(matrices: np.ndarray, tol: float = RANK_TOL):
         ph = np.angle(v[rows, np.argmax(np.abs(v), axis=1)])
         pairs.append(v * np.exp(-1j * ph)[:, None])
     v1, v2 = pairs
-    for i in np.nonzero(np.abs(lam1 - lam2) <= tol)[0]:
+    for i in np.nonzero(np.abs(lam1 - lam2) <= RANK_TOL)[0]:
         if _lex_key(v2[i]) > _lex_key(v1[i]):
             v1[i], v2[i] = v2[i].copy(), v1[i].copy()
             lam1[i], lam2[i] = lam2[i], lam1[i]
-    degenerate = lam2 <= tol
+    degenerate = lam2 <= RANK_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         p = np.where(degenerate, 1.0, lam1 / (lam1 + lam2))
     return v1, v2, np.clip(p, 0.0, 1.0), degenerate
 
 
-def rank_two_eigendecomposition(rho: DensityMatrix, tol: float = RANK_TOL) -> RankTwoMixture:
+def rank_two_eigendecomposition(rho: DensityMatrix) -> RankTwoMixture:
     """Spectral decomposition of a numerically rank-<=2 density matrix.
 
     Returns the mixture with p = larger eigenvalue. Eigenvector phases are
     fixed so the largest-magnitude amplitude is real positive; a degenerate
     p = 0.5 pair is ordered by descending amplitude lexicographic order.
 
-    Raises RankExceededError when a third eigenvalue exceeds ``tol``; a
+    Raises RankExceededError when a third eigenvalue exceeds RANK_TOL; a
     rank-one input sets ``degenerate_rank`` with psi2 taken from the kernel.
     """
-    v1, v2, p, degenerate = _rank_two_eigenpairs(rho.matrix[None], tol)
+    v1, v2, p, degenerate = _rank_two_eigenpairs(rho.matrix[None])
     n = rho.n_qubits
     return RankTwoMixture(
         PureState(n, v1[0]), PureState(n, v2[0]), float(p[0]), bool(degenerate[0])
@@ -290,11 +290,16 @@ def load_state(path: str, renormalize: bool = False) -> PureState:
     if not isinstance(doc, dict) or "n" not in doc or "amplitudes" not in doc:
         raise ValueError(f"{path}: expected an object with fields 'n' and 'amplitudes'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    # bool is an int subclass, but true is no qubit count
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"{path}: field 'n' must be a positive integer")
     raw = doc["amplitudes"]
-    if not isinstance(raw, list) or len(raw) != 2**n:
-        raise ValueError(f"{path}: field 'amplitudes' must list {2**n} [re, im] pairs")
+    # n is matched against the list's length before 2**n is formed, which
+    # for a huge n costs seconds and memory
+    if not isinstance(raw, list) or n != len(raw).bit_length() - 1 or len(raw) != 1 << n:
+        raise ValueError(
+            f"{path}: field 'amplitudes' must list 2**n [re, im] pairs, 'n' = {n}"
+        )
     try:
         pairs = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:

@@ -1,11 +1,14 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
 import tangleroof.scenarios
-from tangleroof.cli import main
-from tangleroof.states import RankExceededError
+from tangleroof.bounds import span_geometry
+from tangleroof.cli import COMMANDS, main
+from tangleroof.scenarios import toy_states
+from tangleroof.states import RankExceededError, RankTwoMixture, load_state, make_ghz, make_w
 
 
 def _state_file(tmp_path, name, index):
@@ -63,41 +66,51 @@ def test_tiny_grid_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_tol_root_rejected_where_unused(capsys):
-    assert main(["bounds", "--tol-root", "1e-3"]) == 2
-    assert "--tol-root" in capsys.readouterr().err
+def test_tol_root_rejected_where_unused(tmp_path, capsys, monkeypatch):
+    # the root and rank floors are constants: no command takes either flag
+    a, b = _state_file(tmp_path, "a.json", 0), _state_file(tmp_path, "b.json", 7)
+    for flag in ("--tol-root", "--tol-rank"):
+        for command in COMMANDS:
+            for argv in (
+                [command, flag, "1e-3"],
+                [command, f"{flag}=0.5"],
+                [command, flag, "nan", "--format", "json"],
+                [command, "--p-grid", "3", flag, "1e-10"],
+            ):
+                assert main(argv) == 2, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and flag in captured.err, argv
+        for command in ("zeros", "interval", "bounds", "char"):
+            assert main([command, a, b, flag, "1e-3"]) == 2
+            assert flag in capsys.readouterr().err
+    # an environment phase grid does not change that
+    monkeypatch.setenv("TANGLEROOF_PHI_GRID", "2")
+    for command in ("scan4q", "monogamy"):
+        for flag in ("--tol-root", "--tol-rank"):
+            assert main([command, flag, "1e-9"]) == 2
+            assert flag in capsys.readouterr().err
+
+
+def test_tol_variables_are_ignored(capsys, monkeypatch):
+    runs = (["zeros"], ["interval", "--format", "csv"], ["scan4q", "--p-grid", "5"],
+            ["monogamy", "--p-grid", "5"])
+    plain = []
+    for argv in runs:
+        assert main(argv) == 0
+        plain.append(capsys.readouterr().out)
+    # values that the removed flags would have refused or that change results
+    for root, rank in (("0.5", "0.3"), ("2", "nan"), ("lots", "-1")):
+        monkeypatch.setenv("TANGLEROOF_TOL_ROOT", root)
+        monkeypatch.setenv("TANGLEROOF_TOL_RANK", rank)
+        for argv, expected in zip(runs, plain):
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.out == expected and captured.err == ""
 
 
 def test_parallelism_rejected_off_grid_commands(capsys):
     assert main(["toy", "--parallelism", "2"]) == 2
     assert "--parallelism" in capsys.readouterr().err
-
-
-def test_zeros_tol_root_sets_degree_floor(capsys):
-    assert main(["zeros"]) == 0
-    default = json.loads(capsys.readouterr().out)["roots"]
-    assert not any(r["at_infinity"] for r in default)
-    assert main(["zeros", "--tol-root", "0.5"]) == 0
-    coarse = json.loads(capsys.readouterr().out)["roots"]
-    assert [r["at_infinity"] for r in coarse] == [False, False, False, True]
-    assert coarse[-1]["multiplicity"] == 1
-
-
-def test_tol_root_of_one_or_more_exits_2(capsys, monkeypatch):
-    assert main(["zeros", "--tol-root", "2"]) == 2
-    assert "tol-root" in capsys.readouterr().err
-    monkeypatch.setenv("TANGLEROOF_TOL_ROOT", "1")
-    assert main(["interval"]) == 2
-    assert "tol-root" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_tol_rank_exits_2(value, capsys, monkeypatch):
-    assert main(["scan4q", "--p-grid", "3", "--tol-rank", value]) == 2
-    assert "tol-rank" in capsys.readouterr().err
-    monkeypatch.setenv("TANGLEROOF_TOL_RANK", value)
-    assert main(["monogamy", "--p-grid", "3"]) == 2
-    assert "tol-rank" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -116,6 +129,84 @@ def test_zeros_identically_zero_pair(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["identically_zero"] is True
     assert doc["interval"] == [0.0, 1.0]
+
+
+def _amplitude_file(tmp_path, name, amps):
+    path = tmp_path / name
+    path.write_text(
+        json.dumps({"n": 3, "amplitudes": [[float(a.real), float(a.imag)] for a in amps]})
+    )
+    return str(path)
+
+
+def _r12(x):
+    """A float as the JSON payloads print it, to 12 significant digits."""
+    return float(format(float(x), ".12g"))
+
+
+def _pairs():
+    toy1, toy2 = toy_states()
+    ket = np.eye(8, dtype=complex)
+    ghz, w = make_ghz(3).amplitudes, make_w(3).amplitudes
+    return {
+        "toy": (toy1.amplitudes, toy2.amplitudes),
+        "ghz3_w3": (ghz, w),
+        "w3_ghz3": (w, ghz),
+        "000_111": (ket[0], ket[7]),
+        "000_001": (ket[0], ket[1]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pairs()))
+def test_pair_commands_read_the_span_geometry(name, tmp_path, capsys):
+    amps1, amps2 = _pairs()[name]
+    files = [
+        _amplitude_file(tmp_path, "a.json", amps1),
+        _amplitude_file(tmp_path, "b.json", amps2),
+    ]
+    geom = span_geometry(RankTwoMixture(load_state(files[0]), load_state(files[1]), 0.5))
+    docs = {}
+    for command in ("zeros", "interval", "bounds"):
+        assert main([command, *files, "--format", "json"]) == 0
+        docs[command] = json.loads(capsys.readouterr().out)
+        assert docs[command]["identically_zero"] is geom.identically_zero
+    iv = geom.interval
+    expected = None if iv is None else [_r12(iv.p_low), _r12(iv.p_high)]
+    assert docs["bounds"]["interval"] == expected
+    if geom.identically_zero:
+        assert expected is None
+        assert docs["zeros"]["interval"] == docs["interval"]["interval"] == [0.0, 1.0]
+        return
+    assert docs["interval"]["interval"] == expected
+    assert docs["interval"]["dimension"] == geom.polytope.dimension
+    assert docs["interval"]["volume"] == _r12(geom.polytope.volume)
+    zeros = geom.zeros
+    roots = docs["zeros"]["roots"]
+    assert [r["multiplicity"] for r in roots] == zeros.multiplicity.tolist()
+    assert [r["p0"] for r in roots] == [_r12(x) for x in zeros.p0]
+    assert [r["phase"] for r in roots] == [_r12(x) for x in zeros.phases]
+    for r, z in zip(roots, zeros.z.tolist()):
+        assert r["at_infinity"] is (not np.isfinite(z))
+        if not r["at_infinity"]:
+            assert (r["re"], r["im"]) == (_r12(z.real), _r12(z.imag))
+
+
+@pytest.mark.parametrize(
+    "doc", [{"n": 1000000000, "amplitudes": []}, {"n": True, "amplitudes": [[1, 0], [0, 0]]}],
+    ids=["huge-n", "bool-n"],
+)
+def test_state_file_with_a_bad_qubit_count_exits_2(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["zeros", str(bad), str(bad)]) == 2
+    # the count is checked against the list before 2**n is formed
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(bad) in lines[0] and "'n'" in lines[0]
 
 
 def test_zeros_default_pair_roots(capsys):
@@ -202,10 +293,9 @@ def test_scan4q_phi_grid_flags(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan4q", "--phi-grid", "4", "--phi", "1.0", "--p-grid", "7", "--tol-rank", "0.5"],
+        ["scan4q", "--phi-grid", "4", "--phi", "1.0", "--p-grid", "7"],
         ["scan4q", "--phi-grid", "4", "--phi", "1.0"],
         ["scan4q", "--phi-grid", "4", "--p-grid", "7"],
-        ["scan4q", "--phi-grid", "4", "--tol-rank", "0.5"],
         ["monogamy", "--phi-grid", "2", "--phi", "1.0", "--p-grid", "3"],
     ],
 )
@@ -224,10 +314,8 @@ def test_env_defaults_do_not_clash_with_a_phase_sweep(capsys, monkeypatch):
     plain_mono = capsys.readouterr().out
     monkeypatch.setenv("TANGLEROOF_PHI", "1.0")
     monkeypatch.setenv("TANGLEROOF_P_GRID", "7")
-    monkeypatch.setenv("TANGLEROOF_TOL_RANK", "0.5")
     assert main(scan) == 0
     assert capsys.readouterr().out == plain_scan
-    monkeypatch.delenv("TANGLEROOF_TOL_RANK")  # a monogamy sweep reads it
     assert main(mono) == 0
     assert capsys.readouterr().out == plain_mono
 
@@ -235,10 +323,9 @@ def test_env_defaults_do_not_clash_with_a_phase_sweep(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["scan4q", "--p-grid", "5", "--phi", "0.3", "--tol-rank", "1e-9"],
+        ["scan4q", "--p-grid", "5", "--phi", "0.3"],
         ["scan4q", "--p-grid", "5"],
         ["scan4q", "--phi", "0.3"],
-        ["scan4q", "--tol-rank", "1e-9"],
         ["monogamy", "--phi", "0.3", "--p-grid", "3"],
     ],
 )

@@ -31,15 +31,15 @@ def test_pencil_polynomial_interpolates_tangle():
         direct = three_tangle(
             PureState(3, mix.psi1.amplitudes + z * mix.psi2.amplitudes)
         )
-        assert abs(poly(z) - direct) <= 1e-12 * max(1.0, abs(z) ** 4)
+        assert abs(pencil._horner(poly.coefficients, z) - direct) <= 1e-12 * max(1.0, abs(z) ** 4)
 
 
 def test_pencil_polynomial_coefficient_count():
     with pytest.raises(ValueError):
         PencilPolynomial(np.zeros(4, dtype=complex))
     poly = PencilPolynomial(np.array([0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex))
-    assert poly.degree() == 2
-    assert PencilPolynomial(np.zeros(5, dtype=complex)).degree() == -1
+    assert pencil._degrees(poly.coefficients[None, :]).tolist() == [2]
+    assert pencil._degrees(np.zeros((1, 5), dtype=complex)).tolist() == [-1]
 
 
 def test_polynomial_roots_quartic_with_known_roots():
@@ -105,11 +105,12 @@ def test_finite_roots_rows_of_every_degree():
 
 
 def test_finite_roots_floor_of_one_counts_four_at_infinity():
-    coeffs = np.array([[1.0, -2.0, 0.5, 3.0, 1.0]], dtype=complex)
-    roots, n_inf = finite_roots(coeffs, tol=2.0)
+    # no coefficient of the zero row lies above the floor
+    coeffs = np.zeros((1, 5), dtype=complex)
+    roots, n_inf = finite_roots(coeffs)
     assert n_inf[0] == 4 and np.all(np.isinf(roots))
-    z, mult = polynomial_roots(PencilPolynomial(coeffs[0] * 10.0), tol=2.0)
-    assert z.tolist() == [complex(np.inf)] and mult.tolist() == [4]
+    with pytest.raises(IdenticallyZeroPencilError):
+        polynomial_roots(PencilPolynomial(coeffs[0]))
 
 
 def test_polished_roots_are_accurate():
@@ -260,5 +261,6 @@ def test_eigvals_only_for_rejected_rows_and_lower_degrees(monkeypatch):
 def test_pencil_polynomial_evaluates_in_polyval_order():
     poly = pencil_polynomial(*toy_states())
     z = np.array([0.3 - 0.2j, 2.0, -1.5j])
-    np.testing.assert_array_equal(poly(z), npoly.polyval(z, poly.coefficients))
-    assert poly(0.7 + 0.1j) == npoly.polyval(0.7 + 0.1j, poly.coefficients)
+    c = poly.coefficients
+    np.testing.assert_array_equal(pencil._horner(c, z), npoly.polyval(z, c))
+    assert pencil._horner(c, 0.7 + 0.1j) == npoly.polyval(0.7 + 0.1j, c)

@@ -275,13 +275,13 @@ def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
 
 def test_scan_row_fields():
     # volume degrades to polygon area when the polytope is flat
-    row, = simplex_scan(0.0, [0.85], 1e-11)
+    row, = simplex_scan(0.0, [0.85])
     assert row.dimension == 2
     assert row.interval is not None
     lo, hi = row.interval
     assert 0.0 <= lo < hi <= 1.0
     assert row.volume > 0.0
-    row3, = simplex_scan(np.pi / 4, [0.5], 1e-11)
+    row3, = simplex_scan(np.pi / 4, [0.5])
     assert row3.dimension == 3
     assert row3.volume > 1e-6
 
