@@ -296,6 +296,7 @@ def test_scan4q_phi_grid_flags(capsys):
         ["scan4q", "--phi-grid", "4", "--phi", "1.0", "--p-grid", "7"],
         ["scan4q", "--phi-grid", "4", "--phi", "1.0"],
         ["scan4q", "--phi-grid", "4", "--p-grid", "7"],
+        ["monogamy", "--phi-grid", "2", "--phi", "1.0"],
         ["monogamy", "--phi-grid", "2", "--phi", "1.0", "--p-grid", "3"],
     ],
 )
@@ -326,6 +327,7 @@ def test_env_defaults_do_not_clash_with_a_phase_sweep(capsys, monkeypatch):
         ["scan4q", "--p-grid", "5", "--phi", "0.3"],
         ["scan4q", "--p-grid", "5"],
         ["scan4q", "--phi", "0.3"],
+        ["monogamy", "--phi", "0.3"],
         ["monogamy", "--phi", "0.3", "--p-grid", "3"],
     ],
 )
