@@ -11,8 +11,8 @@ a failure.
 
 zeros, interval and bounds read one span geometry (bounds.span_geometry).
 The root floor pencil.COEFF_TOL and the rank floor states.RANK_TOL are
-constants, not flags. Flag values override TANGLEROOF_* environment
-variables, which override built-in defaults.
+constants, not flags. Configuration is flags only: TANGLEROOF_* environment
+variables are ignored.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -221,10 +220,14 @@ def _run_bounds(cfg: RunConfig):
     if cfg.format == "csv":
         return _render_csv(("p", "linearized", "pivot", "envelope", "achieving"), rows)
     iv = report.interval
+    if report.identically_zero:
+        interval = [0.0, 1.0]
+    else:
+        interval = None if iv is None else [iv.p_low, iv.p_high]
     return _render_json(
         {
             "identically_zero": report.identically_zero,
-            "interval": None if iv is None else [iv.p_low, iv.p_high],
+            "interval": interval,
             "p_left": report.p_left,
             "p_right": report.p_right,
             "envelope_knots": report.envelope_curve.knots,
@@ -359,50 +362,15 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-class _Given(argparse.Action):
-    """Store a flag's value and record on the namespace that it was given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.option_strings[0]}
-
-
-# Flags that a phase sweep does not read, per command. Given on the command
-# line together with --phi-grid they are rejected rather than ignored; given
-# against a phase grid from TANGLEROOF_PHI_GRID alone they win over it, and
-# the command runs without the sweep. TANGLEROOF_* defaults of these flags
-# are never rejected.
+# Flags that a phase sweep does not read, per command: given together with
+# --phi-grid they are rejected rather than ignored.
 _PHI_GRID_UNUSED = {
     "scan4q": ("--phi", "--p-grid"),
     "monogamy": ("--phi",),
 }
 
 
-_ENV_CASTS = {
-    "phi": ("TANGLEROOF_PHI", float),
-    "p_grid": ("TANGLEROOF_P_GRID", int),
-    "phi_grid": ("TANGLEROOF_PHI_GRID", int),
-    "format": ("TANGLEROOF_FORMAT", str),
-}
-
-
-def _read_env(env) -> dict:
-    out = {}
-    for key, (var, cast) in _ENV_CASTS.items():
-        raw = env.get(var)
-        if raw is None:
-            continue
-        try:
-            out[key] = cast(raw)
-        except ValueError:
-            raise ValueError(f"{var}={raw!r} is not a valid {cast.__name__}")
-    return out
-
-
-def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
-    def dflt(key, builtin):
-        return env_defaults.get(key, builtin)
-
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tangleroof",
         description="Exact zero intervals and convex-roof upper bounds for "
@@ -415,7 +383,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         p.add_argument(
             "--format",
             choices=("csv", "json"),
-            default=dflt("format", default_format),
+            default=default_format,
             help=f"output format (default {default_format})",
         )
 
@@ -435,28 +403,14 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
         p.add_argument(
             "--p-grid",
             type=int,
-            action=_Given,
-            default=dflt("p_grid", None),
             help=f"mixing-weight grid size (default {_GRID_DEFAULTS[cmd]})",
         )
 
     def add_family(cmd, help, phi_grid_help):
         p = sub.add_parser(cmd, help=help)
-        p.add_argument(
-            "--phi",
-            type=float,
-            action=_Given,
-            default=dflt("phi", 0.0),
-            help="family phase (radians)",
-        )
+        p.add_argument("--phi", type=float, help="family phase (radians, default 0)")
         add_pgrid(p, cmd)
-        p.add_argument(
-            "--phi-grid",
-            type=int,
-            action=_Given,
-            default=dflt("phi_grid", None),
-            help=phi_grid_help,
-        )
+        p.add_argument("--phi-grid", type=int, help=phi_grid_help)
         p.add_argument(
             "--parallelism",
             type=int,
@@ -480,9 +434,7 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 
     p_char = sub.add_parser("char", help="pure-superposition tangle curve")
     add_pair(p_char)
-    p_char.add_argument(
-        "--phi", type=float, default=dflt("phi", 0.0), help="relative phase (radians)"
-    )
+    p_char.add_argument("--phi", type=float, default=0.0, help="relative phase (radians)")
     add_pgrid(p_char, "char")
     add_common(p_char)
 
@@ -505,16 +457,18 @@ def _build_parser(env_defaults: dict) -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     phi_grid = getattr(args, "phi_grid", None)
     if phi_grid is not None:
-        given = getattr(args, "given", frozenset())
-        unused = [f for f in _PHI_GRID_UNUSED.get(args.command, ()) if f in given]
-        if unused and "--phi-grid" in given:
-            raise ValueError(f"{', '.join(unused)}: not used by a phase sweep (--phi-grid)")
+        unused = [
+            flag for flag in _PHI_GRID_UNUSED.get(args.command, ())
+            if getattr(args, flag[2:].replace("-", "_")) is not None
+        ]
         if unused:
-            phi_grid = None
+            raise ValueError(f"{', '.join(unused)}: not used by a phase sweep (--phi-grid)")
+    # an "is None" test, not "or", so that --phi -0.0 keeps its sign
+    phi = getattr(args, "phi", None)
     return RunConfig(
         command=args.command,
         state_paths=tuple(getattr(args, "states", ()) or ()),
-        phi=float(getattr(args, "phi", 0.0)),
+        phi=0.0 if phi is None else phi,
         p_grid=getattr(args, "p_grid", None),
         phi_grid=phi_grid,
         out=args.out,
@@ -525,13 +479,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     try:
-        env_defaults = _read_env(os.environ)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser(env_defaults)
-    try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

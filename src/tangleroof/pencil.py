@@ -250,24 +250,35 @@ def finite_roots(coeffs: np.ndarray):
     Returns an (N, 4) complex array and the (N,) number of roots at
     infinity. Each leading coefficient at or below COEFF_TOL * max|c|
     counts as one root at infinity, at most 4 per row; those slots hold
-    inf after the finite roots. A row of degree 4 takes Ferrari's radicals and one
+    inf after the finite roots. Likewise each trailing coefficient at or
+    below that floor counts as one exact root at z = 0; those slots come
+    first, and the remaining roots are those of the deflated polynomial.
+    A deflated polynomial of degree 4 takes Ferrari's radicals and one
     Newton step when they pass the checks of _radical_roots. The other
     rows take the eigenvalues of the companion matrices of their monic
-    reductions (one eigvals call per numerical degree) and two Newton
+    reductions (one eigvals call per deflated degree) and two Newton
     steps. Roots are neither merged nor conjugate-symmetrized, so they move
     smoothly with the pair.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     deg = _degrees(coeffs)
+    mags = np.abs(coeffs)
+    # lowest k with |c_k| above the floor (0 for the zero row): the roots at 0
+    low = np.argmax(mags > COEFF_TOL * mags.max(axis=1, keepdims=True), axis=1)
     roots = np.full((coeffs.shape[0], DEGREE), np.inf, dtype=complex)
-    companion = deg.copy()  # the degree of each row left to the companion matrix
-    quartic = np.nonzero(deg == DEGREE)[0]
+    deflated = coeffs
+    if low.any():
+        columns = np.minimum(low[:, None] + np.arange(DEGREE + 1), DEGREE)
+        deflated = np.take_along_axis(coeffs, columns, axis=1)
+        roots[np.arange(DEGREE) < low[:, None]] = 0.0
+    companion = deg - low  # the degree of each row left to the companion matrix
+    quartic = np.nonzero(companion == DEGREE)[0]
     if quartic.size:
         roots[quartic], holds = _radical_roots(coeffs[quartic])
         companion[quartic[holds]] = 0
     for d in sorted(set(companion.tolist()) - {-1, 0}):
         rows = np.nonzero(companion == d)[0]
-        c = coeffs[rows, : d + 1]
+        c = deflated[rows, : d + 1]
         if d == 1:
             raw = -c[:, :1] / c[:, 1:]
         else:
@@ -275,12 +286,13 @@ def finite_roots(coeffs: np.ndarray):
             comp[:, 1:, :-1] = np.eye(d - 1)
             comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
             raw = np.linalg.eigvals(comp)
-        roots[rows, :d] = _polish(raw, c)[0]
+        roots[rows[:, None], low[rows, None] + np.arange(d)] = _polish(raw, c)[0]
     return roots, DEGREE - np.maximum(deg, 0)
 
 
-def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> list:
-    """Pair roots of a real-coefficient polynomial into exact conjugates."""
+def _symmetrize_conjugates(roots: np.ndarray) -> list:
+    """Pair roots of a real-coefficient polynomial into exact conjugates: a root
+    pairs with the nearest conjugate within relative distance CLUSTER_TOL."""
     work = sorted(roots.tolist(), key=lambda z: (z.real, z.imag))
     used = [False] * len(work)
     out = []
@@ -299,7 +311,7 @@ def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> list:
             d = abs(work[j] - zi.conjugate())
             if d < best_d:
                 best_j, best_d = j, d
-        if best_j >= 0 and best_d <= pair_tol * scale:
+        if best_j >= 0 and best_d <= CLUSTER_TOL * scale:
             used[best_j] = True
             w = 0.5 * (zi + work[best_j].conjugate())
             if abs(w.imag) <= 1e-8 * (1.0 + abs(w)):
@@ -313,12 +325,12 @@ def _symmetrize_conjugates(roots: np.ndarray, pair_tol: float) -> list:
     return out
 
 
-def _cluster(roots: Sequence[complex], tol: float) -> list:
-    """Merge roots within relative distance tol into (mean, multiplicity)."""
+def _cluster(roots: Sequence[complex]) -> list:
+    """Merge roots within relative distance CLUSTER_TOL into (mean, multiplicity)."""
     reps: list = []
     for z in sorted(roots, key=lambda v: (v.real, v.imag)):
         for k, (rep, mult) in enumerate(reps):
-            if abs(z - rep) <= tol * max(1.0, abs(z), abs(rep)):
+            if abs(z - rep) <= CLUSTER_TOL * max(1.0, abs(z), abs(rep)):
                 reps[k] = ((rep * mult + z) / (mult + 1), mult + 1)
                 break
         else:
@@ -344,10 +356,10 @@ def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float):
     if raw.size:
         real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak
         if real_coeffs:
-            finite = _symmetrize_conjugates(raw, CLUSTER_TOL)
+            finite = _symmetrize_conjugates(raw)
         else:
             finite = [complex(z) for z in raw]
-        merged = _cluster(finite, CLUSTER_TOL)
+        merged = _cluster(finite)
     merged.sort(key=_order_key)
     if n_inf > 0:
         merged.append((np.inf, n_inf))

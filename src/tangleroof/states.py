@@ -286,7 +286,11 @@ def load_state(path: str, renormalize: bool = False) -> PureState:
     ``renormalize`` is set.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        # JSONDecodeError and UnicodeDecodeError are both ValueErrors
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict) or "n" not in doc or "amplitudes" not in doc:
         raise ValueError(f"{path}: expected an object with fields 'n' and 'amplitudes'")
     n = doc["n"]

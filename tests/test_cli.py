@@ -35,6 +35,20 @@ def test_single_state_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", [b"not json", b'{"n": 3, "amplitudes": \xff}'], ids=["not-json", "not-utf8"]
+)
+def test_undecodable_state_file_is_named(content, tmp_path, capsys):
+    good = _state_file(tmp_path, "good.json", 0)
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["zeros", good, str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+
+
 def test_malformed_state_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "amplitudes": [1, 2]}')
@@ -66,7 +80,7 @@ def test_tiny_grid_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_tol_root_rejected_where_unused(tmp_path, capsys, monkeypatch):
+def test_tol_root_rejected_where_unused(tmp_path, capsys):
     # the root and rank floors are constants: no command takes either flag
     a, b = _state_file(tmp_path, "a.json", 0), _state_file(tmp_path, "b.json", 7)
     for flag in ("--tol-root", "--tol-rank"):
@@ -83,29 +97,24 @@ def test_tol_root_rejected_where_unused(tmp_path, capsys, monkeypatch):
         for command in ("zeros", "interval", "bounds", "char"):
             assert main([command, a, b, flag, "1e-3"]) == 2
             assert flag in capsys.readouterr().err
-    # an environment phase grid does not change that
-    monkeypatch.setenv("TANGLEROOF_PHI_GRID", "2")
-    for command in ("scan4q", "monogamy"):
-        for flag in ("--tol-root", "--tol-rank"):
-            assert main([command, flag, "1e-9"]) == 2
-            assert flag in capsys.readouterr().err
 
 
 def test_tol_variables_are_ignored(capsys, monkeypatch):
-    runs = (["zeros"], ["interval", "--format", "csv"], ["scan4q", "--p-grid", "5"],
-            ["monogamy", "--p-grid", "5"])
-    plain = []
-    for argv in runs:
-        assert main(argv) == 0
-        plain.append(capsys.readouterr().out)
-    # values that the removed flags would have refused or that change results
-    for root, rank in (("0.5", "0.3"), ("2", "nan"), ("lots", "-1")):
-        monkeypatch.setenv("TANGLEROOF_TOL_ROOT", root)
-        monkeypatch.setenv("TANGLEROOF_TOL_RANK", rank)
-        for argv, expected in zip(runs, plain):
-            assert main(argv) == 0
+    # configuration is flags only: no TANGLEROOF_* variable reaches any command
+    plain = {}
+    for command in COMMANDS:
+        code = main([command])
+        captured = capsys.readouterr()
+        plain[command] = (code, captured.out, captured.err)
+        assert code == 0, command
+    # values that once changed the output or made a command exit 2
+    for value in ("json", "2", "lots", "nan"):
+        for name in ("PHI", "P_GRID", "PHI_GRID", "FORMAT", "TOL_ROOT", "TOL_RANK", "PARALLELISM"):
+            monkeypatch.setenv(f"TANGLEROOF_{name}", value)
+        for command in COMMANDS:
+            code = main([command])
             captured = capsys.readouterr()
-            assert captured.out == expected and captured.err == ""
+            assert (code, captured.out, captured.err) == plain[command], (value, command)
 
 
 def test_parallelism_rejected_off_grid_commands(capsys):
@@ -114,12 +123,12 @@ def test_parallelism_rejected_off_grid_commands(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_non_finite_phi_exits_2(value, capsys, monkeypatch):
-    assert main(["char", "--phi", value]) == 2
-    assert "phi" in capsys.readouterr().err
-    monkeypatch.setenv("TANGLEROOF_PHI", value)
-    assert main(["scan4q", "--p-grid", "3"]) == 2
-    assert "phi" in capsys.readouterr().err
+def test_non_finite_phi_exits_2(value, capsys):
+    # --phi=-inf, since argparse reads a bare -inf as a flag
+    for argv in (["char", f"--phi={value}"], ["scan4q", "--p-grid", "3", f"--phi={value}"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "phi must be finite" in captured.err
 
 
 def test_zeros_identically_zero_pair(tmp_path, capsys):
@@ -129,6 +138,14 @@ def test_zeros_identically_zero_pair(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["identically_zero"] is True
     assert doc["interval"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("order", [(0, 7), (7, 0)], ids=["000_111", "111_000"])
+def test_zeros_basis_pair_double_root_at_zero(order, tmp_path, capsys):
+    # c_0 = c_1 = 0 up to rounding: two exact roots at 0, two at infinity
+    files = [_state_file(tmp_path, f"{i}.json", i) for i in order]
+    assert main(["zeros", *files, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["0,0,0,false,2,1,0", "1,,,true,2,0,0"]
 
 
 def _amplitude_file(tmp_path, name, amps):
@@ -171,12 +188,14 @@ def test_pair_commands_read_the_span_geometry(name, tmp_path, capsys):
         docs[command] = json.loads(capsys.readouterr().out)
         assert docs[command]["identically_zero"] is geom.identically_zero
     iv = geom.interval
+    if geom.identically_zero:
+        assert iv is None
+        # the whole span is a zero set: all three commands print [0, 1]
+        for command in ("zeros", "interval", "bounds"):
+            assert docs[command]["interval"] == [0.0, 1.0], command
+        return
     expected = None if iv is None else [_r12(iv.p_low), _r12(iv.p_high)]
     assert docs["bounds"]["interval"] == expected
-    if geom.identically_zero:
-        assert expected is None
-        assert docs["zeros"]["interval"] == docs["interval"]["interval"] == [0.0, 1.0]
-        return
     assert docs["interval"]["interval"] == expected
     assert docs["interval"]["dimension"] == geom.polytope.dimension
     assert docs["interval"]["volume"] == _r12(geom.polytope.volume)
@@ -248,21 +267,11 @@ def test_rerun_byte_identity(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_env_grid_and_flag_override(tmp_path, capsys, monkeypatch):
+def test_bounds_rows_follow_the_p_grid(capsys):
     # header + grid rows + the two inserted interval endpoints
-    monkeypatch.setenv("TANGLEROOF_P_GRID", "5")
-    assert main(["bounds"]) == 0
-    env_lines = capsys.readouterr().out.strip().split("\n")
-    assert len(env_lines) == 8
-    assert main(["bounds", "--p-grid", "11"]) == 0
-    flag_lines = capsys.readouterr().out.strip().split("\n")
-    assert len(flag_lines) == 14
-
-
-def test_bad_env_value_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("TANGLEROOF_P_GRID", "lots")
-    assert main(["bounds"]) == 2
-    assert "TANGLEROOF_P_GRID" in capsys.readouterr().err
+    for p_grid, lines in ((5, 8), (11, 14)):
+        assert main(["bounds", "--p-grid", str(p_grid)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == lines
 
 
 def test_char_csv_minimum_location(capsys):
@@ -306,51 +315,36 @@ def test_flags_a_phase_sweep_ignores_exit_2(argv, capsys):
     assert captured.out == "" and "not used by a phase sweep" in captured.err
 
 
-def test_env_defaults_do_not_clash_with_a_phase_sweep(capsys, monkeypatch):
-    scan = ["scan4q", "--phi-grid", "2", "--parallelism", "1"]
-    mono = ["monogamy", "--phi-grid", "2", "--p-grid", "3"]
-    assert main(scan) == 0
-    plain_scan = capsys.readouterr().out
-    assert main(mono) == 0
-    plain_mono = capsys.readouterr().out
-    monkeypatch.setenv("TANGLEROOF_PHI", "1.0")
-    monkeypatch.setenv("TANGLEROOF_P_GRID", "7")
-    assert main(scan) == 0
-    assert capsys.readouterr().out == plain_scan
-    assert main(mono) == 0
-    assert capsys.readouterr().out == plain_mono
-
-
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["scan4q", "--p-grid", "5", "--phi", "0.3"],
-        ["scan4q", "--p-grid", "5"],
-        ["scan4q", "--phi", "0.3"],
-        ["monogamy", "--phi", "0.3"],
-        ["monogamy", "--phi", "0.3", "--p-grid", "3"],
+        (["scan4q", "--p-grid", "5", "--phi", "0.3"], "--phi, --p-grid"),
+        (["scan4q", "--p-grid", "5"], "--p-grid"),
+        (["scan4q", "--phi", "0.3"], "--phi"),
+        (["monogamy", "--phi", "0.3"], "--phi"),
+        (["monogamy", "--phi", "0.3", "--p-grid", "3"], "--phi"),
+        # a given --phi counts even when it equals the default
+        (["scan4q", "--phi", "-0.0"], "--phi"),
     ],
+    ids=["scan4q-both", "scan4q-p-grid", "scan4q-phi", "monogamy-phi", "monogamy-both",
+         "scan4q-negative-zero-phi"],
 )
-def test_flags_win_over_a_phase_grid_from_the_environment(argv, capsys, monkeypatch):
-    assert main(argv) == 0
-    plain = capsys.readouterr().out
-    monkeypatch.setenv("TANGLEROOF_PHI_GRID", "4")
+def test_flags_a_phase_sweep_ignores_are_named(argv, named, capsys):
+    # alone they run the command without a phase sweep
     assert main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == plain and captured.err == ""
-    # the flag itself is still refused next to an explicit phase grid
+    assert captured.out.startswith("p,") and captured.err == ""
     assert main(argv + ["--phi-grid", "4"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "not used by a phase sweep" in captured.err
+    assert captured.out == ""
+    assert captured.err == f"error: {named}: not used by a phase sweep (--phi-grid)\n"
 
 
-def test_a_phase_grid_from_the_environment_runs_the_sweep(capsys, monkeypatch):
-    scan = ["scan4q", "--phi-grid", "2", "--parallelism", "1"]
-    assert main(scan) == 0
-    sweep = capsys.readouterr().out
-    monkeypatch.setenv("TANGLEROOF_PHI_GRID", "2")
-    assert main(["scan4q", "--parallelism", "1"]) == 0
-    assert capsys.readouterr().out == sweep
+def test_negative_zero_phi_keeps_its_sign(capsys):
+    for argv in (["scan4q", "--p-grid", "3"], ["char", "--p-grid", "3"]):
+        assert main(argv + ["--phi", "-0.0", "--format", "json"]) == 0
+        phi = json.loads(capsys.readouterr().out)["phi"]
+        assert phi == 0.0 and np.copysign(1.0, phi) == -1.0, argv
 
 
 @pytest.mark.parametrize(
@@ -358,7 +352,7 @@ def test_a_phase_grid_from_the_environment_runs_the_sweep(capsys, monkeypatch):
     [["scan4q", "--phi-grid", "2"], ["scan4q", "--p-grid", "5"], ["monogamy", "--p-grid", "9"]],
     ids=["scan4q-phi-grid", "scan4q-p-grid", "monogamy"],
 )
-def test_parallelism_accepts_only_1(argv, capsys, monkeypatch):
+def test_parallelism_accepts_only_1(argv, capsys):
     assert main(argv) == 0
     plain = capsys.readouterr().out
     assert main(argv + ["--parallelism", "1"]) == 0
@@ -366,10 +360,6 @@ def test_parallelism_accepts_only_1(argv, capsys, monkeypatch):
     assert main(argv + ["--parallelism", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--parallelism" in captured.err
-    # no environment variable sets it
-    monkeypatch.setenv("TANGLEROOF_PARALLELISM", "2")
-    assert main(argv) == 0
-    assert capsys.readouterr().out == plain
 
 
 def test_monogamy_rows_nonnegative_residual(capsys):

@@ -104,6 +104,22 @@ def test_finite_roots_rows_of_every_degree():
         assert alone_inf[0] == n_inf[row]
 
 
+def test_finite_roots_trailing_coefficients_are_roots_at_zero():
+    # z^2 (z - 1)(z - 2) and the |000>/|111> pencil, with rounding noise
+    # below the floor in the vanishing coefficients
+    coeffs = np.zeros((2, 5), dtype=complex)
+    coeffs[0, 2:] = npoly.polyfromroots([1.0, 2.0])
+    coeffs[0, :2] = [3e-17, -2e-17j]
+    coeffs[1] = [0.0, 1e-17, 4.0, -1e-17, 0.0]
+    roots, n_inf = finite_roots(coeffs)
+    np.testing.assert_array_equal(n_inf, [0, 2])
+    assert roots[0, :2].tolist() == [0j, 0j]
+    np.testing.assert_allclose(np.sort(roots[0, 2:].real), [1.0, 2.0], atol=1e-12)
+    assert roots[1, :2].tolist() == [0j, 0j] and np.all(np.isinf(roots[1, 2:]))
+    z, mult = polynomial_roots(PencilPolynomial(coeffs[1]))
+    assert z.tolist() == [0j, complex(np.inf)] and mult.tolist() == [2, 2]
+
+
 def test_finite_roots_floor_of_one_counts_four_at_infinity():
     # no coefficient of the zero row lies above the floor
     coeffs = np.zeros((1, 5), dtype=complex)
