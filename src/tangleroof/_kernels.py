@@ -37,10 +37,29 @@ def tau3_many(amps: np.ndarray) -> np.ndarray:
     p2 = a[:, 3] * a[:, 4]
     p3 = a[:, 5] * a[:, 2]
     p4 = a[:, 6] * a[:, 1]
-    d1 = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4
-    d2 = p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4
-    d3 = a[:, 0] * a[:, 6] * a[:, 5] * a[:, 3] + a[:, 7] * a[:, 1] * a[:, 2] * a[:, 4]
-    return 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
+    # 4 (d1 - 2 d2 + 4 d3), accumulated in place in the order of that formula:
+    # d1 = p1^2 + p2^2 + p3^2 + p4^2, d2 = p1 p2 + p1 p3 + p1 p4 + p2 p3 +
+    # p2 p4 + p3 p4 and d3 = a0 a6 a5 a3 + a7 a1 a2 a4, each summed left to right
+    t = np.empty_like(p1)
+    d1 = p1 * p1
+    for x in (p2, p3, p4):
+        d1 += np.multiply(x, x, out=t)
+    d2 = p1 * p2
+    for x, y in ((p1, p3), (p1, p4), (p2, p3), (p2, p4), (p3, p4)):
+        d2 += np.multiply(x, y, out=t)
+    d3 = np.multiply(a[:, 0], a[:, 6], out=p1)  # p1 is free once d2 is formed
+    d3 *= a[:, 5]
+    d3 *= a[:, 3]
+    np.multiply(a[:, 7], a[:, 1], out=t)
+    t *= a[:, 2]
+    t *= a[:, 4]
+    d3 += t
+    d2 *= 2
+    d1 -= d2
+    d3 *= 4
+    d1 += d3
+    d1 *= 4
+    return d1
 
 
 def quartic_form(c: np.ndarray, a, b) -> np.ndarray:

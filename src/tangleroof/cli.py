@@ -477,7 +477,31 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_phi(argv: list) -> list:
+    """Each "--phi X" whose X reads as a float joined into "--phi=X".
+
+    argparse takes a value such as -1e-3 or -inf for a flag and refuses
+    "--phi -1e-3"; joined, the value reaches the same checks as "--phi=-1e-3".
+    """
+    out: list = []
+    for arg in argv:
+        if out and out[-1] == "--phi" and _reads_as_float(arg):
+            out[-1] = f"--phi={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _join_phi(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

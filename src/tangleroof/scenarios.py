@@ -5,8 +5,10 @@ a known axis zero interval with coinciding endpoint witnesses. The
 four-qubit family interpolates sqrt(p) GHZ4 - e^{i phi} sqrt(1-p) W4; its
 three-qubit reductions are rank two with closed-form eigenvalue q(p) and
 eigenvectors expressed through six real coefficient functions. On top of
-the reductions live the simplex volume scans, the threshold in phi where
-the interior volume zero disappears, and the extended monogamy residual.
+the reductions live the simplex volume scans, the extended monogamy
+residual, and the threshold in phi where the interior volume zero
+disappears, read from the invariants I and J of the pencil quartics on a
+301-point p grid without computing their roots.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bloch import AxisInterval, ZeroPolytope, bloch_from_z
+from .bloch import AxisInterval, ZeroPolytope
 from .bounds import BoundReport, _linearized_curve, span_geometries, upper_bound_report
 from .invariants import _concurrences, _one_tangles, c3_many
-from .pencil import ZeroSet, _pencils, finite_roots
+from .pencil import ZeroSet, _pencils
 from .states import (
     PureState,
     RankTwoMixture,
@@ -82,14 +84,11 @@ class ToyReport:
 
 def _witness_weight_coincidence(interval: AxisInterval) -> float:
     lo, hi = interval.witness_low, interval.witness_high
-    shared = sorted(set(lo.face) & set(hi.face))
+    shared = set(lo.face) & set(hi.face)
     if not shared:
         return float("nan")
-    diffs = [
-        abs(lo.weights[lo.face.index(i)] - hi.weights[hi.face.index(i)])
-        for i in shared
-    ]
-    return float(max(diffs))
+    pairs = ((lo.weights[lo.face.index(i)], hi.weights[hi.face.index(i)]) for i in shared)
+    return float(max(abs(a - b) for a, b in pairs))
 
 
 def toy_report(grid_size: int = 401) -> ToyReport:
@@ -97,21 +96,14 @@ def toy_report(grid_size: int = 401) -> ToyReport:
     mix = toy_mixture()
     report = upper_bound_report(mix, grid_size=grid_size)
     geom = report.geometry
-    return ToyReport(
-        mix,
-        geom.zeros,
-        geom.polytope,
-        geom.interval,
-        report,
-        _witness_weight_coincidence(geom.interval),
-    )
+    coincidence = _witness_weight_coincidence(geom.interval)
+    return ToyReport(mix, geom.zeros, geom.polytope, geom.interval, report, coincidence)
 
 
 def q_of_p(p: float) -> float:
     """Larger reduction eigenvalue (2 + sqrt(1 - p^2)) / 4."""
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(np.array([p]))
     return (2.0 + np.sqrt(max(0.0, 1.0 - p * p))) / 4.0
 
 
@@ -202,8 +194,7 @@ class FourQubitFamily:
 def four_qubit_state(p: float, phi: float = 0.0) -> PureState:
     """sqrt(p) GHZ4 - e^{i phi} sqrt(1 - p) W4, normalized by orthogonality."""
     p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_p(np.array([p]))
     return superpose(
         make_ghz(4), make_w(4), np.sqrt(p), -np.exp(1j * phi) * np.sqrt(1.0 - p)
     )
@@ -263,81 +254,40 @@ def simplex_scan(phi: float, p_grid: Sequence[float]):
     return rows
 
 
-def _pencil_bloch_vertices(ps: np.ndarray, phi: float) -> np.ndarray:
-    """(N, 4, 3) raw pencil-root Bloch points of the closed-form pairs on a p grid.
-
-    Uses unclustered polished roots so the four points move smoothly in p;
-    degree deficits are filled with the south pole (roots at infinity).
-    """
-    v1, v2 = _family_eigenvectors(ps, phi)
-    roots, _ = finite_roots(_pencils(v1, v2))
-    return bloch_from_z(roots)
+# the p grid of the interior-zero search over [0.02, 0.99]
+COARSE_GRID = 301
 
 
-def _match_rows(pts: np.ndarray) -> np.ndarray:
-    """Reorder each row of an (N, 4, 3) stack to follow the row before it.
-
-    Slot by slot, each tracked point takes the nearest unused point of the
-    next row (first minimum on ties). When the nearest next points of a
-    row's raw points are all different, that greedy picks them in any slot
-    order, so the row takes them directly; only rows with a collision run
-    the greedy scan. All distances and nearest points come from one call
-    each.
-    """
-    n = pts.shape[1]
-    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1)
-    nearest = np.argmin(dist, axis=2)
-    distinct = np.bitwise_or.reduce(1 << nearest, axis=1) == (1 << n) - 1
-    prev = list(range(n))
-    order = list(prev)
-    for r, (near, direct) in enumerate(zip(nearest.tolist(), distinct.tolist())):
-        if direct:
-            prev = [near[i] for i in prev]
-        else:
-            d = dist[r].tolist()
-            free = list(range(n))
-            cur = []
-            for i in prev:
-                j = min(free, key=d[i].__getitem__)
-                free.remove(j)
-                cur.append(j)
-            prev = cur
-        order.extend(prev)
-    return np.take_along_axis(pts, np.array(order).reshape(-1, n, 1), axis=1)
-
-
-def _tracked_volumes(ps: np.ndarray, phi: float) -> np.ndarray:
-    """Signed simplex volumes of the tracked pencil-root points over a p grid."""
-    pts = _match_rows(_pencil_bloch_vertices(ps, phi))
-    return np.linalg.det(pts[:, 1:] - pts[:, :1]) / 6.0
-
-
-# the coarse p grid of the interior-zero search over [0.02, 0.99], and the
-# tracked volume below which a sign change counts as noise
-COARSE_GRID = 1201
-VOLUME_NOISE_FLOOR = 1e-12
+def _quartic_invariants(c: np.ndarray):
+    """I, J and D = I^3 - 27 J^2 of the quartic in each row of an (N, 5) stack;
+    1728 I^3 / D is the j-invariant of the cross-ratio of its four roots."""
+    a0, a1, a2, a3, a4 = (c / np.array([1.0, 4.0, 6.0, 4.0, 1.0])).T
+    i = a0 * a4 - 4.0 * a1 * a3 + 3.0 * a2 * a2
+    j = a0 * a2 * a4 + 2.0 * a1 * a2 * a3 - a2 * a2 * a2 - a0 * a3 * a3 - a1 * a1 * a4
+    return i, j, i * i * i - 27.0 * j * j
 
 
 def has_interior_volume_zero(phi: float) -> bool:
-    """True when the tracked signed simplex volume changes sign inside (0, 1).
+    """True when the zero simplex turns flat transversally at some p in (0, 1).
 
-    Vertex tracking keeps the volume's orientation consistent along p, so a
-    transversal interior zero shows up as a sign change between neighbors
-    of the COARSE_GRID-point grid whose magnitudes exceed
-    VOLUME_NOISE_FLOOR. Candidates are confirmed on a refined sweep of the
-    bracketing interval; flat lower-dimensional stretches sit below the
-    floor and are ignored.
+    Its vertices, the Bloch images of the pencil roots, are coplanar when the
+    roots are concyclic, that is when their cross-ratio lambda is real and so
+    j(lambda) = 1728 I^3 / D is real and at least 1728. On the COARSE_GRID p
+    grid (one tau3_many call) a crossing is a pair of neighbours where
+    Im(I^3 / D) changes sign with Re(I^3 / D) >= 1 at both. A real pencil
+    (max|Im c| <= 1e-9 max|c|) with D < 0 has two real roots and a conjugate
+    pair; lambda then lies on the unit circle and is real at -1, where J = 0,
+    so there a crossing is a sign change of J with D < 0 at both neighbours.
     """
-    ps = np.linspace(0.02, 0.99, COARSE_GRID)
-    sv = _tracked_volumes(ps, float(phi))
-    flips = np.nonzero(np.sign(sv[:-1]) != np.sign(sv[1:]))[0]
-    for i in flips:
-        if abs(sv[i]) <= VOLUME_NOISE_FLOOR or abs(sv[i + 1]) <= VOLUME_NOISE_FLOOR:
-            continue
-        fine = _tracked_volumes(np.linspace(ps[i], ps[i + 1], 41), float(phi))
-        if np.any(np.sign(fine[:-1]) != np.sign(fine[1:])):
-            return True
-    return False
+    c = _pencils(*_family_eigenvectors(np.linspace(0.02, 0.99, COARSE_GRID), float(phi)))
+    i, j, d = _quartic_invariants(c)
+    if np.max(np.abs(c.imag)) <= 1e-9 * np.max(np.abs(c)):
+        s, ok = j.real, d.real < 0.0
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 gives NaN: no crossing
+            f = i * i * i / d
+        s, ok = f.imag, f.real >= 1.0
+    return bool(np.any((np.sign(s[:-1]) != np.sign(s[1:])) & ok[:-1] & ok[1:]))
 
 
 def phi_threshold_bisect(lo: float = 0.40, hi: float = 0.60, tol: float = 0.005) -> float:

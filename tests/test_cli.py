@@ -124,11 +124,25 @@ def test_parallelism_rejected_off_grid_commands(capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_phi_exits_2(value, capsys):
-    # --phi=-inf, since argparse reads a bare -inf as a flag
-    for argv in (["char", f"--phi={value}"], ["scan4q", "--p-grid", "3", f"--phi={value}"]):
-        assert main(argv) == 2
+    for command in (["char"], ["scan4q", "--p-grid", "3"]):
+        for phi in ([f"--phi={value}"], ["--phi", value]):
+            assert main(command + phi) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "phi must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command", [["char"], ["scan4q", "--p-grid", "3"], ["monogamy", "--p-grid", "3"]]
+)
+def test_phi_with_a_negative_exponent_reads_as_a_value(command, capsys):
+    # argparse alone takes a bare -1e-3 for a flag
+    outputs = []
+    for phi in (["--phi", "-1e-3"], ["--phi=-1e-3"]):
+        assert main(command + phi) == 0
         captured = capsys.readouterr()
-        assert captured.out == "" and "phi must be finite" in captured.err
+        assert captured.err == ""
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
 
 
 def test_zeros_identically_zero_pair(tmp_path, capsys):

@@ -49,6 +49,30 @@ def test_tau3_numpy_reference_value():
     assert abs(vals[0] - 1.0) <= 1e-14
 
 
+def _tau3_reference(a):
+    """The tangle polynomial as one expression, evaluated with fresh temporaries."""
+    p1 = a[:, 0] * a[:, 7]
+    p2 = a[:, 3] * a[:, 4]
+    p3 = a[:, 5] * a[:, 2]
+    p4 = a[:, 6] * a[:, 1]
+    d1 = p1 * p1 + p2 * p2 + p3 * p3 + p4 * p4
+    d2 = p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4
+    d3 = a[:, 0] * a[:, 6] * a[:, 5] * a[:, 3] + a[:, 7] * a[:, 1] * a[:, 2] * a[:, 4]
+    return 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
+
+
+def test_tau3_in_place_accumulation_equals_the_formula_bitwise():
+    rng = np.random.default_rng(8407)
+    amps = _random_amps(rng, 8407)
+    amps[::7] *= 1e-40  # tiny and huge rows keep their bits too
+    amps[::11] *= 1e40
+    amps[::13, rng.integers(8)] = 0.0
+    amps = np.concatenate([amps, np.stack([p for pair in _pairs() for p in pair])])
+    got = _kernels.tau3_many(amps)
+    np.testing.assert_array_equal(got.view(float), _tau3_reference(amps).view(float))
+    assert _kernels.tau3_many(amps[:0]).shape == (0,)
+
+
 def test_quartic_form_equals_tau3_of_the_span_state():
     rng = np.random.default_rng(606)
     a = rng.normal(size=64) + 1j * rng.normal(size=64)

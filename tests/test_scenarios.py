@@ -7,9 +7,7 @@ from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
     FourQubitFamily,
     _family_eigenvectors,
-    _match_rows,
-    _pencil_bloch_vertices,
-    _tracked_volumes,
+    _quartic_invariants,
     has_interior_volume_zero,
     phi_threshold_bisect,
     four_qubit_state,
@@ -106,79 +104,6 @@ def test_simplex_scan_rejects_boundary_p():
     assert len(rows) == 2 and rows[0].p == 0.3
 
 
-def test_pencil_vertices_on_sphere_and_planar():
-    pts = _pencil_bloch_vertices(np.array([0.9]), 0.0)[0]
-    norms = np.linalg.norm(pts, axis=1)
-    assert np.all(np.abs(norms - 1.0) <= 1e-8)
-    assert np.all(np.abs(pts[:, 1]) <= 1e-8)
-    tilted = _pencil_bloch_vertices(np.array([0.9]), 0.7)[0]
-    assert np.abs(tilted[:, 1]).max() > 1e-3
-
-
-def test_match_rows_restores_order():
-    rng = np.random.default_rng(9)
-    pts = rng.normal(size=(4, 3))
-    tracked = _match_rows(np.stack([pts, pts[[2, 0, 3, 1]], pts[[3, 1, 0, 2]]]))
-    np.testing.assert_array_equal(tracked, np.stack([pts, pts, pts]))
-
-
-def _greedy_match_rows(pts):
-    """Reference matcher: every row runs the greedy scan, slot by slot, each
-    tracked point taking the nearest unused point of the next row (first
-    minimum on ties)."""
-    n = pts.shape[1]
-    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1).ravel().tolist()
-    prev = list(range(n))
-    rows = [prev]
-    for base in range(0, len(dist), n * n):
-        free = list(range(n))
-        cur = []
-        for i in prev:
-            j = min(free, key=dist[base + i * n : base + (i + 1) * n].__getitem__)
-            free.remove(j)
-            cur.append(j)
-        rows.append(cur)
-        prev = cur
-    return np.take_along_axis(pts, np.array(rows)[:, :, None], axis=1)
-
-
-def _colliding_rows(pts):
-    """Rows whose raw points share a nearest point in the next row."""
-    dist = np.linalg.norm(pts[1:, None, :, :] - pts[:-1, :, None, :], axis=-1)
-    nearest = np.argmin(dist, axis=2)
-    return int(sum(len(set(row)) < pts.shape[1] for row in nearest.tolist()))
-
-
-@pytest.mark.parametrize("phi", [0.0, 0.3, 0.5234375, np.pi / 4, 1.2])
-def test_match_rows_equals_greedy_on_family_grid(phi):
-    pts = _pencil_bloch_vertices(np.linspace(0.02, 0.99, 1201), phi)
-    assert _colliding_rows(pts) > 0
-    np.testing.assert_array_equal(_match_rows(pts), _greedy_match_rows(pts))
-
-
-def test_match_rows_equals_greedy_on_random_walks():
-    rng = np.random.default_rng(2024)
-    colliding = 0
-    for _ in range(200):
-        n_rows = int(rng.integers(2, 40))
-        steps = rng.normal(scale=float(rng.choice([1e-3, 0.05, 0.3])), size=(n_rows, 4, 3))
-        pts = rng.normal(size=(1, 4, 3)) + np.cumsum(steps, axis=0)
-        for r in range(n_rows):
-            kind = rng.integers(4)
-            if kind == 1:  # two points of a row nearly coincide
-                i, j = rng.choice(4, size=2, replace=False)
-                pts[r, j] = pts[r, i] + rng.normal(scale=1e-12, size=3)
-            elif kind == 2:  # exact coincidence: equal distances tie
-                i, j = rng.choice(4, size=2, replace=False)
-                pts[r, j] = pts[r, i]
-            pts[r] = pts[r, rng.permutation(4)]  # raw order carries no tracking
-        if rng.integers(2):  # on a coarse lattice, equal distances tie often
-            pts = np.round(pts * 4.0) / 4.0
-        colliding += _colliding_rows(pts)
-        np.testing.assert_array_equal(_match_rows(pts), _greedy_match_rows(pts))
-    assert colliding > 100
-
-
 @pytest.mark.parametrize("phi", [0.0, 0.3, 0.5234375, 1.0])
 def test_tracking_grid_roots_take_the_radicals(phi):
     v1, v2 = _family_eigenvectors(np.linspace(0.02, 0.99, 1201), phi)
@@ -186,10 +111,50 @@ def test_tracking_grid_roots_take_the_radicals(phi):
     assert holds.all()
 
 
+PINNED_SWEEP = [True] * 22 + [False] * 21 + [True] * 21
+
+
 def test_interior_zero_sweep_and_threshold_are_pinned():
     flags = [has_interior_volume_zero(phi) for phi in np.linspace(0.0, np.pi / 2, 64, endpoint=False)]
-    assert flags == [True] * 22 + [False] * 21 + [True] * 21
+    assert flags == PINNED_SWEEP
     assert phi_threshold_bisect() == 0.5234375
+
+
+@pytest.mark.parametrize("n_coarse", [151, 301, 1201])
+def test_interior_zero_sweep_holds_on_coarser_and_finer_grids(n_coarse, monkeypatch):
+    monkeypatch.setattr(scenarios, "COARSE_GRID", n_coarse)
+    flags = [has_interior_volume_zero(phi) for phi in np.linspace(0.0, np.pi / 2, 64, endpoint=False)]
+    assert flags == PINNED_SWEEP
+    assert phi_threshold_bisect() == 0.5234375
+
+
+# Verdicts of the root tracking that the invariant rule replaced (1201-point
+# grid, matched Bloch vertices, sign changes of the signed simplex volume).
+# Phases at and near multiples of pi/2 give a real or nearly real pencil.
+_TRACKED_VERDICTS = [
+    (phi, True)
+    for phi in (
+        1e-12, 1e-9, 1e-6, 1e-4, 1e-2, np.pi / 2 - 1e-6, np.pi / 2, np.pi, 3 * np.pi / 2,
+        -0.3, 2.0, 3.0, 0.52, 0.5234375 + 1e-6,
+    )
+] + [(phi, False) for phi in (np.pi / 4 - 1e-6, np.pi / 6, 0.53)]
+
+
+@pytest.mark.parametrize("phi, flag", _TRACKED_VERDICTS)
+def test_interior_zero_verdicts_match_the_root_tracking(phi, flag):
+    assert has_interior_volume_zero(phi) is flag
+
+
+def test_j_invariant_equals_that_of_the_root_cross_ratio():
+    rng = np.random.default_rng(2121)
+    c = rng.normal(size=(400, 5)) + 1j * rng.normal(size=(400, 5))
+    roots, n_inf = pencil.finite_roots(c)
+    assert not n_inf.any()
+    z1, z2, z3, z4 = roots.T
+    lam = (z1 - z3) * (z2 - z4) / ((z1 - z4) * (z2 - z3))
+    j_roots = 256.0 * (lam * lam - lam + 1.0) ** 3 / (lam * lam * (lam - 1.0) ** 2)
+    i, _, d = _quartic_invariants(c)
+    np.testing.assert_allclose(1728.0 * i**3 / d, j_roots, rtol=1e-8)
 
 
 @pytest.fixture
@@ -231,31 +196,9 @@ def test_threshold_bisect_rejects_a_bad_bracket_or_tol(lo, hi, tol, threshold_at
         phi_threshold_bisect(lo, hi, tol)
 
 
-def _matched_one_by_one(ps, phi):
-    """Vertices and volumes with every p a batch of one, matched step by step."""
-    rows = []
-    for p in ps:
-        pts = _pencil_bloch_vertices(np.array([p]), phi)[0]
-        if rows:
-            pts = _match_rows(np.stack([rows[-1], pts]))[1]
-        rows.append(pts)
-    pts = np.stack(rows)
-    return pts, np.array([np.linalg.det(r[1:] - r[0]) / 6.0 for r in pts])
-
-
-# phi = 0 gives a real pencil; the p grid straddles the g2 branch flip at 3/5
-@pytest.mark.parametrize("phi", [0.0, 0.5234375, np.pi / 4])
-def test_batched_tracking_equals_batch_of_one(phi):
-    ps = np.concatenate([np.linspace(0.02, 0.99, 61), [0.6 - 1e-9, 0.6, 0.6 + 1e-9]])
-    ps.sort()
-    vertices, volumes = _matched_one_by_one(ps, phi)
-    np.testing.assert_array_equal(_match_rows(_pencil_bloch_vertices(ps, phi)), vertices)
-    np.testing.assert_array_equal(_tracked_volumes(ps, phi), volumes)
-
-
 @pytest.mark.parametrize("phi", [0.0, np.pi / 4])
 def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
-    # a per-p loop would make the count grow with the coarse grid
+    # one call on the 7 tau3 rows of every pencil of the grid, whatever its size
     calls = []
     original = _kernels.tau3_many
 
@@ -264,13 +207,11 @@ def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
         return original(amps)
 
     monkeypatch.setattr(_kernels, "tau3_many", counted)
-    counts = []
-    for n_coarse in (301, 1201):
+    for n_coarse in (151, 301, 1201):
         monkeypatch.setattr(scenarios, "COARSE_GRID", n_coarse)
         calls.clear()
         has_interior_volume_zero(phi)
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        assert calls == [(7 * n_coarse, 8)]
 
 
 def test_scan_row_fields():
