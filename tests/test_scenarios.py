@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tangleroof import _kernels, pencil, scenarios
+from tangleroof.bloch import bloch_from_z
 from tangleroof.bounds import linearized_upper_bound, span_geometry
 from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
@@ -109,6 +110,22 @@ def test_tracking_grid_roots_take_the_radicals(phi):
     v1, v2 = _family_eigenvectors(np.linspace(0.02, 0.99, 1201), phi)
     _, holds = pencil._radical_roots(pencil._pencils(v1, v2))
     assert holds.all()
+
+
+def _pencil_vertices(p, phi):
+    """Bloch points of the four pencil roots of the family pair at one p."""
+    v1, v2 = _family_eigenvectors(np.array([p]), phi)
+    roots, _ = pencil.finite_roots(pencil._pencils(v1, v2))
+    return bloch_from_z(roots)[0]
+
+
+def test_pencil_vertices_on_sphere_and_planar():
+    pts = _pencil_vertices(0.9, 0.0)
+    norms = np.linalg.norm(pts, axis=1)
+    assert np.all(np.abs(norms - 1.0) <= 1e-8)
+    assert np.all(np.abs(pts[:, 1]) <= 1e-8)
+    tilted = _pencil_vertices(0.9, 0.7)
+    assert np.abs(tilted[:, 1]).max() > 1e-3
 
 
 PINNED_SWEEP = [True] * 22 + [False] * 21 + [True] * 21
