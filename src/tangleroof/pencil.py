@@ -144,8 +144,8 @@ def _horner(c: np.ndarray, x) -> np.ndarray:
     return v
 
 
-def _polish(roots: np.ndarray, c: np.ndarray, steps: int = 2):
-    """Newton steps on the roots of each row of c; returns the roots and the last step.
+def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Two Newton steps on the roots of each row of c.
 
     P and P' come from one Horner pass over the coefficients of P stacked
     on those of P' padded with a leading zero; the pad only adds an exact
@@ -155,93 +155,10 @@ def _polish(roots: np.ndarray, c: np.ndarray, steps: int = 2):
     both = np.zeros((2, c.shape[0], 1, n), dtype=complex)
     both[0, :, 0] = c
     both[1, :, 0, :-1] = c[:, 1:] * np.arange(1, n)
-    out = roots
-    for _ in range(steps):
-        pv, dv = _horner(both, out)
-        step = np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > 1e-30)
-        out = out - step
-    return out, step
-
-
-# cube roots of unity, and index rolls over the three resolvent roots
-_OMEGA = np.exp(2j * np.pi * np.arange(3) / 3)
-_OMEGA_BAR = _OMEGA.conj()
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
-
-
-def _along(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d or -d, whichever makes b + d the larger in modulus (no cancellation).
-
-    Flips d in place where Re(conj(b) d) < 0.
-    """
-    return np.negative(d, out=d, where=(b.conj() * d).real < 0.0)
-
-
-def _ferrari(c: np.ndarray) -> np.ndarray:
-    """Ferrari's radicals for the four roots of each row of an (M, 5) quartic stack.
-
-    The monic quartic z^4 + a_3 z^3 + a_2 z^2 + a_1 z + a_0 splits into
-    (z^2 + alpha z + beta)(z^2 + alpha' z + beta'). Each root y of the
-    resolvent cubic y^3 - a_2 y^2 + (a_1 a_3 - 4 a_0) y - (a_0 a_3^2 + a_1^2
-    - 4 a_0 a_2) is beta + beta' for one pairing of the roots, and then
-    (alpha - alpha')^2 = a_3^2 - 4 a_2 + 4 y. Cardano's formula gives all
-    three. The one taken maximizes |alpha - alpha'| times its distance to
-    the nearest other root, so that it is computed accurately (two roots
-    close together relative to the others pull two resolvent roots
-    together) and the betas follow from alpha beta' + alpha' beta = a_1
-    and beta + beta' = y by a well-conditioned linear solve. The smaller
-    alpha, the smaller beta and the smaller root of each factor come from
-    products (a_2 - y, a_0, beta), so that spread roots keep their relative
-    accuracy. Rows where the formula degenerates come out non-finite.
-    """
-    m = c.shape[0]
-    a0, a1, a2, a3 = (c[:, :DEGREE] / c[:, DEGREE:]).T
-    # the resolvent cubic depressed by y = t + a_2/3: t^3 + 3 p3 t - 2 hq
-    four_a0 = 4.0 * a0
-    a33 = a3 * a3
-    k3 = (a1 * a3 - four_a0) / 3.0
-    a22 = a2 * a2
-    p3 = k3 - a22 / 9.0
-    hq = 0.5 * (a0 * a33 + a1 * a1 - a2 * (k3 - a22 * (2.0 / 27.0) + four_a0))
-    u = (hq + _along(np.sqrt(hq * hq + p3 * p3 * p3), hq)) ** (1.0 / 3.0)
-    y = u[:, None] * _OMEGA - (p3 / u)[:, None] * _OMEGA_BAR + (a2 / 3.0)[:, None]
-    center = a2 - 0.25 * a33  # y - center = (alpha - alpha')^2 / 4
-    apart = np.abs(y - y[:, _NEXT])
-    score = np.abs(y - center[:, None]) * np.minimum(apart, apart[:, _PREV])
-    y = y[np.arange(m), np.argmax(score, axis=1)]
-    gap = _along(2.0 * np.sqrt(y - center), a3)  # alpha - alpha'
-    factors = np.empty((m, 2, 2), dtype=complex)  # (alpha, beta) of either factor
-    alpha, beta = factors[..., 0], factors[..., 1]
-    alpha[:, 0] = 0.5 * (a3 + gap)
-    alpha[:, 1] = (a2 - y) / alpha[:, 0]
-    beta[:, 0] = (alpha[:, 0] * y - a1) / gap
-    beta[:, 1] = y - beta[:, 0]
-    size = np.abs(beta)
-    beta[...] = np.where(size >= size[:, ::-1], beta, a0[:, None] / beta[:, ::-1])
-    big = -0.5 * (alpha + _along(np.sqrt(alpha * alpha - 4.0 * beta), alpha))
-    return np.concatenate([big, beta / big], axis=1)
-
-
-_DIAGONAL = np.eye(DEGREE, dtype=bool)
-
-
-def _radical_roots(c: np.ndarray):
-    """Radical roots of each row of an (M, 5) quartic stack after one Newton
-    step, and which rows hold.
-
-    A row holds when the Newton step of every root is at most
-    1e-12 (1 + |z|), so that the step leaves it converged, and every two
-    of its roots lie more than CLUSTER_TOL (1 + |z|) apart for either z.
-    Clustered and double roots fail this and are left to the companion
-    matrix.
-    """
-    with np.errstate(all="ignore"):
-        roots, step = _polish(_ferrari(c), c, steps=1)
-        scale = 1.0 + np.abs(roots)
-        ok = np.abs(roots[:, :, None] - roots[:, None, :]) > CLUSTER_TOL * scale[:, :, None]
-        ok[:, _DIAGONAL] = np.abs(step) <= 1e-12 * scale  # a root's own cell: converged
-    return roots, ok.all(axis=(1, 2))
+    for _ in range(2):
+        pv, dv = _horner(both, roots)
+        roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > 1e-30)
+    return roots
 
 
 def finite_roots(coeffs: np.ndarray):
@@ -252,11 +169,9 @@ def finite_roots(coeffs: np.ndarray):
     counts as one root at infinity, at most 4 per row; those slots hold
     inf after the finite roots. Likewise each trailing coefficient at or
     below that floor counts as one exact root at z = 0; those slots come
-    first, and the remaining roots are those of the deflated polynomial.
-    A deflated polynomial of degree 4 takes Ferrari's radicals and one
-    Newton step when they pass the checks of _radical_roots. The other
-    rows take the eigenvalues of the companion matrices of their monic
-    reductions (one eigvals call per deflated degree) and two Newton
+    first, and the remaining roots are those of the deflated polynomial:
+    the eigenvalues of the companion matrices of their monic reductions
+    (one eigvals call per deflated degree of 2 or more) after two Newton
     steps. Roots are neither merged nor conjugate-symmetrized, so they move
     smoothly with the pair.
     """
@@ -272,10 +187,6 @@ def finite_roots(coeffs: np.ndarray):
         deflated = np.take_along_axis(coeffs, columns, axis=1)
         roots[np.arange(DEGREE) < low[:, None]] = 0.0
     companion = deg - low  # the degree of each row left to the companion matrix
-    quartic = np.nonzero(companion == DEGREE)[0]
-    if quartic.size:
-        roots[quartic], holds = _radical_roots(coeffs[quartic])
-        companion[quartic[holds]] = 0
     for d in sorted(set(companion.tolist()) - {-1, 0}):
         rows = np.nonzero(companion == d)[0]
         c = deflated[rows, : d + 1]
@@ -286,7 +197,7 @@ def finite_roots(coeffs: np.ndarray):
             comp[:, 1:, :-1] = np.eye(d - 1)
             comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
             raw = np.linalg.eigvals(comp)
-        roots[rows[:, None], low[rows, None] + np.arange(d)] = _polish(raw, c)[0]
+        roots[rows[:, None], low[rows, None] + np.arange(d)] = _polish(raw, c)
     return roots, DEGREE - np.maximum(deg, 0)
 
 

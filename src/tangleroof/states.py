@@ -310,7 +310,11 @@ def load_state(path: str, renormalize: bool = False) -> PureState:
         raise ValueError(f"{path}: amplitudes must be [re, im] number pairs") from exc
     if pairs.shape != (2**n, 2):
         raise ValueError(f"{path}: amplitudes must be [re, im] number pairs")
-    state = PureState(n, pairs[:, 0] + 1j * pairs[:, 1])
+    # json.load accepts NaN and Infinity, which PureState rejects
+    try:
+        state = PureState(n, pairs[:, 0] + 1j * pairs[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if renormalize:
         return state.normalized()
     if abs(state.norm() - 1.0) > 1e-6:

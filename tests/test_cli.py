@@ -36,7 +36,13 @@ def test_single_state_file_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "content", [b"not json", b'{"n": 3, "amplitudes": \xff}'], ids=["not-json", "not-utf8"]
+    "content",
+    [
+        b"not json",
+        b'{"n": 3, "amplitudes": \xff}',
+        b'{"n": 1, "amplitudes": [[NaN, 0], [1, 0]]}',
+    ],
+    ids=["not-json", "not-utf8", "nan-amplitude"],
 )
 def test_undecodable_state_file_is_named(content, tmp_path, capsys):
     good = _state_file(tmp_path, "good.json", 0)

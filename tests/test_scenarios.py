@@ -105,13 +105,6 @@ def test_simplex_scan_rejects_boundary_p():
     assert len(rows) == 2 and rows[0].p == 0.3
 
 
-@pytest.mark.parametrize("phi", [0.0, 0.3, 0.5234375, 1.0])
-def test_tracking_grid_roots_take_the_radicals(phi):
-    v1, v2 = _family_eigenvectors(np.linspace(0.02, 0.99, 1201), phi)
-    _, holds = pencil._radical_roots(pencil._pencils(v1, v2))
-    assert holds.all()
-
-
 def _pencil_vertices(p, phi):
     """Bloch points of the four pencil roots of the family pair at one p."""
     v1, v2 = _family_eigenvectors(np.array([p]), phi)
