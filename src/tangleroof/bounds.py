@@ -27,7 +27,6 @@ from .bloch import (
     _axis_intervals,
     _polytopes,
     _span_amplitudes,
-    _span_coordinates,
     axis_point,
 )
 from .pencil import ZeroSet, _pencils, _zero_sets, pencil_polynomial
@@ -145,37 +144,25 @@ class BoundCurve:
 class AnchorSet:
     """Zero-tangle points inside the polytope, one row per anchor.
 
-    Row j is the point ``points[j]``, built as ``construction[j]`` ("vertex",
-    "pair-mixture", "axis-interval-point" or "face-grid"), the convex
-    combination ``weights[j, :sizes[j]]`` of the polytope vertices
-    ``faces[j, :sizes[j]]`` (both zero-padded to 3 columns), whose average c3
-    over those vertex states is ``certificate_c3[j]`` (zero up to root noise).
-    Every field is an array over the rows, so
-    ``AnchorSet(**{k: v[rows] for k, v in vars(table).items()})`` selects rows
-    and ``AnchorSet((), (), (), (), (), ())`` is the empty table.
+    Row j is the point ``points[j]``, the convex combination
+    ``weights[j, :sizes[j]]`` of the polytope vertices ``faces[j, :sizes[j]]``
+    (both zero-padded to 3 columns). default_anchors builds the arrays
+    read-only.
     """
 
     points: np.ndarray
-    construction: np.ndarray
     faces: np.ndarray
     weights: np.ndarray
     sizes: np.ndarray
-    certificate_c3: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.construction)
-        for name, dtype, shape in (
-            ("points", float, (n, 3)), ("construction", str, (n,)), ("faces", np.intp, (n, 3)),
-            ("weights", float, (n, 3)), ("sizes", np.intp, (n,)), ("certificate_c3", float, (n,)),
-        ):
-            # copies, so that freezing them leaves the caller's arrays writable
-            a = np.array(getattr(self, name), dtype=dtype)
-            if a.shape != shape and not (a.size == 0 == n):
-                raise ValueError(f"anchor {name} must have shape {shape}, got {a.shape}")
-            object.__setattr__(self, name, _read_only(a.reshape(shape)))
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+
+def _check_p(p: np.ndarray) -> None:
+    bad = (p < 0.0) | (p > 1.0) | np.isnan(p)
+    if np.any(bad):
+        raise ValueError(f"p must lie in [0, 1], got {p[bad][0]}")
 
 
 def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float]) -> np.ndarray:
@@ -183,9 +170,13 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
 
     The latitude circle of the span's Bloch sphere at height 2p - 1, read
     at longitude phi + pi: the quartic form at a = sqrt(p) and
-    b = -e^{i phi} sqrt(1 - p).
+    b = -e^{i phi} sqrt(1 - p). Raises ValueError for a p outside [0, 1]
+    or a non-finite phi.
     """
     ps = np.asarray(grid, dtype=float)
+    _check_p(ps)
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
     tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
@@ -241,11 +232,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# barycentric weights of the face-grid anchors of one triangle, in construction order
+# barycentric weights of the face-grid anchors of one triangle, in build order
 _FACE_GRID = _read_only(
     np.array([[a, b, 4 - a - b] for a in range(5) for b in range(5 - a)], dtype=float) / 4.0
 )
-_NO_ANCHORS = AnchorSet((), (), (), (), (), ())
+_NO_ANCHORS = AnchorSet(*map(_read_only, (
+    np.empty((0, 3)), np.empty((0, 3), dtype=np.intp), np.empty((0, 3)), np.empty(0, dtype=np.intp)
+)))
 
 
 def default_anchors(
@@ -256,20 +249,18 @@ def default_anchors(
 
     Candidates whose points agree to 12 decimals are built once, as the
     first of them. The face-grid points of all faces come from one matrix
-    product, and the certificates of all anchors from one stacked product of
-    their weights with the c3 values of their face vertices.
+    product.
     """
     geom = geometry if geometry is not None else span_geometry(mix)
     if geom.polytope is None:
         return _NO_ANCHORS
     poly = geom.polytope
     v, k = poly.vertices, poly.n_vertices
-    vertex_c3 = np.sqrt(np.abs(quartic_form(geom.coefficients, *_span_coordinates(v))))
     pairs = _conjugate_pairs(v)
     tri = FACES[k][2]
 
-    # every candidate's construction, point, and face and weights padded to
-    # three vertices with zero weights, in construction order
+    # every candidate's point, and face and weights padded to three vertices
+    # with zero weights, in build order
     m = pairs.shape[0]
     witnesses, axis_points = (), np.empty((0, 3))
     if geom.interval is not None:
@@ -277,10 +268,6 @@ def default_anchors(
         witnesses = (iv.witness_low, iv.witness_high)
         axis_points = np.array([axis_point(iv.p_low), axis_point(iv.p_high)])
     n_grid = tri.shape[0] * _FACE_GRID.shape[0]
-    construction = np.array(
-        ["vertex"] * k + ["pair-mixture"] * m
-        + ["axis-interval-point"] * len(witnesses) + ["face-grid"] * n_grid
-    )
     sizes = np.array([1] * k + [2] * m + [len(wit.face) for wit in witnesses] + [3] * n_grid)
     points = np.concatenate([
         v,
@@ -304,11 +291,7 @@ def default_anchors(
     for n, key in enumerate(map(tuple, np.round(points, 12).tolist())):
         first.setdefault(key, n)
     keep = list(first.values())
-    # a stack of length-3 dot products, each with the bits of w @ vertex_c3[face]
-    certificates = (weights[keep, None, :] @ vertex_c3[faces[keep], None])[:, 0, 0]
-    return AnchorSet(
-        points[keep], construction[keep], faces[keep], weights[keep], sizes[keep], certificates
-    )
+    return AnchorSet(*(_read_only(a[keep]) for a in (points, faces, weights, sizes)))
 
 
 def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
@@ -414,15 +397,14 @@ class _KnotTable(NamedTuple):
     anchor ray of each knot certifies it, and ``anchor``, ``lam`` and row i
     of ``amplitudes`` are the anchor index, the lam and the normalized
     boundary state of knot i's best ray (anchor 0, nan lam and nan state
-    where the knot has none); the last three are None when there are no
-    anchors.
+    where the knot has none).
     """
 
     ps: list
     certified: list
-    anchor: Optional[list]
-    lam: Optional[list]
-    amplitudes: Optional[np.ndarray]
+    anchor: list
+    lam: list
+    amplitudes: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,7 +431,7 @@ class BoundReport:
     achieving: tuple
     p_left: Optional[float]
     p_right: Optional[float]
-    _knots: Optional[_KnotTable] = field(default=None, repr=False)
+    _knots: _KnotTable = field(repr=False)
     _certificates: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -583,47 +565,41 @@ def _certified_knots(
     curve: BoundCurve,
     grid: np.ndarray,
     lin_vals: np.ndarray,
-    pivots: Optional[tuple],
+    pivots: tuple,
     points: np.ndarray,
 ):
     """The envelope with every "pivot" knot that no anchor ray certifies
     relabelled "linearized", and its _KnotTable.
 
-    ``pivots`` are the _grid_pivots arrays of the grid (None without
-    anchors) and ``points`` the anchor points. A knot's best ray certifies
-    it when its value lies below the linearized bound by more than 1e-15.
-    Every knot is a grid sample (convex_envelope keeps sample coordinates),
-    so searchsorted finds its row, and one _axis_boundary and one
-    _span_amplitudes pass build the boundary states of all knots.
+    ``pivots`` are the _grid_pivots arrays of the grid and ``points`` the
+    anchor points. A knot's best ray certifies it when its value lies below
+    the linearized bound by more than 1e-15. Every knot is a grid sample
+    (convex_envelope keeps sample coordinates), so searchsorted finds its
+    row, and one _axis_boundary and one _span_amplitudes pass build the
+    boundary states of all knots.
     """
     ps = curve.knots[:, 0]
-    certified = [False] * ps.shape[0]
-    anchor = lam = amplitudes = None
-    if pivots is not None:
-        rows = np.searchsorted(grid, ps)
-        anchor, value, lam, s = (a[rows] for a in pivots)
-        certified = (value < lin_vals[rows] - 1e-15).tolist()
-        boundary = _axis_boundary(points[anchor], 2.0 * ps - 1.0, s)
-        amplitudes = _read_only(_span_amplitudes(mix, boundary))
-        anchor, lam = anchor.tolist(), lam.tolist()
+    rows = np.searchsorted(grid, ps)
+    anchor, value, lam, s = (a[rows] for a in pivots)
+    certified = (value < lin_vals[rows] - 1e-15).tolist()
+    boundary = _axis_boundary(points[anchor], 2.0 * ps - 1.0, s)
+    amplitudes = _read_only(_span_amplitudes(mix, boundary))
     prov = tuple([
         "linearized" if label == "pivot" and not ok else label
         for label, ok in zip(curve.provenance, certified)
     ])
-    return BoundCurve(curve.knots, prov), _KnotTable(ps.tolist(), certified, anchor, lam, amplitudes)
+    return BoundCurve(curve.knots, prov), _KnotTable(
+        ps.tolist(), certified, anchor.tolist(), lam.tolist(), amplitudes
+    )
 
 
 # achieving labels by code: 0 inside the zero interval, 1 pivot, 2 linearized
 _ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 
 
-def upper_bound_report(
-    mix: RankTwoMixture,
-    grid_size: int = GRID_SIZE_DEFAULT,
-    anchors: Optional[AnchorSet] = None,
-) -> BoundReport:
+def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) -> BoundReport:
     """Evaluate all three bounds on a uniform grid (plus the interval knots),
-    searching the rays of the AnchorSet ``anchors`` (default_anchors if None)."""
+    searching the rays of default_anchors."""
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     geom = span_geometry(mix)
@@ -636,7 +612,7 @@ def upper_bound_report(
     lin_vals = lin_curve(grid)
     if geom.identically_zero:
         # the flat zero curve: the pure ends certify it everywhere
-        knots = _KnotTable([0.0, 1.0], [False, False], None, None, None)
+        knots = _KnotTable([0.0, 1.0], [False] * 2, [0] * 2, [np.nan] * 2, np.full((2, 8), np.nan))
         return BoundReport(
             mix, geom, _NO_ANCHORS, grid, lin_vals, lin_vals, lin_vals, lin_curve, lin_curve,
             tuple(["zero-interval"] * grid.shape[0]), None, None, knots,
@@ -646,16 +622,13 @@ def upper_bound_report(
         inside = (grid >= geom.interval.p_low - 1e-12) & (
             grid <= geom.interval.p_high + 1e-12
         )
-    anchor_set = default_anchors(mix, geom) if anchors is None else anchors
-    pivots = None
-    pivot_vals = lin_vals.copy()
-    if len(anchor_set):
-        # rho(0) and rho(1) are pure: their roof is the exact end c3, which a
-        # ray with lam just under 1 could undercut by rounding
-        off = ~inside
-        off[[0, -1]] = False
-        pivots = _grid_pivots(geom.coefficients, grid, off, anchor_set.points)
-        pivot_vals = np.minimum(lin_vals, pivots[1])
+    anchor_set = default_anchors(mix, geom)
+    # rho(0) and rho(1) are pure: their roof is the exact end c3, which a ray
+    # with lam just under 1 could undercut by rounding
+    off = ~inside
+    off[[0, -1]] = False
+    pivots = _grid_pivots(geom.coefficients, grid, off, anchor_set.points)
+    pivot_vals = np.minimum(lin_vals, pivots[1])
     pivot_vals[inside] = 0.0
     # the inner zero samples are collinear with the outer two, which the hull keeps
     hull = ~inside

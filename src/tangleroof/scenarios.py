@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bloch import AxisInterval, ZeroPolytope
-from .bounds import BoundReport, _linearized_curve, span_geometries, upper_bound_report
+from .bounds import BoundReport, _check_p, _linearized_curve, span_geometries, upper_bound_report
 from .invariants import _concurrences, _one_tangles, c3_many
 from .pencil import ZeroSet, _pencils
 from .states import (
@@ -105,12 +105,6 @@ def q_of_p(p: float) -> float:
     p = float(p)
     _check_p(np.array([p]))
     return (2.0 + np.sqrt(max(0.0, 1.0 - p * p))) / 4.0
-
-
-def _check_p(p: np.ndarray) -> None:
-    bad = (p < 0.0) | (p > 1.0) | np.isnan(p)
-    if np.any(bad):
-        raise ValueError(f"p must lie in [0, 1], got {p[bad][0]}")
 
 
 def _family_coefficients(ps: np.ndarray) -> np.ndarray:

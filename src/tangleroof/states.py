@@ -310,13 +310,14 @@ def load_state(path: str, renormalize: bool = False) -> PureState:
         raise ValueError(f"{path}: amplitudes must be [re, im] number pairs") from exc
     if pairs.shape != (2**n, 2):
         raise ValueError(f"{path}: amplitudes must be [re, im] number pairs")
-    # json.load accepts NaN and Infinity, which PureState rejects
+    # json.load accepts NaN and Infinity, which PureState rejects, and a
+    # zero state cannot be renormalized
     try:
         state = PureState(n, pairs[:, 0] + 1j * pairs[:, 1])
+        if renormalize:
+            return state.normalized()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if renormalize:
-        return state.normalized()
     if abs(state.norm() - 1.0) > 1e-6:
         warnings.warn(f"{path}: state norm {state.norm():.6g} is off by more than 1e-6")
     return state

@@ -49,6 +49,22 @@ def test_characteristic_curve_endpoints(toy_mix):
         assert abs(rows[1, 1] - c3(toy_mix.psi1)) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "grid, phi",
+    [
+        ([0.0, 0.5, 1.5], 0.0),
+        ([-0.1, 0.5], 0.0),
+        ([0.5, np.nan], 0.0),
+        ([0.5], np.nan),
+        ([0.5], np.inf),
+    ],
+    ids=["p-above-1", "p-below-0", "p-nan", "phi-nan", "phi-inf"],
+)
+def test_characteristic_curve_rejects_bad_p_and_phi(toy_mix, grid, phi):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]|phi must be finite"):
+        characteristic_curve(toy_mix, phi, grid)
+
+
 def test_linearized_upper_bound_shape(toy_mix):
     geom = span_geometry(toy_mix)
     curve = linearized_upper_bound(toy_mix, geom)
@@ -66,37 +82,22 @@ def test_linearized_upper_bound_shape(toy_mix):
 def test_default_anchors_are_certified_zeros(toy_mix):
     geom = span_geometry(toy_mix)
     anchors = default_anchors(toy_mix, geom)
-    assert len(anchors) > 4
-    labels = set(anchors.construction.tolist())
-    assert labels <= {"vertex", "pair-mixture", "axis-interval-point", "face-grid"}
-    assert "vertex" in labels and "face-grid" in labels
+    k = geom.polytope.n_vertices
+    assert len(anchors) > k == 4
+    # the table opens with the vertices and holds face-grid rows
+    assert np.array_equal(anchors.points[:k], geom.polytope.vertices)
+    assert (anchors.sizes == 3).any()
     assert np.linalg.norm(anchors.points, axis=1).max() <= 1.0 + 1e-9
-    assert anchors.certificate_c3.max() <= 1e-6
     assert np.abs(anchors.weights.sum(axis=1) - 1.0).max() <= 1e-9
+    # every anchor's face vertex states have zero tangle up to root noise
+    vertex_c3 = np.array([c3(s) for s in geom.zeros.states])
+    assert vertex_c3.max() <= 1e-6
+    assert np.max(np.sum(anchors.weights * vertex_c3[anchors.faces], axis=1)) <= 1e-6
     # the padding of faces and weights beyond each row's size is zero
     pad = np.arange(3) >= anchors.sizes[:, None]
     assert not anchors.faces[pad].any() and not anchors.weights[pad].any()
     # dedup leaves no repeated anchor points
     assert len({tuple(p) for p in np.round(anchors.points, 12).tolist()}) == len(anchors)
-
-
-def test_anchor_freezes_copies_of_the_caller_arrays():
-    p = np.array([[0.1, -0.2, 0.3]])
-    f = np.array([[0, 1, 0]])
-    w = np.array([[0.25, 0.75, 0.0]])
-    a = AnchorSet(p, ["pair-mixture"], f, w, [2], [0.0])
-    assert len(a) == 1
-    assert a.points is not p and a.faces is not f and a.weights is not w
-    assert p.flags.writeable and f.flags.writeable and w.flags.writeable
-    assert not any(v.flags.writeable for v in vars(a).values())
-    p[0, 0], f[0, 1], w[0, 0] = 9.0, 9, 9.0
-    assert a.points[0, 0] == 0.1 and a.weights[0, 0] == 0.25
-    assert a.faces[0, : a.sizes[0]].tolist() == [0, 1]
-    assert a.construction[0] == "pair-mixture"
-    with pytest.raises(ValueError, match="weights"):
-        AnchorSet(p, ["pair-mixture"], f, [0.25, 0.75], [2], [0.0])
-    empty = AnchorSet((), (), (), (), (), ())
-    assert len(empty) == 0 and empty.points.shape == empty.weights.shape == (0, 3)
 
 
 def test_pivot_bound_dominated_by_linearized(toy_mix):
@@ -386,32 +387,48 @@ def test_decompositions_list_each_state_once(benchmark_inputs):
             assert len(rep.decomposition_at(0.05)[1]) == 3
 
 
-def test_empty_anchor_set_certifies_the_linearized_bound():
+def _subset_reports(monkeypatch, rows, mixtures):
+    """(mixture, full report, report) per mixture, the second searching only
+    the ``rows(table)`` rows of each default anchor table."""
+    original = bounds.default_anchors
+
+    def subset(mix, geometry=None):
+        table = original(mix, geometry)
+        return AnchorSet(*(a[rows(table)] for a in vars(table).values()))
+
+    out = []
+    for mix in mixtures:
+        full = upper_bound_report(mix, grid_size=401)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "default_anchors", subset)
+            rep = upper_bound_report(mix, grid_size=401)
+        assert np.array_equal(rep.grid, full.grid)
+        # fewer rays can only raise the pivot bound and its convex minorant
+        assert np.all(rep.pivot >= full.pivot) and np.all(rep.envelope >= full.envelope)
+        out.append((mix, full, rep))
+    return out
+
+
+def test_a_one_row_anchor_table_certifies_its_linearized_knots(monkeypatch):
+    # the full table beats the linearized bound at every interior knot, so
+    # only a smaller one reaches the linearized certificate of such a knot
+    mixtures = _seeded_pairs(89, 4) + [toy_mixture()]
     linearized_knots = 0
-    for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
-        rep = upper_bound_report(mix, grid_size=401, anchors=AnchorSet((), (), (), (), (), ()))
-        assert len(rep.anchors) == 0
-        inside = np.array(rep.achieving) == "zero-interval"
-        assert np.array_equal(rep.pivot, np.where(inside, 0.0, rep.linearized))
-        # rounding in the chords keeps knots that are neither ends nor
-        # interval; with no anchor ray none of them is a pivot knot
-        assert rep.envelope_curve.provenance.count("pivot") == 0
+    for mix, full, rep in _subset_reports(monkeypatch, lambda t: [0], mixtures):
+        assert len(rep.anchors) == 1 and np.all(rep.pivot <= rep.linearized)
+        assert full.envelope_curve.provenance.count("linearized") == 0
         linearized_knots += rep.envelope_curve.provenance.count("linearized")
-        for p in CERTIFICATE_PS + (0.3, 0.71):
+        knot_ps = tuple(rep.envelope_curve.knots[:, 0].tolist())
+        for p in CERTIFICATE_PS + (0.3, 0.71) + knot_ps:
             assert _assert_certifies(rep, mix, p) <= float(rep.linearized_curve(p)) + 1e-7
     assert linearized_knots > 0
 
 
-def test_an_anchor_subset_bounds_no_lower_and_certifies():
-    for mix in _seeded_pairs(89, 4) + [toy_mixture()]:
-        full = upper_bound_report(mix, grid_size=401)
-        keep = full.anchors.construction != "face-grid"
-        subset = AnchorSet(**{k: v[keep] for k, v in vars(full.anchors).items()})
-        assert 0 < len(subset) < len(full.anchors)
-        rep = upper_bound_report(mix, grid_size=401, anchors=subset)
-        assert rep.anchors is subset and np.array_equal(rep.grid, full.grid)
-        # fewer rays can only raise the pivot bound and its convex minorant
-        assert np.all(rep.pivot >= full.pivot) and np.all(rep.envelope >= full.envelope)
+def test_an_anchor_subset_bounds_no_lower_and_certifies(monkeypatch):
+    mixtures = _seeded_pairs(89, 4) + [toy_mixture()]
+    # the vertices, the pair mixtures and the edge witnesses' axis points
+    for mix, full, rep in _subset_reports(monkeypatch, lambda t: t.sizes < 3, mixtures):
+        assert 0 < len(rep.anchors) < len(full.anchors)
         for p in CERTIFICATE_PS + tuple(rep.envelope_curve.knots[:, 0].tolist()):
             _assert_certifies(rep, mix, p)
 
@@ -615,30 +632,28 @@ def _reference_conjugate_pairs(vertices):
 
 
 def _reference_anchors(geom):
-    """(point, construction, face, weights, certificate_c3) per anchor."""
+    """(point, face, weights) per anchor: vertices, conjugate-pair mixtures,
+    axis interval points, then the face grid."""
     if geom.polytope is None:
         return []
     v = geom.polytope.vertices
-    vertex_c3 = np.sqrt(np.abs(_kernels.quartic_form(geom.coefficients, *_span_coordinates(v))))
-    candidates = [(v[i], "vertex", (i,), [1.0]) for i in range(v.shape[0])]
+    candidates = [(v[i], (i,), [1.0]) for i in range(v.shape[0])]
     for i, j in _reference_conjugate_pairs(v):
-        candidates.append((0.5 * (v[i] + v[j]), "pair-mixture", (i, j), [0.5, 0.5]))
+        candidates.append((0.5 * (v[i] + v[j]), (i, j), [0.5, 0.5]))
     if geom.interval is not None:
         for p, wit in (
             (geom.interval.p_low, geom.interval.witness_low),
             (geom.interval.p_high, geom.interval.witness_high),
         ):
-            candidates.append((axis_point(p), "axis-interval-point", wit.face, wit.weights))
+            candidates.append((axis_point(p), wit.face, wit.weights))
     grid = [np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)]
     for face in FACES[v.shape[0]][2].tolist():
-        candidates.extend((w @ v[face], "face-grid", tuple(face), w) for w in grid)
+        candidates.extend((w @ v[face], tuple(face), w) for w in grid)
     keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
     seen = {}
-    for key, (point, construction, face, weights) in zip(keys, candidates):
+    for key, (point, face, weights) in zip(keys, candidates):
         if tuple(key) not in seen:
-            w = np.asarray(weights, dtype=float)
-            cert = float(w @ vertex_c3[list(face)])
-            seen[tuple(key)] = (point, construction, tuple(face), w, cert)
+            seen[tuple(key)] = (point, tuple(face), np.asarray(weights, dtype=float))
     return list(seen.values())
 
 
@@ -663,15 +678,27 @@ def test_default_anchors_equal_the_per_candidate_builder():
         expected = _reference_anchors(geom)
         assert len(got) == len(expected)
         anchored += bool(got)
-        for j, (point, construction, face, weights, cert) in enumerate(expected):
+        for j, (point, face, weights) in enumerate(expected):
             size = got.sizes[j]
             assert np.array_equal(got.points[j], point)
-            assert got.construction[j] == construction
             assert tuple(got.faces[j, :size].tolist()) == face
             assert np.array_equal(got.weights[j, :size], weights) and size == weights.shape[0]
-            assert got.certificate_c3[j] == cert
         assert not any(v.flags.writeable for v in vars(got).values())
     assert anchored >= 40
+
+
+def test_every_span_with_a_zero_set_has_an_anchor_per_vertex():
+    # the report searches default_anchors whenever the pencil does not vanish
+    # identically, so it never meets an empty table
+    spans = 0
+    for mix in _reference_mixtures():
+        geom = span_geometry(mix)
+        if geom.identically_zero:
+            assert len(default_anchors(mix, geom)) == 0
+            continue
+        spans += 1
+        assert len(default_anchors(mix, geom)) >= geom.polytope.n_vertices >= 1
+    assert spans == len(_reference_mixtures()) - 1
 
 
 def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):

@@ -55,6 +55,16 @@ def test_undecodable_state_file_is_named(content, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
 
 
+def test_zero_state_that_cannot_be_renormalized_is_named(tmp_path, capsys):
+    good = _state_file(tmp_path, "good.json", 0)
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 3, "amplitudes": [[0, 0]] * 8}))
+    assert main(["zeros", good, str(zero), "--renormalize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {zero}: cannot normalize the zero vector"]
+
+
 def test_malformed_state_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "amplitudes": [1, 2]}')
