@@ -35,6 +35,8 @@ AFFINE_RANK_TOL = 1e-8
 ON_AXIS_TOL = 1e-9
 FACE_RESIDUAL_TOL = 1e-9
 WEIGHT_TOL = 1e-9
+# state_from_bloch's bound on | |point| - 1 |, far above the package's own rounding
+ON_SPHERE_TOL = 1e-9
 
 _SOUTH_POLE = np.array([0.0, 0.0, -1.0])
 _AXIS_RHS = np.array([[1.0], [0.0], [0.0]])
@@ -76,14 +78,34 @@ FACES = {
     )
     for k in range(1, 5)
 }
-# (size position, row, face) of every face of FACES[k] in that order
-_FACE_ORDER = {
-    k: [
-        (pos, row, tuple(face))
-        for pos, table in enumerate(t for t in tables if t.shape[0])
-        for row, face in enumerate(table.tolist())
-    ]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# FACES[k] as one table in that order: the vertex indices of each face
+# zero-padded to 3 columns, and the face sizes
+_FACE_TABLE = {
+    k: tuple(map(_read_only, (
+        np.array([f + [0] * (3 - len(f)) for t in tables for f in t.tolist()], dtype=np.intp),
+        np.repeat(np.arange(1, 4), [t.shape[0] for t in tables]),
+    )))
     for k, tables in FACES.items()
+}
+# quarter-step barycentric weights inside a face of each size, padded to 3
+# columns: the vertex itself, three points of an edge, three of a triangle
+_QUARTERS = {1: [[4, 0, 0]], 2: [[1, 3, 0], [2, 2, 0], [3, 1, 0]], 3: [[1, 1, 2], [1, 2, 1], [2, 1, 1]]}
+# the anchor grid of a k-vertex polytope: the _QUARTERS points of each face
+# of _FACE_TABLE[k] in turn, as (faces, weights, sizes) padded like it
+ANCHOR_GRID = {
+    k: tuple(map(_read_only, (
+        np.repeat(faces, np.where(sizes == 1, 1, 3), axis=0),
+        np.concatenate([_QUARTERS[size] for size in sizes.tolist()]) / 4.0,
+        np.repeat(sizes, np.where(sizes == 1, 1, 3)),
+    )))
+    for k, (faces, sizes) in _FACE_TABLE.items()
 }
 
 
@@ -174,39 +196,37 @@ def _polygon_areas(vertices: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return np.maximum(shoelace, np.max(t, axis=1, initial=0.0))
 
 
-def _by_vertex_count(counts):
-    """(k, indices) of the items with each vertex count k, in item order."""
-    counts = np.asarray(counts)
-    return [(k, np.flatnonzero(counts == k)) for k in sorted(set(counts.tolist()))]
-
-
 def _polytopes(zero_sets):
-    """Zero polytope of each zero set, and whether each solves triangles
-    for its axis interval (the input of _axis_intervals); sets with equal
-    vertex counts share one SVD, one determinant and one polygon-area
-    pass."""
-    counts = [zeros.z.shape[0] for zeros in zero_sets]
-    if 0 in counts:
+    """Zero polytope and axis interval (None where the polytope misses the
+    axis) of each zero set, as two lists.
+
+    Sets with equal vertex counts are stacked once, and the stack shares
+    one SVD, one determinant, one polygon-area pass and the face solves of
+    _axis_intervals.
+    """
+    counts = np.array([zeros.z.shape[0] for zeros in zero_sets], dtype=np.intp)
+    if (counts == 0).any():
         raise ValueError("empty zero set has no polytope")
-    out: list = [None] * len(zero_sets)
-    triangles = np.zeros(len(zero_sets), dtype=bool)
+    polytopes, intervals = [None] * len(zero_sets), [None] * len(zero_sets)
     if not zero_sets:
-        return out, triangles
+        return polytopes, intervals
     points = bloch_from_z(np.concatenate([zeros.z for zeros in zero_sets]))
-    starts = np.cumsum([0] + counts)
-    for k, idx in _by_vertex_count(counts):
+    starts = np.cumsum(counts) - counts
+    for k in np.unique(counts).tolist():
+        idx = np.flatnonzero(counts == k)
         v = points[starts[idx, None] + np.arange(k)]
         center, _, vt, rank = _affine_frames(v)
-        triangles[idx] = _solves_triangles(rank, center, vt)
         volume = np.zeros(idx.size)
         solid, flat = rank == 3, rank == 2
         if solid.any():
             volume[solid] = np.abs(np.linalg.det(v[solid, 1:] - v[solid, :1])) / 6.0
         if flat.any():
             volume[flat] = _polygon_areas(v[flat], vt[flat])
+        group = _axis_intervals(v, _solves_triangles(rank, center, vt))
         for j, i in enumerate(idx.tolist()):
-            out[i] = ZeroPolytope(v[j], int(rank[j]), float(volume[j]))
-    return out, triangles
+            polytopes[i] = ZeroPolytope(v[j], int(rank[j]), float(volume[j]))
+            intervals[i] = group[j]
+    return polytopes, intervals
 
 
 def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
@@ -240,56 +260,56 @@ def _face_solves(sub: np.ndarray):
     return w, ok
 
 
-def _axis_intervals(polytopes, triangles) -> list:
-    """Axis zero interval of each polytope (None where it misses the axis).
+def _axis_intervals(vertices: np.ndarray, triangles: np.ndarray) -> list:
+    """Axis zero interval of each polytope of an (M, k, 3) vertex stack
+    (None where it misses the axis).
 
     ``triangles`` tells per polytope whether its 3-vertex faces count
-    (_solves_triangles, as _polytopes returns it). Polytopes with equal
-    vertex counts are stacked, and every face size is solved for all of
-    them at once: vertices on the axis, then pairs, then triples (see
-    axis_zero_interval for which faces count).
+    (_solves_triangles). Every face size is solved for the whole stack at
+    once: vertices on the axis, then pairs, then triples (see
+    axis_zero_interval for which faces count); the columns of the solves
+    are the rows of the vertex count's face table.
     """
-    out: list = [None] * len(polytopes)
-    triangles = np.asarray(triangles, dtype=bool)
-    for k, idx in _by_vertex_count([poly.n_vertices for poly in polytopes]):
-        v = np.array([polytopes[i].vertices for i in idx])
-        use_triangles = triangles[idx]
-        ps, hits, weights = [], [], []
-        for size, table in enumerate(FACES[k], start=1):
-            if table.shape[0] == 0:
-                continue
-            sub = v[:, table]  # (M, F, size, 3)
-            if size == 1:
-                w = np.ones(sub.shape[:-1])
-                ok = np.hypot(sub[..., 0, 0], sub[..., 0, 1]) <= ON_AXIS_TOL
-                t = sub[..., 0, 2]
-            else:
-                w, ok = _face_solves(sub)
-                if size == 3:
-                    ok &= use_triangles[:, None]
-                # a BLAS dot, as w @ z of one face
-                t = (w[..., None, :] @ sub[..., 2:])[..., 0, 0]
-            ps.append(np.clip(0.5 * (1.0 + t), 0.0, 1.0))
-            hits.append(ok)
-            weights.append(w)
-        p, hit = np.concatenate(ps, axis=1), np.concatenate(hits, axis=1)
-        p_low = np.where(hit, p, np.inf).min(axis=1)
-        p_high = np.where(hit, p, -np.inf).max(axis=1)
-        # the witness is the first face, by size then index, within 1e-12
-        # of the extreme
-        f_low = np.argmax(hit & (np.abs(p - p_low[:, None]) <= 1e-12), axis=1)
-        f_high = np.argmax(hit & (np.abs(p - p_high[:, None]) <= 1e-12), axis=1)
-        faces = _FACE_ORDER[k]
-        for j, i in enumerate(idx.tolist()):
-            if not hit[j].any():
-                continue
-            (s_lo, r_lo, face_lo), (s_hi, r_hi, face_hi) = faces[f_low[j]], faces[f_high[j]]
-            out[i] = AxisInterval(
-                float(p_low[j]),
-                float(p_high[j]),
-                IntervalWitness(face_lo, weights[s_lo][j, r_lo]),
-                IntervalWitness(face_hi, weights[s_hi][j, r_hi]),
-            )
+    k = vertices.shape[1]
+    faces, sizes = _FACE_TABLE[k]
+    p = np.empty((vertices.shape[0], sizes.shape[0]))
+    hit = np.zeros(p.shape, dtype=bool)
+    weights = np.zeros(p.shape + (3,))
+    stop = 0
+    for size, table in enumerate(FACES[k], start=1):
+        cols = slice(stop, stop + table.shape[0])
+        stop = cols.stop
+        if table.shape[0] == 0:
+            continue
+        sub = vertices[:, table]  # (M, F, size, 3)
+        if size == 1:
+            w = np.ones(sub.shape[:-1])
+            ok = np.hypot(sub[..., 0, 0], sub[..., 0, 1]) <= ON_AXIS_TOL
+            t = sub[..., 0, 2]
+        else:
+            w, ok = _face_solves(sub)
+            if size == 3:
+                ok &= triangles[:, None]
+            # a BLAS dot, as w @ z of one face
+            t = (w[..., None, :] @ sub[..., 2:])[..., 0, 0]
+        p[:, cols] = np.clip(0.5 * (1.0 + t), 0.0, 1.0)
+        hit[:, cols] = ok
+        weights[:, cols, :size] = w
+    p_low = np.where(hit, p, np.inf).min(axis=1)
+    p_high = np.where(hit, p, -np.inf).max(axis=1)
+    # the witness is the first face, by size then index, within 1e-12 of the
+    # extreme
+    f_low = np.argmax(hit & (np.abs(p - p_low[:, None]) <= 1e-12), axis=1)
+    f_high = np.argmax(hit & (np.abs(p - p_high[:, None]) <= 1e-12), axis=1)
+    out: list = [None] * vertices.shape[0]
+    for j in np.flatnonzero(hit.any(axis=1)).tolist():
+        lo, hi = f_low[j], f_high[j]
+        out[j] = AxisInterval(
+            float(p_low[j]),
+            float(p_high[j]),
+            IntervalWitness(faces[lo, :sizes[lo]], weights[j, lo, :sizes[lo]]),
+            IntervalWitness(faces[hi, :sizes[hi]], weights[j, hi, :sizes[hi]]),
+        )
     return out
 
 
@@ -302,9 +322,9 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     deficient, and the boundary edges and vertices already delimit the
     in-plane clip, so only subsets of size 1 and 2 are used there.
     """
-    center, _, vt, _ = _affine_frames(polytope.vertices[None])
-    triangles = _solves_triangles(np.array([polytope.dimension]), center, vt)
-    return _axis_intervals([polytope], triangles)[0]
+    v = polytope.vertices[None]
+    center, _, vt, _ = _affine_frames(v)
+    return _axis_intervals(v, _solves_triangles(np.array([polytope.dimension]), center, vt))[0]
 
 
 def _axis_exits(anchors: np.ndarray, heights: np.ndarray):
@@ -388,6 +408,9 @@ def _span_amplitudes(mix: RankTwoMixture, points: np.ndarray) -> np.ndarray:
 
 def state_from_bloch(mix: RankTwoMixture, point: np.ndarray) -> PureState:
     """Normalized pure state of the span at a Bloch point on the unit sphere,
-    as _span_amplitudes of a stack of one."""
+    as _span_amplitudes of a stack of one. Raises ValueError for a point
+    farther than ON_SPHERE_TOL from the sphere."""
     point = np.asarray(point, dtype=float).reshape(1, 3)
+    if not abs(float(np.linalg.norm(point)) - 1.0) <= ON_SPHERE_TOL:
+        raise ValueError(f"Bloch point {point[0].tolist()} is off the unit sphere")
     return PureState(mix.psi1.n_qubits, _span_amplitudes(mix, point)[0])

@@ -19,13 +19,13 @@ import numpy as np
 
 from ._kernels import quartic_form
 from .bloch import (
-    FACES,
+    ANCHOR_GRID,
     AxisInterval,
     ZeroPolytope,
     _axis_boundary,
     _axis_exits,
-    _axis_intervals,
     _polytopes,
+    _read_only,
     _span_amplitudes,
     axis_point,
 )
@@ -84,9 +84,9 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks.
 
     One tau3_many call on 7N rows gives every pencil with its two exact
-    ends; one finite_roots call gives the raw roots; spans with equal
-    vertex counts share their affine-frame SVD and their stacked face
-    solves for the axis interval.
+    ends; one finite_roots call gives the raw roots; one _polytopes pass
+    gives every polytope and axis interval, spans with equal vertex counts
+    sharing their affine-frame SVD and their stacked face solves.
     """
     amps1 = np.asarray(amps1, dtype=complex)
     amps2 = np.asarray(amps2, dtype=complex)
@@ -95,8 +95,7 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     coeffs = _pencils(amps1, amps2)
     zero_sets = _zero_sets(coeffs, amps1, amps2)
     live = [zs for zs in zero_sets if zs is not None]
-    polytopes, triangles = _polytopes(live)
-    pieces = iter(zip(polytopes, _axis_intervals(polytopes, triangles)))
+    pieces = iter(zip(*_polytopes(live)))
     out = []
     for n, zeros in enumerate(zero_sets):
         if zeros is None:
@@ -130,6 +129,8 @@ class BoundCurve:
         k = np.asarray(self.knots, dtype=float)
         if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] < 2:
             raise ValueError("knots must be an (m, 2) array with m >= 2")
+        if not np.isfinite(k).all():
+            raise ValueError("knots must be finite")
         if np.any(np.diff(k[:, 0]) <= 0):
             raise ValueError("knot abscissae must be strictly increasing")
         k.setflags(write=False)
@@ -163,6 +164,14 @@ def _check_p(p: np.ndarray) -> None:
     bad = (p < 0.0) | (p > 1.0) | np.isnan(p)
     if np.any(bad):
         raise ValueError(f"p must lie in [0, 1], got {p[bad][0]}")
+
+
+def _check_count(value, name: str) -> int:
+    """``value`` as an int; raises ValueError unless it is a Python or numpy
+    integer (a bool is none)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float]) -> np.ndarray:
@@ -216,26 +225,6 @@ def _linearized_curve(geom: SpanGeometry) -> BoundCurve:
     return BoundCurve(np.array(knots), tuple(prov))
 
 
-def _conjugate_pairs(vertices: np.ndarray) -> np.ndarray:
-    """(m, 2) index pairs (i, j): each vertex i above the y = 0 plane by more
-    than 1e-9 with the first other vertex j within 1e-8 of its mirror image."""
-    mirror = vertices * np.array([1.0, -1.0, 1.0])
-    dist = np.linalg.norm(vertices[None, :, :] - mirror[:, None, :], axis=2)
-    np.fill_diagonal(dist, np.inf)
-    close = (dist <= 1e-8) & (vertices[:, 1] > 1e-9)[:, None]
-    i = np.flatnonzero(close.any(axis=1))
-    return np.column_stack([i, np.argmax(close[i], axis=1)])
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-# barycentric weights of the face-grid anchors of one triangle, in build order
-_FACE_GRID = _read_only(
-    np.array([[a, b, 4 - a - b] for a in range(5) for b in range(5 - a)], dtype=float) / 4.0
-)
 _NO_ANCHORS = AnchorSet(*map(_read_only, (
     np.empty((0, 3)), np.empty((0, 3), dtype=np.intp), np.empty((0, 3)), np.empty(0, dtype=np.intp)
 )))
@@ -244,49 +233,29 @@ _NO_ANCHORS = AnchorSet(*map(_read_only, (
 def default_anchors(
     mix: RankTwoMixture, geometry: Optional[SpanGeometry] = None
 ) -> AnchorSet:
-    """Anchor table: vertices, conjugate-pair mixtures, axis interval points,
-    and a barycentric grid over every triangle face; empty without a polytope.
+    """Anchor table: the polytope's ANCHOR_GRID (each vertex, three
+    quarter points per edge and three interior points per triangle), then
+    the two axis interval points; empty without a polytope.
 
-    Candidates whose points agree to 12 decimals are built once, as the
-    first of them. The face-grid points of all faces come from one matrix
-    product.
+    The grid points come from one product. Rows whose points agree to 12
+    decimals (an axis point on a grid point, or the overlapping triangles of
+    a flat polytope) are built once, as the first of them.
     """
     geom = geometry if geometry is not None else span_geometry(mix)
     if geom.polytope is None:
         return _NO_ANCHORS
-    poly = geom.polytope
-    v, k = poly.vertices, poly.n_vertices
-    pairs = _conjugate_pairs(v)
-    tri = FACES[k][2]
-
-    # every candidate's point, and face and weights padded to three vertices
-    # with zero weights, in build order
-    m = pairs.shape[0]
-    witnesses, axis_points = (), np.empty((0, 3))
+    v = geom.polytope.vertices
+    faces, weights, sizes = ANCHOR_GRID[v.shape[0]]
+    # a stacked (1, 3) @ (3, 3) matmul: each point has the bits of its own row
+    points = (weights[:, None, :] @ v[faces])[:, 0]
     if geom.interval is not None:
         iv = geom.interval
-        witnesses = (iv.witness_low, iv.witness_high)
-        axis_points = np.array([axis_point(iv.p_low), axis_point(iv.p_high)])
-    n_grid = tri.shape[0] * _FACE_GRID.shape[0]
-    sizes = np.array([1] * k + [2] * m + [len(wit.face) for wit in witnesses] + [3] * n_grid)
-    points = np.concatenate([
-        v,
-        0.5 * (v[pairs[:, 0]] + v[pairs[:, 1]]),
-        axis_points,
-        (_FACE_GRID @ v[tri]).reshape(-1, 3),
-    ])
-    faces = np.zeros((len(sizes), 3), dtype=np.intp)
-    weights = np.zeros((len(sizes), 3))
-    faces[:k, 0], weights[:k, 0] = np.arange(k), 1.0
-    row = k + m
-    faces[k:row, :2], weights[k:row, :2] = pairs, 0.5
-    for wit in witnesses:
-        size = len(wit.face)
-        faces[row, :size], weights[row, :size] = wit.face, wit.weights
-        row += 1
-    faces[row:] = np.repeat(tri, _FACE_GRID.shape[0], axis=0)
-    weights[row:] = np.tile(_FACE_GRID, (tri.shape[0], 1))
-
+        points = np.concatenate([points, [axis_point(iv.p_low), axis_point(iv.p_high)]])
+        faces = np.concatenate([faces, np.zeros((2, 3), dtype=np.intp)])
+        weights = np.concatenate([weights, np.zeros((2, 3))])
+        sizes = np.append(sizes, [len(iv.witness_low.face), len(iv.witness_high.face)])
+        for row, wit in enumerate((iv.witness_low, iv.witness_high), start=len(sizes) - 2):
+            faces[row, :len(wit.face)], weights[row, :len(wit.face)] = wit.face, wit.weights
     first = {}
     for n, key in enumerate(map(tuple, np.round(points, 12).tolist())):
         first.setdefault(key, n)
@@ -357,12 +326,14 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
     """Greatest convex minorant of sampled (p, value) points.
 
     Piecewise linear with knots at the lower convex hull vertices of the
-    sample set; needs at least two samples. A sample within a few ulps of
-    the chord of its neighbours is not a knot.
+    sample set; needs at least two finite samples. A sample within a few
+    ulps of the chord of its neighbours is not a knot.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two (p, value) samples")
+    if not np.isfinite(pts).all():
+        raise ValueError("samples must be finite")
     # the samples of a report come strictly increasing; others are sorted
     if not (np.diff(pts[:, 0]) > 0).all():
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
@@ -599,8 +570,9 @@ _ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 
 def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) -> BoundReport:
     """Evaluate all three bounds on a uniform grid (plus the interval knots),
-    searching the rays of default_anchors."""
-    if grid_size < 2:
+    searching the rays of default_anchors. ``grid_size`` is an integer of
+    at least 2."""
+    if _check_count(grid_size, "grid_size") < 2:
         raise ValueError("grid_size must be at least 2")
     geom = span_geometry(mix)
     grid = np.linspace(0.0, 1.0, grid_size)

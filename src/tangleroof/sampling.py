@@ -14,6 +14,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import _kernels
+from .bounds import _check_count
 from .invariants import c3
 from .pencil import pencil_polynomial
 from .states import PureState, RankTwoMixture
@@ -45,13 +46,15 @@ def min_average_c3(
     unnormalized members by degree-4 homogeneity. The quartic-form
     coefficients of the pair are computed once, with one tau3_many call,
     and every member is evaluated by the form. Deterministic for a fixed
-    integer seed.
+    integer seed. Raises ValueError for a count or size that is not an
+    integer.
     """
     if mix.n_qubits != 3:
         raise ValueError("decomposition sampling needs a 3-qubit mixture")
-    sizes = tuple(int(m) for m in sizes)
+    sizes = tuple(_check_count(m, "decomposition size") for m in sizes)
     if not sizes or min(sizes) < 2:
         raise ValueError("decomposition sizes must be at least 2")
+    n_samples = _check_count(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("need at least one sample")
     coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
@@ -74,7 +77,7 @@ def random_decomposition(
     The weighted projector sum of the returned states reconstructs the
     mixture's density matrix exactly (up to roundoff).
     """
-    if size < 2:
+    if _check_count(size, "decomposition size") < 2:
         raise ValueError("decomposition size must be at least 2")
     rng = np.random.default_rng(seed)
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))

@@ -1,8 +1,8 @@
 import numpy as np
+import pytest
 
 from tangleroof.bloch import (
     FACES,
-    _axis_intervals,
     _axis_boundary,
     _axis_exits,
     _face_solves,
@@ -175,6 +175,15 @@ def test_state_from_bloch_poles_and_vertices():
         assert c3(rebuilt) <= 1e-6
 
 
+@pytest.mark.parametrize("point", [[0.0, 0.0, 0.0], [0.0, 0.0, 5.0], [0.6, 0.0, 0.8 + 2e-9], [np.nan, 0.0, 1.0]])
+def test_state_from_bloch_rejects_points_off_the_sphere(point):
+    # the centre read psi1 exactly, and (0, 0, 5) some normalized state
+    with pytest.raises(ValueError, match="off the unit sphere"):
+        state_from_bloch(toy_mixture(), np.array(point))
+    # a point a rounding error off the sphere is on it
+    state_from_bloch(toy_mixture(), np.array([0.6, 0.0, 0.8 + 1e-12]))
+
+
 def test_root_table_invariants(benchmark_inputs):
     # the toy pair, GHZ3/W3, |000>/|111>, the identically zero |000>/|001>,
     # and seeded Haar and real pairs (real ones with double roots)
@@ -298,10 +307,9 @@ def test_stacked_axis_interval_matches_per_face_lstsq():
     assert (iv.witness_low.face, iv.witness_high.face) == ((1,), (0,))
     # GHZ3/W3: one root at infinity, the south pole
     assert polytopes[-1].vertices[-1].tolist() == [0.0, 0.0, -1.0]
-    # a stack of polytopes with mixed vertex counts gives each its own
-    # interval, from the triangle flags of the stacked polytope pass
-    stacked_polytopes, triangles = _polytopes(_interval_zero_sets())
-    stacked = _axis_intervals(stacked_polytopes, triangles)
+    # a stack of zero sets with mixed vertex counts gives each its own
+    # polytope and interval, from the one stacked pass
+    stacked_polytopes, stacked = _polytopes(_interval_zero_sets())
     for poly, stacked_poly, iv in zip(polytopes, stacked_polytopes, stacked):
         assert np.array_equal(stacked_poly.vertices, poly.vertices)
         alone = axis_zero_interval(poly)

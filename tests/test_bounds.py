@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,33 @@ def test_convex_envelope_is_convex_and_below_samples():
     kx, ky = curve.knots[:, 0], curve.knots[:, 1]
     slopes = np.diff(ky) / np.diff(kx)
     assert np.all(np.diff(slopes) >= -1e-12)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        # the nan-abscissa sample lies below the chord, which was returned
+        [[0.0, 1.0], [np.nan, 0.0], [1.0, 1.0]],
+        # a nan value came back as a knot
+        [[0.0, np.nan], [1.0, 0.0]],
+    ],
+)
+def test_convex_envelope_rejects_non_finite_samples(samples):
+    with pytest.raises(ValueError, match="finite"):
+        convex_envelope(samples)
+
+
+def test_bound_curve_rejects_non_finite_knots():
+    with pytest.raises(ValueError, match="finite"):
+        BoundCurve(np.array([[0.0, np.inf], [1.0, 0.0]]), ("endpoint", "endpoint"))
+
+
+@pytest.mark.parametrize("grid_size", [2.5, 401.0, True])
+def test_report_rejects_a_grid_size_that_is_no_integer(toy_mix, grid_size):
+    # 2.5 reached np.linspace, which raised a TypeError
+    with pytest.raises(ValueError, match="grid_size must be an integer"):
+        upper_bound_report(toy_mix, grid_size=grid_size)
+    assert upper_bound_report(toy_mix, grid_size=np.int64(11)).grid.shape[0] >= 11
 
 
 def test_report_identically_zero_span():
@@ -426,7 +455,8 @@ def test_a_one_row_anchor_table_certifies_its_linearized_knots(monkeypatch):
 
 def test_an_anchor_subset_bounds_no_lower_and_certifies(monkeypatch):
     mixtures = _seeded_pairs(89, 4) + [toy_mixture()]
-    # the vertices, the pair mixtures and the edge witnesses' axis points
+    # the vertices, the quarter points of the edges and the edge witnesses'
+    # axis points
     for mix, full, rep in _subset_reports(monkeypatch, lambda t: t.sizes < 3, mixtures):
         assert 0 < len(rep.anchors) < len(full.anchors)
         for p in CERTIFICATE_PS + tuple(rep.envelope_curve.knots[:, 0].tolist()):
@@ -632,8 +662,10 @@ def _reference_conjugate_pairs(vertices):
 
 
 def _reference_anchors(geom):
-    """(point, face, weights) per anchor: vertices, conjugate-pair mixtures,
-    axis interval points, then the face grid."""
+    """(point, face, weights) per anchor as the table was once built:
+    vertices, conjugate-pair mixtures, axis interval points, then a
+    quarter-step grid over every triangle, the first of any points that
+    agree to 12 decimals."""
     if geom.polytope is None:
         return []
     v = geom.polytope.vertices
@@ -649,12 +681,42 @@ def _reference_anchors(geom):
     grid = [np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)]
     for face in FACES[v.shape[0]][2].tolist():
         candidates.extend((w @ v[face], tuple(face), w) for w in grid)
+    return _first_of_equal_points(candidates)
+
+
+def _first_of_equal_points(candidates):
     keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
     seen = {}
     for key, (point, face, weights) in zip(keys, candidates):
         if tuple(key) not in seen:
             seen[tuple(key)] = (point, tuple(face), np.asarray(weights, dtype=float))
     return list(seen.values())
+
+
+def _reference_face_anchors(geom):
+    """(point, face, weights) per anchor, one candidate at a time: the
+    quarter-step barycentric points inside every face (each vertex, then
+    three points per edge, then three per triangle), each as one weight row
+    padded to 3 times the padded face's vertex rows; then the axis interval
+    points; the first of any points that agree to 12 decimals."""
+    if geom.polytope is None:
+        return []
+    v = geom.polytope.vertices
+    candidates = []
+    for size in (1, 2, 3):
+        for face in combinations(range(v.shape[0]), size):
+            for steps in product(range(1, 5), repeat=size):
+                if sum(steps) == 4:
+                    w = np.array(steps + (0,) * (3 - size)) / 4.0
+                    point = (w[None] @ v[list(face) + [0] * (3 - size)])[0]
+                    candidates.append((point, face, w[:size]))
+    if geom.interval is not None:
+        for p, wit in (
+            (geom.interval.p_low, geom.interval.witness_low),
+            (geom.interval.p_high, geom.interval.witness_high),
+        ):
+            candidates.append((axis_point(p), wit.face, wit.weights))
+    return _first_of_equal_points(candidates)
 
 
 def _reference_mixtures():
@@ -675,7 +737,7 @@ def test_default_anchors_equal_the_per_candidate_builder():
     for mix in _reference_mixtures():
         geom = span_geometry(mix)
         got = default_anchors(mix, geom)
-        expected = _reference_anchors(geom)
+        expected = _reference_face_anchors(geom)
         assert len(got) == len(expected)
         anchored += bool(got)
         for j, (point, face, weights) in enumerate(expected):
@@ -685,6 +747,43 @@ def test_default_anchors_equal_the_per_candidate_builder():
             assert np.array_equal(got.weights[j, :size], weights) and size == weights.shape[0]
         assert not any(v.flags.writeable for v in vars(got).values())
     assert anchored >= 40
+
+
+def test_face_anchors_keep_the_points_of_the_triangle_grid():
+    # with three or more vertices, the quarter points of the edges hold the
+    # conjugate-pair midpoints and every point the triangle grids shared
+    spans = 0
+    for mix in _reference_mixtures():
+        geom = span_geometry(mix)
+        if geom.polytope is None or geom.polytope.n_vertices < 3:
+            continue
+        spans += 1
+        got = np.round(default_anchors(mix, geom).points, 12).tolist()
+        expected = np.round([point for point, _, _ in _reference_anchors(geom)], 12).tolist()
+        assert {tuple(p) for p in got} == {tuple(p) for p in expected}
+    assert spans >= 40
+
+
+@pytest.mark.parametrize("angle", [0.0, 0.3])
+def test_two_vertex_anchors_are_the_quarter_points_of_the_edge(angle):
+    # cos t|000> + sin t|111> and its orthogonal partner span the plane of
+    # |000> and |111>: two double roots, whose vertices are antipodal
+    e = np.eye(8, dtype=complex)
+    c, s = np.cos(angle), np.sin(angle)
+    mix = RankTwoMixture(PureState(3, c * e[0] + s * e[7]), PureState(3, c * e[7] - s * e[0]), 0.5)
+    rep = upper_bound_report(mix, grid_size=101)
+    v, table = rep.geometry.polytope.vertices, rep.anchors
+    assert v.shape[0] == 2
+    # the two vertices and the three quarter points of the edge, then the
+    # axis points that lie on neither: at t = 0 both sit on a pole, and at
+    # t = 0.3 they sit on the midpoint up to the double roots' noise of 3e-10
+    assert table.sizes[:5].tolist() == [1, 1, 2, 2, 2]
+    quarters = [0.25 * v[0] + 0.75 * v[1], 0.5 * (v[0] + v[1]), 0.75 * v[0] + 0.25 * v[1]]
+    np.testing.assert_allclose(table.points[2:5], quarters, rtol=0.0, atol=1e-15)
+    assert len(table) == (5 if angle == 0.0 else 6)
+    assert np.all(table.points[5:, :2] == 0.0)
+    for p in CERTIFICATE_PS + tuple(rep.envelope_curve.knots[:, 0].tolist()):
+        _assert_certifies(rep, mix, p)
 
 
 def test_every_span_with_a_zero_set_has_an_anchor_per_vertex():

@@ -60,6 +60,23 @@ def test_min_average_validation(toy_mix):
         min_average_c3(two, 10, sizes=(2,), seed=1)
 
 
+def test_sample_counts_and_sizes_must_be_integers(toy_mix):
+    state = toy_mix.at(0.5)
+    # int() truncated the size 2.5 to 2, and True ran one sample
+    with pytest.raises(ValueError, match="decomposition size must be an integer"):
+        min_average_c3(state, 300, sizes=(2.5, 3))
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        min_average_c3(state, True)
+    with pytest.raises(ValueError, match="n_samples must be an integer"):
+        min_average_c3(state, 300.0)
+    with pytest.raises(ValueError, match="decomposition size must be an integer"):
+        random_decomposition(state, 2.5)
+    # numpy integers are counts
+    assert min_average_c3(state, np.int64(30), sizes=(np.int32(2), 3), seed=1) == min_average_c3(
+        state, 30, sizes=(2, 3), seed=1
+    )
+
+
 def test_zero_tangle_mixture_sampling_floor():
     mix = _product_pair()
     # every decomposition of a GHZ-diagonal rank-2 state of |000>,|111>
