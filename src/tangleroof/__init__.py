@@ -39,7 +39,6 @@ from .invariants import (
 )
 from .pencil import (
     IdenticallyZeroPencilError,
-    PencilPolynomial,
     ZeroSet,
     pencil_polynomial,
     polynomial_roots,
@@ -106,7 +105,6 @@ __all__ = [
     "three_tangle",
     "wootters_concurrence",
     "IdenticallyZeroPencilError",
-    "PencilPolynomial",
     "ZeroSet",
     "pencil_polynomial",
     "polynomial_roots",

@@ -6,7 +6,7 @@ Inside the span of a pair (psi1, psi2) the tangle is the binary quartic
     tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k,
 
 where c_0..c_4 are the coefficients of the pencil P(z) = tau3(psi1 + z psi2)
-(``PencilPolynomial.coefficients``, the one vector that the roots read too):
+(``pencil_polynomial``, the one vector that the roots read too):
 c_1..c_3 interpolated and c_0 = tau3(psi1) and c_4 = tau3(psi2) exact.
 ``tau3_many`` evaluates the polynomial on full amplitude rows, the
 interpolation nodes and the two pure ends of each pencil in one call; every

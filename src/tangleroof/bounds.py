@@ -30,7 +30,7 @@ from .bloch import (
     axis_point,
 )
 from .pencil import ZeroSet, _pencils, _zero_sets, pencil_polynomial
-from .states import PureState, RankTwoMixture
+from .states import PureState, RankTwoMixture, _check_count
 
 __all__ = [
     "AnchorSet",
@@ -166,14 +166,6 @@ def _check_p(p: np.ndarray) -> None:
         raise ValueError(f"p must lie in [0, 1], got {p[bad][0]}")
 
 
-def _check_count(value, name: str) -> int:
-    """``value`` as an int; raises ValueError unless it is a Python or numpy
-    integer (a bool is none)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float]) -> np.ndarray:
     """c3 along sqrt(p) psi1 - e^{i phi} sqrt(1-p) psi2; rows (p, c3).
 
@@ -186,7 +178,7 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
     _check_p(ps)
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2)
     tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
 

@@ -17,7 +17,6 @@ from . import _kernels
 from .states import PureState, RankTwoMixture, _row_norms
 
 __all__ = [
-    "PencilPolynomial",
     "ZeroSet",
     "IdenticallyZeroPencilError",
     "pencil_polynomial",
@@ -37,27 +36,6 @@ _VANDERMONDE_INV = np.linalg.inv(np.vander(_NODES, DEGREE + 1, increasing=True))
 
 class IdenticallyZeroPencilError(Exception):
     """Every state in the span has zero tangle; the zero set is the whole ball."""
-
-
-@dataclass(frozen=True, eq=False)
-class PencilPolynomial:
-    """Tangle polynomial P(z) = sum c_k z^k along psi1 + z*psi2.
-
-    ``coefficients`` are also those of the binary quartic form
-    tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k; pencil_polynomial gives
-    them with c_0 = tau3(psi1) and c_4 = tau3(psi2) exact and c_1..c_3
-    interpolated at the 5th roots of unity.
-    """
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex).ravel()
-        if c.shape[0] != DEGREE + 1:
-            raise ValueError(f"expected {DEGREE + 1} coefficients, got {c.shape[0]}")
-        c = c.copy()
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,21 +93,20 @@ def _pencils(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def pencil_polynomial(psi1: PureState, psi2: PureState) -> PencilPolynomial:
-    """Tangle polynomial along psi1 + z*psi2: the pencil interpolated at the
-    5 roots of unity, with the tangles of psi1 and psi2 as c_0 and c_4 from
-    the same tau3_many call."""
+def pencil_polynomial(psi1: PureState, psi2: PureState) -> np.ndarray:
+    """Tangle polynomial P(z) = sum c_k z^k along psi1 + z*psi2, as its
+    read-only (5,) ascending coefficients.
+
+    They are also those of the binary quartic form
+    tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k: the pencil interpolated
+    at the 5 roots of unity, with the tangles of psi1 and psi2 as c_0 and
+    c_4 from the same tau3_many call.
+    """
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
-    return PencilPolynomial(_pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])[0])
-
-
-def _degrees(coeffs: np.ndarray) -> np.ndarray:
-    """Numerical degree of each row: largest k with |c_k| above
-    COEFF_TOL * max|c|; the zero row reads -1."""
-    mags = np.abs(coeffs)
-    above = mags > COEFF_TOL * mags.max(axis=1, keepdims=True)
-    return (above * np.arange(1, coeffs.shape[1] + 1)).max(axis=1) - 1
+    coeffs = _pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])[0]
+    coeffs.setflags(write=False)
+    return coeffs
 
 
 def _horner(c: np.ndarray, x) -> np.ndarray:
@@ -150,15 +127,46 @@ def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
     P and P' come from one Horner pass over the coefficients of P stacked
     on those of P' padded with a leading zero; the pad only adds an exact
     zero to P''s leading coefficient, so P' has the bits of its own pass.
+    A root takes no step where |P'| is at most 8 eps times
+    sum_k |k c_k| |z|^(k-1) at the starting root, the scale of the Horner
+    rounding error of P': there P' is rounding noise, as at a double root
+    that the real Schur form returns as two equal eigenvalues, and P / P'
+    would be noise over noise.
     """
     n = c.shape[1]
     both = np.zeros((2, c.shape[0], 1, n), dtype=complex)
     both[0, :, 0] = c
     both[1, :, 0, :-1] = c[:, 1:] * np.arange(1, n)
+    noise = 8 * np.finfo(float).eps * _horner(np.abs(both[1]), np.abs(roots))
     for _ in range(2):
         pv, dv = _horner(both, roots)
-        roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > 1e-30)
+        roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > noise)
     return roots
+
+
+def _deflated(coeffs: np.ndarray):
+    """Each row of an (N, 5) stack as finite_roots solves it: (rows, low,
+    deg, real).
+
+    deg is the row's numerical degree, the largest k with |c_k| above
+    COEFF_TOL * max|c| (-1 for the zero row), and low the number of
+    trailing coefficients at or below that floor, each an exact root at
+    z = 0 (0 for the zero row). Row n of rows holds c_low..c_4 of row n,
+    then copies of c_4, so its first deg - low + 1 entries are the
+    coefficients left to the root finder. A real row, max|Im c| <= 1e-9 *
+    max|c|, holds the real parts of its coefficients.
+    """
+    mags = np.abs(coeffs)
+    peaks = mags.max(axis=1, keepdims=True)
+    above = mags > COEFF_TOL * peaks
+    low = np.argmax(above, axis=1)
+    deg = (above * np.arange(1, DEGREE + 2)).max(axis=1) - 1
+    real = np.abs(coeffs.imag).max(axis=1, keepdims=True) <= 1e-9 * peaks
+    rows = np.where(real, coeffs.real, coeffs)
+    if low.any():
+        columns = np.minimum(low[:, None] + np.arange(DEGREE + 1), DEGREE)
+        rows = np.take_along_axis(rows, columns, axis=1)
+    return rows, low, deg, real[:, 0]
 
 
 def finite_roots(coeffs: np.ndarray):
@@ -171,68 +179,53 @@ def finite_roots(coeffs: np.ndarray):
     below that floor counts as one exact root at z = 0; those slots come
     first, and the remaining roots are those of the deflated polynomial:
     the eigenvalues of the companion matrices of their monic reductions
-    (one eigvals call per deflated degree of 2 or more) after two Newton
-    steps. Roots are neither merged nor conjugate-symmetrized, so they move
-    smoothly with the pair.
+    (one eigvals call per deflated degree of 2 or more, and per real or
+    complex row) after two Newton steps. A real row (_deflated) is solved
+    in real arithmetic, so its non-real roots come in bitwise conjugate
+    pairs. Roots are not merged, so they move smoothly with the pair.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    deg = _degrees(coeffs)
-    mags = np.abs(coeffs)
-    # lowest k with |c_k| above the floor (0 for the zero row): the roots at 0
-    low = np.argmax(mags > COEFF_TOL * mags.max(axis=1, keepdims=True), axis=1)
-    roots = np.full((coeffs.shape[0], DEGREE), np.inf, dtype=complex)
-    deflated = coeffs
-    if low.any():
-        columns = np.minimum(low[:, None] + np.arange(DEGREE + 1), DEGREE)
-        deflated = np.take_along_axis(coeffs, columns, axis=1)
-        roots[np.arange(DEGREE) < low[:, None]] = 0.0
+    rows, low, deg, real = _deflated(np.asarray(coeffs, dtype=complex))
+    roots = np.full((rows.shape[0], DEGREE), np.inf, dtype=complex)
+    roots[np.arange(DEGREE) < low[:, None]] = 0.0
     companion = deg - low  # the degree of each row left to the companion matrix
-    for d in sorted(set(companion.tolist()) - {-1, 0}):
-        rows = np.nonzero(companion == d)[0]
-        c = deflated[rows, : d + 1]
+    for d, is_real in sorted(set(zip(companion.tolist(), real.tolist()))):
+        if d < 1:
+            continue
+        idx = np.nonzero((companion == d) & (real == is_real))[0]
+        c = rows[idx, : d + 1]
+        if is_real:
+            # LAPACK's real Schur form returns complex eigenvalues as exact
+            # conjugates, and Newton on real coefficients keeps them so
+            c = c.real
         if d == 1:
             raw = -c[:, :1] / c[:, 1:]
         else:
-            comp = np.zeros((rows.size, d, d), dtype=complex)
+            comp = np.zeros((idx.size, d, d), dtype=c.dtype)
             comp[:, 1:, :-1] = np.eye(d - 1)
             comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
             raw = np.linalg.eigvals(comp)
-        roots[rows[:, None], low[rows, None] + np.arange(d)] = _polish(raw, c)
+        roots[idx[:, None], low[idx, None] + np.arange(d)] = _polish(raw, c)
     return roots, DEGREE - np.maximum(deg, 0)
 
 
-def _symmetrize_conjugates(roots: np.ndarray) -> list:
-    """Pair roots of a real-coefficient polynomial into exact conjugates: a root
-    pairs with the nearest conjugate within relative distance CLUSTER_TOL."""
-    work = sorted(roots.tolist(), key=lambda z: (z.real, z.imag))
-    used = [False] * len(work)
+def _refine_multiple(c: np.ndarray, merged: list) -> list:
+    """Two Newton steps on P^(m-1) for each clustered root of multiplicity
+    m >= 2 of the pencil c, whose simple root it is.
+
+    P is z^low times the polynomial the root finder solved (_deflated), so
+    the roots of a real row stay real or conjugate, and a cluster that
+    merged an exact root at 0 with a root near it stays between them. The
+    exact roots at 0 themselves stay as they are.
+    """
+    rows, low, deg, _ = _deflated(c[None, :])
+    solved = np.zeros(DEGREE + 1, dtype=complex)
+    solved[low[0] : deg[0] + 1] = rows[0, : deg[0] - low[0] + 1]
     out = []
-    for i, zi in enumerate(work):
-        if used[i]:
-            continue
-        used[i] = True
-        scale = 1.0 + abs(zi)
-        if abs(zi.imag) <= 1e-8 * scale:
-            out.append(complex(zi.real, 0.0))
-            continue
-        best_j, best_d = -1, np.inf
-        for j in range(i + 1, len(work)):
-            if used[j]:
-                continue
-            d = abs(work[j] - zi.conjugate())
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j >= 0 and best_d <= CLUSTER_TOL * scale:
-            used[best_j] = True
-            w = 0.5 * (zi + work[best_j].conjugate())
-            if abs(w.imag) <= 1e-8 * (1.0 + abs(w)):
-                out.extend([complex(w.real, 0.0)] * 2)
-            else:
-                w = complex(w.real, abs(w.imag))
-                out.extend([w, w.conjugate()])
-        else:
-            # a real polynomial cannot have an unpaired complex root
-            out.append(complex(zi.real, 0.0))
+    for z, m in merged:
+        if m > 1 and z != 0:
+            derivative = np.polynomial.polynomial.polyder(solved, m - 1)
+            z = complex(_polish(np.array([[z]]), derivative[None, :])[0, 0])
+        out.append((z, m))
     return out
 
 
@@ -256,21 +249,18 @@ def _order_key(item):
     return (1, z.real, abs(z.imag), -np.sign(z.imag))
 
 
-def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int, peak: float):
-    """Clustered, ordered extended roots of one pencil from its raw finite
+def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int):
+    """Clustered, ordered extended roots of the pencil c from its raw finite
     roots: (z, multiplicity) arrays, with z = inf for the root at infinity.
 
-    An exact root at zero is stored as +0 in both parts, so its phase reads
-    0 as the root at infinity's does, not the pi of a signed -0.
+    A multiple root is refined on the derivative of which it is a simple
+    root (_refine_multiple). An exact root at zero is stored as +0 in both
+    parts, so its phase reads 0 as the root at infinity's does, not the pi
+    of a signed -0.
     """
-    merged: list = []
-    if raw.size:
-        real_coeffs = float(np.max(np.abs(c[: raw.size + 1].imag))) <= 1e-9 * peak
-        if real_coeffs:
-            finite = _symmetrize_conjugates(raw)
-        else:
-            finite = [complex(z) for z in raw]
-        merged = _cluster(finite)
+    merged = _cluster([complex(z) for z in raw])
+    if any(m > 1 for _, m in merged):
+        merged = _refine_multiple(c, merged)
     merged.sort(key=_order_key)
     if n_inf > 0:
         merged.append((np.inf, n_inf))
@@ -288,7 +278,7 @@ def _roots_many(coeffs: np.ndarray) -> list:
     gives them; None for a row with max|c| <= COEFF_TOL.
 
     The raw roots of every row come from one finite_roots call; the
-    conjugate pairing, clustering and ordering run per row.
+    clustering and ordering run per row.
     """
     peaks = np.max(np.abs(coeffs), axis=1)
     live = np.nonzero(~(peaks <= COEFF_TOL))[0]
@@ -296,17 +286,18 @@ def _roots_many(coeffs: np.ndarray) -> list:
     if live.size:
         raw, n_inf = finite_roots(coeffs[live])
         for i, row, k in zip(live.tolist(), raw, n_inf.tolist()):
-            out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k, float(peaks[i]))
+            out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k)
     return out
 
 
 _IDENTICALLY_ZERO = "all pencil coefficients vanish; every state in the span has zero tangle"
 
 
-def polynomial_roots(poly: PencilPolynomial):
-    """The distinct extended roots of the pencil and their multiplicities,
-    as two arrays (z, multiplicity); z is inf for the root at infinity and
-    the multiplicities sum to 4.
+def polynomial_roots(poly: np.ndarray):
+    """The distinct extended roots of the pencil with the (5,) ascending
+    coefficients ``poly`` and their multiplicities, as two arrays
+    (z, multiplicity); z is inf for the root at infinity and the
+    multiplicities sum to 4.
 
     Finite roots come from finite_roots and are merged when they lie within
     relative distance CLUSTER_TOL. Real-coefficient input yields exactly
@@ -314,10 +305,14 @@ def polynomial_roots(poly: PencilPolynomial):
     conjugate pairs (positive imaginary part first), then the point at
     infinity.
 
-    Raises IdenticallyZeroPencilError when max|c| <= COEFF_TOL: the whole
-    span is a zero set and callers must treat the axis interval as [0, 1].
+    Raises ValueError unless there are 5 coefficients, and
+    IdenticallyZeroPencilError when max|c| <= COEFF_TOL: the whole span is
+    a zero set and callers must treat the axis interval as [0, 1].
     """
-    roots = _roots_many(poly.coefficients[None, :])[0]
+    c = np.asarray(poly, dtype=complex).ravel()
+    if c.shape[0] != DEGREE + 1:
+        raise ValueError(f"expected {DEGREE + 1} coefficients, got {c.shape[0]}")
+    roots = _roots_many(c[None, :])[0]
     if roots is None:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return roots

@@ -14,10 +14,9 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .bounds import _check_count
 from .invariants import c3
 from .pencil import pencil_polynomial
-from .states import PureState, RankTwoMixture
+from .states import PureState, RankTwoMixture, _check_count
 
 __all__ = ["min_average_c3", "random_decomposition", "average_c3"]
 
@@ -57,7 +56,7 @@ def min_average_c3(
     n_samples = _check_count(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2)
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     streams = np.random.default_rng(seed).spawn(len(sizes))
     best = np.inf

@@ -42,6 +42,22 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_count(value, name: str) -> int:
+    """``value`` as an int; raises ValueError unless it is a Python or numpy
+    integer (a bool is none)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_qubits(value) -> int:
+    """A qubit count as an int; raises ValueError unless it is a positive integer."""
+    n = _check_count(value, "n_qubits")
+    if n < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n}")
+    return n
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Pure state of ``n_qubits`` qubits; amplitudes need not be normalized."""
@@ -50,9 +66,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {n!r}")
+        n = _check_qubits(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
         if amps.shape[0] != 2**n:
             raise ValueError(
@@ -60,7 +74,7 @@ class PureState:
             )
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        object.__setattr__(self, "n_qubits", int(n))
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @property
@@ -89,7 +103,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        n = int(self.n_qubits)
+        n = _check_qubits(self.n_qubits)
         m = np.asarray(self.matrix, dtype=complex)
         d = 2**n
         if m.shape != (d, d):

@@ -18,7 +18,7 @@ def _random_gauss(rng, n, m_max=4):
 
 
 def _coeffs(amps1, amps2):
-    return pencil_polynomial(PureState(3, amps1), PureState(3, amps2)).coefficients
+    return pencil_polynomial(PureState(3, amps1), PureState(3, amps2))
 
 
 def _orthonormal_pair(g):
@@ -157,7 +157,7 @@ def test_sampler_skips_degenerate_draws():
 
 def test_sampler_is_min_over_size_groups():
     mix = _haar_mixture(404).at(0.3)
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2)
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     combined = min_average_c3(mix, 60, sizes=(2, 3, 4), seed=404)
     streams = np.random.default_rng(404).spawn(3)
@@ -279,7 +279,7 @@ def test_sampler_does_not_depend_on_the_block_size(block, monkeypatch):
 
 def _stream_reference(mix, n_samples, sizes, seed):
     """min_average_c3 with stream j drawing its (n_j, m_j, 2, 2) block in one go."""
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2).coefficients
+    coeffs = pencil_polynomial(mix.psi1, mix.psi2)
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     best = np.inf

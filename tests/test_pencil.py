@@ -6,7 +6,6 @@ from tangleroof import pencil
 from tangleroof.invariants import three_tangle
 from tangleroof.pencil import (
     IdenticallyZeroPencilError,
-    PencilPolynomial,
     finite_roots,
     pencil_polynomial,
     polynomial_roots,
@@ -31,21 +30,27 @@ def test_pencil_polynomial_interpolates_tangle():
         direct = three_tangle(
             PureState(3, mix.psi1.amplitudes + z * mix.psi2.amplitudes)
         )
-        assert abs(pencil._horner(poly.coefficients, z) - direct) <= 1e-12 * max(1.0, abs(z) ** 4)
+        assert abs(pencil._horner(poly, z) - direct) <= 1e-12 * max(1.0, abs(z) ** 4)
 
 
 def test_pencil_polynomial_coefficient_count():
-    with pytest.raises(ValueError):
-        PencilPolynomial(np.zeros(4, dtype=complex))
-    poly = PencilPolynomial(np.array([0.0, 0.0, 1.0, 0.0, 0.0], dtype=complex))
-    assert pencil._degrees(poly.coefficients[None, :]).tolist() == [2]
-    assert pencil._degrees(np.zeros((1, 5), dtype=complex)).tolist() == [-1]
+    coeffs = pencil_polynomial(*toy_states())
+    assert coeffs.shape == (5,) and coeffs.dtype == complex
+    assert not coeffs.flags.writeable
+    with pytest.raises(ValueError, match="expected 5 coefficients, got 4"):
+        polynomial_roots(np.zeros(4, dtype=complex))
+    # numerical degree and exact roots at 0: z^2 has two of each
+    rows, low, deg, real = pencil._deflated(np.array([[0.0, 0.0, 1.0, 0.0, 0.0]], dtype=complex))
+    assert (low.tolist(), deg.tolist(), real.tolist()) == ([2], [2], [True])
+    assert rows[0, 0] == 1.0
+    _, low, deg, _ = pencil._deflated(np.zeros((1, 5), dtype=complex))
+    assert (low.tolist(), deg.tolist()) == ([0], [-1])
 
 
 def test_polynomial_roots_quartic_with_known_roots():
     # (z - 1)(z - 2)(z - 3)(z - 4)
     c = npoly.polyfromroots([1.0, 2.0, 3.0, 4.0]).astype(complex)
-    z, mult = polynomial_roots(PencilPolynomial(c))
+    z, mult = polynomial_roots(c)
     np.testing.assert_allclose(np.sort(z.real), [1.0, 2.0, 3.0, 4.0], atol=1e-10)
     assert np.all(mult == 1) and np.all(np.isfinite(z))
 
@@ -54,7 +59,7 @@ def test_polynomial_roots_degree_deficit_goes_to_infinity():
     # (z - 1)(z - 2): two finite roots, two at infinity
     c = np.zeros(5, dtype=complex)
     c[:3] = npoly.polyfromroots([1.0, 2.0])
-    z, mult = polynomial_roots(PencilPolynomial(c))
+    z, mult = polynomial_roots(c)
     finite = np.isfinite(z)
     np.testing.assert_allclose(np.sort(z[finite].real), [1.0, 2.0], atol=1e-12)
     assert mult[~finite].sum() == 2
@@ -64,7 +69,7 @@ def test_polynomial_roots_degree_deficit_goes_to_infinity():
 def test_polynomial_roots_multiplicity_clustering():
     # (z - 1)^2 (z^2 + 1)
     c = npoly.polyfromroots([1.0, 1.0, 1j, -1j]).astype(complex)
-    z, mult = polynomial_roots(PencilPolynomial(c))
+    z, mult = polynomial_roots(c)
     mults = {}
     for root, m in zip(np.round(z, 6).tolist(), mult.tolist()):
         mults[root] = mults.get(root, 0) + m
@@ -72,11 +77,36 @@ def test_polynomial_roots_multiplicity_clustering():
     assert mults[1j] == 1 and mults[-1j] == 1
 
 
+@pytest.mark.parametrize(
+    "coeffs, z, mult",
+    [
+        ([0, 0, 1, -2, 1], [0, 1], [2, 2]),  # z^2 (z - 1)^2
+        (npoly.polyfromroots([1, 1, 2, 3]), [1, 2, 3], [2, 1, 1]),
+        ([1, 0, 2, 0, 1], [1j, -1j], [2, 2]),  # (z^2 + 1)^2
+    ],
+    ids=["z2_1", "1_1_2_3", "i_i"],
+)
+def test_exact_multiple_roots_of_real_polynomials(coeffs, z, mult):
+    # the real Schur form may return a double root as two equal eigenvalues,
+    # where P' is rounding noise: Newton takes no step there
+    got, got_mult = polynomial_roots(np.asarray(coeffs, dtype=complex))
+    assert got_mult.tolist() == mult
+    np.testing.assert_allclose(got, z, rtol=1e-14, atol=1e-15)
+
+
+def test_a_root_near_an_exact_zero_clusters_between_them():
+    # z (1e-9 + z + z^2 + z^3): the exact root at 0 and the root near -1e-9
+    # merge, and the refined double root is the root of P' between them
+    z, mult = polynomial_roots(np.array([0, 1e-9, 1, 1, 1], dtype=complex))
+    assert mult.tolist() == [2, 1, 1]
+    np.testing.assert_allclose(z[0], -5e-10, rtol=1e-8)
+
+
 def test_polynomial_roots_exact_conjugate_pairs():
     rng = np.random.default_rng(5)
     for _ in range(10):
         c = rng.normal(size=5).astype(complex)
-        z, _ = polynomial_roots(PencilPolynomial(c))
+        z, _ = polynomial_roots(c)
         complex_roots = z[np.isfinite(z) & (z.imag != 0.0)]
         for root in complex_roots:
             assert np.conj(root) in complex_roots
@@ -84,7 +114,7 @@ def test_polynomial_roots_exact_conjugate_pairs():
 
 def test_polynomial_roots_identically_zero_raises():
     with pytest.raises(IdenticallyZeroPencilError):
-        polynomial_roots(PencilPolynomial(np.full(5, 1e-14, dtype=complex)))
+        polynomial_roots(np.full(5, 1e-14, dtype=complex))
 
 
 def test_finite_roots_rows_of_every_degree():
@@ -116,7 +146,7 @@ def test_finite_roots_trailing_coefficients_are_roots_at_zero():
     assert roots[0, :2].tolist() == [0j, 0j]
     np.testing.assert_allclose(np.sort(roots[0, 2:].real), [1.0, 2.0], atol=1e-12)
     assert roots[1, :2].tolist() == [0j, 0j] and np.all(np.isinf(roots[1, 2:]))
-    z, mult = polynomial_roots(PencilPolynomial(coeffs[1]))
+    z, mult = polynomial_roots(coeffs[1])
     assert z.tolist() == [0j, complex(np.inf)] and mult.tolist() == [2, 2]
 
 
@@ -126,12 +156,12 @@ def test_finite_roots_floor_of_one_counts_four_at_infinity():
     roots, n_inf = finite_roots(coeffs)
     assert n_inf[0] == 4 and np.all(np.isinf(roots))
     with pytest.raises(IdenticallyZeroPencilError):
-        polynomial_roots(PencilPolynomial(coeffs[0]))
+        polynomial_roots(coeffs[0])
 
 
 def test_polished_roots_are_accurate():
     c = npoly.polyfromroots([0.5, -3.0, 2.0 + 1.0j, 2.0 - 1.0j]).astype(complex)
-    z, _ = polynomial_roots(PencilPolynomial(c))
+    z, _ = polynomial_roots(c)
     assert np.abs(npoly.polyval(z, c)).max() <= 1e-10
 
 
@@ -246,6 +276,46 @@ def test_finite_roots_match_mpmath_on_stress_sets():
         assert worst <= _CEILINGS[name], (name, worst)
 
 
+def _assert_bitwise_conjugates(roots):
+    """Every non-real root of each row has its exact conjugate in the row."""
+    for row in roots:
+        finite = row[np.isfinite(row)]
+        upper = np.sort_complex(finite[finite.imag > 0.0])
+        lower = np.sort_complex(np.conj(finite[finite.imag < 0.0]))
+        assert upper.size == lower.size
+        np.testing.assert_array_equal(upper.view(float), lower.view(float))
+
+
+def test_real_rows_give_bitwise_conjugate_pairs(benchmark_inputs):
+    # a real row is solved in real arithmetic, so no pairing step is needed
+    coeffs = _stress_sets()["real"]
+    roots, _ = finite_roots(coeffs)
+    assert np.count_nonzero(roots.imag) >= 40
+    _assert_bitwise_conjugates(roots)
+    pairs = [(a, b) for name, a, b in benchmark_inputs.pair_set(1) if name.startswith("real")]
+    amps1, amps2 = (np.array(column) for column in zip(*pairs))
+    coeffs = pencil._pencils(amps1, amps2)
+    # the pencil of a real pair is real up to rounding, not exactly
+    assert np.any(coeffs.imag != 0.0)
+    roots, _ = finite_roots(coeffs)
+    assert np.count_nonzero(roots.imag) >= 40
+    _assert_bitwise_conjugates(roots)
+
+
+@pytest.mark.parametrize("angle", np.linspace(0.05, 1.5, 30))
+def test_double_roots_are_refined_to_rounding(angle):
+    # cos t|000> + sin t|111> and cos t|111> - sin t|000>: the pencil is
+    # 4 (cos t z + sin t)^2 (cos t - sin t z)^2 up to a constant, with
+    # double roots at -tan t and cot t and antipodal Bloch points
+    e = np.eye(8, dtype=complex)
+    c, s = np.cos(angle), np.sin(angle)
+    zs = zero_set(RankTwoMixture(PureState(3, c * e[0] + s * e[7]), PureState(3, c * e[7] - s * e[0]), 0.5))
+    assert zs.multiplicity.tolist() == [2, 2]
+    assert np.all(zs.z.imag == 0.0)
+    np.testing.assert_allclose(zs.z.real, [-np.tan(angle), 1.0 / np.tan(angle)], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(zs.p0, [c**2, s**2], rtol=0.0, atol=1e-15)
+
+
 def test_one_eigvals_call_per_deflated_degree(monkeypatch):
     sizes = []
     original = np.linalg.eigvals
@@ -261,7 +331,8 @@ def test_one_eigvals_call_per_deflated_degree(monkeypatch):
     lower = generic[:2].copy()
     lower[0, 4] = lower[1, 3:] = 0.0
     roots, n_inf = finite_roots(np.vstack([generic, double, lower]))
-    assert sorted(sizes) == [(1,), (1,), (6,)]  # degree 2, degree 3, the six quartics
+    # complex degree 2, complex degree 3, the real quartic, the five complex quartics
+    assert sorted(sizes) == [(1,), (1,), (1,), (5,)]
     np.testing.assert_array_equal(n_inf, [0] * 6 + [1, 2])
     np.testing.assert_allclose(np.sort_complex(roots[5]), [-1.0, 0.5, 0.5, 2.0], atol=1e-7)
 
@@ -269,6 +340,6 @@ def test_one_eigvals_call_per_deflated_degree(monkeypatch):
 def test_pencil_polynomial_evaluates_in_polyval_order():
     poly = pencil_polynomial(*toy_states())
     z = np.array([0.3 - 0.2j, 2.0, -1.5j])
-    c = poly.coefficients
+    c = poly
     np.testing.assert_array_equal(pencil._horner(c, z), npoly.polyval(z, c))
     assert pencil._horner(c, 0.7 + 0.1j) == npoly.polyval(0.7 + 0.1j, c)

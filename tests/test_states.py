@@ -70,6 +70,36 @@ def test_density_matrix_validation():
         DensityMatrix(3, skew)
 
 
+def test_pure_state_rejects_a_bool_qubit_count():
+    # bool is an int subclass, but True is no qubit count
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        PureState(True, [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "n, matrix",
+    [
+        (3.7, np.eye(8) / 8.0),
+        ("2", np.eye(4) / 4.0),
+        (True, np.eye(2) / 2.0),
+        (0.5, np.eye(1)),
+    ],
+    ids=["float", "str", "bool", "half"],
+)
+def test_density_matrix_rejects_a_non_integer_qubit_count(n, matrix):
+    with pytest.raises(ValueError, match="n_qubits must be an integer"):
+        DensityMatrix(n, matrix)
+
+
+def test_qubit_counts_must_be_positive():
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer"):
+        PureState(0, [1.0])
+    with pytest.raises(ValueError, match="n_qubits must be a positive integer"):
+        DensityMatrix(0, np.eye(1))
+    assert PureState(np.int64(1), [1.0, 0.0]).n_qubits == 1
+    assert type(DensityMatrix(np.int64(1), np.eye(2) / 2.0).n_qubits) is int
+
+
 def test_mixture_requires_orthonormal_pair():
     ghz, w = make_ghz(3), make_w(3)
     RankTwoMixture(ghz, w, 0.3)
