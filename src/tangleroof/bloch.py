@@ -14,8 +14,6 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
-# np.linalg.lstsq is this gufunc restricted to one 2-D system
-from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .pencil import ZeroSet
 from .states import PureState, RankTwoMixture, _row_norms
@@ -32,14 +30,12 @@ __all__ = [
 ]
 
 AFFINE_RANK_TOL = 1e-8
-ON_AXIS_TOL = 1e-9
-FACE_RESIDUAL_TOL = 1e-9
-WEIGHT_TOL = 1e-9
+# relative floor of the xy orientations that decide the axis faces (axis_zero_interval)
+ORIENTATION_TOL = 1e-9
 # state_from_bloch's bound on | |point| - 1 |, far above the package's own rounding
 ON_SPHERE_TOL = 1e-9
 
 _SOUTH_POLE = np.array([0.0, 0.0, -1.0])
-_AXIS_RHS = np.array([[1.0], [0.0], [0.0]])
 
 
 def bloch_from_z(z) -> np.ndarray:
@@ -158,25 +154,16 @@ class AxisInterval:
 
 
 def _affine_frames(vertices: np.ndarray):
-    """Centre, singular values, right singular vectors and affine rank of
-    each (k, 3) point set of an (M, k, 3) stack, from one SVD call."""
-    center = vertices.mean(axis=1)
-    sv, vt = np.linalg.svd(vertices - center[:, None, :], full_matrices=True)[1:]
-    return center, sv, vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
+    """Right singular vectors and affine rank of each (k, 3) point set of an
+    (M, k, 3) stack, from one SVD call."""
+    centered = vertices - vertices.mean(axis=1)[:, None, :]
+    sv, vt = np.linalg.svd(centered, full_matrices=True)[1:]
+    return vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
 
 
-def _solves_triangles(dims: np.ndarray, center: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """Whether the 3-vertex faces of each polytope count for its axis
-    interval, from its affine dimension and frame: solid polytopes, and
-    flat ones whose plane misses the axis."""
-    out = dims == 3
-    flat = np.flatnonzero(dims == 2)
-    if flat.size:
-        normal, center = vt[flat, 2], center[flat]
-        out[flat] = (np.abs(normal[:, 2]) > AFFINE_RANK_TOL) | (
-            np.abs((normal * center).sum(axis=1)) > AFFINE_RANK_TOL
-        )
-    return out
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """2-D orientations a_x b_y - b_x a_y of (..., 2) stacks."""
+    return a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
 
 
 def _polygon_areas(vertices: np.ndarray, vt: np.ndarray) -> np.ndarray:
@@ -184,14 +171,11 @@ def _polygon_areas(vertices: np.ndarray, vt: np.ndarray) -> np.ndarray:
     uv = (vertices - vertices.mean(axis=1)[:, None, :]) @ vt[:, :2].swapaxes(1, 2)
     order = np.argsort(np.arctan2(uv[..., 1], uv[..., 0]), axis=1)
     u = np.take_along_axis(uv, order[..., None], axis=1)
-    x, y = u[..., 0], u[..., 1]
-    shoelace = 0.5 * np.abs(
-        np.sum(x * np.roll(y, -1, axis=1) - np.roll(x, -1, axis=1) * y, axis=1)
-    )
+    shoelace = 0.5 * np.abs(np.sum(_cross(u, np.roll(u, -1, axis=1)), axis=1))
     tri = FACES[vertices.shape[1]][2]
     e1 = uv[:, tri[:, 1]] - uv[:, tri[:, 0]]
     e2 = uv[:, tri[:, 2]] - uv[:, tri[:, 0]]
-    t = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    t = 0.5 * np.abs(_cross(e1, e2))
     # angle-sorted shoelace undercounts when one point lies inside the hull
     return np.maximum(shoelace, np.max(t, axis=1, initial=0.0))
 
@@ -201,8 +185,8 @@ def _polytopes(zero_sets):
     axis) of each zero set, as two lists.
 
     Sets with equal vertex counts are stacked once, and the stack shares
-    one SVD, one determinant, one polygon-area pass and the face solves of
-    _axis_intervals.
+    one SVD, one determinant, one polygon-area pass and the orientation pass
+    of _axis_intervals.
     """
     counts = np.array([zeros.z.shape[0] for zeros in zero_sets], dtype=np.intp)
     if (counts == 0).any():
@@ -215,14 +199,14 @@ def _polytopes(zero_sets):
     for k in np.unique(counts).tolist():
         idx = np.flatnonzero(counts == k)
         v = points[starts[idx, None] + np.arange(k)]
-        center, _, vt, rank = _affine_frames(v)
+        vt, rank = _affine_frames(v)
         volume = np.zeros(idx.size)
         solid, flat = rank == 3, rank == 2
         if solid.any():
             volume[solid] = np.abs(np.linalg.det(v[solid, 1:] - v[solid, :1])) / 6.0
         if flat.any():
             volume[flat] = _polygon_areas(v[flat], vt[flat])
-        group = _axis_intervals(v, _solves_triangles(rank, center, vt))
+        group = _axis_intervals(v)
         for j, i in enumerate(idx.tolist()):
             polytopes[i] = ZeroPolytope(v[j], int(rank[j]), float(volume[j]))
             intervals[i] = group[j]
@@ -234,41 +218,13 @@ def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
     return _polytopes([zeros])[0][0]
 
 
-def _face_solves(sub: np.ndarray):
-    """Convex weights putting each face of an (..., m, 3) stack on the axis.
-
-    Solves [1; x; y] w = [1; 0; 0] in the least-squares, minimum-norm sense
-    with the LAPACK routine and default cutoff eps * max(3, m) of
-    np.linalg.lstsq, whose gufunc takes the whole stack, so each face gets
-    the bits of its own lstsq call. Returns the clipped, normalized weights
-    and the mask of faces whose residual is at most FACE_RESIDUAL_TOL and
-    whose weights are at least -WEIGHT_TOL.
-    """
-    m = sub.shape[-2]
-    a = np.empty(sub.shape[:-2] + (3, m))
-    a[..., 0, :] = 1.0
-    a[..., 1:, :] = sub[..., :2].swapaxes(-1, -2)
-    with np.errstate(all="ignore"):
-        w = _lstsq(a, _AXIS_RHS, np.finfo(float).eps * max(3, m), signature="ddd->ddid")[0][..., 0]
-    r = a @ w[..., None]
-    r[..., 0, 0] -= 1.0
-    residual = np.sqrt((r * r).sum(axis=(-2, -1)))
-    ok = (residual <= FACE_RESIDUAL_TOL) & (w.min(axis=-1) >= -WEIGHT_TOL)
-    w = np.clip(w, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = w / w.sum(axis=-1, keepdims=True)
-    return w, ok
-
-
-def _axis_intervals(vertices: np.ndarray, triangles: np.ndarray) -> list:
+def _axis_intervals(vertices: np.ndarray) -> list:
     """Axis zero interval of each polytope of an (M, k, 3) vertex stack
     (None where it misses the axis).
 
-    ``triangles`` tells per polytope whether its 3-vertex faces count
-    (_solves_triangles). Every face size is solved for the whole stack at
-    once: vertices on the axis, then pairs, then triples (see
-    axis_zero_interval for which faces count); the columns of the solves
-    are the rows of the vertex count's face table.
+    Each face size is decided for the whole stack at once from the
+    orientation signs that axis_zero_interval describes; the columns of the
+    pass are the rows of the vertex count's face table.
     """
     k = vertices.shape[1]
     faces, sizes = _FACE_TABLE[k]
@@ -281,17 +237,27 @@ def _axis_intervals(vertices: np.ndarray, triangles: np.ndarray) -> list:
         stop = cols.stop
         if table.shape[0] == 0:
             continue
-        sub = vertices[:, table]  # (M, F, size, 3)
-        if size == 1:
-            w = np.ones(sub.shape[:-1])
-            ok = np.hypot(sub[..., 0, 0], sub[..., 0, 1]) <= ON_AXIS_TOL
-            t = sub[..., 0, 2]
-        else:
-            w, ok = _face_solves(sub)
-            if size == 3:
-                ok &= triangles[:, None]
-            # a BLAS dot, as w @ z of one face
-            t = (w[..., None, :] @ sub[..., 2:])[..., 0, 0]
+        xy = vertices[:, table, :2]  # (M, F, size, 2)
+        norm = np.hypot(xy[..., 0], xy[..., 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if size == 1:
+                w = np.ones(norm.shape)
+                ok = norm[..., 0] <= ORIENTATION_TOL
+            elif size == 2:
+                a, b = xy[..., 0, :], xy[..., 1, :]
+                collinear = np.abs(_cross(a, b)) <= ORIENTATION_TOL * norm[..., 0] * norm[..., 1]
+                ok = collinear & ((a * b).sum(axis=-1) < 0.0)
+                w = norm[..., ::-1] / norm.sum(axis=-1, keepdims=True)
+            else:
+                # o_i = c(P_j, P_k) for (i, j, k) = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+                nxt, prv = [1, 2, 0], [2, 0, 1]
+                o = _cross(xy[..., nxt, :], xy[..., prv, :])
+                o[np.abs(o) <= ORIENTATION_TOL * norm[..., nxt] * norm[..., prv]] = 0.0
+                total = o.sum(axis=-1)
+                ok = ((o >= 0.0).all(axis=-1) | (o <= 0.0).all(axis=-1)) & (total != 0.0)
+                w = o / total[..., None]
+        # a BLAS dot, as w @ z of one face
+        t = (w[..., None, :] @ vertices[:, table, 2:])[..., 0, 0]
         p[:, cols] = np.clip(0.5 * (1.0 + t), 0.0, 1.0)
         hit[:, cols] = ok
         weights[:, cols, :size] = w
@@ -316,15 +282,16 @@ def _axis_intervals(vertices: np.ndarray, triangles: np.ndarray) -> list:
 def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     """Intersection of the polytope with the mixing axis, or None.
 
-    Enumerates faces (vertex subsets of size 1 to 3) and solves for
-    convex weights putting the combination on the axis. When the polytope
-    is flat and its plane contains the axis, 3-vertex faces are rank
-    deficient, and the boundary edges and vertices already delimit the
-    in-plane clip, so only subsets of size 1 and 2 are used there.
+    A face (vertex subset of size 1 to 3) meets the axis when the origin
+    lies in the hull of its xy projections P. With c(a, b) = a_x b_y - b_x a_y
+    taken as zero at or below ORIENTATION_TOL |a| |b|: a vertex hits when
+    |P_i| <= ORIENTATION_TOL; an edge when c(P_i, P_j) = 0 and P_i . P_j < 0,
+    with weights (|P_j|, |P_i|) / (|P_i| + |P_j|); a triangle when
+    (c(P_j, P_k), c(P_k, P_i), c(P_i, P_j)) share a sign and have a nonzero
+    sum, with weights those orientations over their sum. A zero-area
+    triangle, as in a flat polytope whose plane holds the axis, is skipped.
     """
-    v = polytope.vertices[None]
-    center, _, vt, _ = _affine_frames(v)
-    return _axis_intervals(v, _solves_triangles(np.array([polytope.dimension]), center, vt))[0]
+    return _axis_intervals(polytope.vertices[None])[0]
 
 
 def _axis_exits(anchors: np.ndarray, heights: np.ndarray):

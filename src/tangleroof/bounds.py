@@ -86,7 +86,7 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     One tau3_many call on 7N rows gives every pencil with its two exact
     ends; one finite_roots call gives the raw roots; one _polytopes pass
     gives every polytope and axis interval, spans with equal vertex counts
-    sharing their affine-frame SVD and their stacked face solves.
+    sharing their affine-frame SVD and their orientation pass.
     """
     amps1 = np.asarray(amps1, dtype=complex)
     amps2 = np.asarray(amps2, dtype=complex)

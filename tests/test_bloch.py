@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import tangleroof.bloch as bloch
 from tangleroof.bloch import (
     FACES,
+    ORIENTATION_TOL,
+    ZeroPolytope,
     _axis_boundary,
     _axis_exits,
-    _face_solves,
+    _axis_intervals,
     _polytopes,
     axis_point,
     axis_zero_interval,
@@ -208,10 +211,11 @@ def test_root_table_invariants(benchmark_inputs):
 def _lstsq_axis_interval(poly):
     """(p_low, p_high, witness_low, witness_high) by one lstsq call per face.
 
-    The per-face reference the stacked solves replace: faces of size 1 to 3
-    in size-then-index order, triangles only when the polytope is solid or
-    its plane misses the axis, residual and weight floors of 1e-9, and the
-    first face within 1e-12 of each extreme as its witness.
+    The independent per-face reference of the stacked orientation pass:
+    faces of size 1 to 3 in size-then-index order, triangles only when the
+    polytope is solid or its plane misses the axis, residual and weight
+    floors of 1e-9, and the first face within 1e-12 of each extreme as its
+    witness.
     """
     v = poly.vertices
     center = v.mean(axis=0)
@@ -274,21 +278,29 @@ def _interval_cases():
     return [build_polytope(zs) for zs in _interval_zero_sets()]
 
 
-def test_stacked_axis_interval_matches_per_face_lstsq():
+def _assert_matches_lstsq(poly):
+    """The interval of poly has the existence and witness faces of the
+    lstsq reference, and its endpoints and weights within 1e-14."""
+    iv, ref = axis_zero_interval(poly), _lstsq_axis_interval(poly)
+    assert (iv is None) == (ref is None)
+    if iv is None:
+        return ref
+    assert abs(iv.p_low - ref[0]) <= 1e-14 and abs(iv.p_high - ref[1]) <= 1e-14
+    for wit, (_, face, w) in ((iv.witness_low, ref[2]), (iv.witness_high, ref[3])):
+        assert wit.face == face
+        np.testing.assert_allclose(wit.weights, w, rtol=0.0, atol=1e-14)
+    return ref
+
+
+def test_stacked_axis_interval_matches_per_face_lstsq(benchmark_inputs):
     polytopes = _interval_cases()
+    pairs = benchmark_inputs.pair_set(1)
+    geoms = span_geometries(np.array([a for _, a, _ in pairs]), np.array([b for _, _, b in pairs]))
     flat_on_axis = 0
-    for poly in polytopes:
-        iv = axis_zero_interval(poly)
-        ref = _lstsq_axis_interval(poly)
-        assert (iv is None) == (ref is None)
-        if iv is None:
-            continue
-        flat_on_axis += poly.dimension == 2 and len(ref[2][1]) <= 2 and len(ref[3][1]) <= 2
-        # the stacked solves run lstsq's own LAPACK routine: equal bits
-        assert (iv.p_low, iv.p_high) == ref[:2]
-        for wit, (_, face, w) in ((iv.witness_low, ref[2]), (iv.witness_high, ref[3])):
-            assert wit.face == face
-            assert np.array_equal(wit.weights, w)
+    for poly in polytopes + [g.polytope for g in geoms if g.zeros is not None]:
+        ref = _assert_matches_lstsq(poly)
+        if ref is not None and poly.dimension == 2:
+            flat_on_axis += len(ref[2][1]) <= 2 and len(ref[3][1]) <= 2
     assert flat_on_axis > 0
     # a relative phase turns a real pair's polytope about the axis and
     # leaves its interval in place
@@ -320,20 +332,78 @@ def test_stacked_axis_interval_matches_per_face_lstsq():
             assert np.array_equal(iv.witness_high.weights, alone.witness_high.weights)
 
 
-def test_face_solve_cuts_rounding_level_singular_values():
-    # three points of a vertical great circle through the axis: the face
-    # matrix [1; x; y] has rank two up to a relative singular value of
-    # 1.6e-16, which the cutoff drops; solved without the cutoff, the
-    # weights turn negative and the face misses the axis
+def test_flat_triangle_through_the_axis_hits_by_its_edges(monkeypatch):
+    # three points of a vertical great circle through the axis: their xy
+    # projections lie on one line through the origin up to rounding
     sub = np.array([
         [0.13701499910014775, 0.863858997791803, -0.4847417064331563],
         [-0.033339044290432614, -0.2101976687020873, -0.9770902968497887],
         [-0.15371527482114983, -0.969151728820811, 0.19265653586185877],
     ])
-    w, ok = _face_solves(sub[None])
-    assert ok.tolist() == [True]
-    a = np.vstack([np.ones(3), sub[:, 0], sub[:, 1]])
-    ref = np.linalg.lstsq(a, np.array([1.0, 0.0, 0.0]), rcond=None)[0]
-    assert ref.min() > 0.0
-    assert np.array_equal(w[0], ref / ref.sum())
-    np.testing.assert_allclose(w[0] @ sub[:, :2], 0.0, atol=1e-15)
+    # the triangle alone is zero-area and skipped
+    triangle_only = (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 2), dtype=np.intp), FACES[3][2])
+    with monkeypatch.context() as m:
+        m.setitem(bloch.FACES, 3, triangle_only)
+        m.setitem(bloch._FACE_TABLE, 3, (FACES[3][2], np.array([3])))
+        assert _axis_intervals(sub[None]) == [None]
+    # with every face, the two edges that straddle the axis give the hits
+    iv = _axis_intervals(sub[None])[0]
+    assert (iv.witness_low.face, iv.witness_high.face) == ((0, 1), (0, 2))
+    ref = _lstsq_axis_interval(ZeroPolytope(sub, 2, 0.0))
+    assert abs(iv.p_low - ref[0]) <= 1e-15 and abs(iv.p_high - ref[1]) <= 1e-15
+    for wit in (iv.witness_low, iv.witness_high):
+        np.testing.assert_allclose(wit.weights @ sub[list(wit.face), :2], 0.0, atol=1e-15)
+
+
+def _sparse_real_polytopes(count):
+    """Polytopes of seeded real spans: about 60 % of the entries of an 8 x 2
+    Gaussian zeroed, then QR-orthonormalized; identically zero pencils are
+    left out."""
+    rng = np.random.default_rng(1)
+    out = []
+    while len(out) < count:
+        g = rng.standard_normal((8, 2))
+        g[rng.random((8, 2)) < 0.6] = 0.0
+        q = np.linalg.qr(g)[0].astype(complex)
+        geom = span_geometries(q[None, :, 0], q[None, :, 1])[0]
+        if geom.zeros is not None:
+            out.append(geom.polytope)
+    return out
+
+
+def _lstsq_mismatches(polytopes):
+    """(existence, witness-face) disagreements with the lstsq reference."""
+    exists = faces = 0
+    for poly in polytopes:
+        iv, ref = axis_zero_interval(poly), _lstsq_axis_interval(poly)
+        if (iv is None) != (ref is None):
+            exists += 1
+        elif iv is not None:
+            faces += (iv.witness_low.face, iv.witness_high.face) != (ref[2][1], ref[3][1])
+    return exists, faces
+
+
+def test_orientation_tolerance_is_needed(monkeypatch):
+    sparse = _sparse_real_polytopes(300)
+    family = [
+        build_polytope(zero_set(reduced_mixture(float(p), np.pi / 4)))
+        for p in np.linspace(0.0, 1.0, 101)[1:-1]
+    ]
+    assert ORIENTATION_TOL == 1e-9
+    assert _lstsq_mismatches(sparse) == (0, 0)
+    assert _lstsq_mismatches(family) == (0, 0)
+    # exact sign tests lose intervals of the sparse spans and move witnesses
+    # of the family grid, whose flat and rounding-level faces need the floor
+    monkeypatch.setattr(bloch, "ORIENTATION_TOL", 0.0)
+    assert _lstsq_mismatches(sparse)[0] > 0
+    assert _lstsq_mismatches(family)[1] > 0
+
+
+def test_toy_interval_bits(toy_rep):
+    iv = axis_zero_interval(build_polytope(zero_set(toy_mixture())))
+    assert (iv.p_low, iv.p_high) == (0.11422953894573701, 0.6928852305271315)
+    # the high witness's two conjugate vertices mirror in y: their two
+    # orientations, and so their weights, are bitwise equal
+    assert iv.witness_high.face == (0, 2, 3)
+    assert iv.witness_high.weights[1:].tolist() == [0.39881884862201866] * 2
+    assert toy_rep.weight_coincidence <= 1.2e-16
