@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pencil import ZeroSet
+from .pencil import ZeroSet, _padded
 from .states import PureState, RankTwoMixture, _row_norms
 
 __all__ = [
@@ -64,16 +64,11 @@ def axis_point(p: float) -> np.ndarray:
     return np.array([0.0, 0.0, 2.0 * float(p) - 1.0])
 
 
-# vertex subsets of size 1, 2 and 3 of a polytope with k vertices, one
-# (count, size) index array per size in lexicographic order; taken in that
-# order they list the faces by size, then by index
-FACES = {
-    k: tuple(
-        np.array(list(combinations(range(k), size)), dtype=np.intp).reshape(-1, size)
-        for size in (1, 2, 3)
-    )
-    for k in range(1, 5)
-}
+# vertex subsets of size 1, 2 and 3 of four vertices, one (count, size)
+# index array per size in lexicographic order; taken in that order they list
+# the faces by size, then by index. A set of k < 4 vertices is padded to four
+# by repeating its last one (pencil._padded), and its own faces come first
+FACES = tuple(np.array(list(combinations(range(4), size)), dtype=np.intp) for size in (1, 2, 3))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -81,28 +76,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# FACES[k] as one table in that order: the vertex indices of each face
+# FACES as one table in that order: the vertex indices of each face
 # zero-padded to 3 columns, and the face sizes
-_FACE_TABLE = {
-    k: tuple(map(_read_only, (
-        np.array([f + [0] * (3 - len(f)) for t in tables for f in t.tolist()], dtype=np.intp),
-        np.repeat(np.arange(1, 4), [t.shape[0] for t in tables]),
-    )))
-    for k, tables in FACES.items()
-}
+_FACE_TABLE = tuple(map(_read_only, (
+    np.array([f + [0] * (3 - len(f)) for t in FACES for f in t.tolist()], dtype=np.intp),
+    np.repeat(np.arange(1, 4), [t.shape[0] for t in FACES]),
+)))
 # quarter-step barycentric weights inside a face of each size, padded to 3
 # columns: the vertex itself, three points of an edge, three of a triangle
 _QUARTERS = {1: [[4, 0, 0]], 2: [[1, 3, 0], [2, 2, 0], [3, 1, 0]], 3: [[1, 1, 2], [1, 2, 1], [2, 1, 1]]}
-# the anchor grid of a k-vertex polytope: the _QUARTERS points of each face
-# of _FACE_TABLE[k] in turn, as (faces, weights, sizes) padded like it
-ANCHOR_GRID = {
-    k: tuple(map(_read_only, (
-        np.repeat(faces, np.where(sizes == 1, 1, 3), axis=0),
-        np.concatenate([_QUARTERS[size] for size in sizes.tolist()]) / 4.0,
-        np.repeat(sizes, np.where(sizes == 1, 1, 3)),
-    )))
-    for k, (faces, sizes) in _FACE_TABLE.items()
-}
+# the anchor grid: the _QUARTERS points of each face of _FACE_TABLE in turn,
+# as (faces, weights, sizes) padded like it; the rows whose faces lie within
+# the first k vertices are the grid of a k-vertex polytope
+ANCHOR_GRID = tuple(map(_read_only, (
+    np.repeat(_FACE_TABLE[0], np.where(_FACE_TABLE[1] == 1, 1, 3), axis=0),
+    np.concatenate([_QUARTERS[size] for size in _FACE_TABLE[1].tolist()]) / 4.0,
+    np.repeat(_FACE_TABLE[1], np.where(_FACE_TABLE[1] == 1, 1, 3)),
+)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +102,7 @@ class ZeroPolytope:
     Vertex j is the Bloch point of row j of the span's ZeroSet, whose
     states, axis coordinates and multiplicities belong to it. The faces
     tested against the axis are the vertex subsets of size 1 to 3 in
-    ``FACES[n_vertices]``.
+    ``FACES`` that lie within its ``n_vertices`` vertices.
     """
 
     vertices: np.ndarray
@@ -153,12 +143,14 @@ class AxisInterval:
     witness_high: IntervalWitness
 
 
-def _affine_frames(vertices: np.ndarray):
-    """Right singular vectors and affine rank of each (k, 3) point set of an
-    (M, k, 3) stack, from one SVD call."""
-    centered = vertices - vertices.mean(axis=1)[:, None, :]
+def _affine_frames(vertices: np.ndarray, count: np.ndarray):
+    """Centred points, right singular vectors and affine rank of each
+    padded (4, 3) point set of an (M, 4, 3) stack, from one SVD call; each
+    set is centred on the mean of its count distinct points."""
+    distinct = (np.arange(4) < count[:, None])[..., None]
+    centered = vertices - (np.where(distinct, vertices, 0.0).sum(axis=1) / count[:, None])[:, None, :]
     sv, vt = np.linalg.svd(centered, full_matrices=True)[1:]
-    return vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
+    return centered, vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,77 +158,64 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
 
 
-def _polygon_areas(vertices: np.ndarray, vt: np.ndarray) -> np.ndarray:
-    """Areas of (M, k, 3) planar point sets in the planes of vt[:, :2]."""
-    uv = (vertices - vertices.mean(axis=1)[:, None, :]) @ vt[:, :2].swapaxes(1, 2)
+def _polygon_areas(centered: np.ndarray, vt: np.ndarray) -> np.ndarray:
+    """Areas of (M, 4, 3) centred planar point sets in the planes of vt[:, :2]."""
+    uv = centered @ vt[:, :2].swapaxes(1, 2)
     order = np.argsort(np.arctan2(uv[..., 1], uv[..., 0]), axis=1)
     u = np.take_along_axis(uv, order[..., None], axis=1)
     shoelace = 0.5 * np.abs(np.sum(_cross(u, np.roll(u, -1, axis=1)), axis=1))
-    tri = FACES[vertices.shape[1]][2]
+    tri = FACES[2]
     e1 = uv[:, tri[:, 1]] - uv[:, tri[:, 0]]
     e2 = uv[:, tri[:, 2]] - uv[:, tri[:, 0]]
     t = 0.5 * np.abs(_cross(e1, e2))
     # angle-sorted shoelace undercounts when one point lies inside the hull
-    return np.maximum(shoelace, np.max(t, axis=1, initial=0.0))
+    return np.maximum(shoelace, np.max(t, axis=1))
 
 
-def _polytopes(zero_sets):
-    """Zero polytope and axis interval (None where the polytope misses the
-    axis) of each zero set, as two lists.
-
-    Sets with equal vertex counts are stacked once, and the stack shares
-    one SVD, one determinant, one polygon-area pass and the orientation pass
-    of _axis_intervals.
-    """
-    counts = np.array([zeros.z.shape[0] for zeros in zero_sets], dtype=np.intp)
-    if (counts == 0).any():
-        raise ValueError("empty zero set has no polytope")
-    polytopes, intervals = [None] * len(zero_sets), [None] * len(zero_sets)
-    if not zero_sets:
-        return polytopes, intervals
-    points = bloch_from_z(np.concatenate([zeros.z for zeros in zero_sets]))
-    starts = np.cumsum(counts) - counts
-    for k in np.unique(counts).tolist():
-        idx = np.flatnonzero(counts == k)
-        v = points[starts[idx, None] + np.arange(k)]
-        vt, rank = _affine_frames(v)
-        volume = np.zeros(idx.size)
-        solid, flat = rank == 3, rank == 2
-        if solid.any():
-            volume[solid] = np.abs(np.linalg.det(v[solid, 1:] - v[solid, :1])) / 6.0
-        if flat.any():
-            volume[flat] = _polygon_areas(v[flat], vt[flat])
-        group = _axis_intervals(v)
-        for j, i in enumerate(idx.tolist()):
-            polytopes[i] = ZeroPolytope(v[j], int(rank[j]), float(volume[j]))
-            intervals[i] = group[j]
-    return polytopes, intervals
+def _polytopes(z: np.ndarray, count: np.ndarray):
+    """Zero polytopes of an (M, 4) stack of padded roots with count distinct
+    roots each (pencil._zero_sets), as arrays: the (M, 4, 3) vertices, the
+    affine rank and the volume (the area of a flat polytope, 0 below rank 2)
+    of each row, and the _axis_intervals arrays, from one Bloch map, one
+    SVD, one determinant and polygon-area pass and one orientation pass."""
+    v = bloch_from_z(z)
+    centered, vt, rank = _affine_frames(v, count)
+    volume = np.where(rank == 3, np.abs(np.linalg.det(v[:, 1:] - v[:, :1])) / 6.0, 0.0)
+    flat = rank == 2
+    if flat.any():
+        volume[flat] = _polygon_areas(centered[flat], vt[flat])
+    return v, rank, volume, _axis_intervals(v)
 
 
 def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
     """Vertices, affine dimension, and volume of the zero polytope."""
-    return _polytopes([zeros])[0][0]
+    k = zeros.z.shape[0]
+    v, rank, volume, _ = _polytopes(_padded(zeros.z)[None], np.array([k]))
+    return ZeroPolytope(v[0, :k], int(rank[0]), float(volume[0]))
 
 
-def _axis_intervals(vertices: np.ndarray) -> list:
-    """Axis zero interval of each polytope of an (M, k, 3) vertex stack
-    (None where it misses the axis).
+def _axis_intervals(vertices: np.ndarray):
+    """Axis zero interval of each polytope of an (M, 4, 3) stack of padded
+    vertex sets, as arrays: ends (M, 2), the (p_low, p_high) of each row,
+    nan where it misses the axis; witness (M, 2), the _FACE_TABLE row of
+    the face of each end; and weights (M, 2, 3), that face's barycentric
+    weights padded with zeros.
 
     Each face size is decided for the whole stack at once from the
     orientation signs that axis_zero_interval describes; the columns of the
-    pass are the rows of the vertex count's face table.
+    pass are the rows of _FACE_TABLE. A face through a padding vertex either
+    repeats an earlier face bit for bit or holds one vertex twice, and then
+    never hits (P . P >= 0 on an edge; orientations 0, c and -c, summing to
+    exactly 0, on a triangle), so every witness lies within the real vertices.
     """
-    k = vertices.shape[1]
-    faces, sizes = _FACE_TABLE[k]
+    faces, sizes = _FACE_TABLE
     p = np.empty((vertices.shape[0], sizes.shape[0]))
     hit = np.zeros(p.shape, dtype=bool)
     weights = np.zeros(p.shape + (3,))
     stop = 0
-    for size, table in enumerate(FACES[k], start=1):
+    for size, table in enumerate(FACES, start=1):
         cols = slice(stop, stop + table.shape[0])
         stop = cols.stop
-        if table.shape[0] == 0:
-            continue
         xy = vertices[:, table, :2]  # (M, F, size, 2)
         norm = np.hypot(xy[..., 0], xy[..., 1])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -261,22 +240,21 @@ def _axis_intervals(vertices: np.ndarray) -> list:
         p[:, cols] = np.clip(0.5 * (1.0 + t), 0.0, 1.0)
         hit[:, cols] = ok
         weights[:, cols, :size] = w
-    p_low = np.where(hit, p, np.inf).min(axis=1)
-    p_high = np.where(hit, p, -np.inf).max(axis=1)
+    ends = np.stack([np.where(hit, p, np.inf).min(axis=1), np.where(hit, p, -np.inf).max(axis=1)], axis=1)
     # the witness is the first face, by size then index, within 1e-12 of the
     # extreme
-    f_low = np.argmax(hit & (np.abs(p - p_low[:, None]) <= 1e-12), axis=1)
-    f_high = np.argmax(hit & (np.abs(p - p_high[:, None]) <= 1e-12), axis=1)
-    out: list = [None] * vertices.shape[0]
-    for j in np.flatnonzero(hit.any(axis=1)).tolist():
-        lo, hi = f_low[j], f_high[j]
-        out[j] = AxisInterval(
-            float(p_low[j]),
-            float(p_high[j]),
-            IntervalWitness(faces[lo, :sizes[lo]], weights[j, lo, :sizes[lo]]),
-            IntervalWitness(faces[hi, :sizes[hi]], weights[j, hi, :sizes[hi]]),
-        )
-    return out
+    witness = np.argmax(hit[:, None] & (np.abs(p[:, None] - ends[..., None]) <= 1e-12), axis=2)
+    ends[~hit.any(axis=1)] = np.nan
+    return ends, witness, np.take_along_axis(weights, witness[..., None], axis=1)
+
+
+def _interval(ends: np.ndarray, witness: np.ndarray, weights: np.ndarray) -> Optional[AxisInterval]:
+    """AxisInterval of one row of the _axis_intervals arrays, or None."""
+    if np.isnan(ends[0]):
+        return None
+    faces, sizes = _FACE_TABLE
+    low, high = (IntervalWitness(faces[f, : sizes[f]], w[: sizes[f]]) for f, w in zip(witness, weights))
+    return AxisInterval(float(ends[0]), float(ends[1]), low, high)
 
 
 def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
@@ -291,7 +269,7 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     sum, with weights those orientations over their sum. A zero-area
     triangle, as in a flat polytope whose plane holds the axis, is skipped.
     """
-    return _axis_intervals(polytope.vertices[None])[0]
+    return _interval(*(a[0] for a in _axis_intervals(_padded(polytope.vertices)[None])))
 
 
 def _axis_exits(anchors: np.ndarray, heights: np.ndarray):

@@ -24,6 +24,7 @@ from .bloch import (
     ZeroPolytope,
     _axis_boundary,
     _axis_exits,
+    _interval,
     _polytopes,
     _read_only,
     _span_amplitudes,
@@ -85,24 +86,22 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
 
     One tau3_many call on 7N rows gives every pencil with its two exact
     ends; one finite_roots call gives the raw roots; one _polytopes pass
-    gives every polytope and axis interval, spans with equal vertex counts
-    sharing their affine-frame SVD and their orientation pass.
+    over the root tables, each padded to four roots, gives every polytope
+    and axis interval as arrays, from which the per-span objects are built
+    here.
     """
     amps1 = np.asarray(amps1, dtype=complex)
     amps2 = np.asarray(amps2, dtype=complex)
     if amps1.ndim != 2 or amps1.shape[1] != 8 or amps2.shape != amps1.shape:
         raise ValueError("span geometries need two (N, 8) amplitude stacks")
     coeffs = _pencils(amps1, amps2)
-    zero_sets = _zero_sets(coeffs, amps1, amps2)
-    live = [zs for zs in zero_sets if zs is not None]
-    pieces = iter(zip(*_polytopes(live)))
-    out = []
-    for n, zeros in enumerate(zero_sets):
-        if zeros is None:
-            out.append(SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True))
-            continue
-        polytope, interval = next(pieces)
-        out.append(SpanGeometry(coeffs[n], zeros, polytope, interval, False))
+    roots = _zero_sets(coeffs, amps1, amps2)
+    vertices, rank, volume, intervals = _polytopes(roots.z, roots.count)
+    out = [SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True) for _ in coeffs]
+    for j, (n, k) in enumerate(zip(roots.live.tolist(), roots.count.tolist())):
+        polytope = ZeroPolytope(vertices[j, :k], int(rank[j]), float(volume[j]))
+        interval = _interval(*(a[j] for a in intervals))
+        out[n] = SpanGeometry(coeffs[n], roots.zero_set(j), polytope, interval, False)
     return out
 
 
@@ -225,9 +224,10 @@ _NO_ANCHORS = AnchorSet(*map(_read_only, (
 def default_anchors(
     mix: RankTwoMixture, geometry: Optional[SpanGeometry] = None
 ) -> AnchorSet:
-    """Anchor table: the polytope's ANCHOR_GRID (each vertex, three
-    quarter points per edge and three interior points per triangle), then
-    the two axis interval points; empty without a polytope.
+    """Anchor table: the rows of ANCHOR_GRID within the polytope's vertices
+    (each vertex, three quarter points per edge and three interior points
+    per triangle), then the two axis interval points; empty without a
+    polytope.
 
     The grid points come from one product. Rows whose points agree to 12
     decimals (an axis point on a grid point, or the overlapping triangles of
@@ -237,7 +237,8 @@ def default_anchors(
     if geom.polytope is None:
         return _NO_ANCHORS
     v = geom.polytope.vertices
-    faces, weights, sizes = ANCHOR_GRID[v.shape[0]]
+    within = ANCHOR_GRID[0].max(axis=1) < v.shape[0]
+    faces, weights, sizes = (a[within] for a in ANCHOR_GRID)
     # a stacked (1, 3) @ (3, 3) matmul: each point has the bits of its own row
     points = (weights[:, None, :] @ v[faces])[:, 0]
     if geom.interval is not None:

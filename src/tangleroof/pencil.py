@@ -9,7 +9,7 @@ infinity (the pure psi2 end), so the root count is always exactly 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -273,21 +273,31 @@ def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int):
     return z, multiplicity
 
 
-def _roots_many(coeffs: np.ndarray) -> list:
-    """(z, multiplicity) of each row of an (N, 5) stack, as _extended_roots
-    gives them; None for a row with max|c| <= COEFF_TOL.
+def _padded(a: np.ndarray) -> np.ndarray:
+    """The rows of a followed by copies of its last row, DEGREE rows in all."""
+    return a[np.minimum(np.arange(DEGREE), a.shape[0] - 1)]
 
-    The raw roots of every row come from one finite_roots call; the
-    clustering and ordering run per row.
+
+def _roots_many(coeffs: np.ndarray):
+    """Root tables of the rows live of an (N, 5) stack, those with
+    max|c| > COEFF_TOL, as (live, count, z, multiplicity).
+
+    Row j of the (L, 4) arrays z and multiplicity holds the count[j]
+    distinct roots of row live[j] that _extended_roots gives, _padded to 4
+    (multiplicity 0 in the padding). The raw roots of every row come from
+    one finite_roots call; the clustering and ordering run per row.
     """
     peaks = np.max(np.abs(coeffs), axis=1)
     live = np.nonzero(~(peaks <= COEFF_TOL))[0]
-    out: list = [None] * coeffs.shape[0]
-    if live.size:
-        raw, n_inf = finite_roots(coeffs[live])
-        for i, row, k in zip(live.tolist(), raw, n_inf.tolist()):
-            out[i] = _extended_roots(coeffs[i], row[: DEGREE - k], k)
-    return out
+    count = np.zeros(live.shape, dtype=np.intp)
+    z = np.empty((live.size, DEGREE), dtype=complex)
+    multiplicity = np.zeros((live.size, DEGREE), dtype=int)
+    raw, n_inf = finite_roots(coeffs[live])
+    for j, (i, row, k) in enumerate(zip(live.tolist(), raw, n_inf.tolist())):
+        roots, mult = _extended_roots(coeffs[i], row[: DEGREE - k], k)
+        count[j] = roots.shape[0]
+        z[j], multiplicity[j, : count[j]] = _padded(roots), mult
+    return live, count, z, multiplicity
 
 
 _IDENTICALLY_ZERO = "all pencil coefficients vanish; every state in the span has zero tangle"
@@ -312,42 +322,50 @@ def polynomial_roots(poly: np.ndarray):
     c = np.asarray(poly, dtype=complex).ravel()
     if c.shape[0] != DEGREE + 1:
         raise ValueError(f"expected {DEGREE + 1} coefficients, got {c.shape[0]}")
-    roots = _roots_many(c[None, :])[0]
-    if roots is None:
+    live, count, z, multiplicity = _roots_many(c[None, :])
+    if not live.size:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
-    return roots
+    return z[0, : count[0]], multiplicity[0, : count[0]]
 
 
-def _zero_sets(coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray) -> list:
-    """Zero set of each pair of rows of two (N, 8) stacks whose pencils are coeffs.
+class _RootTables(NamedTuple):
+    """The padded root tables of _roots_many with the axis coordinates,
+    phases and normalized states of their roots, each (L, 4, ...)."""
 
-    None marks an identically vanishing pencil. The axis coordinates,
-    phases and states of the roots of all pencils are computed in one pass
-    each; the state of a root at infinity is the pure amps2 end.
+    live: np.ndarray
+    count: np.ndarray
+    z: np.ndarray
+    multiplicity: np.ndarray
+    p0: np.ndarray
+    phases: np.ndarray
+    amps: np.ndarray
+
+    def zero_set(self, j: int) -> ZeroSet:
+        """ZeroSet of row j, its distinct roots only."""
+        k = self.count[j]
+        states = [PureState(3, amp) for amp in self.amps[j, :k]]
+        return ZeroSet(self.z[j, :k], self.multiplicity[j, :k], self.p0[j, :k], self.phases[j, :k], states)
+
+
+def _zero_sets(coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray) -> _RootTables:
+    """Padded root tables of the pairs of rows of two (N, 8) stacks whose
+    pencils are coeffs; identically vanishing pencils are left out.
+
+    The axis coordinates, phases and states of the roots of all pencils
+    are computed in one pass each; the state of a root at infinity is the
+    pure amps2 end.
     """
-    all_roots = _roots_many(coeffs)
-    live = [n for n, roots in enumerate(all_roots) if roots is not None]
-    out: list = [None] * len(all_roots)
-    if not live:
-        return out
-    z = np.concatenate([all_roots[n][0] for n in live])
-    counts = [all_roots[n][0].shape[0] for n in live]
-    rows = np.repeat(live, counts)
+    live, count, z, multiplicity = _roots_many(coeffs)
     finite = np.isfinite(z)
-    amps = amps2[rows].astype(complex, copy=False)
-    at_roots = amps1[rows[finite]] + z[finite, None] * amps2[rows[finite]]
+    rows = np.nonzero(finite)[0]
+    amps = np.repeat(amps2[live, None], DEGREE, axis=1)
+    at_roots = amps1[live[rows]] + z[finite, None] * amps2[live[rows]]
     amps[finite] = at_roots / _row_norms(at_roots)[:, None]
     # the C hypot and pow of Python's abs(z) ** 2 on a complex scalar, whose
     # bits np.abs and ** on arrays do not always keep; 1 / (1 + inf) is the
     # 0 of the root at infinity
     p0 = 1.0 / (1.0 + np.float_power(np.hypot(z.real, z.imag), 2.0))
-    phases = np.angle(z)
-    stops = np.cumsum(counts).tolist()
-    for n, start, stop in zip(live, [0] + stops, stops):
-        table = slice(start, stop)
-        states = [PureState(3, amp) for amp in amps[table]]
-        out[n] = ZeroSet(z[table], all_roots[n][1], p0[table], phases[table], states)
-    return out
+    return _RootTables(live, count, z, multiplicity, p0, np.angle(z), amps)
 
 
 def zero_set(mix: RankTwoMixture) -> ZeroSet:
@@ -355,7 +373,7 @@ def zero_set(mix: RankTwoMixture) -> ZeroSet:
     if mix.n_qubits != 3:
         raise ValueError("zero sets are defined for 3-qubit mixtures")
     a1, a2 = mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :]
-    zeros = _zero_sets(_pencils(a1, a2), a1, a2)[0]
-    if zeros is None:
+    roots = _zero_sets(_pencils(a1, a2), a1, a2)
+    if not roots.live.size:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
-    return zeros
+    return roots.zero_set(0)

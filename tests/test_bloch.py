@@ -9,6 +9,7 @@ from tangleroof.bloch import (
     _axis_boundary,
     _axis_exits,
     _axis_intervals,
+    _interval,
     _polytopes,
     axis_point,
     axis_zero_interval,
@@ -17,9 +18,9 @@ from tangleroof.bloch import (
     state_from_bloch,
 )
 from tangleroof._kernels import tau3_many
-from tangleroof.bounds import span_geometries
+from tangleroof.bounds import default_anchors, span_geometries
 from tangleroof.invariants import c3
-from tangleroof.pencil import zero_set
+from tangleroof.pencil import _padded, zero_set
 from tangleroof.scenarios import reduced_mixture, toy_mixture
 from tangleroof.states import PureState, RankTwoMixture, inner_product, make_ghz, make_w
 
@@ -51,7 +52,8 @@ def test_build_polytope_toy_shape():
     assert poly.n_vertices == 4
     assert poly.dimension == 3
     assert poly.volume > 0.1
-    assert [len(table) for table in FACES[poly.n_vertices]] == [4, 6, 4]
+    # the one face table is that of four vertices
+    assert [len(table) for table in FACES] == [4, 6, 4]
     norms = np.linalg.norm(poly.vertices, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -225,8 +227,9 @@ def _lstsq_axis_interval(poly):
     )
     use_triangles = poly.dimension == 3 or (poly.dimension == 2 and not contains_axis)
     hits = []
-    for table in FACES[poly.n_vertices]:
-        for face in map(tuple, table.tolist()):
+    for table in FACES:
+        # the faces of the table that lie within the polytope's vertices
+        for face in (f for f in map(tuple, table.tolist()) if max(f) < poly.n_vertices):
             sub = v[list(face)]
             if len(face) == 1:
                 if np.hypot(sub[0, 0], sub[0, 1]) > 1e-9:
@@ -267,10 +270,14 @@ def _interval_zero_sets():
     for a, b in pairs[12:24]:
         phase = np.exp(1j * rng.uniform(0.2, 1.4))
         pairs.append((a, PureState(3, phase * b.amplitudes)))
-    ket000, ket111 = np.zeros(8, dtype=complex), np.zeros(8, dtype=complex)
-    ket000[0] = ket111[7] = 1.0
-    pairs.append((PureState(3, ket000), PureState(3, ket111)))
+    ket = np.eye(8, dtype=complex)
+    pairs.append((PureState(3, ket[0]), PureState(3, ket[7])))
     pairs.append((make_ghz(3), make_w(3)))
+    # |111> with (|010> - |101>)/sqrt(2): one quadruple root at 0; and
+    # (-|000> - |011> - |101> + |110>)/2 with -|010>: the roots -1 and 1
+    # and a double root at infinity
+    pairs.append((PureState(3, ket[7]), PureState(3, (ket[2] - ket[5]) / np.sqrt(2.0))))
+    pairs.append((PureState(3, (-ket[0] - ket[3] - ket[5] + ket[6]) / 2.0), PureState(3, -ket[2])))
     return [zero_set(RankTwoMixture(a, b, 0.5)) for a, b in pairs]
 
 
@@ -313,22 +320,34 @@ def test_stacked_axis_interval_matches_per_face_lstsq(benchmark_inputs):
             assert abs(a.p_low - b.p_low) <= 1e-12 and abs(a.p_high - b.p_high) <= 1e-12
     assert turned_flat > 0
     # |000>/|111>: double roots at both poles, the whole axis
-    iv = axis_zero_interval(polytopes[-2])
-    assert polytopes[-2].n_vertices == 2
+    iv = axis_zero_interval(polytopes[48])
+    assert polytopes[48].n_vertices == 2
     assert (iv.p_low, iv.p_high) == (0.0, 1.0)
     assert (iv.witness_low.face, iv.witness_high.face) == ((1,), (0,))
     # GHZ3/W3: one root at infinity, the south pole
-    assert polytopes[-1].vertices[-1].tolist() == [0.0, 0.0, -1.0]
+    assert polytopes[49].vertices[-1].tolist() == [0.0, 0.0, -1.0]
+    # one vertex, the north pole, and a flat triangle through the axis
+    iv = axis_zero_interval(polytopes[50])
+    assert polytopes[50].n_vertices == 1 and (iv.p_low, iv.p_high) == (1.0, 1.0)
+    iv = axis_zero_interval(polytopes[51])
+    assert (polytopes[51].n_vertices, polytopes[51].dimension) == (3, 2)
+    assert polytopes[51].volume == pytest.approx(1.0, rel=1e-15)
+    assert (iv.p_low, iv.p_high) == (0.0, 0.5)
     # a stack of zero sets with mixed vertex counts gives each its own
-    # polytope and interval, from the one stacked pass
-    stacked_polytopes, stacked = _polytopes(_interval_zero_sets())
-    for poly, stacked_poly, iv in zip(polytopes, stacked_polytopes, stacked):
-        assert np.array_equal(stacked_poly.vertices, poly.vertices)
-        alone = axis_zero_interval(poly)
+    # polytope and interval, from the one padded pass
+    zero_sets = _interval_zero_sets()
+    count = np.array([zs.z.shape[0] for zs in zero_sets])
+    assert set(count.tolist()) == {1, 2, 3, 4}
+    vertices, rank, volume, intervals = _polytopes(np.array([_padded(zs.z) for zs in zero_sets]), count)
+    for j, (poly, k) in enumerate(zip(polytopes, count.tolist())):
+        assert np.array_equal(vertices[j, :k], poly.vertices)
+        assert (rank[j], volume[j]) == (poly.dimension, poly.volume)
+        iv, alone = _interval(*(a[j] for a in intervals)), axis_zero_interval(poly)
         assert (iv is None) == (alone is None)
         if iv is not None:
             assert (iv.p_low, iv.p_high) == (alone.p_low, alone.p_high)
-            assert iv.witness_low.face == alone.witness_low.face
+            assert (iv.witness_low.face, iv.witness_high.face) == (alone.witness_low.face, alone.witness_high.face)
+            assert np.array_equal(iv.witness_low.weights, alone.witness_low.weights)
             assert np.array_equal(iv.witness_high.weights, alone.witness_high.weights)
 
 
@@ -340,14 +359,14 @@ def test_flat_triangle_through_the_axis_hits_by_its_edges(monkeypatch):
         [-0.033339044290432614, -0.2101976687020873, -0.9770902968497887],
         [-0.15371527482114983, -0.969151728820811, 0.19265653586185877],
     ])
-    # the triangle alone is zero-area and skipped
-    triangle_only = (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 2), dtype=np.intp), FACES[3][2])
+    # the triangle (0, 1, 2) alone is zero-area and skipped
+    triangle = FACES[2][:1]
     with monkeypatch.context() as m:
-        m.setitem(bloch.FACES, 3, triangle_only)
-        m.setitem(bloch._FACE_TABLE, 3, (FACES[3][2], np.array([3])))
-        assert _axis_intervals(sub[None]) == [None]
+        m.setattr(bloch, "FACES", (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 2), dtype=np.intp), triangle))
+        m.setattr(bloch, "_FACE_TABLE", (triangle, np.array([3])))
+        assert np.isnan(_axis_intervals(_padded(sub)[None])[0]).all()
     # with every face, the two edges that straddle the axis give the hits
-    iv = _axis_intervals(sub[None])[0]
+    iv = axis_zero_interval(ZeroPolytope(sub, 2, 0.0))
     assert (iv.witness_low.face, iv.witness_high.face) == ((0, 1), (0, 2))
     ref = _lstsq_axis_interval(ZeroPolytope(sub, 2, 0.0))
     assert abs(iv.p_low - ref[0]) <= 1e-15 and abs(iv.p_high - ref[1]) <= 1e-15
@@ -355,10 +374,10 @@ def test_flat_triangle_through_the_axis_hits_by_its_edges(monkeypatch):
         np.testing.assert_allclose(wit.weights @ sub[list(wit.face), :2], 0.0, atol=1e-15)
 
 
-def _sparse_real_polytopes(count):
-    """Polytopes of seeded real spans: about 60 % of the entries of an 8 x 2
-    Gaussian zeroed, then QR-orthonormalized; identically zero pencils are
-    left out."""
+def _sparse_real_spans(count):
+    """(mixture, geometry) of seeded real spans: about 60 % of the entries of
+    an 8 x 2 Gaussian zeroed, then QR-orthonormalized; identically zero
+    pencils are left out."""
     rng = np.random.default_rng(1)
     out = []
     while len(out) < count:
@@ -367,8 +386,22 @@ def _sparse_real_polytopes(count):
         q = np.linalg.qr(g)[0].astype(complex)
         geom = span_geometries(q[None, :, 0], q[None, :, 1])[0]
         if geom.zeros is not None:
-            out.append(geom.polytope)
+            out.append((RankTwoMixture(PureState(3, q[:, 0]), PureState(3, q[:, 1]), 0.5), geom))
     return out
+
+
+def test_padding_never_leaks():
+    # every vertex set is padded to four by repeating its last vertex; no
+    # witness or anchor may name a padding vertex
+    spans = _sparse_real_spans(300)
+    assert {geom.polytope.n_vertices for _, geom in spans} == {1, 2, 3, 4}
+    for mix, geom in spans:
+        k = geom.polytope.n_vertices
+        if geom.interval is not None:
+            assert max(geom.interval.witness_low.face + geom.interval.witness_high.face) < k
+        anchors = default_anchors(mix, geom)
+        assert anchors.faces.max() < k
+        assert len({tuple(p) for p in np.round(anchors.points, 12).tolist()}) == len(anchors)
 
 
 def _lstsq_mismatches(polytopes):
@@ -384,7 +417,7 @@ def _lstsq_mismatches(polytopes):
 
 
 def test_orientation_tolerance_is_needed(monkeypatch):
-    sparse = _sparse_real_polytopes(300)
+    sparse = [geom.polytope for _, geom in _sparse_real_spans(300)]
     family = [
         build_polytope(zero_set(reduced_mixture(float(p), np.pi / 4)))
         for p in np.linspace(0.0, 1.0, 101)[1:-1]

@@ -679,7 +679,7 @@ def _reference_anchors(geom):
         ):
             candidates.append((axis_point(p), wit.face, wit.weights))
     grid = [np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)]
-    for face in FACES[v.shape[0]][2].tolist():
+    for face in (f for f in FACES[2].tolist() if max(f) < v.shape[0]):
         candidates.extend((w @ v[face], tuple(face), w) for w in grid)
     return _first_of_equal_points(candidates)
 

@@ -170,7 +170,7 @@ def test_extended_root_properties():
     c = np.zeros(5, dtype=complex)
     c[:2] = npoly.polyfromroots([1.0 + 1.0j])
     ket = np.eye(8, dtype=complex)
-    zs = pencil._zero_sets(c[None, :], ket[None, 0], ket[None, 7])[0]
+    zs = pencil._zero_sets(c[None, :], ket[None, 0], ket[None, 7]).zero_set(0)
     assert zs.z.tolist() == [1.0 + 1.0j, complex(np.inf)]
     assert zs.multiplicity.tolist() == [1, 3]
     np.testing.assert_allclose(zs.p0, [1.0 / 3.0, 0.0], rtol=0.0, atol=1e-15)
