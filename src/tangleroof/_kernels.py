@@ -6,13 +6,15 @@ Inside the span of a pair (psi1, psi2) the tangle is the binary quartic
     tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k,
 
 where c_0..c_4 are the coefficients of the pencil P(z) = tau3(psi1 + z psi2)
-(``pencil_polynomial``, the one vector that the roots read too):
-c_1..c_3 interpolated and c_0 = tau3(psi1) and c_4 = tau3(psi2) exact.
-``tau3_many`` evaluates the polynomial on full amplitude rows, the
-interpolation nodes and the two pure ends of each pencil in one call; every
-span state is then evaluated by ``quartic_form`` on its two span coordinates.
+(``pencil_polynomial``, the one vector that the roots read too).
+``tau3_products`` evaluates the polynomial, written once as a table of
+amplitude products: ``tau3_many`` on full amplitude rows, and
+``pencil._pencils`` on the linear polynomials psi1_i + z psi2_i; every span
+state is then evaluated by ``quartic_form`` on its two span coordinates.
 """
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -26,40 +28,36 @@ def backend_name() -> str:
     return "numpy"
 
 
+# tau3 = 4 (d1 - 2 d2 + 4 d3) (Coffman, Kundu and Wootters, PRA 61, 052306,
+# 2000) in the amplitudes a_i, with p_k = a_i a_j for the pairs (i, j) of
+# TAU3_PAIRS: d1 and d2 sum p_k p_l over the (k, l) of TAU3_D1 and TAU3_D2,
+# and d3 the products ((a_i a_j) a_k) a_l of TAU3_FOURFOLD.
+TAU3_PAIRS = ((0, 7), (3, 4), (5, 2), (6, 1))
+TAU3_D1 = ((0, 0), (1, 1), (2, 2), (3, 3))
+TAU3_D2 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+TAU3_FOURFOLD = ((0, 6, 5, 3), (7, 1, 2, 4))
+_PAIRS, _TERMS, _CHAINS = (np.array(t).T for t in (TAU3_PAIRS, TAU3_D1 + TAU3_D2, TAU3_FOURFOLD))
+
+
+def tau3_products(a: np.ndarray, mul=np.multiply) -> np.ndarray:
+    """The tangle polynomial of a stack a whose axis 0 runs over the 8
+    amplitudes, with mul as the product (pencil._pencils passes linear
+    polynomials and _polymul). Each kind of product is taken for all its
+    index pairs at once, as mul(left, right); sums run left to right."""
+    p = mul(a.take(_PAIRS[0], axis=0), a.take(_PAIRS[1], axis=0))
+    d = mul(p.take(_TERMS[0], axis=0), p.take(_TERMS[1], axis=0))
+    n1 = len(TAU3_D1)
+    d1, d2, d3 = (reduce(np.add, t) for t in (d[:n1], d[n1:], reduce(mul, a.take(_CHAINS, axis=0))))
+    return 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
+
+
 def tau3_many(amps: np.ndarray) -> np.ndarray:
     """Degree-4 tangle polynomial for each row of an (m, 8) amplitude array.
 
     Rows need not be normalized; the value scales with the fourth power of
     the row norm. Index convention: bit b2b1b0 with qubit 0 most significant.
     """
-    a = np.asarray(amps, dtype=complex)
-    p1 = a[:, 0] * a[:, 7]
-    p2 = a[:, 3] * a[:, 4]
-    p3 = a[:, 5] * a[:, 2]
-    p4 = a[:, 6] * a[:, 1]
-    # 4 (d1 - 2 d2 + 4 d3), accumulated in place in the order of that formula:
-    # d1 = p1^2 + p2^2 + p3^2 + p4^2, d2 = p1 p2 + p1 p3 + p1 p4 + p2 p3 +
-    # p2 p4 + p3 p4 and d3 = a0 a6 a5 a3 + a7 a1 a2 a4, each summed left to right
-    t = np.empty_like(p1)
-    d1 = p1 * p1
-    for x in (p2, p3, p4):
-        d1 += np.multiply(x, x, out=t)
-    d2 = p1 * p2
-    for x, y in ((p1, p3), (p1, p4), (p2, p3), (p2, p4), (p3, p4)):
-        d2 += np.multiply(x, y, out=t)
-    d3 = np.multiply(a[:, 0], a[:, 6], out=p1)  # p1 is free once d2 is formed
-    d3 *= a[:, 5]
-    d3 *= a[:, 3]
-    np.multiply(a[:, 7], a[:, 1], out=t)
-    t *= a[:, 2]
-    t *= a[:, 4]
-    d3 += t
-    d2 *= 2
-    d1 -= d2
-    d3 *= 4
-    d1 += d3
-    d1 *= 4
-    return d1
+    return tau3_products(np.asarray(amps, dtype=complex).T)
 
 
 def quartic_form(c: np.ndarray, a, b) -> np.ndarray:

@@ -30,7 +30,7 @@ from .bloch import (
     _span_amplitudes,
     axis_point,
 )
-from .pencil import ZeroSet, _pencils, _zero_sets, pencil_polynomial
+from .pencil import ZeroSet, _pencils, _zero_sets
 from .states import PureState, RankTwoMixture, _check_count
 
 __all__ = [
@@ -84,8 +84,8 @@ class SpanGeometry:
 def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks.
 
-    One tau3_many call on 7N rows gives every pencil with its two exact
-    ends; one finite_roots call gives the raw roots; one _polytopes pass
+    One _pencils call multiplies out every pencil, its two ends exact;
+    one finite_roots call gives the raw roots; one _polytopes pass
     over the root tables, each padded to four roots, gives every polytope
     and axis interval as arrays, from which the per-span objects are built
     here.
@@ -170,14 +170,16 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
 
     The latitude circle of the span's Bloch sphere at height 2p - 1, read
     at longitude phi + pi: the quartic form at a = sqrt(p) and
-    b = -e^{i phi} sqrt(1 - p). Raises ValueError for a p outside [0, 1]
-    or a non-finite phi.
+    b = -e^{i phi} sqrt(1 - p). Raises ValueError for a mixture that is not
+    of 3 qubits, a p outside [0, 1] or a non-finite phi.
     """
+    if mix.n_qubits != 3:
+        raise ValueError("characteristic curves are defined for 3-qubit mixtures")
     ps = np.asarray(grid, dtype=float)
     _check_p(ps)
     if not np.isfinite(phi):
         raise ValueError(f"phi must be finite, got {phi}")
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2)
+    coeffs = _pencils(mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :])[0]
     tau = quartic_form(coeffs, np.sqrt(ps), -np.exp(1j * phi) * np.sqrt(1.0 - ps))
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
 

@@ -29,10 +29,6 @@ DEGREE = 4
 COEFF_TOL = 1e-10
 CLUSTER_TOL = 1e-6
 
-# interpolation nodes: 5th roots of unity, Vandermonde inverted once
-_NODES = np.exp(2j * np.pi * np.arange(DEGREE + 1) / (DEGREE + 1))
-_VANDERMONDE_INV = np.linalg.inv(np.vander(_NODES, DEGREE + 1, increasing=True))
-
 
 class IdenticallyZeroPencilError(Exception):
     """Every state in the span has zero tangle; the zero set is the whole ball."""
@@ -68,29 +64,28 @@ class ZeroSet:
         object.__setattr__(self, "states", tuple(self.states))
 
 
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Products of stacked polynomials, ascending coefficients along axis 1.
+    Coefficient k sums the terms p_(k-j) * q_j over ascending j, so the
+    lowest and highest ones are the single products p_0 q_0 and p_top q_top."""
+    terms = p[:, :, None] * q[:, None]
+    out = np.concatenate((terms[:, :, 0], terms[:, -1, 1:]), axis=1)
+    for j in range(1, q.shape[1]):
+        out[:, j : j + p.shape[1] - 1] += terms[:, :-1, j]
+    return out
+
+
 def _pencils(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
     """(N, 5) pencil coefficients of stacked 3-qubit pairs.
 
-    amps1 and amps2 are (N, 8) amplitude stacks. One tau3_many call on 7N
-    rows evaluates each pencil amps1[n] + z*amps2[n] at the 5 roots of unity
-    and the tangles of both pure ends. Row n holds c_1..c_3 interpolated
-    from the node values, and c_0 = tau3(amps1[n]) and c_4 = tau3(amps2[n])
-    exactly, so a pure end whose tangle vanishes by structure reads 0.
+    The amplitudes of amps1[n] + z*amps2[n] are linear polynomials in z,
+    multiplied out by _kernels.tau3_products with no nodes and no division.
+    So c_0 and c_4 are tau3_many of amps1[n] and amps2[n] bit for bit, a
+    coefficient that vanishes by structure reads 0, and a real pair has
+    real coefficients.
     """
-    n = amps1.shape[0]
-    # the 7 rows of each pencil are built in place: the nodes, then both ends
-    rows = np.empty((n, DEGREE + 3, 8), dtype=complex)
-    nodes = rows[:, : DEGREE + 1]
-    np.multiply(_NODES[None, :, None], amps2[:, None, :], out=nodes)
-    nodes += amps1[:, None, :]
-    rows[:, DEGREE + 1] = amps1
-    rows[:, DEGREE + 2] = amps2
-    values = _kernels.tau3_many(rows.reshape(-1, 8)).reshape(n, DEGREE + 3)
-    # one matrix-vector product per row, as for a single pair
-    coeffs = np.matmul(_VANDERMONDE_INV, values[:, : DEGREE + 1, None])[..., 0]
-    coeffs[:, 0] = values[:, DEGREE + 1]
-    coeffs[:, DEGREE] = values[:, DEGREE + 2]
-    return coeffs
+    x = np.array((amps1, amps2), dtype=complex).transpose(2, 0, 1)
+    return np.ascontiguousarray(_kernels.tau3_products(x, _polymul).T)
 
 
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> np.ndarray:
@@ -98,9 +93,8 @@ def pencil_polynomial(psi1: PureState, psi2: PureState) -> np.ndarray:
     read-only (5,) ascending coefficients.
 
     They are also those of the binary quartic form
-    tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k: the pencil interpolated
-    at the 5 roots of unity, with the tangles of psi1 and psi2 as c_0 and
-    c_4 from the same tau3_many call.
+    tau3(a psi1 + b psi2) = sum_k c_k a^(4-k) b^k, multiplied out from the
+    amplitude products (_pencils), with c_0 = tau3(psi1), c_4 = tau3(psi2).
     """
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
@@ -183,8 +177,12 @@ def finite_roots(coeffs: np.ndarray):
     complex row) after two Newton steps. A real row (_deflated) is solved
     in real arithmetic, so its non-real roots come in bitwise conjugate
     pairs. Roots are not merged, so they move smoothly with the pair.
+    Raises ValueError for a coefficient that is not finite.
     """
-    rows, low, deg, real = _deflated(np.asarray(coeffs, dtype=complex))
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if not np.isfinite(coeffs).all():
+        raise ValueError("pencil coefficients must be finite")
+    rows, low, deg, real = _deflated(coeffs)
     roots = np.full((rows.shape[0], DEGREE), np.inf, dtype=complex)
     roots[np.arange(DEGREE) < low[:, None]] = 0.0
     companion = deg - low  # the degree of each row left to the companion matrix
@@ -315,7 +313,7 @@ def polynomial_roots(poly: np.ndarray):
     conjugate pairs (positive imaginary part first), then the point at
     infinity.
 
-    Raises ValueError unless there are 5 coefficients, and
+    Raises ValueError unless there are 5 finite coefficients, and
     IdenticallyZeroPencilError when max|c| <= COEFF_TOL: the whole span is
     a zero set and callers must treat the axis interval as [0, 1].
     """

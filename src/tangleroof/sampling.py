@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .invariants import c3
-from .pencil import pencil_polynomial
+from .pencil import _pencils
 from .states import PureState, RankTwoMixture, _check_count
 
 __all__ = ["min_average_c3", "random_decomposition", "average_c3"]
@@ -43,7 +43,7 @@ def min_average_c3(
     used and the result does not depend on the block size. The weighted
     average of each decomposition reduces to a sum of sqrt|tau3| over
     unnormalized members by degree-4 homogeneity. The quartic-form
-    coefficients of the pair are computed once, with one tau3_many call,
+    coefficients of the pair are multiplied out once (pencil._pencils),
     and every member is evaluated by the form. Deterministic for a fixed
     integer seed. Raises ValueError for a count or size that is not an
     integer.
@@ -56,7 +56,7 @@ def min_average_c3(
     n_samples = _check_count(n_samples, "n_samples")
     if n_samples < 1:
         raise ValueError("need at least one sample")
-    coeffs = pencil_polynomial(mix.psi1, mix.psi2)
+    coeffs = _pencils(mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :])[0]
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     streams = np.random.default_rng(seed).spawn(len(sizes))
     best = np.inf

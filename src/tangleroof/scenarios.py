@@ -267,7 +267,7 @@ def has_interior_volume_zero(phi: float) -> bool:
     Its vertices, the Bloch images of the pencil roots, are coplanar when the
     roots are concyclic, that is when their cross-ratio lambda is real and so
     j(lambda) = 1728 I^3 / D is real and at least 1728. On the COARSE_GRID p
-    grid (one tau3_many call) a crossing is a pair of neighbours where
+    grid (one _pencils batch) a crossing is a pair of neighbours where
     Im(I^3 / D) changes sign with Re(I^3 / D) >= 1 at both. A real pencil
     (max|Im c| <= 1e-9 max|c|) with D < 0 has two real roots and a conjugate
     pair; lambda then lies on the unit circle and is real at -1, where J = 0,

@@ -434,7 +434,9 @@ def test_orientation_tolerance_is_needed(monkeypatch):
 
 def test_toy_interval_bits(toy_rep):
     iv = axis_zero_interval(build_polytope(zero_set(toy_mixture())))
-    assert (iv.p_low, iv.p_high) == (0.11422953894573701, 0.6928852305271315)
+    assert (iv.p_low, iv.p_high) == (0.11422953894573695, 0.6928852305271315)
+    # p_low of the exact toy pencil, to 19 digits from a 50-digit mpmath solve
+    assert abs(iv.p_low - 0.1142295389457369291) <= 2 * np.spacing(iv.p_low)
     # the high witness's two conjugate vertices mirror in y: their two
     # orientations, and so their weights, are bitwise equal
     assert iv.witness_high.face == (0, 2, 3)

@@ -67,6 +67,12 @@ def test_characteristic_curve_rejects_bad_p_and_phi(toy_mix, grid, phi):
         characteristic_curve(toy_mix, phi, grid)
 
 
+def test_characteristic_curve_needs_a_three_qubit_mixture():
+    mix = RankTwoMixture(make_ghz(4), make_w(4), 0.5)
+    with pytest.raises(ValueError, match="3-qubit"):
+        characteristic_curve(mix, 0.0, [0.0, 1.0])
+
+
 def test_linearized_upper_bound_shape(toy_mix):
     geom = span_geometry(toy_mix)
     curve = linearized_upper_bound(toy_mix, geom)
@@ -278,24 +284,30 @@ def test_ghz_w_envelope_is_one_chord_right_of_the_interval():
 
 
 def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
-    # the pencil's 5 node samples and its 2 pure ends are one tau3_many call,
-    # for one span or a stack of them
-    calls = []
-    original = _kernels.tau3_many
+    # one _pencils batch multiplies out every pencil, for one span or a stack
+    # of them, and no tangle rows are evaluated for it
+    batches, tangle_rows = [], []
+    pencils, tau3_many = bounds._pencils, _kernels.tau3_many
 
-    def counted(amps):
-        calls.append(len(amps))
-        return original(amps)
+    def counted_pencils(amps1, amps2):
+        batches.append(len(amps1))
+        return pencils(amps1, amps2)
 
-    monkeypatch.setattr(_kernels, "tau3_many", counted)
+    def counted_tau3(amps):
+        tangle_rows.append(len(amps))
+        return tau3_many(amps)
+
+    monkeypatch.setattr(bounds, "_pencils", counted_pencils)
+    monkeypatch.setattr(_kernels, "tau3_many", counted_tau3)
     span_geometry(toy_mix)
-    assert calls == [7]
-    calls.clear()
+    assert batches == [1]
+    batches.clear()
     pairs = _seeded_pairs(5, 6)
     span_geometries(
         np.array([m.psi1.amplitudes for m in pairs]), np.array([m.psi2.amplitudes for m in pairs])
     )
-    assert calls == [7 * len(pairs)]
+    assert batches == [len(pairs)]
+    assert tangle_rows == []
 
 
 def test_span_geometries_equal_batches_of_one():

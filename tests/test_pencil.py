@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from tangleroof import pencil
+from tangleroof import _kernels, pencil
 from tangleroof.invariants import three_tangle
 from tangleroof.pencil import (
     IdenticallyZeroPencilError,
@@ -295,8 +295,8 @@ def test_real_rows_give_bitwise_conjugate_pairs(benchmark_inputs):
     pairs = [(a, b) for name, a, b in benchmark_inputs.pair_set(1) if name.startswith("real")]
     amps1, amps2 = (np.array(column) for column in zip(*pairs))
     coeffs = pencil._pencils(amps1, amps2)
-    # the pencil of a real pair is real up to rounding, not exactly
-    assert np.any(coeffs.imag != 0.0)
+    # the pencil of a real pair is multiplied out in real values: exactly real
+    assert np.all(coeffs.imag == 0.0)
     roots, _ = finite_roots(coeffs)
     assert np.count_nonzero(roots.imag) >= 40
     _assert_bitwise_conjugates(roots)
@@ -343,3 +343,82 @@ def test_pencil_polynomial_evaluates_in_polyval_order():
     c = poly
     np.testing.assert_array_equal(pencil._horner(c, z), npoly.polyval(z, c))
     assert pencil._horner(c, 0.7 + 0.1j) == npoly.polyval(0.7 + 0.1j, c)
+
+
+def _stacks(pairs):
+    """The (N, 8) psi1 and psi2 stacks of (name, psi1, psi2) pairs."""
+    _, amps1, amps2 = zip(*pairs)
+    return np.array(amps1), np.array(amps2)
+
+
+def test_pencil_ends_are_the_end_tangles_bitwise(benchmark_inputs):
+    pairs = [p for seed in (1, 2, 3, 7) for p in benchmark_inputs.pair_set(seed)]
+    amps1, amps2 = _stacks(pairs)
+    coeffs = pencil._pencils(amps1, amps2)
+    assert coeffs.shape == (len(pairs), 5) and coeffs.flags.c_contiguous
+    for column, amps in ((0, amps1), (4, amps2)):
+        ends = np.ascontiguousarray(coeffs[:, column])
+        np.testing.assert_array_equal(ends.view(np.int64), _kernels.tau3_many(amps).view(np.int64))
+    real = ~np.any(amps1.imag, axis=1) & ~np.any(amps2.imag, axis=1)
+    assert real.sum() == 408
+    assert np.all(coeffs[real].imag == 0.0)
+
+
+def test_structural_zero_coefficients_are_exact(benchmark_inputs):
+    pairs = dict((name, (a, b)) for name, a, b in benchmark_inputs.special_pairs())
+    ghz, w = pairs["ghz_w"]
+    c = pencil._pencils(ghz[None, :], w[None, :])[0]
+    # tau3(GHZ3 + z W3) = 1 + 16 z^3 / (3 sqrt 6): no rounding in c_1, c_2, c_4
+    assert c[0] == _kernels.tau3_many(ghz[None, :])[0]
+    assert c[1] == c[2] == c[4] == 0.0
+    assert c[3] == 2.17732421580727
+    assert abs(c[3] - 16.0 / (3.0 * np.sqrt(6.0))) <= 2 * np.spacing(c[3].real)
+    # tau3(|000> + z |111>) = 4 z^2
+    c = pencil._pencils(*(a[None, :] for a in pairs["000_111"]))[0]
+    assert c.tolist() == [0.0, 0.0, 4.0, 0.0, 0.0]
+
+
+def test_pencils_match_mpmath_better_than_interpolation(benchmark_inputs):
+    mpmath = pytest.importorskip("mpmath")
+
+    def exact(a, b):
+        # the tangle polynomial's table multiplied out at 40 digits
+        with mpmath.workdps(40):
+            x = [[mpmath.mpc(complex(u)), mpmath.mpc(complex(v))] for u, v in zip(a, b)]
+
+            def mul(p, q):
+                out = [mpmath.mpc(0)] * (len(p) + len(q) - 1)
+                for i, u in enumerate(p):
+                    for j, v in enumerate(q):
+                        out[i + j] += u * v
+                return out
+
+            p = [mul(x[i], x[j]) for i, j in _kernels.TAU3_PAIRS]
+            d1, d2 = ([sum(t) for t in zip(*(mul(p[k], p[l]) for k, l in d))]
+                      for d in (_kernels.TAU3_D1, _kernels.TAU3_D2))
+            chains = [mul(mul(mul(x[i], x[j]), x[k]), x[l]) for i, j, k, l in _kernels.TAU3_FOURFOLD]
+            d3 = [sum(t) for t in zip(*chains)]
+            return [4 * (u - 2 * v + 4 * t) for u, v, t in zip(d1, d2, d3)]
+
+    amps1, amps2 = _stacks(benchmark_inputs.pair_set(1))
+    coeffs = pencil._pencils(amps1, amps2)
+    with mpmath.workdps(40):
+        refs = [exact(a, b) for a, b in zip(amps1, amps2)]
+        err = sum(abs(mpmath.mpc(complex(c)) - r) ** 2 for row, ref in zip(coeffs, refs) for c, r in zip(row, ref))
+        norm = sum(abs(r) ** 2 for ref in refs for r in ref)
+        relative = float(mpmath.sqrt(err / norm))
+    # the products read 1.59e-16 here and interpolation at the 5th roots of
+    # unity 2.25e-16; the products concentrate their rounding in c_2 and c_3,
+    # so a single pair can read more (7.0e-16 against 5.1e-16 at most,
+    # relative to its own coefficient norm)
+    assert relative <= 2.0e-16
+
+
+@pytest.mark.parametrize(
+    "row", [[np.inf, 0, 0, 0, 0], [1, np.nan, 0, 0, 1], [0, 0, 1j * np.inf, 0, 0]]
+)
+def test_non_finite_coefficients_are_rejected(row):
+    with pytest.raises(ValueError, match="finite"):
+        polynomial_roots(row)
+    with pytest.raises(ValueError, match="finite"):
+        finite_roots(np.array([[1, 2, 3, 4, 5], row], dtype=complex))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tangleroof import _kernels
+from tangleroof import _kernels, sampling
 from tangleroof.invariants import c3
 from tangleroof.sampling import average_c3, min_average_c3, random_decomposition
 from tangleroof.states import PureState, RankTwoMixture
@@ -104,13 +104,21 @@ def test_average_c3_matches_manual_average(toy_mix):
 
 @pytest.mark.parametrize("n_samples", [1000, 100_000])
 def test_sampler_builds_one_pencil_and_no_rows(n_samples, toy_mix, monkeypatch):
-    calls = []
-    original = _kernels.tau3_many
+    # one pencil of one row, multiplied out without tangle rows, whatever
+    # the sample count; every member is then read from the quartic form
+    batches, tangle_rows = [], []
+    pencils, tau3_many = sampling._pencils, _kernels.tau3_many
 
-    def counted(amps):
-        calls.append(len(amps))
-        return original(amps)
+    def counted_pencils(amps1, amps2):
+        batches.append(len(amps1))
+        return pencils(amps1, amps2)
 
-    monkeypatch.setattr(_kernels, "tau3_many", counted)
+    def counted_tau3(amps):
+        tangle_rows.append(len(amps))
+        return tau3_many(amps)
+
+    monkeypatch.setattr(sampling, "_pencils", counted_pencils)
+    monkeypatch.setattr(_kernels, "tau3_many", counted_tau3)
     min_average_c3(toy_mix.at(0.4), n_samples, seed=8)
-    assert calls == [7]  # 5 interpolation nodes and the two pure ends
+    assert batches == [1]
+    assert tangle_rows == []

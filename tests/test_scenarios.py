@@ -208,20 +208,27 @@ def test_threshold_bisect_rejects_a_bad_bracket_or_tol(lo, hi, tol, threshold_at
 
 @pytest.mark.parametrize("phi", [0.0, np.pi / 4])
 def test_interior_zero_search_batches_each_grid(phi, monkeypatch):
-    # one call on the 7 tau3 rows of every pencil of the grid, whatever its size
-    calls = []
-    original = _kernels.tau3_many
+    # one _pencils batch on every pencil of the grid, whatever its size, and
+    # no tangle rows
+    batches, tangle_rows = [], []
+    pencils, tau3_many = scenarios._pencils, _kernels.tau3_many
 
-    def counted(amps):
-        calls.append(amps.shape)
-        return original(amps)
+    def counted_pencils(amps1, amps2):
+        batches.append(amps1.shape)
+        return pencils(amps1, amps2)
 
-    monkeypatch.setattr(_kernels, "tau3_many", counted)
+    def counted_tau3(amps):
+        tangle_rows.append(len(amps))
+        return tau3_many(amps)
+
+    monkeypatch.setattr(scenarios, "_pencils", counted_pencils)
+    monkeypatch.setattr(_kernels, "tau3_many", counted_tau3)
     for n_coarse in (151, 301, 1201):
         monkeypatch.setattr(scenarios, "COARSE_GRID", n_coarse)
-        calls.clear()
+        batches.clear()
         has_interior_volume_zero(phi)
-        assert calls == [(7 * n_coarse, 8)]
+        assert batches == [(n_coarse, 8)]
+    assert tangle_rows == []
 
 
 def test_scan_row_fields():
