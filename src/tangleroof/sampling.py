@@ -9,6 +9,8 @@ reported bound.
 """
 from __future__ import annotations
 
+import queue
+import threading
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -21,9 +23,11 @@ from .states import PureState, RankTwoMixture, _check_count
 __all__ = ["min_average_c3", "random_decomposition", "average_c3"]
 
 # Samples per kernel call and stream. A (1024, 4, 2, 2) Gaussian block is
-# 128 KB, so the block, its plane copy and the kernel's temporaries stay
-# well within a 2 MB L2 cache. The draws do not depend on it: consecutive
-# blocks of a size continue that size's stream.
+# 128 KB. The next block is drawn while the current one is evaluated, so at
+# most three are alive at once (one evaluated, one queued, one being drawn:
+# ~384 KB at m = 4), and they and the kernel's temporaries stay well within
+# a 2 MB L2 cache. Neither it nor the thread timing changes the draws:
+# consecutive blocks of a size continue that size's stream.
 _BLOCK = 1024
 
 
@@ -47,6 +51,14 @@ def min_average_c3(
     and every member is evaluated by the form. Deterministic for a fixed
     integer seed. Raises ValueError for a count or size that is not an
     integer.
+
+    One helper thread draws the blocks, stream by stream, and hands them
+    over a one-slot queue, so the next block is drawn while the calling
+    thread evaluates the current one; at most three blocks are alive at
+    once (~384 KB at m = 4). The result does not depend on thread timing,
+    and a 1-CPU host runs the same path with no gain. An exception from a
+    draw or from the kernel is raised here, and the helper thread has
+    ended when this returns or raises.
     """
     if mix.n_qubits != 3:
         raise ValueError("decomposition sampling needs a 3-qubit mixture")
@@ -59,13 +71,50 @@ def min_average_c3(
     coeffs = _pencils(mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :])[0]
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     streams = np.random.default_rng(seed).spawn(len(sizes))
+    blocks, stop = queue.Queue(maxsize=1), threading.Event()
+    drawer = threading.Thread(
+        target=_draw_blocks, args=(sizes, streams, n_samples, blocks, stop), daemon=True
+    )
+    drawer.start()
     best = np.inf
-    for j, (m, rng) in enumerate(zip(sizes, streams)):
-        n = len(range(j, n_samples, len(sizes)))  # samples j, j + len(sizes), ...
-        for start in range(0, n, _BLOCK):
-            gauss = rng.standard_normal((min(_BLOCK, n - start), m, 2, 2))
-            best = min(best, _kernels.min_average_batch(coeffs, scales, gauss))
+    try:
+        while (item := blocks.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            best = min(best, _kernels.min_average_batch(coeffs, scales, item))
+    finally:
+        # the drawer puts at most one more block once stop is set, and a
+        # free slot lets that put return, so the join cannot hang
+        stop.set()
+        try:
+            blocks.get_nowait()
+        except queue.Empty:
+            pass
+        drawer.join()
     return float(best)
+
+
+def _draw_blocks(sizes, streams, n_samples, blocks, stop) -> None:
+    """Put the Gaussian blocks of min_average_c3 on ``blocks`` in draw order.
+
+    Stream j draws its n_j samples as consecutive (k, m_j, 2, 2) blocks of
+    at most _BLOCK samples, streams in order. The last item is None, or the
+    exception a draw raised, which the caller raises. Every draw and put is
+    preceded by a check of ``stop``, so once the caller sets it at most one
+    more block is put.
+    """
+    try:
+        for j, (m, rng) in enumerate(zip(sizes, streams)):
+            n = len(range(j, n_samples, len(sizes)))  # samples j, j + len(sizes), ...
+            for start in range(0, n, _BLOCK):
+                if stop.is_set():
+                    return
+                blocks.put(rng.standard_normal((min(_BLOCK, n - start), m, 2, 2)))
+        last = None
+    except BaseException as exc:  # handed over; the calling thread raises it
+        last = exc
+    if not stop.is_set():
+        blocks.put(last)
 
 
 def random_decomposition(

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -316,3 +319,108 @@ def test_sampler_takes_a_generator_and_draws_only_what_it_uses():
     assert drawn == [(1, 2, 2, 2), (1, 3, 2, 2)]  # the size-4 stream has no sample
     want = min_average_c3(mix, 500, seed=32)
     assert min_average_c3(mix, 500, seed=np.random.default_rng(32)) == want
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_overlapped_draws_equal_the_serial_reference_bitwise(seed):
+    # the helper thread draws in the serial order: partial last blocks
+    # (n_j = 1667 and 1666), a repeated size, fewer samples than sizes
+    mix = _haar_mixture(920 + seed).at(0.35)
+    for n_samples, sizes in [(5000, (2, 3, 4)), (5000, (3, 2, 3)), (2, (2, 3, 4)), (1, (4,))]:
+        want = _stream_reference(mix, n_samples, sizes, seed)
+        assert min_average_c3(mix, n_samples, sizes=sizes, seed=seed) == want
+
+
+def test_concurrent_calls_under_fast_thread_switching(monkeypatch):
+    # six callers and their six drawers on a shortened switch interval: a
+    # block handed to the wrong call changes that call's minimum
+    mix = _haar_mixture(926).at(0.6)
+    monkeypatch.setattr(sampling, "_BLOCK", 16)
+    want = {seed: _stream_reference(mix, 2000, (2, 3, 4), seed) for seed in range(6)}
+    got = {}
+
+    def call(seed):
+        got[seed] = min_average_c3(mix, 2000, seed=seed)
+
+    callers = [threading.Thread(target=call, args=(seed,), daemon=True) for seed in want]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+
+
+class _Injected(RuntimeError):
+    pass
+
+
+def _raised_by(fn, *args, **kwargs):
+    """The exception fn raises, called on a thread that must end within 60 s."""
+    raised = []
+
+    def call():
+        try:
+            fn(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    return raised[0] if raised else None
+
+
+def test_a_failed_draw_is_raised_by_the_caller_and_leaves_no_thread():
+    drawn = []
+
+    class ThirdDrawFails(np.random.Generator):  # spawn() builds children of this type
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            drawn.append(size)
+            if len(drawn) == 3:
+                raise _Injected("third draw")
+            return super().standard_normal(size, dtype, out)
+
+    mix = _haar_mixture(927).at(0.5)
+    before = threading.active_count()
+    exc = _raised_by(min_average_c3, mix, 10_000, seed=ThirdDrawFails(np.random.PCG64(7)))
+    assert isinstance(exc, _Injected) and str(exc) == "third draw"
+    assert threading.active_count() == before
+    assert len(drawn) == 3  # nothing is drawn after the failure
+
+
+def test_a_failed_kernel_call_is_raised_and_stops_the_drawer(monkeypatch):
+    drawn, evaluated = [], []
+    fourth_draw = threading.Event()
+    kernel = _kernels.min_average_batch
+
+    class Counting(np.random.Generator):
+        def standard_normal(self, size=None, dtype=np.float64, out=None):
+            drawn.append(size)
+            if len(drawn) == 4:
+                fourth_draw.set()
+            return super().standard_normal(size, dtype, out)
+
+    def second_call_fails(coeffs, scales, gauss):
+        evaluated.append(len(gauss))
+        if len(evaluated) == 2:
+            # block 3 is queued and block 4 drawn: the drawer blocks on its
+            # put until the caller frees the slot
+            fourth_draw.wait(timeout=10)
+            raise _Injected("second kernel call")
+        return kernel(coeffs, scales, gauss)
+
+    monkeypatch.setattr(_kernels, "min_average_batch", second_call_fails)
+    mix = _haar_mixture(928).at(0.5)
+    before = threading.active_count()
+    exc = _raised_by(min_average_c3, mix, 100_000, seed=Counting(np.random.PCG64(8)))
+    assert isinstance(exc, _Injected) and str(exc) == "second kernel call"
+    assert threading.active_count() == before
+    assert len(evaluated) == 2
+    assert len(drawn) == 4  # of 99 blocks: nothing is drawn after the failure
