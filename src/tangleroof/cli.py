@@ -9,10 +9,13 @@ JSON, so reruns reproduce artifacts byte for byte. Exit codes: 0 success,
 tangle polynomial is a structured result (flag plus [0, 1] interval), not
 a failure.
 
-zeros, interval and bounds read one span geometry (bounds.span_geometry).
-The root floor pencil.COEFF_TOL and the rank floor states.RANK_TOL are
-constants, not flags. Configuration is flags only: TANGLEROOF_* environment
-variables are ignored.
+The command line is parsed once: each subparser holds its defaults,
+argparse rejects a grid size below 2 or a non-finite phase with its usage
+line and message (exit 2), and run takes the parsed arguments. zeros,
+interval and bounds read one span geometry (bounds.span_geometry). The
+root floor pencil.COEFF_TOL and the rank floor states.RANK_TOL are
+constants, not flags. Configuration is flags only: TANGLEROOF_*
+environment variables are ignored.
 """
 from __future__ import annotations
 
@@ -21,8 +24,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,53 +31,7 @@ from . import scenarios
 from .bounds import characteristic_curve, span_geometry, upper_bound_report
 from .states import RankExceededError, RankTwoMixture, load_state
 
-__all__ = ["RunConfig", "run", "main"]
-
-COMMANDS = ("zeros", "interval", "bounds", "char", "scan4q", "monogamy", "toy")
-
-_GRID_DEFAULTS = {
-    "bounds": 401,
-    "char": 401,
-    "scan4q": 101,
-    "monogamy": 101,
-    "toy": 401,
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: command, state files, phase, grids, output target."""
-
-    command: str
-    state_paths: tuple = ()
-    phi: float = 0.0
-    p_grid: Optional[int] = None
-    phi_grid: Optional[int] = None
-    out: Optional[str] = None
-    format: str = "csv"
-    renormalize: bool = False
-
-    def __post_init__(self):
-        if self.command not in COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
-        for name in ("p_grid", "phi_grid"):
-            value = getattr(self, name)
-            if value is not None and value < 2:
-                raise ValueError(f"{name.replace('_', '-')} must be at least 2")
-        if not np.isfinite(self.phi):
-            raise ValueError("phi must be finite")
-        object.__setattr__(self, "state_paths", tuple(self.state_paths))
-
-    def grid_size(self) -> int:
-        if self.p_grid is not None:
-            return self.p_grid
-        return _GRID_DEFAULTS.get(self.command, 401)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+__all__ = ["run", "main"]
 
 
 def _cell(x) -> str:
@@ -88,7 +43,7 @@ def _cell(x) -> str:
         return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return _fmt(x)
+    return format(float(x), ".12g")
 
 
 def _json_ready(obj):
@@ -148,29 +103,28 @@ def _root_payloads(zeros):
     ]
 
 
-def _load_pair(cfg: RunConfig) -> RankTwoMixture:
-    if not cfg.state_paths:
+def _load_pair(args: argparse.Namespace) -> RankTwoMixture:
+    if not args.states:
         return scenarios.toy_mixture()
-    if len(cfg.state_paths) != 2:
+    if len(args.states) != 2:
         raise ValueError("expected exactly two state files (psi1 psi2)")
-    psi1 = load_state(cfg.state_paths[0], renormalize=cfg.renormalize)
-    psi2 = load_state(cfg.state_paths[1], renormalize=cfg.renormalize)
+    psi1, psi2 = (load_state(path, renormalize=args.renormalize) for path in args.states)
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("state files must describe 3-qubit states")
     return RankTwoMixture(psi1, psi2, 0.5)
 
 
-def _run_zeros(cfg: RunConfig):
-    geom = span_geometry(_load_pair(cfg))
+def _run_zeros(args: argparse.Namespace):
+    geom = span_geometry(_load_pair(args))
     if geom.identically_zero:
-        if cfg.format == "json":
+        if args.format == "json":
             return _render_json({"identically_zero": True, "interval": [0.0, 1.0]})
         return _render_csv(
             ("identically_zero", "interval_low", "interval_high"),
             [(True, 0.0, 1.0)],
         )
     roots = _root_payloads(geom.zeros)
-    if cfg.format == "json":
+    if args.format == "json":
         return _render_json({"identically_zero": False, "roots": roots})
     header = ("index", "re", "im", "at_infinity", "multiplicity", "p0", "phase")
     rows = [
@@ -180,17 +134,17 @@ def _run_zeros(cfg: RunConfig):
     return _render_csv(header, rows)
 
 
-def _run_interval(cfg: RunConfig):
-    geom = span_geometry(_load_pair(cfg))
+def _run_interval(args: argparse.Namespace):
+    geom = span_geometry(_load_pair(args))
     if geom.identically_zero:
-        if cfg.format == "json":
+        if args.format == "json":
             return _render_json({"identically_zero": True, "interval": [0.0, 1.0]})
         return _render_csv(
             ("identically_zero", "p_low", "p_high", "dimension", "volume"),
             [(True, 0.0, 1.0, None, None)],
         )
     poly, iv = geom.polytope, geom.interval
-    if cfg.format == "json":
+    if args.format == "json":
         return _render_json(
             {
                 "identically_zero": False,
@@ -213,11 +167,11 @@ def _run_interval(cfg: RunConfig):
     )
 
 
-def _run_bounds(cfg: RunConfig):
-    mix = _load_pair(cfg)
-    report = upper_bound_report(mix, grid_size=cfg.grid_size())
+def _run_bounds(args: argparse.Namespace):
+    mix = _load_pair(args)
+    report = upper_bound_report(mix, grid_size=args.p_grid)
     rows = list(report.rows())
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _render_csv(("p", "linearized", "pivot", "envelope", "achieving"), rows)
     iv = report.interval
     if report.identically_zero:
@@ -236,32 +190,32 @@ def _run_bounds(cfg: RunConfig):
     )
 
 
-def _run_char(cfg: RunConfig):
-    mix = _load_pair(cfg)
-    grid = np.linspace(0.0, 1.0, cfg.grid_size())
-    rows = characteristic_curve(mix, cfg.phi, grid)
-    if cfg.format == "csv":
+def _run_char(args: argparse.Namespace):
+    mix = _load_pair(args)
+    grid = np.linspace(0.0, 1.0, args.p_grid)
+    rows = characteristic_curve(mix, args.phi, grid)
+    if args.format == "csv":
         return _render_csv(("p", "c3"), [tuple(r) for r in rows])
-    return _render_json({"phi": cfg.phi, "rows": rows})
+    return _render_json({"phi": args.phi, "rows": rows})
 
 
-def _run_scan4q(cfg: RunConfig):
-    if cfg.phi_grid is not None:
-        phis = np.linspace(0.0, np.pi / 2.0, cfg.phi_grid, endpoint=False)
+def _run_scan4q(args: argparse.Namespace):
+    if args.phi_grid is not None:
+        phis = np.linspace(0.0, np.pi / 2.0, args.phi_grid, endpoint=False)
         rows = [(phi, scenarios.has_interior_volume_zero(phi)) for phi in phis.tolist()]
-        if cfg.format == "csv":
+        if args.format == "csv":
             return _render_csv(("phi", "has_interior_volume_zero"), rows)
         return _render_json(
             {"rows": [{"phi": phi, "has_interior_volume_zero": flag} for phi, flag in rows]}
         )
     # interior grid: the reductions degenerate at p = 0 and p = 1
-    ps = np.linspace(0.0, 1.0, cfg.grid_size() + 2)[1:-1]
+    ps = np.linspace(0.0, 1.0, args.p_grid + 2)[1:-1]
     rows = [
         (row.p, row.volume, row.dimension)
         + ((None, None) if row.interval is None else row.interval)
-        for row in scenarios.simplex_scan(cfg.phi, ps)
+        for row in scenarios.simplex_scan(args.phi, ps)
     ]
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _render_csv(("p", "volume", "dimension", "p_low", "p_high"), rows)
     payload = [
         {
@@ -272,7 +226,7 @@ def _run_scan4q(cfg: RunConfig):
         }
         for p, vol, dim, lo, hi in rows
     ]
-    return _render_json({"phi": cfg.phi, "rows": payload})
+    return _render_json({"phi": args.phi, "rows": payload})
 
 
 _MONOGAMY_HEADER = (
@@ -283,12 +237,12 @@ _MONOGAMY_HEADER = (
 )
 
 
-def _run_monogamy(cfg: RunConfig):
-    ps = np.linspace(0.0, 1.0, cfg.grid_size())
-    if cfg.phi_grid is not None:
-        phis = np.linspace(0.0, np.pi / 2.0, cfg.phi_grid, endpoint=False)
+def _run_monogamy(args: argparse.Namespace):
+    ps = np.linspace(0.0, 1.0, args.p_grid)
+    if args.phi_grid is not None:
+        phis = np.linspace(0.0, np.pi / 2.0, args.phi_grid, endpoint=False)
     else:
-        phis = np.array([cfg.phi])
+        phis = np.array([args.phi])
     # rows run phase by phase, p fastest
     rows = [
         (rep.p, rep.phi, rep.one_tangle)
@@ -297,16 +251,16 @@ def _run_monogamy(cfg: RunConfig):
         + (rep.residual,)
         for rep in scenarios.monogamy_curve(np.tile(ps, phis.size), np.repeat(phis, ps.size))
     ]
-    if cfg.format == "csv":
+    if args.format == "csv":
         return _render_csv(_MONOGAMY_HEADER, rows)
     return _render_json(
         {"rows": [dict(zip(_MONOGAMY_HEADER, row)) for row in rows]}
     )
 
 
-def _run_toy(cfg: RunConfig):
-    rep = scenarios.toy_report(grid_size=cfg.grid_size())
-    if cfg.format == "csv":
+def _run_toy(args: argparse.Namespace):
+    rep = scenarios.toy_report(grid_size=args.p_grid)
+    if args.format == "csv":
         return _render_csv(
             ("p", "linearized", "pivot", "envelope", "achieving"),
             list(rep.report.rows()),
@@ -342,13 +296,15 @@ _RUNNERS = {
     "toy": _run_toy,
 }
 
+COMMANDS = tuple(_RUNNERS)
 
-def run(config: RunConfig) -> int:
-    """Execute a validated config; returns the process exit code."""
+
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed command line; returns the process exit code."""
     try:
-        text = _RUNNERS[config.command](config)
-        if config.out is not None:
-            with open(config.out, "w", newline="") as fh:
+        text = _RUNNERS[args.command](args)
+        if args.out is not None:
+            with open(args.out, "w", newline="") as fh:
                 fh.write(text)
     # OSError: a state file that cannot be read or an --out path that cannot be written
     except (ValueError, OSError) as exc:
@@ -357,17 +313,41 @@ def run(config: RunConfig) -> int:
     except (RankExceededError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if config.out is None:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 
 
 # Flags that a phase sweep does not read, per command: given together with
-# --phi-grid they are rejected rather than ignored.
+# --phi-grid they are rejected rather than ignored. The parser leaves them
+# None, so that main can tell a given flag from its default (_FAMILY_DEFAULTS).
 _PHI_GRID_UNUSED = {
     "scan4q": ("--phi", "--p-grid"),
     "monogamy": ("--phi",),
 }
+_FAMILY_DEFAULTS = {"phi": 0.0, "p_grid": 101}
+
+
+def _grid(text: str) -> int:
+    """argparse type of --p-grid and --phi-grid: an integer of at least 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be at least 2")
+    return value
+
+
+def _phase(text: str) -> float:
+    """argparse type of --phi: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError("phi must be finite")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -399,18 +379,19 @@ def _build_parser() -> argparse.ArgumentParser:
             help="rescale loaded amplitudes to unit norm",
         )
 
-    def add_pgrid(p, cmd):
+    def add_pgrid(p, default, shown=None):
         p.add_argument(
             "--p-grid",
-            type=int,
-            help=f"mixing-weight grid size (default {_GRID_DEFAULTS[cmd]})",
+            type=_grid,
+            default=default,
+            help=f"mixing-weight grid size (default {default if shown is None else shown})",
         )
 
     def add_family(cmd, help, phi_grid_help):
         p = sub.add_parser(cmd, help=help)
-        p.add_argument("--phi", type=float, help="family phase (radians, default 0)")
-        add_pgrid(p, cmd)
-        p.add_argument("--phi-grid", type=int, help=phi_grid_help)
+        p.add_argument("--phi", type=_phase, help="family phase (radians, default 0)")
+        add_pgrid(p, None, shown=_FAMILY_DEFAULTS["p_grid"])
+        p.add_argument("--phi-grid", type=_grid, help=phi_grid_help)
         p.add_argument(
             "--parallelism",
             type=int,
@@ -429,13 +410,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", help="linearized/pivot/envelope bound grid")
     add_pair(p_bounds)
-    add_pgrid(p_bounds, "bounds")
+    add_pgrid(p_bounds, 401)
     add_common(p_bounds)
 
     p_char = sub.add_parser("char", help="pure-superposition tangle curve")
     add_pair(p_char)
-    p_char.add_argument("--phi", type=float, default=0.0, help="relative phase (radians)")
-    add_pgrid(p_char, "char")
+    p_char.add_argument("--phi", type=_phase, default=0.0, help="relative phase (radians)")
+    add_pgrid(p_char, 401)
     add_common(p_char)
 
     add_family(
@@ -448,33 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_toy = sub.add_parser("toy", help="full report for the built-in toy pair")
-    add_pgrid(p_toy, "toy")
+    add_pgrid(p_toy, 401)
     add_common(p_toy, default_format="json")
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    phi_grid = getattr(args, "phi_grid", None)
-    if phi_grid is not None:
-        unused = [
-            flag for flag in _PHI_GRID_UNUSED.get(args.command, ())
-            if getattr(args, flag[2:].replace("-", "_")) is not None
-        ]
-        if unused:
-            raise ValueError(f"{', '.join(unused)}: not used by a phase sweep (--phi-grid)")
-    # an "is None" test, not "or", so that --phi -0.0 keeps its sign
-    phi = getattr(args, "phi", None)
-    return RunConfig(
-        command=args.command,
-        state_paths=tuple(getattr(args, "states", ()) or ()),
-        phi=0.0 if phi is None else phi,
-        p_grid=getattr(args, "p_grid", None),
-        phi_grid=phi_grid,
-        out=args.out,
-        format=args.format,
-        renormalize=bool(getattr(args, "renormalize", False)),
-    )
 
 
 def _reads_as_float(text: str) -> bool:
@@ -506,12 +464,21 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+    if args.command in _PHI_GRID_UNUSED:
+        if args.phi_grid is not None:
+            unused = [
+                flag for flag in _PHI_GRID_UNUSED[args.command]
+                if getattr(args, flag[2:].replace("-", "_")) is not None
+            ]
+            if unused:
+                flags = ", ".join(unused)
+                print(f"error: {flags}: not used by a phase sweep (--phi-grid)", file=sys.stderr)
+                return 2
+        # an "is None" test, not "or", so that --phi -0.0 keeps its sign
+        for name, default in _FAMILY_DEFAULTS.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+    return run(args)
 
 
 if __name__ == "__main__":

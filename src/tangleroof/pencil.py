@@ -173,7 +173,7 @@ def finite_roots(coeffs: np.ndarray):
     below that floor counts as one exact root at z = 0; those slots come
     first, and the remaining roots are those of the deflated polynomial:
     the eigenvalues of the companion matrices of their monic reductions
-    (one eigvals call per deflated degree of 2 or more, and per real or
+    (one eigvals call per deflated degree of 1 or more, and per real or
     complex row) after two Newton steps. A real row (_deflated) is solved
     in real arithmetic, so its non-real roots come in bitwise conjugate
     pairs. Roots are not merged, so they move smoothly with the pair.
@@ -195,13 +195,10 @@ def finite_roots(coeffs: np.ndarray):
             # LAPACK's real Schur form returns complex eigenvalues as exact
             # conjugates, and Newton on real coefficients keeps them so
             c = c.real
-        if d == 1:
-            raw = -c[:, :1] / c[:, 1:]
-        else:
-            comp = np.zeros((idx.size, d, d), dtype=c.dtype)
-            comp[:, 1:, :-1] = np.eye(d - 1)
-            comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
-            raw = np.linalg.eigvals(comp)
+        comp = np.zeros((idx.size, d, d), dtype=c.dtype)
+        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
+        raw = np.linalg.eigvals(comp)
         roots[idx[:, None], low[idx, None] + np.arange(d)] = _polish(raw, c)
     return roots, DEGREE - np.maximum(deg, 0)
 

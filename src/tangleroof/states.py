@@ -77,10 +77,6 @@ class PureState:
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -114,10 +110,6 @@ class DensityMatrix:
             raise ValueError("matrix trace differs from 1 beyond 1e-12")
         object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "matrix", _readonly(m))
-
-    @property
-    def dim(self) -> int:
-        return 2**self.n_qubits
 
 
 @dataclass(frozen=True, eq=False)

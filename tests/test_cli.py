@@ -1,9 +1,11 @@
+import argparse
 import json
 import time
 
 import numpy as np
 import pytest
 
+import tangleroof.cli
 import tangleroof.scenarios
 from tangleroof.bounds import span_geometry
 from tangleroof.cli import COMMANDS, main
@@ -92,8 +94,61 @@ def test_unusable_paths_exit_2(argv, tmp_path, capsys):
 
 
 def test_tiny_grid_exits_2(capsys):
+    # argparse rejects the value: its usage line, then the flag and the reason
+    for argv, flag in (
+        (["bounds", "--p-grid", "1"], "--p-grid"),
+        (["bounds", "--p-grid", "1e3"], "--p-grid"),
+        (["scan4q", "--phi-grid", "1"], "--phi-grid"),
+        (["monogamy", "--phi-grid", "1"], "--phi-grid"),
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err.startswith("usage: tangleroof "), argv
+        assert f"error: argument {flag}: " in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "command, grid",
+    [("zeros", None), ("interval", None), ("bounds", 401), ("char", 401), ("scan4q", 101),
+     ("monogamy", 101), ("toy", 401)],
+)
+def test_help_names_the_default_grid(command, grid, capsys):
+    assert main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    if grid is not None:
+        assert f"grid size (default {grid})" in text
+    else:
+        assert "--p-grid" not in text
+
+
+def test_main_calls_run_once_with_the_parsed_arguments(capsys, monkeypatch):
+    # perfbench counts cli.run calls, one per command line
+    calls = []
+    real_run = tangleroof.cli.run
+
+    def spy(args):
+        calls.append(args)
+        return real_run(args)
+
+    monkeypatch.setattr(tangleroof.cli, "run", spy)
+    for argv, expected in (
+        (["bounds", "--p-grid", "5"], {"command": "bounds", "p_grid": 5, "states": []}),
+        (["scan4q", "--p-grid", "3"], {"command": "scan4q", "p_grid": 3, "phi": 0.0}),
+        (["monogamy", "--phi-grid", "2"], {"command": "monogamy", "p_grid": 101, "phi_grid": 2}),
+        (["toy", "--format", "csv"], {"command": "toy", "p_grid": 401, "format": "csv"}),
+    ):
+        calls.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == 1, argv
+        assert isinstance(calls[0], argparse.Namespace)
+        assert {k: getattr(calls[0], k) for k in expected} == expected, argv
+    calls.clear()
     assert main(["bounds", "--p-grid", "1"]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(["scan4q", "--phi-grid", "2", "--phi", "1"]) == 2
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_tol_root_rejected_where_unused(tmp_path, capsys):
@@ -140,11 +195,13 @@ def test_parallelism_rejected_off_grid_commands(capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_phi_exits_2(value, capsys):
-    for command in (["char"], ["scan4q", "--p-grid", "3"]):
+    for command in (["char"], ["scan4q", "--p-grid", "3"], ["monogamy", "--p-grid", "3"]):
         for phi in ([f"--phi={value}"], ["--phi", value]):
             assert main(command + phi) == 2
             captured = capsys.readouterr()
-            assert captured.out == "" and "phi must be finite" in captured.err
+            assert captured.out == ""
+            assert captured.err.startswith("usage: tangleroof ")
+            assert "error: argument --phi: phi must be finite" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -132,6 +132,12 @@ def test_finite_roots_rows_of_every_degree():
         alone, alone_inf = finite_roots(coeffs[row : row + 1])
         np.testing.assert_array_equal(alone[0], roots[row])
         assert alone_inf[0] == n_inf[row]
+    # a degree-1 row takes the 1x1 companion matrix, whose eigenvalue is
+    # -(c_0 / c_1): the root is that quotient after the two Newton steps
+    for c in (coeffs[3:4, :2], rng.normal(size=(1, 2))):
+        expected = pencil._polish(-(c[:, :1] / c[:, 1:]), c)
+        got, _ = finite_roots(np.pad(c, ((0, 0), (0, 3))))
+        assert got[0, 0] == expected[0, 0], c
 
 
 def test_finite_roots_trailing_coefficients_are_roots_at_zero():
