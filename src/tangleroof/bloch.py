@@ -272,7 +272,7 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     return _interval(*(a[0] for a in _axis_intervals(_padded(polytope.vertices)[None])))
 
 
-def _axis_exits(anchors: np.ndarray, heights: np.ndarray):
+def _axis_exits(anchors: np.ndarray, heights: np.ndarray, out=None):
     """Sphere crossings of rays from each anchor through each axis point.
 
     anchors is (n_a, 3) and heights (n_t,); the ray from an anchor a
@@ -285,24 +285,34 @@ def _axis_exits(anchors: np.ndarray, heights: np.ndarray):
     constants a_x^2 + a_y^2 and a_z; written out in the order of numpy's sum
     over the three components of d, they keep its bits. Pairs with
     anchor == target get lam = nan.
+
+    ``out`` is None or a pair (planes, mask) of six (n_t, n_a) float planes
+    and an (n_t, n_a) bool array that every (n_t, n_a) temporary is written
+    into; lam and s are then planes[4] and planes[5], and the other planes
+    and the mask are scratch.
     """
+    if out is None:
+        shape = (heights.shape[0], anchors.shape[0])
+        out = np.empty((6,) + shape), np.empty(shape, dtype=bool)
+    (dz, dd, c, disc, lam, s), mask = out
     ax, ay, az = anchors[:, 0], anchors[:, 1], anchors[:, 2]
     r2 = ax * ax + ay * ay
-    # in place, which keeps the bits: dd = r2 + dz^2, c = az dz - r2,
-    # disc = c^2 + (1 - |a|^2) dd and denom = sqrt(max(disc, 0)) - c
-    dz = heights[:, None] - az
-    dd = dz * dz
+    # dd = r2 + dz^2, c = az dz - r2, disc = c^2 + (1 - |a|^2) dd and
+    # denom = sqrt(max(disc, 0)) - c, each written into its plane
+    np.subtract(heights[:, None], az, out=dz)
+    np.multiply(dz, dz, out=dd)
     dd += r2
-    c = az * dz
+    np.multiply(az, dz, out=c)
     c -= r2
-    disc = c * c
-    disc += (1.0 - (r2 + az * az)) * dd
+    np.multiply(c, c, out=disc)
+    disc += np.multiply(1.0 - (r2 + az * az), dd, out=lam)
     denom = np.sqrt(np.maximum(disc, 0.0, out=disc), out=disc)
     denom -= c
     with np.errstate(divide="ignore", invalid="ignore"):
-        lam = dd / denom
-        lam[(dd <= 0) | (denom <= 0)] = np.nan
-        s = 1.0 / lam
+        np.divide(dd, denom, out=lam)
+        np.copyto(lam, np.nan, where=np.less_equal(dd, 0.0, out=mask))
+        np.copyto(lam, np.nan, where=np.less_equal(denom, 0.0, out=mask))
+        np.divide(1.0, lam, out=s)
     s -= 1.0
     return lam, s
 

@@ -11,6 +11,7 @@ the linearized curve; every p between knots by mixing its two neighbours.
 """
 from __future__ import annotations
 
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -258,6 +259,45 @@ def default_anchors(
     return AnchorSet(*(_read_only(a[keep]) for a in (points, faces, weights, sizes)))
 
 
+# (grid point, anchor) cells of one block of the pivot pass: a report at
+# grid 401 has at most 36 x 399 cells and runs in one block, while a larger
+# grid runs in several, so the planes a thread holds stay bounded
+_PIVOT_CELLS = 16384
+
+
+class _PivotPlanes(threading.local):
+    """One thread's (grid point, anchor) planes of the pivot pass: six
+    float, two complex, one intp and one bool, about 89 B a cell.
+
+    Allocated at the thread's first pass and grown to the largest block it
+    has run (at most _PIVOT_CELLS cells, or one row of anchors), then
+    reused by every later pass, so a report allocates no (grid point,
+    anchor) array.
+    """
+
+    cells = 0
+
+    def shaped(self, shape: tuple):
+        """(real, complex, chart, mask) views of ``shape``: two sequences of
+        six float and two complex planes, an intp and a bool plane."""
+        n = shape[0] * shape[1]
+        if n > self.cells:
+            self.real = np.empty((6, n))
+            self.complex = np.empty((2, n), dtype=complex)
+            self.chart = np.empty(n, dtype=np.intp)
+            self.mask = np.empty(n, dtype=bool)
+            self.cells = n
+        return (
+            [plane[:n].reshape(shape) for plane in self.real],
+            [plane[:n].reshape(shape) for plane in self.complex],
+            self.chart[:n].reshape(shape),
+            self.mask[:n].reshape(shape),
+        )
+
+
+_PLANES = _PivotPlanes()
+
+
 def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
     """Candidate bound lam * c3(boundary) per (grid point, anchor point).
 
@@ -277,11 +317,17 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
     point or amplitude is built. Returns (candidates, lam, s), each of shape
     (len(ps), len(points)); the boundary of a ray is
     bloch._axis_boundary(point, 2p - 1, s).
+
+    Every (grid point, anchor) array is written into this thread's
+    _PivotPlanes, so the three results are views into them: they hold
+    until the next _pivot_candidates call on the same thread, and a caller
+    that keeps them copies them out.
     """
     heights = 2.0 * ps - 1.0
-    lam, s = _axis_exits(points, heights)
-    ax, ay, az = points[:, 0], points[:, 1], points[:, 2]
     n_a = points.shape[0]
+    real, (form, term), chart, mask = _PLANES.shaped((ps.shape[0], n_a))
+    lam, s = _axis_exits(points, heights, (real, mask))
+    ax, ay, az = points[:, 0], points[:, 1], points[:, 2]
     powers = np.empty((n_a, 5), dtype=complex)
     powers[:, 0] = 1.0
     powers[:, 1:] = (ax + 1j * ay)[:, None]
@@ -290,30 +336,30 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
     # chart's c_k w^k, then the southern chart's c_(4-k) conj(w)^k
     table = np.concatenate([coeffs * powers, coeffs[::-1] * powers.conj()]).T
     np.negative(table[1::2], out=table[1::2])
-    # (grid, anchor) arrays are updated in place: on a pair's ~300 x 36 grid a
-    # fresh temporary costs more than the arithmetic
-    bz = heights[:, None] - az
+    # the exits leave real[0] to real[3] as scratch
+    bz = np.subtract(heights[:, None], az, out=real[0])
     bz *= s
     bz += heights[:, None]
     # table column of each (grid point, anchor); the southern chart's columns
     # start at n_a, and a ray with a nan exit reads inf whatever its chart
-    chart = (bz < 0.0) * n_a
+    np.multiply(np.less(bz, 0.0, out=mask), n_a, out=chart)
     chart += np.arange(n_a)
     u = np.abs(bz, out=bz)
     u += 1.0
     np.divide(s, u, out=u)
-    form = table[4].take(chart)
+    # the chart indices are in range: mode="clip" writes take straight into out
+    table[4].take(chart, out=form, mode="clip")
     for j in (3, 2, 1, 0):
         form *= u
-        form += table[j].take(chart)
-    cand = np.sqrt(np.abs(form))
+        form += table[j].take(chart, out=term, mode="clip")
+    cand = np.sqrt(np.abs(form, out=real[1]), out=real[1])
     norm = np.multiply(u, u, out=u)
     norm *= ax * ax + ay * ay
     norm += 1.0
     cand /= norm
     lam = np.minimum(lam, 1.0, out=lam)
     cand *= lam
-    cand[~np.isfinite(lam)] = np.inf
+    np.copyto(cand, np.inf, where=np.logical_not(np.isfinite(lam, out=mask), out=mask))
     return cand, lam, s
 
 
@@ -509,20 +555,28 @@ def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: 
     (anchor, value, lam, s): the index of the argmin anchor, its candidate
     lam * c3(boundary), and its ray's lam and s (bloch._axis_exits). Grid
     points where ``off`` is clear, whose bound the interval witnesses or the
-    pure ends certify, read anchor 0, value inf and a nan ray.
+    pure ends certify, read anchor 0, value inf and a nan ray. The searched
+    points run through _pivot_candidates in blocks of at most _PIVOT_CELLS
+    (grid point, anchor) cells (one row at least), and each block's winners
+    are copied out before the next block reuses the planes; a row's argmin
+    reads that row alone, so the result does not depend on the block size.
+    The returned arrays are the caller's own.
     """
     idx = np.nonzero(off)[0]
-    cand, lam, s = _pivot_candidates(coeffs, grid[idx], points)
-    best = np.argmin(cand, axis=1)
-    rows = np.arange(idx.size)
     anchor = np.zeros(grid.shape, dtype=np.intp)
     value = np.full(grid.shape, np.inf)
     lam_best = np.full(grid.shape, np.nan)
     s_best = np.full(grid.shape, np.nan)
-    anchor[idx] = best
-    value[idx] = cand[rows, best]
-    lam_best[idx] = lam[rows, best]
-    s_best[idx] = s[rows, best]
+    step = max(1, _PIVOT_CELLS // points.shape[0])
+    for start in range(0, idx.size, step):
+        block = idx[start : start + step]
+        cand, lam, s = _pivot_candidates(coeffs, grid[block], points)
+        best = np.argmin(cand, axis=1)
+        rows = np.arange(block.size)
+        anchor[block] = best
+        value[block] = cand[rows, best]
+        lam_best[block] = lam[rows, best]
+        s_best[block] = s[rows, best]
     return anchor, value, lam_best, s_best
 
 

@@ -115,6 +115,12 @@ def _horner(c: np.ndarray, x) -> np.ndarray:
     return v
 
 
+def _derivative(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of each polynomial c[..., k] z^k, one
+    fewer than c's."""
+    return c[..., 1:] * np.arange(1, c.shape[-1])
+
+
 def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Two Newton steps on the roots of each row of c.
 
@@ -127,10 +133,9 @@ def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
     that the real Schur form returns as two equal eigenvalues, and P / P'
     would be noise over noise.
     """
-    n = c.shape[1]
-    both = np.zeros((2, c.shape[0], 1, n), dtype=complex)
+    both = np.zeros((2, c.shape[0], 1, c.shape[1]), dtype=complex)
     both[0, :, 0] = c
-    both[1, :, 0, :-1] = c[:, 1:] * np.arange(1, n)
+    both[1, :, 0, :-1] = _derivative(c)
     noise = 8 * np.finfo(float).eps * _horner(np.abs(both[1]), np.abs(roots))
     for _ in range(2):
         pv, dv = _horner(both, roots)
@@ -218,7 +223,9 @@ def _refine_multiple(c: np.ndarray, merged: list) -> list:
     out = []
     for z, m in merged:
         if m > 1 and z != 0:
-            derivative = np.polynomial.polynomial.polyder(solved, m - 1)
+            derivative = solved
+            for _ in range(m - 1):
+                derivative = _derivative(derivative)
             z = complex(_polish(np.array([[z]]), derivative[None, :])[0, 0])
         out.append((z, m))
     return out

@@ -148,10 +148,6 @@ class RankTwoMixture:
         m = self.p * np.outer(v1, v1.conj()) + (1.0 - self.p) * np.outer(v2, v2.conj())
         return DensityMatrix(self.n_qubits, m)
 
-    def at(self, p: float) -> "RankTwoMixture":
-        """Same eigenpair at a different mixing weight."""
-        return RankTwoMixture(self.psi1, self.psi2, p, self.degenerate_rank)
-
 
 def make_ghz(n: int) -> PureState:
     """|00...0> + |11...1> over sqrt(2) on n >= 2 qubits."""

@@ -1,4 +1,6 @@
 """End-to-end checks of every published number the package must reproduce."""
+from dataclasses import replace
+
 import numpy as np
 
 import tangleroof as tr
@@ -6,7 +8,7 @@ from tangleroof.scenarios import FourQubitFamily, reduced_mixture
 
 
 def _witness_rho_error(mix, p, witness, states):
-    target = mix.at(p).density_matrix().matrix
+    target = replace(mix, p=p).density_matrix().matrix
     recon = np.zeros_like(target)
     for idx, w in zip(witness.face, witness.weights):
         v = states[idx].amplitudes
@@ -145,7 +147,7 @@ def test_criterion_11_oracle(toy_rep):
     ps = rng.uniform(0.0, 1.0, 20)
     for i, p in enumerate(ps):
         sampled = tr.min_average_c3(
-            mix.at(float(p)), 100000, sizes=(2, 3, 4), seed=1000 + i
+            replace(mix, p=float(p)), 100000, sizes=(2, 3, 4), seed=1000 + i
         )
         assert sampled >= float(rep.envelope_curve(p)) - 1e-9
     iv = toy_rep.interval
@@ -162,7 +164,7 @@ def test_criterion_12_exact_zero_witnesses(toy_rep):
         weights, states = rep.decomposition_at(float(p))
         assert all(tr.c3(s) <= 1e-5 for s in states)
         assert abs(float(np.sum(weights)) - 1.0) <= 1e-12
-        target = mix.at(float(p)).density_matrix().matrix
+        target = replace(mix, p=float(p)).density_matrix().matrix
         recon = np.zeros_like(target)
         for w, s in zip(weights, states):
             recon += w * np.outer(s.amplitudes, s.amplitudes.conj())

@@ -1,3 +1,6 @@
+import sys
+import threading
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -187,7 +190,7 @@ def test_decompositions_achieve_reported_envelope(toy_rep):
         recon = np.zeros((8, 8), dtype=complex)
         for w, s in zip(weights, states):
             recon += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        target = mix.at(p).density_matrix().matrix
+        target = replace(mix, p=p).density_matrix().matrix
         assert float(np.abs(recon - target).max()) <= 1e-9
 
 
@@ -409,7 +412,7 @@ def _assert_certifies(rep, mix, p):
     avg = float(sum(w * c3(s) for w, s in zip(weights, states)))
     assert abs(avg - float(rep.envelope_curve(p))) <= 1e-7
     recon = sum(w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(weights, states))
-    target = mix.at(p).density_matrix().matrix
+    target = replace(mix, p=p).density_matrix().matrix
     assert float(np.abs(recon - target).max()) <= 1e-12
     return avg
 
@@ -494,6 +497,92 @@ def test_knot_certificates_read_the_report_pivot_pass(monkeypatch):
         for p in CERTIFICATE_PS:
             _assert_certifies(rep, mix, p)
         assert calls == [off]
+
+
+def _report_bits(rep):
+    """Every field of a report and its decompositions at CERTIFICATE_PS, as
+    bytes, tuples and floats."""
+    decompositions = []
+    for p in CERTIFICATE_PS:
+        weights, states = rep.decomposition_at(p)
+        decompositions.append((weights.tobytes(), tuple(s.amplitudes.tobytes() for s in states)))
+    return (
+        rep.grid.tobytes(), rep.linearized.tobytes(), rep.pivot.tobytes(), rep.envelope.tobytes(),
+        rep.linearized_curve.knots.tobytes(), rep.linearized_curve.provenance,
+        rep.envelope_curve.knots.tobytes(), rep.envelope_curve.provenance,
+        rep.achieving, rep.p_left, rep.p_right, decompositions,
+    )
+
+
+@pytest.mark.parametrize("cells", [36, 500, 10**7])
+def test_pivot_blocks_leave_every_report_field_unchanged(monkeypatch, cells):
+    mixtures = _certificate_mixtures()
+    want = [_report_bits(upper_bound_report(mix, n)) for mix in mixtures for n in (401, 2001)]
+    blocks = []
+    original = bounds._pivot_candidates
+
+    def counted(coeffs, ps, anchors):
+        blocks.append((len(ps), len(anchors)))
+        return original(coeffs, ps, anchors)
+
+    monkeypatch.setattr(bounds, "_PIVOT_CELLS", cells)
+    monkeypatch.setattr(bounds, "_pivot_candidates", counted)
+    got = []
+    for mix in mixtures:
+        for n in (401, 2001):
+            blocks.clear()
+            rep = upper_bound_report(mix, n)
+            got.append(_report_bits(rep))
+            # full blocks of _PIVOT_CELLS cells (one row at least), then the rest
+            n_a = len(rep.anchors)
+            step = max(1, cells // n_a)
+            off = sum(label != "zero-interval" for label in rep.achieving[1:-1])
+            rows = [step] * (off // step) + ([off % step] if off % step else [])
+            assert blocks == [(r, n_a) for r in rows]
+    assert got == want
+
+
+def test_reports_on_two_threads_equal_the_serial_ones():
+    mixtures = _certificate_mixtures()
+    want = [_report_bits(upper_bound_report(mix, 401)) for mix in mixtures]
+    got = {}
+
+    def run(order):
+        got[order] = [_report_bits(upper_bound_report(mixtures[k], 401)) for k in order]
+
+    orders = (tuple(range(len(mixtures))) * 3, tuple(reversed(range(len(mixtures)))) * 3)
+    callers = [threading.Thread(target=run, args=(order,), daemon=True) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for order in orders:
+        assert got[order] == [want[k] for k in order]
+
+
+def test_a_thread_holds_one_block_of_pivot_planes():
+    held = []
+
+    def run():
+        upper_bound_report(_certificate_mixtures()[0], 2001)
+        planes = bounds._PLANES
+        nbytes = planes.real.nbytes + planes.complex.nbytes + planes.chart.nbytes + planes.mask.nbytes
+        held.append((planes.cells, nbytes))
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    # a fresh thread starts without planes, and a grid of 2001 runs in blocks
+    cells, nbytes = held[0]
+    assert 0 < cells <= bounds._PIVOT_CELLS
+    assert nbytes == 89 * cells
 
 
 def _searched_certificate(rep, p):

@@ -1,5 +1,6 @@
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def _row_reference(mix, n_samples, sizes, seed):
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
 def test_sampler_matches_the_row_reference(p):
-    for mix in (toy_mixture(p), _haar_mixture(909).at(p)):
+    for mix in (toy_mixture(p), replace(_haar_mixture(909), p=p)):
         got = min_average_c3(mix, 3000, sizes=(2, 3, 4), seed=17)
         want = _row_reference(mix, 3000, (2, 3, 4), 17)
         assert abs(got - want) <= 1e-12
@@ -142,8 +143,8 @@ def test_sampler_matches_the_row_reference(p):
 
 def test_sampler_pure_ends_equal_the_pure_tangles():
     for mix in (toy_mixture(), _haar_mixture(910)):
-        assert abs(min_average_c3(mix.at(0.0), 2000, seed=3) - c3(mix.psi2)) <= 1e-15
-        assert abs(min_average_c3(mix.at(1.0), 2000, seed=3) - c3(mix.psi1)) <= 1e-15
+        assert abs(min_average_c3(replace(mix, p=0.0), 2000, seed=3) - c3(mix.psi2)) <= 1e-15
+        assert abs(min_average_c3(replace(mix, p=1.0), 2000, seed=3) - c3(mix.psi1)) <= 1e-15
     ghz_w = RankTwoMixture(make_ghz(3), make_w(3), 0.0)
     assert min_average_c3(ghz_w, 2000, seed=3) == 0.0
 
@@ -159,7 +160,7 @@ def test_sampler_skips_degenerate_draws():
 
 
 def test_sampler_is_min_over_size_groups():
-    mix = _haar_mixture(404).at(0.3)
+    mix = replace(_haar_mixture(404), p=0.3)
     coeffs = pencil_polynomial(mix.psi1, mix.psi2)
     scales = (np.sqrt(mix.p), np.sqrt(1.0 - mix.p))
     combined = min_average_c3(mix, 60, sizes=(2, 3, 4), seed=404)
@@ -274,7 +275,7 @@ def test_isometry_columns_are_scaled_orthonormal():
 
 @pytest.mark.parametrize("block", [7, 1000, 4096])
 def test_sampler_does_not_depend_on_the_block_size(block, monkeypatch):
-    mix = _haar_mixture(911).at(0.45)
+    mix = replace(_haar_mixture(911), p=0.45)
     want = min_average_c3(mix, 12_345, sizes=(2, 3, 4), seed=29)
     monkeypatch.setattr(sampling, "_BLOCK", block)
     assert min_average_c3(mix, 12_345, sizes=(2, 3, 4), seed=29) == want
@@ -299,7 +300,7 @@ def _stream_reference(mix, n_samples, sizes, seed):
     "n_samples, sizes", [(12_346, (2, 3, 4)), (12_346, (2, 2, 3)), (2, (2, 3, 4))]
 )
 def test_sampler_draws_each_size_from_its_own_stream(n_samples, sizes, block, monkeypatch):
-    mix = _haar_mixture(912).at(0.45)
+    mix = replace(_haar_mixture(912), p=0.45)
     want = _stream_reference(mix, n_samples, sizes, 31)
     monkeypatch.setattr(sampling, "_BLOCK", block)
     assert min_average_c3(mix, n_samples, sizes=sizes, seed=31) == want
@@ -313,7 +314,7 @@ def test_sampler_takes_a_generator_and_draws_only_what_it_uses():
             drawn.append(size)
             return super().standard_normal(size, dtype, out)
 
-    mix = _haar_mixture(913).at(0.6)
+    mix = replace(_haar_mixture(913), p=0.6)
     want = min_average_c3(mix, 2, sizes=(2, 3, 4), seed=31)
     assert min_average_c3(mix, 2, sizes=(2, 3, 4), seed=Counting(np.random.PCG64(31))) == want
     assert drawn == [(1, 2, 2, 2), (1, 3, 2, 2)]  # the size-4 stream has no sample
@@ -325,7 +326,7 @@ def test_sampler_takes_a_generator_and_draws_only_what_it_uses():
 def test_overlapped_draws_equal_the_serial_reference_bitwise(seed):
     # the helper thread draws in the serial order: partial last blocks
     # (n_j = 1667 and 1666), a repeated size, fewer samples than sizes
-    mix = _haar_mixture(920 + seed).at(0.35)
+    mix = replace(_haar_mixture(920 + seed), p=0.35)
     for n_samples, sizes in [(5000, (2, 3, 4)), (5000, (3, 2, 3)), (2, (2, 3, 4)), (1, (4,))]:
         want = _stream_reference(mix, n_samples, sizes, seed)
         assert min_average_c3(mix, n_samples, sizes=sizes, seed=seed) == want
@@ -334,7 +335,7 @@ def test_overlapped_draws_equal_the_serial_reference_bitwise(seed):
 def test_concurrent_calls_under_fast_thread_switching(monkeypatch):
     # six callers and their six drawers on a shortened switch interval: a
     # block handed to the wrong call changes that call's minimum
-    mix = _haar_mixture(926).at(0.6)
+    mix = replace(_haar_mixture(926), p=0.6)
     monkeypatch.setattr(sampling, "_BLOCK", 16)
     want = {seed: _stream_reference(mix, 2000, (2, 3, 4), seed) for seed in range(6)}
     got = {}
@@ -387,7 +388,7 @@ def test_a_failed_draw_is_raised_by_the_caller_and_leaves_no_thread():
                 raise _Injected("third draw")
             return super().standard_normal(size, dtype, out)
 
-    mix = _haar_mixture(927).at(0.5)
+    mix = replace(_haar_mixture(927), p=0.5)
     before = threading.active_count()
     exc = _raised_by(min_average_c3, mix, 10_000, seed=ThirdDrawFails(np.random.PCG64(7)))
     assert isinstance(exc, _Injected) and str(exc) == "third draw"
@@ -417,7 +418,7 @@ def test_a_failed_kernel_call_is_raised_and_stops_the_drawer(monkeypatch):
         return kernel(coeffs, scales, gauss)
 
     monkeypatch.setattr(_kernels, "min_average_batch", second_call_fails)
-    mix = _haar_mixture(928).at(0.5)
+    mix = replace(_haar_mixture(928), p=0.5)
     before = threading.active_count()
     exc = _raised_by(min_average_c3, mix, 100_000, seed=Counting(np.random.PCG64(8)))
     assert isinstance(exc, _Injected) and str(exc) == "second kernel call"

@@ -351,6 +351,25 @@ def test_pencil_polynomial_evaluates_in_polyval_order():
     assert pencil._horner(c, 0.7 + 0.1j) == npoly.polyval(0.7 + 0.1j, c)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_derivatives_of_a_multiple_root_equal_polyder(m):
+    # a root of multiplicity m is refined on P^(m-1); polyder trims the
+    # zero leading coefficients, which add exact zeros to a Horner pass
+    rng = np.random.default_rng(40 + m)
+    real = rng.normal(size=(300, 5)) * 10.0 ** rng.uniform(-8.0, 8.0, (300, 1))
+    rows = np.vstack([real + 0j, real + 1j * rng.normal(size=(300, 5))])
+    rows[::3, 4] = 0.0
+    rows[::5, 3:] = 0.0
+    for c in rows:
+        derivative = c
+        for _ in range(m - 1):
+            derivative = pencil._derivative(derivative)
+        want = npoly.polyder(c, m - 1)
+        assert derivative.shape == (6 - m,)
+        assert derivative[: want.size].tobytes() == want.tobytes()
+        assert not derivative[want.size :].any()
+
+
 def _stacks(pairs):
     """The (N, 8) psi1 and psi2 stacks of (name, psi1, psi2) pairs."""
     _, amps1, amps2 = zip(*pairs)

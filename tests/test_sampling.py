@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def _product_pair():
 
 def test_random_decomposition_reconstructs_state(toy_mix):
     rng = np.random.default_rng(3)
-    state = toy_mix.at(0.37)
+    state = replace(toy_mix, p=0.37)
     rho = state.density_matrix().matrix
     for m in (2, 3, 5):
         weights, states = random_decomposition(state, m, rng)
@@ -30,7 +32,7 @@ def test_random_decomposition_reconstructs_state(toy_mix):
 
 
 def test_average_c3_nonnegative_and_reproducible(toy_mix):
-    state = toy_mix.at(0.9)
+    state = replace(toy_mix, p=0.9)
     a = average_c3(*random_decomposition(state, 3, np.random.default_rng(11)))
     b = average_c3(*random_decomposition(state, 3, np.random.default_rng(11)))
     assert a == b
@@ -38,7 +40,7 @@ def test_average_c3_nonnegative_and_reproducible(toy_mix):
 
 
 def test_min_average_seed_reproducible(toy_mix):
-    state = toy_mix.at(0.85)
+    state = replace(toy_mix, p=0.85)
     a = min_average_c3(state, 500, sizes=(2, 3), seed=42)
     b = min_average_c3(state, 500, sizes=(2, 3), seed=42)
     c = min_average_c3(state, 500, sizes=(2, 3), seed=43)
@@ -48,7 +50,7 @@ def test_min_average_seed_reproducible(toy_mix):
 
 
 def test_min_average_validation(toy_mix):
-    state = toy_mix.at(0.5)
+    state = replace(toy_mix, p=0.5)
     with pytest.raises(ValueError):
         min_average_c3(state, 0, sizes=(2,), seed=1)
     with pytest.raises(ValueError):
@@ -61,7 +63,7 @@ def test_min_average_validation(toy_mix):
 
 
 def test_sample_counts_and_sizes_must_be_integers(toy_mix):
-    state = toy_mix.at(0.5)
+    state = replace(toy_mix, p=0.5)
     # int() truncated the size 2.5 to 2, and True ran one sample
     with pytest.raises(ValueError, match="decomposition size must be an integer"):
         min_average_c3(state, 300, sizes=(2.5, 3))
@@ -82,7 +84,7 @@ def test_zero_tangle_mixture_sampling_floor():
     # every decomposition of a GHZ-diagonal rank-2 state of |000>,|111>
     # at p=0.5 still averages above the unentangled floor only when c3 > 0;
     # here psi1, psi2 are product states but superpositions are GHZ-like.
-    val = min_average_c3(mix.at(0.5), 2000, sizes=(2, 3), seed=5)
+    val = min_average_c3(replace(mix, p=0.5), 2000, sizes=(2, 3), seed=5)
     assert val >= 0.0
 
 
@@ -90,13 +92,13 @@ def test_sampled_minimum_dominates_envelope(toy_rep):
     rep = toy_rep.report
     rng_ps = (0.25, 0.5, 0.9)
     for p in rng_ps:
-        state = toy_rep.mixture.at(p)
+        state = replace(toy_rep.mixture, p=p)
         sampled = min_average_c3(state, 4000, sizes=(2, 3, 4), seed=int(p * 1000))
         assert sampled >= float(rep.envelope_curve(p)) - 1e-9
 
 
 def test_average_c3_matches_manual_average(toy_mix):
-    state = toy_mix.at(0.6)
+    state = replace(toy_mix, p=0.6)
     weights, states = random_decomposition(state, 4, np.random.default_rng(21))
     manual = float(sum(w * c3(s) for w, s in zip(weights, states)))
     assert average_c3(weights, states) == pytest.approx(manual, rel=1e-12)
@@ -119,6 +121,6 @@ def test_sampler_builds_one_pencil_and_no_rows(n_samples, toy_mix, monkeypatch):
 
     monkeypatch.setattr(sampling, "_pencils", counted_pencils)
     monkeypatch.setattr(_kernels, "tau3_many", counted_tau3)
-    min_average_c3(toy_mix.at(0.4), n_samples, seed=8)
+    min_average_c3(replace(toy_mix, p=0.4), n_samples, seed=8)
     assert batches == [1]
     assert tangle_rows == []

@@ -113,10 +113,8 @@ def test_mixture_requires_orthonormal_pair():
         RankTwoMixture(ghz, PureState(3, 0.5 * w.amplitudes), 0.3)
 
 
-def test_mixture_at_and_density_matrix():
+def test_mixture_density_matrix():
     mix = RankTwoMixture(make_ghz(3), make_w(3), 0.25)
-    moved = mix.at(0.75)
-    assert moved.psi1 is mix.psi1 and moved.p == 0.75
     rho = mix.density_matrix()
     evals = np.linalg.eigvalsh(rho.matrix)
     np.testing.assert_allclose(np.sort(evals)[-2:], [0.25, 0.75], atol=1e-12)
