@@ -16,11 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .pencil import ZeroSet, _padded
-from .states import PureState, RankTwoMixture, _row_norms
+from .states import PureState, RankTwoMixture, _read_only, _row_norms
 
 __all__ = [
     "bloch_from_z",
-    "axis_point",
     "ZeroPolytope",
     "IntervalWitness",
     "AxisInterval",
@@ -59,21 +58,11 @@ def bloch_from_z(z) -> np.ndarray:
     return pts
 
 
-def axis_point(p: float) -> np.ndarray:
-    """Bloch point (0, 0, 2p - 1) of the mixture at weight p."""
-    return np.array([0.0, 0.0, 2.0 * float(p) - 1.0])
-
-
 # vertex subsets of size 1, 2 and 3 of four vertices, one (count, size)
 # index array per size in lexicographic order; taken in that order they list
 # the faces by size, then by index. A set of k < 4 vertices is padded to four
 # by repeating its last one (pencil._padded), and its own faces come first
 FACES = tuple(np.array(list(combinations(range(4), size)), dtype=np.intp) for size in (1, 2, 3))
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 # FACES as one table in that order: the vertex indices of each face
@@ -110,9 +99,7 @@ class ZeroPolytope:
     volume: float
 
     def __post_init__(self):
-        v = np.asarray(self.vertices)
-        v.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
+        object.__setattr__(self, "vertices", _read_only(np.asarray(self.vertices)))
 
     @property
     def n_vertices(self) -> int:
@@ -127,10 +114,8 @@ class IntervalWitness:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
         object.__setattr__(self, "face", tuple(int(i) for i in self.face))
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _read_only(np.asarray(self.weights, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,7 +257,7 @@ def axis_zero_interval(polytope: ZeroPolytope) -> Optional[AxisInterval]:
     return _interval(*(a[0] for a in _axis_intervals(_padded(polytope.vertices)[None])))
 
 
-def _axis_exits(anchors: np.ndarray, heights: np.ndarray, out=None):
+def _axis_exits(anchors: np.ndarray, heights: np.ndarray, out):
     """Sphere crossings of rays from each anchor through each axis point.
 
     anchors is (n_a, 3) and heights (n_t,); the ray from an anchor a
@@ -286,14 +271,11 @@ def _axis_exits(anchors: np.ndarray, heights: np.ndarray, out=None):
     over the three components of d, they keep its bits. Pairs with
     anchor == target get lam = nan.
 
-    ``out`` is None or a pair (planes, mask) of six (n_t, n_a) float planes
-    and an (n_t, n_a) bool array that every (n_t, n_a) temporary is written
-    into; lam and s are then planes[4] and planes[5], and the other planes
-    and the mask are scratch.
+    ``out`` is a pair (planes, mask) of six (n_t, n_a) float planes and an
+    (n_t, n_a) bool array that every (n_t, n_a) temporary is written into
+    (the pivot pass passes its per-thread planes); lam and s are
+    planes[4] and planes[5], and the other planes and the mask are scratch.
     """
-    if out is None:
-        shape = (heights.shape[0], anchors.shape[0])
-        out = np.empty((6,) + shape), np.empty(shape, dtype=bool)
     (dz, dd, c, disc, lam, s), mask = out
     ax, ay, az = anchors[:, 0], anchors[:, 1], anchors[:, 2]
     r2 = ax * ax + ay * ay

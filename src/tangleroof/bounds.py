@@ -27,12 +27,10 @@ from .bloch import (
     _axis_exits,
     _interval,
     _polytopes,
-    _read_only,
     _span_amplitudes,
-    axis_point,
 )
 from .pencil import ZeroSet, _pencils, _zero_sets
-from .states import PureState, RankTwoMixture, _check_count
+from .states import PureState, RankTwoMixture, _check_count, _read_only
 
 __all__ = [
     "AnchorSet",
@@ -133,8 +131,7 @@ class BoundCurve:
             raise ValueError("knots must be finite")
         if np.any(np.diff(k[:, 0]) <= 0):
             raise ValueError("knot abscissae must be strictly increasing")
-        k.setflags(write=False)
-        object.__setattr__(self, "knots", k)
+        object.__setattr__(self, "knots", _read_only(k))
         object.__setattr__(self, "provenance", tuple(self.provenance))
 
     def __call__(self, p):
@@ -148,7 +145,8 @@ class AnchorSet:
     Row j is the point ``points[j]``, the convex combination
     ``weights[j, :sizes[j]]`` of the polytope vertices ``faces[j, :sizes[j]]``
     (both zero-padded to 3 columns). default_anchors builds the arrays
-    read-only.
+    read-only, as the rows of bloch.ANCHOR_GRID within the polytope's
+    vertices, so a table has 1, 5, 15 or 34 rows for 1 to 4 vertices.
     """
 
     points: np.ndarray
@@ -185,19 +183,14 @@ def characteristic_curve(mix: RankTwoMixture, phi: float, grid: Sequence[float])
     return np.column_stack([ps, np.sqrt(np.abs(tau))])
 
 
-def linearized_upper_bound(
-    mix: RankTwoMixture, geometry: Optional[SpanGeometry] = None
-) -> BoundCurve:
-    """Piecewise-linear bound through the pure ends and the zero interval.
+def linearized_upper_bound(geom: SpanGeometry) -> BoundCurve:
+    """Piecewise-linear bound of a span through the pure ends and the zero
+    interval.
 
     Knots: (0, c3(psi2)), (p_low, 0), (p_high, 0), (1, c3(psi1)); without an
     axis interval the curve is the single chord between the pure ends, and an
     identically vanishing pencil gives the flat zero curve.
     """
-    return _linearized_curve(geometry if geometry is not None else span_geometry(mix))
-
-
-def _linearized_curve(geom: SpanGeometry) -> BoundCurve:
     if geom.identically_zero:
         return BoundCurve(
             np.array([[0.0, 0.0], [1.0, 0.0]]), ("zero-interval", "zero-interval")
@@ -224,19 +217,12 @@ _NO_ANCHORS = AnchorSet(*map(_read_only, (
 )))
 
 
-def default_anchors(
-    mix: RankTwoMixture, geometry: Optional[SpanGeometry] = None
-) -> AnchorSet:
-    """Anchor table: the rows of ANCHOR_GRID within the polytope's vertices
-    (each vertex, three quarter points per edge and three interior points
-    per triangle), then the two axis interval points; empty without a
-    polytope.
-
-    The grid points come from one product. Rows whose points agree to 12
-    decimals (an axis point on a grid point, or the overlapping triangles of
-    a flat polytope) are built once, as the first of them.
+def default_anchors(geom: SpanGeometry) -> AnchorSet:
+    """Anchor table of a span: the rows of ANCHOR_GRID within the polytope's
+    k vertices (each vertex, three quarter points per edge and three
+    interior points per triangle; 1, 5, 15 or 34 rows for k = 1 to 4), in
+    table order; empty without a polytope. The points come from one product.
     """
-    geom = geometry if geometry is not None else span_geometry(mix)
     if geom.polytope is None:
         return _NO_ANCHORS
     v = geom.polytope.vertices
@@ -244,23 +230,11 @@ def default_anchors(
     faces, weights, sizes = (a[within] for a in ANCHOR_GRID)
     # a stacked (1, 3) @ (3, 3) matmul: each point has the bits of its own row
     points = (weights[:, None, :] @ v[faces])[:, 0]
-    if geom.interval is not None:
-        iv = geom.interval
-        points = np.concatenate([points, [axis_point(iv.p_low), axis_point(iv.p_high)]])
-        faces = np.concatenate([faces, np.zeros((2, 3), dtype=np.intp)])
-        weights = np.concatenate([weights, np.zeros((2, 3))])
-        sizes = np.append(sizes, [len(iv.witness_low.face), len(iv.witness_high.face)])
-        for row, wit in enumerate((iv.witness_low, iv.witness_high), start=len(sizes) - 2):
-            faces[row, :len(wit.face)], weights[row, :len(wit.face)] = wit.face, wit.weights
-    first = {}
-    for n, key in enumerate(map(tuple, np.round(points, 12).tolist())):
-        first.setdefault(key, n)
-    keep = list(first.values())
-    return AnchorSet(*(_read_only(a[keep]) for a in (points, faces, weights, sizes)))
+    return AnchorSet(*map(_read_only, (points, faces, weights, sizes)))
 
 
 # (grid point, anchor) cells of one block of the pivot pass: a report at
-# grid 401 has at most 36 x 399 cells and runs in one block, while a larger
+# grid 401 has at most 34 x 399 cells and runs in one block, while a larger
 # grid runs in several, so the planes a thread holds stay bounded
 _PIVOT_CELLS = 16384
 
@@ -448,9 +422,7 @@ class BoundReport:
 
     def __post_init__(self):
         for name in ("grid", "linearized", "pivot", "envelope"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
 
     @property
     def identically_zero(self) -> bool:
@@ -619,8 +591,10 @@ _ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 
 def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) -> BoundReport:
     """Evaluate all three bounds on a uniform grid (plus the interval knots),
-    searching the rays of default_anchors. ``grid_size`` is an integer of
-    at least 2."""
+    searching the rays of default_anchors, the face grid of the polytope.
+    The pivot bound is the smaller of the linearized bound and the best ray,
+    so the chords through the interval ends need no anchor of their own.
+    ``grid_size`` is an integer of at least 2."""
     if _check_count(grid_size, "grid_size") < 2:
         raise ValueError("grid_size must be at least 2")
     geom = span_geometry(mix)
@@ -629,7 +603,7 @@ def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) 
         # a single-point interval whose computed ends differ by an ulp adds one row
         lo, hi = geom.interval.p_low, geom.interval.p_high
         grid = np.unique(np.concatenate([grid, [lo] if hi - lo <= 1e-15 else [lo, hi]]))
-    lin_curve = linearized_upper_bound(mix, geom)
+    lin_curve = linearized_upper_bound(geom)
     lin_vals = lin_curve(grid)
     if geom.identically_zero:
         # the flat zero curve: the pure ends certify it everywhere
@@ -643,7 +617,7 @@ def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) 
         inside = (grid >= geom.interval.p_low - 1e-12) & (
             grid <= geom.interval.p_high + 1e-12
         )
-    anchor_set = default_anchors(mix, geom)
+    anchor_set = default_anchors(geom)
     # rho(0) and rho(1) are pure: their roof is the exact end c3, which a ray
     # with lam just under 1 could undercut by rounding
     off = ~inside

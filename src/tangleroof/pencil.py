@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _kernels
-from .states import PureState, RankTwoMixture, _row_norms
+from .states import PureState, RankTwoMixture, _read_only, _row_norms
 
 __all__ = [
     "ZeroSet",
@@ -58,9 +58,7 @@ class ZeroSet:
             ("z", complex), ("multiplicity", int), ("p0", float), ("phases", float)
         ):
             # copies, so that freezing them leaves the caller's arrays writable
-            a = np.array(getattr(self, name), dtype=dtype)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=dtype)))
         object.__setattr__(self, "states", tuple(self.states))
 
 
@@ -98,9 +96,7 @@ def pencil_polynomial(psi1: PureState, psi2: PureState) -> np.ndarray:
     """
     if psi1.n_qubits != 3 or psi2.n_qubits != 3:
         raise ValueError("pencil polynomial is defined for 3-qubit pairs")
-    coeffs = _pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])[0]
-    coeffs.setflags(write=False)
-    return coeffs
+    return _read_only(_pencils(psi1.amplitudes[None, :], psi2.amplitudes[None, :])[0])
 
 
 def _horner(c: np.ndarray, x) -> np.ndarray:

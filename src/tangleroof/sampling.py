@@ -137,7 +137,7 @@ def random_decomposition(
     rows = a * mix.psi1.amplitudes + b * mix.psi2.amplitudes
     weights = np.sum(np.abs(rows) ** 2, axis=1)
     states = tuple(
-        PureState(3, rows[i] / np.sqrt(weights[i])) for i in range(size)
+        PureState(mix.n_qubits, rows[i] / np.sqrt(weights[i])) for i in range(size)
     )
     return weights, states
 

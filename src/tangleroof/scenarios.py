@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bloch import AxisInterval, ZeroPolytope
-from .bounds import BoundReport, _check_p, _linearized_curve, span_geometries, upper_bound_report
+from .bounds import BoundReport, _check_p, linearized_upper_bound, span_geometries, upper_bound_report
 from .invariants import _concurrences, _one_tangles, c3_many
 from .pencil import ZeroSet, _pencils
 from .states import (
@@ -340,7 +340,7 @@ def _linearized_c3(v1: np.ndarray, v2: np.ndarray, q: np.ndarray, degenerate: np
             out[i] = value
     mixed = np.nonzero(~degenerate)[0]
     for i, geom in zip(mixed.tolist(), span_geometries(v1[mixed], v2[mixed])):
-        out[i] = float(_linearized_curve(geom)(q[i]))
+        out[i] = float(linearized_upper_bound(geom)(q[i]))
     return out
 
 

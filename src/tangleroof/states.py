@@ -36,8 +36,8 @@ class RankExceededError(Exception):
     """Density matrix has numerical rank larger than two."""
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only in place."""
     a.setflags(write=False)
     return a
 
@@ -67,7 +67,8 @@ class PureState:
 
     def __post_init__(self):
         n = _check_qubits(self.n_qubits)
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        # its own copy, so the caller's array stays writable
+        amps = np.array(self.amplitudes, dtype=complex).ravel()
         if amps.shape[0] != 2**n:
             raise ValueError(
                 f"expected {2**n} amplitudes for {n} qubits, got {amps.shape[0]}"
@@ -75,7 +76,7 @@ class PureState:
         if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        object.__setattr__(self, "amplitudes", _read_only(amps))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -100,7 +101,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         n = _check_qubits(self.n_qubits)
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
         d = 2**n
         if m.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix, got shape {m.shape}")
@@ -109,7 +110,7 @@ class DensityMatrix:
         if abs(np.trace(m).real - 1.0) > HERMITICITY_TOL or abs(np.trace(m).imag) > HERMITICITY_TOL:
             raise ValueError("matrix trace differs from 1 beyond 1e-12")
         object.__setattr__(self, "n_qubits", n)
-        object.__setattr__(self, "matrix", _readonly(m))
+        object.__setattr__(self, "matrix", _read_only(m))
 
 
 @dataclass(frozen=True, eq=False)

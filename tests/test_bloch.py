@@ -11,7 +11,6 @@ from tangleroof.bloch import (
     _axis_intervals,
     _interval,
     _polytopes,
-    axis_point,
     axis_zero_interval,
     bloch_from_z,
     build_polytope,
@@ -41,12 +40,6 @@ def test_bloch_points_lie_on_unit_sphere():
     assert np.allclose(bloch_from_z(np.array([np.inf], dtype=complex)), [[0.0, 0.0, -1.0]])
 
 
-def test_axis_point_endpoints():
-    np.testing.assert_allclose(axis_point(1.0), [0.0, 0.0, 1.0])
-    np.testing.assert_allclose(axis_point(0.0), [0.0, 0.0, -1.0])
-    np.testing.assert_allclose(axis_point(0.5), [0.0, 0.0, 0.0])
-
-
 def test_build_polytope_toy_shape():
     poly = build_polytope(zero_set(toy_mixture()))
     assert poly.n_vertices == 4
@@ -66,7 +59,7 @@ def test_axis_interval_toy_witnesses_mix_to_axis():
         point = np.zeros(3)
         for idx, w in zip(wit.face, wit.weights):
             point += w * poly.vertices[idx]
-        np.testing.assert_allclose(point, axis_point(p), atol=1e-9)
+        np.testing.assert_allclose(point, [0.0, 0.0, 2.0 * p - 1.0], atol=1e-9)
         assert abs(float(np.sum(wit.weights)) - 1.0) <= 1e-12
         assert np.all(wit.weights >= 0.0)
 
@@ -82,10 +75,15 @@ def test_axis_interval_planar_case_uses_small_faces():
     assert len(iv.witness_high.face) <= 2
 
 
+def _exit_planes(n_t, n_a):
+    """The (planes, mask) scratch that _axis_exits writes into."""
+    return np.empty((6, n_t, n_a)), np.empty((n_t, n_a), dtype=bool)
+
+
 def _axis_ray(anchor, h):
     """(boundary, lam) of the ray from one anchor through the axis point (0, 0, h)."""
     anchor = np.asarray(anchor, dtype=float)
-    lam, s = _axis_exits(anchor[None, :], np.array([h]))
+    lam, s = _axis_exits(anchor[None, :], np.array([h]), _exit_planes(1, 1))
     return _axis_boundary(anchor, h, s[0, 0]), float(lam[0, 0])
 
 
@@ -148,7 +146,7 @@ def test_axis_exits_equal_the_axis_sum_form():
     heights = np.concatenate([np.linspace(-0.9, 0.9, 21), rng.uniform(-1.0, 1.0, 20),
                               [0.25, -0.6, -1.0, 1.0]])
     targets = np.column_stack([np.zeros_like(heights), np.zeros_like(heights), heights])
-    lam, s = _axis_exits(anchors, heights)
+    lam, s = _axis_exits(anchors, heights, _exit_planes(heights.shape[0], anchors.shape[0]))
     boundary = _axis_boundary(anchors[None, :, :], heights[:, None], s)
     ref_boundary, ref_lam = _sphere_exit_reference(anchors, targets)
     np.testing.assert_array_equal(lam, ref_lam)
@@ -399,9 +397,22 @@ def test_padding_never_leaks():
         k = geom.polytope.n_vertices
         if geom.interval is not None:
             assert max(geom.interval.witness_low.face + geom.interval.witness_high.face) < k
-        anchors = default_anchors(mix, geom)
-        assert anchors.faces.max() < k
-        assert len({tuple(p) for p in np.round(anchors.points, 12).tolist()}) == len(anchors)
+        assert default_anchors(geom).faces.max() < k
+
+
+def test_anchor_tables_are_the_face_grid_within_the_vertices():
+    # 1, 5, 15 or 34 rows for 1 to 4 vertices: the ANCHOR_GRID rows whose
+    # faces lie within the vertices, in table order, and no other row
+    rows = {1: 1, 2: 5, 3: 15, 4: 34}
+    for _, geom in _sparse_real_spans(300):
+        v = geom.polytope.vertices
+        table = default_anchors(geom)
+        assert len(table) == rows[v.shape[0]]
+        within = bloch.ANCHOR_GRID[0].max(axis=1) < v.shape[0]
+        for got, grid in zip((table.faces, table.weights, table.sizes), bloch.ANCHOR_GRID):
+            assert np.array_equal(got, grid[within])
+        for j in range(len(table)):
+            assert np.array_equal(table.points[j], (table.weights[j][None] @ v[table.faces[j]])[0])
 
 
 def _lstsq_mismatches(polytopes):

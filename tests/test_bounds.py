@@ -12,7 +12,6 @@ from tangleroof.bloch import (
     _axis_boundary,
     _span_amplitudes,
     _span_coordinates,
-    axis_point,
     state_from_bloch,
 )
 from tangleroof.bounds import (
@@ -78,7 +77,7 @@ def test_characteristic_curve_needs_a_three_qubit_mixture():
 
 def test_linearized_upper_bound_shape(toy_mix):
     geom = span_geometry(toy_mix)
-    curve = linearized_upper_bound(toy_mix, geom)
+    curve = linearized_upper_bound(geom)
     knots = curve.knots
     assert knots.shape == (4, 2)
     assert knots[0, 1] == pytest.approx(c3(toy_mix.psi2), abs=1e-12)
@@ -92,9 +91,10 @@ def test_linearized_upper_bound_shape(toy_mix):
 
 def test_default_anchors_are_certified_zeros(toy_mix):
     geom = span_geometry(toy_mix)
-    anchors = default_anchors(toy_mix, geom)
+    anchors = default_anchors(geom)
     k = geom.polytope.n_vertices
-    assert len(anchors) > k == 4
+    # the whole face grid of four vertices
+    assert k == 4 and len(anchors) == 34
     # the table opens with the vertices and holds face-grid rows
     assert np.array_equal(anchors.points[:k], geom.polytope.vertices)
     assert (anchors.sizes == 3).any()
@@ -107,14 +107,12 @@ def test_default_anchors_are_certified_zeros(toy_mix):
     # the padding of faces and weights beyond each row's size is zero
     pad = np.arange(3) >= anchors.sizes[:, None]
     assert not anchors.faces[pad].any() and not anchors.weights[pad].any()
-    # dedup leaves no repeated anchor points
-    assert len({tuple(p) for p in np.round(anchors.points, 12).tolist()}) == len(anchors)
 
 
 def test_pivot_bound_dominated_by_linearized(toy_mix):
     rep = upper_bound_report(toy_mix, grid_size=101)
     grid, pivot = rep.grid, rep.pivot
-    lin_curve = linearized_upper_bound(toy_mix, rep.geometry)
+    lin_curve = linearized_upper_bound(rep.geometry)
     assert np.all(pivot <= lin_curve(grid) + 1e-12)
     iv = rep.interval
     inside = (grid >= iv.p_low) & (grid <= iv.p_high)
@@ -286,6 +284,14 @@ def test_ghz_w_envelope_is_one_chord_right_of_the_interval():
     assert rep.envelope_curve.knots[:, 0].tolist() == [0.0, rep.interval.p_high, 1.0]
 
 
+def test_w_ghz_envelope_is_one_chord_left_of_the_interval():
+    # the mirrored pair: a ray from the axis interval point along the axis
+    # once dipped 1.1e-16 below the chord at p = 0.0025 and made it a knot
+    rep = upper_bound_report(RankTwoMixture(make_w(3), make_ghz(3), 0.5), grid_size=401)
+    assert rep.p_left == 0.0
+    assert rep.envelope_curve.knots[:, 0].tolist() == [0.0, rep.interval.p_low, 1.0]
+
+
 def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
     # one _pencils batch multiplies out every pencil, for one span or a stack
     # of them, and no tangle rows are evaluated for it
@@ -388,7 +394,7 @@ def test_structural_zero_ends_are_exact(psi1, psi2):
         curve = characteristic_curve(mix, phi, [0.0, 1.0])
         assert curve[0, 1] == c3(psi2)
         assert curve[1, 1] == c3(psi1)
-    lin = linearized_upper_bound(mix, geom)
+    lin = linearized_upper_bound(geom)
     assert lin(0.0) == c3(psi2) and lin(1.0) == c3(psi1)
 
 
@@ -436,8 +442,8 @@ def _subset_reports(monkeypatch, rows, mixtures):
     the ``rows(table)`` rows of each default anchor table."""
     original = bounds.default_anchors
 
-    def subset(mix, geometry=None):
-        table = original(mix, geometry)
+    def subset(geom):
+        table = original(geom)
         return AnchorSet(*(a[rows(table)] for a in vars(table).values()))
 
     out = []
@@ -470,8 +476,7 @@ def test_a_one_row_anchor_table_certifies_its_linearized_knots(monkeypatch):
 
 def test_an_anchor_subset_bounds_no_lower_and_certifies(monkeypatch):
     mixtures = _seeded_pairs(89, 4) + [toy_mixture()]
-    # the vertices, the quarter points of the edges and the edge witnesses'
-    # axis points
+    # the vertices and the quarter points of the edges
     for mix, full, rep in _subset_reports(monkeypatch, lambda t: t.sizes < 3, mixtures):
         assert 0 < len(rep.anchors) < len(full.anchors)
         for p in CERTIFICATE_PS + tuple(rep.envelope_curve.knots[:, 0].tolist()):
@@ -763,43 +768,24 @@ def _reference_conjugate_pairs(vertices):
 
 
 def _reference_anchors(geom):
-    """(point, face, weights) per anchor as the table was once built:
-    vertices, conjugate-pair mixtures, axis interval points, then a
-    quarter-step grid over every triangle, the first of any points that
-    agree to 12 decimals."""
+    """Anchor points as the table was once built: vertices, conjugate-pair
+    mixtures, then a quarter-step grid over every triangle."""
     if geom.polytope is None:
         return []
     v = geom.polytope.vertices
-    candidates = [(v[i], (i,), [1.0]) for i in range(v.shape[0])]
-    for i, j in _reference_conjugate_pairs(v):
-        candidates.append((0.5 * (v[i] + v[j]), (i, j), [0.5, 0.5]))
-    if geom.interval is not None:
-        for p, wit in (
-            (geom.interval.p_low, geom.interval.witness_low),
-            (geom.interval.p_high, geom.interval.witness_high),
-        ):
-            candidates.append((axis_point(p), wit.face, wit.weights))
+    points = list(v)
+    points += [0.5 * (v[i] + v[j]) for i, j in _reference_conjugate_pairs(v)]
     grid = [np.array([a, b, 4 - a - b], dtype=float) / 4.0 for a in range(5) for b in range(5 - a)]
     for face in (f for f in FACES[2].tolist() if max(f) < v.shape[0]):
-        candidates.extend((w @ v[face], tuple(face), w) for w in grid)
-    return _first_of_equal_points(candidates)
-
-
-def _first_of_equal_points(candidates):
-    keys = np.round(np.array([cand[0] for cand in candidates]), 12).tolist()
-    seen = {}
-    for key, (point, face, weights) in zip(keys, candidates):
-        if tuple(key) not in seen:
-            seen[tuple(key)] = (point, tuple(face), np.asarray(weights, dtype=float))
-    return list(seen.values())
+        points += [w @ v[face] for w in grid]
+    return points
 
 
 def _reference_face_anchors(geom):
     """(point, face, weights) per anchor, one candidate at a time: the
     quarter-step barycentric points inside every face (each vertex, then
     three points per edge, then three per triangle), each as one weight row
-    padded to 3 times the padded face's vertex rows; then the axis interval
-    points; the first of any points that agree to 12 decimals."""
+    padded to 3 times the padded face's vertex rows."""
     if geom.polytope is None:
         return []
     v = geom.polytope.vertices
@@ -811,13 +797,7 @@ def _reference_face_anchors(geom):
                     w = np.array(steps + (0,) * (3 - size)) / 4.0
                     point = (w[None] @ v[list(face) + [0] * (3 - size)])[0]
                     candidates.append((point, face, w[:size]))
-    if geom.interval is not None:
-        for p, wit in (
-            (geom.interval.p_low, geom.interval.witness_low),
-            (geom.interval.p_high, geom.interval.witness_high),
-        ):
-            candidates.append((axis_point(p), wit.face, wit.weights))
-    return _first_of_equal_points(candidates)
+    return candidates
 
 
 def _reference_mixtures():
@@ -837,7 +817,7 @@ def test_default_anchors_equal_the_per_candidate_builder():
     anchored = 0
     for mix in _reference_mixtures():
         geom = span_geometry(mix)
-        got = default_anchors(mix, geom)
+        got = default_anchors(geom)
         expected = _reference_face_anchors(geom)
         assert len(got) == len(expected)
         anchored += bool(got)
@@ -859,8 +839,8 @@ def test_face_anchors_keep_the_points_of_the_triangle_grid():
         if geom.polytope is None or geom.polytope.n_vertices < 3:
             continue
         spans += 1
-        got = np.round(default_anchors(mix, geom).points, 12).tolist()
-        expected = np.round([point for point, _, _ in _reference_anchors(geom)], 12).tolist()
+        got = np.round(default_anchors(geom).points, 12).tolist()
+        expected = np.round(_reference_anchors(geom), 12).tolist()
         assert {tuple(p) for p in got} == {tuple(p) for p in expected}
     assert spans >= 40
 
@@ -876,8 +856,7 @@ def test_two_vertex_anchors_are_the_quarter_points_of_the_edge(angle):
     v, table = rep.geometry.polytope.vertices, rep.anchors
     assert v.shape[0] == 2
     # the two vertices and the three quarter points of the edge, and no
-    # other point: the two axis points sit on the poles at t = 0 and on the
-    # edge midpoint at t = 0.3, since the double roots are refined to rounding
+    # other point
     assert table.sizes[:5].tolist() == [1, 1, 2, 2, 2]
     quarters = [0.25 * v[0] + 0.75 * v[1], 0.5 * (v[0] + v[1]), 0.75 * v[0] + 0.25 * v[1]]
     np.testing.assert_allclose(table.points[2:5], quarters, rtol=0.0, atol=1e-15)
@@ -893,11 +872,51 @@ def test_every_span_with_a_zero_set_has_an_anchor_per_vertex():
     for mix in _reference_mixtures():
         geom = span_geometry(mix)
         if geom.identically_zero:
-            assert len(default_anchors(mix, geom)) == 0
+            assert len(default_anchors(geom)) == 0
             continue
         spans += 1
-        assert len(default_anchors(mix, geom)) >= geom.polytope.n_vertices >= 1
+        assert len(default_anchors(geom)) >= geom.polytope.n_vertices >= 1
     assert spans == len(_reference_mixtures()) - 1
+
+
+def _with_axis_rows(table, geom):
+    """``table`` with a row for each end of the axis interval appended, as
+    anchors were once built: the point (0, 0, 2p - 1) as the convex
+    combination of its witness face."""
+    if geom.interval is None:
+        return table
+    iv = geom.interval
+    ends = ((iv.p_low, iv.witness_low), (iv.p_high, iv.witness_high))
+    rows = (
+        [[0.0, 0.0, 2.0 * p - 1.0] for p, _ in ends],
+        [list(w.face) + [0] * (3 - len(w.face)) for _, w in ends],
+        [w.weights.tolist() + [0.0] * (3 - len(w.face)) for _, w in ends],
+        [len(w.face) for _, w in ends],
+    )
+    return AnchorSet(*(
+        np.concatenate([a, np.array(r, dtype=a.dtype)]) for a, r in zip(vars(table).values(), rows)
+    ))
+
+
+def test_axis_interval_anchors_move_only_pivot_cells(monkeypatch):
+    # an axis interval point's rays run along the axis to a pure end and
+    # retrace a linearized chord, which the pivot bound already takes: they
+    # only undercut it by rounding, and every other field keeps its bits
+    original = bounds.default_anchors
+    moved = 0
+    for mix in _reference_mixtures():
+        rep = upper_bound_report(mix, grid_size=401)
+        with monkeypatch.context() as m:
+            m.setattr(bounds, "default_anchors", lambda geom: _with_axis_rows(original(geom), geom))
+            ref = upper_bound_report(mix, grid_size=401)
+        if rep.interval is not None:
+            assert len(ref.anchors) == len(rep.anchors) + 2
+        got, want = _report_bits(rep), _report_bits(ref)
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert np.all(rep.pivot <= rep.linearized)
+        assert np.all(ref.pivot <= rep.pivot) and np.max(rep.pivot - ref.pivot) <= 4e-16
+        moved += int(np.count_nonzero(rep.pivot != ref.pivot))
+    assert moved > 0
 
 
 def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):

@@ -18,17 +18,21 @@ def _product_pair():
 
 def test_random_decomposition_reconstructs_state(toy_mix):
     rng = np.random.default_rng(3)
-    state = replace(toy_mix, p=0.37)
-    rho = state.density_matrix().matrix
-    for m in (2, 3, 5):
-        weights, states = random_decomposition(state, m, rng)
-        assert weights.shape == (m,)
-        assert np.all(weights >= 0.0)
-        assert abs(float(weights.sum()) - 1.0) <= 1e-12
-        recon = np.zeros((8, 8), dtype=complex)
-        for w, s in zip(weights, states):
-            recon += w * np.outer(s.amplitudes, s.amplitudes.conj())
-        assert float(np.abs(recon - rho).max()) <= 1e-12
+    # the toy pair and a two-qubit mixture of two Bell states
+    bell = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0]]) / np.sqrt(2.0)
+    two_qubit = RankTwoMixture(PureState(2, bell[0]), PureState(2, bell[1]), 0.5)
+    for state in (replace(toy_mix, p=0.37), replace(two_qubit, p=0.37)):
+        rho = state.density_matrix().matrix
+        for m in (2, 3, 5):
+            weights, states = random_decomposition(state, m, rng)
+            assert weights.shape == (m,)
+            assert np.all(weights >= 0.0)
+            assert abs(float(weights.sum()) - 1.0) <= 1e-12
+            assert all(s.n_qubits == state.n_qubits for s in states)
+            recon = sum(
+                w * np.outer(s.amplitudes, s.amplitudes.conj()) for w, s in zip(weights, states)
+            )
+            assert float(np.abs(recon - rho).max()) <= 1e-12
 
 
 def test_average_c3_nonnegative_and_reproducible(toy_mix):

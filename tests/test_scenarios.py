@@ -262,7 +262,8 @@ def _monogamy_reference(p, phi):
     triples = []
     for keep in ((0, 1, 2), (0, 1, 3), (0, 2, 3)):
         mix = rank_two_eigendecomposition(partial_trace(psi4, keep))
-        bound = c3(mix.psi1) if mix.degenerate_rank else float(linearized_upper_bound(mix)(mix.p))
+        geom = None if mix.degenerate_rank else span_geometry(mix)
+        bound = c3(mix.psi1) if geom is None else float(linearized_upper_bound(geom)(mix.p))
         triples.append(bound ** 2)
     return (p, phi, one_tangle(psi4, 0), pairwise, tuple(triples))
 

@@ -30,6 +30,14 @@ def test_pure_state_validation():
         PureState(2, np.zeros(8, dtype=complex))
     state = make_ghz(3)
     assert state.amplitudes.flags.writeable is False
+    # a state and a density matrix freeze their own copies, not the caller's
+    amps = np.full(4, 0.5, dtype=complex)
+    matrix = np.eye(2, dtype=complex) / 2.0
+    state, rho = PureState(2, amps), DensityMatrix(1, matrix)
+    assert not state.amplitudes.flags.writeable and not rho.matrix.flags.writeable
+    assert amps.flags.writeable and matrix.flags.writeable
+    amps[0] = matrix[0, 0] = 1.0
+    assert state.amplitudes[0] == 0.5 and rho.matrix[0, 0] == 0.5
 
 
 def test_make_ghz_w_basics():
