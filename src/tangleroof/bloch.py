@@ -10,6 +10,7 @@ with the axis yields the exact zero interval in p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Optional
 
@@ -86,24 +87,41 @@ ANCHOR_GRID = tuple(map(_read_only, (
 
 @dataclass(frozen=True, eq=False)
 class ZeroPolytope:
-    """Convex hull data of the zero-tangle Bloch points.
+    """Convex hull of the zero-tangle Bloch points, held as its vertices.
 
     Vertex j is the Bloch point of row j of the span's ZeroSet, whose
     states, axis coordinates and multiplicities belong to it. The faces
     tested against the axis are the vertex subsets of size 1 to 3 in
-    ``FACES`` that lie within its ``n_vertices`` vertices.
+    ``FACES`` that lie within its ``n_vertices`` vertices. Its affine
+    ``dimension`` and ``volume`` are computed on first read, from one
+    _polytope_measures call on a stack of one, and kept; the bounds never
+    read them.
     """
 
     vertices: np.ndarray
-    dimension: int
-    volume: float
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", _read_only(np.asarray(self.vertices)))
+        # its own copy, so the caller's array stays writable
+        object.__setattr__(self, "vertices", _read_only(np.array(self.vertices, dtype=float)))
 
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
+
+    @cached_property
+    def _measures(self) -> tuple:
+        rank, volume = _polytope_measures(_padded(self.vertices)[None], np.array([self.n_vertices]))
+        return int(rank[0]), float(volume[0])
+
+    @property
+    def dimension(self) -> int:
+        """Affine rank of the vertices, at AFFINE_RANK_TOL."""
+        return self._measures[0]
+
+    @property
+    def volume(self) -> float:
+        """Volume of a solid polytope, area of a flat one, 0 below rank 2."""
+        return self._measures[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +133,8 @@ class IntervalWitness:
 
     def __post_init__(self):
         object.__setattr__(self, "face", tuple(int(i) for i in self.face))
-        object.__setattr__(self, "weights", _read_only(np.asarray(self.weights, dtype=float)))
+        # its own copy, so the caller's array stays writable
+        object.__setattr__(self, "weights", _read_only(np.array(self.weights, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,16 +145,6 @@ class AxisInterval:
     p_high: float
     witness_low: IntervalWitness
     witness_high: IntervalWitness
-
-
-def _affine_frames(vertices: np.ndarray, count: np.ndarray):
-    """Centred points, right singular vectors and affine rank of each
-    padded (4, 3) point set of an (M, 4, 3) stack, from one SVD call; each
-    set is centred on the mean of its count distinct points."""
-    distinct = (np.arange(4) < count[:, None])[..., None]
-    centered = vertices - (np.where(distinct, vertices, 0.0).sum(axis=1) / count[:, None])[:, None, :]
-    sv, vt = np.linalg.svd(centered, full_matrices=True)[1:]
-    return centered, vt, (sv > AFFINE_RANK_TOL).sum(axis=1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,26 +166,38 @@ def _polygon_areas(centered: np.ndarray, vt: np.ndarray) -> np.ndarray:
     return np.maximum(shoelace, np.max(t, axis=1))
 
 
-def _polytopes(z: np.ndarray, count: np.ndarray):
-    """Zero polytopes of an (M, 4) stack of padded roots with count distinct
-    roots each (pencil._zero_sets), as arrays: the (M, 4, 3) vertices, the
-    affine rank and the volume (the area of a flat polytope, 0 below rank 2)
-    of each row, and the _axis_intervals arrays, from one Bloch map, one
-    SVD, one determinant and polygon-area pass and one orientation pass."""
-    v = bloch_from_z(z)
-    centered, vt, rank = _affine_frames(v, count)
-    volume = np.where(rank == 3, np.abs(np.linalg.det(v[:, 1:] - v[:, :1])) / 6.0, 0.0)
+def _polytope_measures(vertices: np.ndarray, count: np.ndarray):
+    """Affine rank and volume of each padded (4, 3) vertex set of an
+    (M, 4, 3) stack with count distinct vertices each (pencil._padded), as
+    (M,) arrays: the volume of a solid set, the area of a flat one and 0
+    below rank 2. One SVD of the sets, each centred on the mean of its
+    distinct vertices, gives the ranks; one determinant pass the volumes
+    and one polygon-area pass the areas.
+    """
+    distinct = (np.arange(4) < count[:, None])[..., None]
+    centered = vertices - (np.where(distinct, vertices, 0.0).sum(axis=1) / count[:, None])[:, None, :]
+    sv, vt = np.linalg.svd(centered, full_matrices=True)[1:]
+    rank = (sv > AFFINE_RANK_TOL).sum(axis=1)
+    volume = np.where(rank == 3, np.abs(np.linalg.det(vertices[:, 1:] - vertices[:, :1])) / 6.0, 0.0)
     flat = rank == 2
     if flat.any():
         volume[flat] = _polygon_areas(centered[flat], vt[flat])
-    return v, rank, volume, _axis_intervals(v)
+    return rank, volume
 
 
 def build_polytope(zeros: ZeroSet) -> ZeroPolytope:
-    """Vertices, affine dimension, and volume of the zero polytope."""
-    k = zeros.z.shape[0]
-    v, rank, volume, _ = _polytopes(_padded(zeros.z)[None], np.array([k]))
-    return ZeroPolytope(v[0, :k], int(rank[0]), float(volume[0]))
+    """Zero polytope of a zero set: the Bloch points of its roots."""
+    return ZeroPolytope(bloch_from_z(zeros.z))
+
+
+# the cells, flattened to 4 i + j, of a row's 4 x 4 (i, j) tables that the
+# faces read: each edge (i, j) its own, then each triangle (i, j, k) those of
+# (j, k), (k, i) and (i, j), the pairs of its three orientations
+_FACE_CELLS = _read_only(np.concatenate([
+    FACES[1] @ [4, 1],
+    (FACES[2][:, [1, 2, 0]] * 4 + FACES[2][:, [2, 0, 1]]).ravel(),
+]))
+_EDGES = FACES[1].shape[0]
 
 
 def _axis_intervals(vertices: np.ndarray):
@@ -186,51 +207,63 @@ def _axis_intervals(vertices: np.ndarray):
     the face of each end; and weights (M, 2, 3), that face's barycentric
     weights padded with zeros.
 
-    Each face size is decided for the whole stack at once from the
-    orientation signs that axis_zero_interval describes; the columns of the
-    pass are the rows of _FACE_TABLE. A face through a padding vertex either
-    repeats an earlier face bit for bit or holds one vertex twice, and then
-    never hits (P . P >= 0 on an edge; orientations 0, c and -c, summing to
-    exactly 0, on a triangle), so every witness lies within the real vertices.
+    Every face of the stack is decided at once from the orientation signs
+    that axis_zero_interval describes; the columns of the pass are the rows
+    of _FACE_TABLE. Each row's xy projections P give one 4 x 4 table of the
+    orientations c(P_i, P_j), the dot products P_i . P_j and the floors
+    (ORIENTATION_TOL |P_i|) |P_j|, and _FACE_CELLS gathers every edge's and
+    triangle's entries from it. The barycentric weights of the faces that
+    hit, padded to 3 columns, give every axis height in one weighted-z
+    product. A face through a padding vertex either repeats an earlier face
+    bit for bit or holds one vertex twice, and then never hits (P . P >= 0
+    on an edge; orientations 0, c and -c, summing to exactly 0, on a
+    triangle), so every witness lies within the real vertices.
     """
     faces, sizes = _FACE_TABLE
-    p = np.empty((vertices.shape[0], sizes.shape[0]))
-    hit = np.zeros(p.shape, dtype=bool)
-    weights = np.zeros(p.shape + (3,))
-    stop = 0
-    for size, table in enumerate(FACES, start=1):
-        cols = slice(stop, stop + table.shape[0])
-        stop = cols.stop
-        xy = vertices[:, table, :2]  # (M, F, size, 2)
-        norm = np.hypot(xy[..., 0], xy[..., 1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if size == 1:
-                w = np.ones(norm.shape)
-                ok = norm[..., 0] <= ORIENTATION_TOL
-            elif size == 2:
-                a, b = xy[..., 0, :], xy[..., 1, :]
-                collinear = np.abs(_cross(a, b)) <= ORIENTATION_TOL * norm[..., 0] * norm[..., 1]
-                ok = collinear & ((a * b).sum(axis=-1) < 0.0)
-                w = norm[..., ::-1] / norm.sum(axis=-1, keepdims=True)
-            else:
-                # o_i = c(P_j, P_k) for (i, j, k) = (0, 1, 2), (1, 2, 0), (2, 0, 1)
-                nxt, prv = [1, 2, 0], [2, 0, 1]
-                o = _cross(xy[..., nxt, :], xy[..., prv, :])
-                o[np.abs(o) <= ORIENTATION_TOL * norm[..., nxt] * norm[..., prv]] = 0.0
-                total = o.sum(axis=-1)
-                ok = ((o >= 0.0).all(axis=-1) | (o <= 0.0).all(axis=-1)) & (total != 0.0)
-                w = o / total[..., None]
-        # a BLAS dot, as w @ z of one face
-        t = (w[..., None, :] @ vertices[:, table, 2:])[..., 0, 0]
-        p[:, cols] = np.clip(0.5 * (1.0 + t), 0.0, 1.0)
-        hit[:, cols] = ok
-        weights[:, cols, :size] = w
-    ends = np.stack([np.where(hit, p, np.inf).min(axis=1), np.where(hit, p, -np.inf).max(axis=1)], axis=1)
+    m = vertices.shape[0]
+    x, y = vertices[:, :, 0, None], vertices[:, :, 1, None]
+    norm = np.hypot(x, y)
+    # the (i, j) tables of each row: c(P_i, P_j) = x_i y_j - x_j y_i,
+    # P_i . P_j = x_i x_j + y_i y_j and (ORIENTATION_TOL |P_i|) |P_j|
+    tables = np.empty((3, m, 4, 4))
+    xy = x * y.swapaxes(1, 2)
+    np.subtract(xy, xy.swapaxes(1, 2), out=tables[0])
+    np.multiply(x, x.swapaxes(1, 2), out=tables[1])
+    tables[1] += y * y.swapaxes(1, 2)
+    np.multiply(ORIENTATION_TOL * norm, norm.swapaxes(1, 2), out=tables[2])
+    cross, dot, floor = tables.reshape(3, m, 16)[:, :, _FACE_CELLS]
+    norm = norm[..., 0]
+    # the columns of the vertices, the edges and the triangles
+    hit = np.empty((m, sizes.shape[0]), dtype=bool)
+    np.less_equal(norm, ORIENTATION_TOL, out=hit[:, :4])
+    np.logical_and(
+        np.abs(cross[:, :_EDGES]) <= floor[:, :_EDGES], dot[:, :_EDGES] < 0.0, out=hit[:, 4 : 4 + _EDGES]
+    )
+    # num / den of each face's weights, for the faces beyond the vertices:
+    # (|P_j|, |P_i|) / (|P_i| + |P_j|) on an edge, o / sum(o) on a triangle
+    num = np.zeros((m, sizes.shape[0] - 4, 3))
+    num[:, :_EDGES, :2] = norm[:, faces[4 : 4 + _EDGES, 1::-1]]
+    o = num[:, _EDGES:]
+    np.copyto(o, cross[:, _EDGES:].reshape(o.shape))
+    o[np.abs(o) <= floor[:, _EDGES:].reshape(o.shape)] = 0.0
+    den = num.sum(axis=2)
+    np.logical_and(
+        (o >= 0.0).all(axis=2) | (o <= 0.0).all(axis=2), den[:, _EDGES:] != 0.0, out=hit[:, 4 + _EDGES :]
+    )
+    weights = np.zeros((m, sizes.shape[0], 3))
+    weights[:, :4, 0] = 1.0
+    np.divide(num, den[..., None], out=weights[:, 4:], where=hit[:, 4:, None])
+    # a BLAS dot per face, as w @ z of one face
+    t = (weights[:, :, None, :] @ vertices[:, faces, 2:])[..., 0, 0]
+    p = np.minimum(np.maximum(0.5 * (1.0 + t), 0.0), 1.0)
+    ends = np.empty((m, 2))
+    np.min(np.where(hit, p, np.inf), axis=1, out=ends[:, 0])
+    np.max(np.where(hit, p, -np.inf), axis=1, out=ends[:, 1])
     # the witness is the first face, by size then index, within 1e-12 of the
     # extreme
     witness = np.argmax(hit[:, None] & (np.abs(p[:, None] - ends[..., None]) <= 1e-12), axis=2)
     ends[~hit.any(axis=1)] = np.nan
-    return ends, witness, np.take_along_axis(weights, witness[..., None], axis=1)
+    return ends, witness, weights[np.arange(m)[:, None], witness]
 
 
 def _interval(ends: np.ndarray, witness: np.ndarray, weights: np.ndarray) -> Optional[AxisInterval]:

@@ -25,9 +25,10 @@ from .bloch import (
     ZeroPolytope,
     _axis_boundary,
     _axis_exits,
+    _axis_intervals,
     _interval,
-    _polytopes,
     _span_amplitudes,
+    bloch_from_z,
 )
 from .pencil import ZeroSet, _pencils, _zero_sets
 from .states import PureState, RankTwoMixture, _check_count, _read_only
@@ -84,10 +85,12 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks.
 
     One _pencils call multiplies out every pencil, its two ends exact;
-    one finite_roots call gives the raw roots; one _polytopes pass
-    over the root tables, each padded to four roots, gives every polytope
-    and axis interval as arrays, from which the per-span objects are built
-    here.
+    one finite_roots call gives the raw roots; one Bloch map of the root
+    tables, each padded to four roots, gives every polytope's vertices, and
+    one _axis_intervals pass every axis interval as arrays, from which the
+    per-span objects are built here. A ZeroPolytope holds its real vertices
+    only: its dimension and volume are computed when first read, and the
+    bounds never read them.
     """
     amps1 = np.asarray(amps1, dtype=complex)
     amps2 = np.asarray(amps2, dtype=complex)
@@ -95,10 +98,11 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
         raise ValueError("span geometries need two (N, 8) amplitude stacks")
     coeffs = _pencils(amps1, amps2)
     roots = _zero_sets(coeffs, amps1, amps2)
-    vertices, rank, volume, intervals = _polytopes(roots.z, roots.count)
+    vertices = bloch_from_z(roots.z)
+    intervals = _axis_intervals(vertices)
     out = [SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True) for _ in coeffs]
     for j, (n, k) in enumerate(zip(roots.live.tolist(), roots.count.tolist())):
-        polytope = ZeroPolytope(vertices[j, :k], int(rank[j]), float(volume[j]))
+        polytope = ZeroPolytope(vertices[j, :k])
         interval = _interval(*(a[j] for a in intervals))
         out[n] = SpanGeometry(coeffs[n], roots.zero_set(j), polytope, interval, False)
     return out
@@ -124,7 +128,8 @@ class BoundCurve:
     provenance: tuple
 
     def __post_init__(self):
-        k = np.asarray(self.knots, dtype=float)
+        # its own copy, so the caller's array stays writable
+        k = np.array(self.knots, dtype=float)
         if k.ndim != 2 or k.shape[1] != 2 or k.shape[0] < 2:
             raise ValueError("knots must be an (m, 2) array with m >= 2")
         if not np.isfinite(k).all():
@@ -422,7 +427,8 @@ class BoundReport:
 
     def __post_init__(self):
         for name in ("grid", "linearized", "pivot", "envelope"):
-            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float)))
+            # its own copies, so the caller's arrays stay writable
+            object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
 
     @property
     def identically_zero(self) -> bool:
@@ -556,24 +562,26 @@ def _certified_knots(
     mix: RankTwoMixture,
     curve: BoundCurve,
     grid: np.ndarray,
-    lin_vals: np.ndarray,
+    ray: np.ndarray,
     pivots: tuple,
     points: np.ndarray,
 ):
     """The envelope with every "pivot" knot that no anchor ray certifies
-    relabelled "linearized", and its _KnotTable.
+    relabelled "linearized", and its _KnotTable. upper_bound_report keeps
+    no such knot: its pivot samples read a ray only where the ray certifies,
+    and its hull skips the linearized samples inside a chord.
 
-    ``pivots`` are the _grid_pivots arrays of the grid and ``points`` the
-    anchor points. A knot's best ray certifies it when its value lies below
-    the linearized bound by more than 1e-15. Every knot is a grid sample
-    (convex_envelope keeps sample coordinates), so searchsorted finds its
-    row, and one _axis_boundary and one _span_amplitudes pass build the
-    boundary states of all knots.
+    ``pivots`` are the _grid_pivots arrays of the grid, ``points`` the
+    anchor points and ``ray`` the grid mask of the best rays that certify
+    their point, lying below the linearized bound by more than 1e-15. Every
+    knot is a grid sample (convex_envelope keeps sample coordinates), so
+    searchsorted finds its row, and one _axis_boundary and one
+    _span_amplitudes pass build the boundary states of all knots.
     """
     ps = curve.knots[:, 0]
     rows = np.searchsorted(grid, ps)
-    anchor, value, lam, s = (a[rows] for a in pivots)
-    certified = (value < lin_vals[rows] - 1e-15).tolist()
+    anchor, _, lam, s = (a[rows] for a in pivots)
+    certified = ray[rows].tolist()
     boundary = _axis_boundary(points[anchor], 2.0 * ps - 1.0, s)
     amplitudes = _read_only(_span_amplitudes(mix, boundary))
     prov = tuple([
@@ -592,8 +600,13 @@ _ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) -> BoundReport:
     """Evaluate all three bounds on a uniform grid (plus the interval knots),
     searching the rays of default_anchors, the face grid of the polytope.
-    The pivot bound is the smaller of the linearized bound and the best ray,
-    so the chords through the interval ends need no anchor of their own.
+    The pivot bound is the best ray where that ray certifies, lying below
+    the linearized bound by more than 1e-15, and the linearized bound
+    elsewhere, so the chords through the interval
+    ends need no anchor of their own and a ray that retraces a chord up to
+    rounding changes nothing. The envelope is the hull of the pivot samples
+    without the inner zero samples and without the linearized samples
+    strictly inside a linearized chord, whose ends it keeps.
     ``grid_size`` is an integer of at least 2."""
     if _check_count(grid_size, "grid_size") < 2:
         raise ValueError("grid_size must be at least 2")
@@ -623,16 +636,23 @@ def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) 
     off = ~inside
     off[[0, -1]] = False
     pivots = _grid_pivots(geom.coefficients, grid, off, anchor_set.points)
-    pivot_vals = np.minimum(lin_vals, pivots[1])
+    # a ray counts where it certifies a decomposition below the linearized
+    # one; a ray that only retraces a chord up to rounding does not
+    ray = pivots[1] < lin_vals - 1e-15
+    pivot_vals = np.where(ray, pivots[1], lin_vals)
     pivot_vals[inside] = 0.0
-    # the inner zero samples are collinear with the outer two, which the hull keeps
-    hull = ~inside
+    # the hull reads the certifying rays, the pure ends and the outer two
+    # zero samples: the inner zero samples are collinear with the outer two,
+    # and every other sample lies strictly inside a linearized chord, whose
+    # ends it keeps (the interior knots of that curve are interval ends)
+    hull = ray.copy()
+    hull[[0, -1]] = True
     if inside.any():
         hull[np.nonzero(inside)[0][[0, -1]]] = True
     env_curve, knots = _certified_knots(
         mix,
         convex_envelope(np.column_stack([grid[hull], pivot_vals[hull]])),
-        grid, lin_vals, pivots, anchor_set.points,
+        grid, ray, pivots, anchor_set.points,
     )
     env_vals = env_curve(grid)
     p_left = p_right = None

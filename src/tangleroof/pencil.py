@@ -120,21 +120,29 @@ def _derivative(c: np.ndarray) -> np.ndarray:
 def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Two Newton steps on the roots of each row of c.
 
-    P and P' come from one Horner pass over the coefficients of P stacked
-    on those of P' padded with a leading zero; the pad only adds an exact
-    zero to P''s leading coefficient, so P' has the bits of its own pass.
-    A root takes no step where |P'| is at most 8 eps times
-    sum_k |k c_k| |z|^(k-1) at the starting root, the scale of the Horner
-    rounding error of P': there P' is rounding noise, as at a double root
-    that the real Schur form returns as two equal eigenvalues, and P / P'
-    would be noise over noise.
+    The first step's one Horner pass runs over three stacked polynomials:
+    P and P' at the roots (P''s coefficients padded with a leading zero,
+    which adds only an exact zero, so P' has the bits of its own pass) and
+    sum_k |k c_k| |z|^(k-1) at their moduli. That sum is real, and complex
+    products of reals with zero imaginary parts are exact, so its real part
+    has the bits of a real pass. A root takes no step where |P'| is at
+    most 8 eps times that sum, the scale of the Horner rounding error of
+    P': there P' is rounding noise, as at a double root that the real
+    Schur form returns as two equal eigenvalues, and P / P' would be noise
+    over noise. The second step's pass runs over P and P' alone.
     """
-    both = np.zeros((2, c.shape[0], 1, c.shape[1]), dtype=complex)
-    both[0, :, 0] = c
-    both[1, :, 0, :-1] = _derivative(c)
-    noise = 8 * np.finfo(float).eps * _horner(np.abs(both[1]), np.abs(roots))
-    for _ in range(2):
-        pv, dv = _horner(both, roots)
+    polys = np.zeros((3, c.shape[0], 1, c.shape[1]), dtype=complex)
+    polys[0, :, 0] = c
+    polys[1, :, 0, :-1] = _derivative(c)
+    polys[2] = np.abs(polys[1])
+    at = np.empty((3,) + roots.shape, dtype=complex)
+    at[:2] = roots
+    at[2] = np.abs(roots)
+    pv, dv, scale = _horner(polys, at)
+    noise = 8 * np.finfo(float).eps * scale.real
+    for step in range(2):
+        if step:
+            pv, dv = _horner(polys[:2], roots)
         roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > noise)
     return roots
 

@@ -17,10 +17,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bloch import AxisInterval, ZeroPolytope
+from .bloch import AxisInterval, ZeroPolytope, _polytope_measures
 from .bounds import BoundReport, _check_p, linearized_upper_bound, span_geometries, upper_bound_report
 from .invariants import _concurrences, _one_tangles, c3_many
-from .pencil import ZeroSet, _pencils
+from .pencil import ZeroSet, _padded, _pencils
 from .states import (
     PureState,
     RankTwoMixture,
@@ -229,7 +229,8 @@ def simplex_scan(phi: float, p_grid: Sequence[float]):
     """Zero-polytope metrics of the reduced mixtures over a p grid in (0, 1).
 
     The whole grid is one batch: partial traces of the stacked family
-    states, one eigh call and span_geometries.
+    states, one eigh call, span_geometries and one _polytope_measures call
+    on the padded vertices of every polytope of the grid.
     """
     ps = np.array([float(p) for p in p_grid])
     for p in ps.tolist():
@@ -237,14 +238,21 @@ def simplex_scan(phi: float, p_grid: Sequence[float]):
             raise ValueError(f"scan grid must lie strictly inside (0, 1), got {p}")
     rho = _partial_traces(_family_states(ps, float(phi)), 4, (0, 1, 2))
     v1, v2, _, _ = _rank_two_eigenpairs(rho)
+    geoms = span_geometries(v1, v2)
+    polytopes = [geom.polytope for geom in geoms if not geom.identically_zero]
+    rank, volume = _polytope_measures(
+        np.array([_padded(poly.vertices) for poly in polytopes]).reshape(-1, 4, 3),
+        np.array([poly.n_vertices for poly in polytopes], dtype=np.intp),
+    )
+    measures = zip(volume.tolist(), rank.tolist())
     rows = []
-    for p, geom in zip(ps.tolist(), span_geometries(v1, v2)):
+    for p, geom in zip(ps.tolist(), geoms):
         if geom.identically_zero:
             rows.append(SimplexScanRow(p, 0.0, 0, (0.0, 1.0)))
             continue
         iv = geom.interval
         pair = None if iv is None else (iv.p_low, iv.p_high)
-        rows.append(SimplexScanRow(p, geom.polytope.volume, geom.polytope.dimension, pair))
+        rows.append(SimplexScanRow(p, *next(measures), pair))
     return rows
 
 

@@ -40,6 +40,25 @@ def benchmark_inputs():
 
 
 @pytest.fixture(scope="session")
+def sparse_spans():
+    """(mixture, geometry) of 300 seeded real spans: about 60 % of the
+    entries of an 8 x 2 Gaussian zeroed, then QR-orthonormalized;
+    identically zero pencils are left out. Their polytopes have 1 to 4
+    vertices, and many are flat."""
+    rng = np.random.default_rng(1)
+    out = []
+    while len(out) < 300:
+        g = rng.standard_normal((8, 2))
+        g[rng.random((8, 2)) < 0.6] = 0.0
+        q = np.linalg.qr(g)[0].astype(complex)
+        geom = tr.span_geometries(q[None, :, 0], q[None, :, 1])[0]
+        if geom.zeros is not None:
+            psi1, psi2 = tr.PureState(3, q[:, 0]), tr.PureState(3, q[:, 1])
+            out.append((tr.RankTwoMixture(psi1, psi2, 0.5), geom))
+    return out
+
+
+@pytest.fixture(scope="session")
 def toy_rep():
     # grid 2001 resolves the transition knots to 5e-4
     return tr.toy_report(grid_size=2001)

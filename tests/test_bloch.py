@@ -10,18 +10,26 @@ from tangleroof.bloch import (
     _axis_exits,
     _axis_intervals,
     _interval,
-    _polytopes,
+    _polytope_measures,
     axis_zero_interval,
     bloch_from_z,
     build_polytope,
     state_from_bloch,
 )
 from tangleroof._kernels import tau3_many
-from tangleroof.bounds import default_anchors, span_geometries
+from tangleroof.bounds import default_anchors, span_geometries, upper_bound_report
 from tangleroof.invariants import c3
 from tangleroof.pencil import _padded, zero_set
-from tangleroof.scenarios import reduced_mixture, toy_mixture
-from tangleroof.states import PureState, RankTwoMixture, inner_product, make_ghz, make_w
+from tangleroof.scenarios import _family_states, reduced_mixture, toy_mixture
+from tangleroof.states import (
+    PureState,
+    RankTwoMixture,
+    _partial_traces,
+    _rank_two_eigenpairs,
+    inner_product,
+    make_ghz,
+    make_w,
+)
 
 
 def test_bloch_from_z_reference_points():
@@ -252,6 +260,72 @@ def _lstsq_axis_interval(poly):
     return lo, hi, first(lo), first(hi)
 
 
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1]
+
+
+def _per_size_axis_intervals(vertices, tables=FACES):
+    """_axis_intervals by one orientation pass per face size: the reference
+    of the one-table pass.
+
+    ``tables`` are the (count, size) vertex-index arrays of the faces of
+    sizes 1, 2 and 3; the columns of the pass, which the witnesses index,
+    are their rows in that order. Each size gathers the xy projections of
+    its faces and decides them on its own, with the rules of
+    axis_zero_interval.
+    """
+    columns = sum(table.shape[0] for table in tables)
+    p = np.empty((vertices.shape[0], columns))
+    hit = np.zeros(p.shape, dtype=bool)
+    weights = np.zeros(p.shape + (3,))
+    stop = 0
+    for size, table in enumerate(tables, start=1):
+        cols = slice(stop, stop + table.shape[0])
+        stop = cols.stop
+        xy = vertices[:, table, :2]  # (M, F, size, 2)
+        norm = np.hypot(xy[..., 0], xy[..., 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if size == 1:
+                w = np.ones(norm.shape)
+                ok = norm[..., 0] <= ORIENTATION_TOL
+            elif size == 2:
+                a, b = xy[..., 0, :], xy[..., 1, :]
+                collinear = np.abs(_cross(a, b)) <= ORIENTATION_TOL * norm[..., 0] * norm[..., 1]
+                ok = collinear & ((a * b).sum(axis=-1) < 0.0)
+                w = norm[..., ::-1] / norm.sum(axis=-1, keepdims=True)
+            else:
+                nxt, prv = [1, 2, 0], [2, 0, 1]
+                o = _cross(xy[..., nxt, :], xy[..., prv, :])
+                o[np.abs(o) <= ORIENTATION_TOL * norm[..., nxt] * norm[..., prv]] = 0.0
+                total = o.sum(axis=-1)
+                ok = ((o >= 0.0).all(axis=-1) | (o <= 0.0).all(axis=-1)) & (total != 0.0)
+                w = o / total[..., None]
+        t = (w[..., None, :] @ vertices[:, table, 2:])[..., 0, 0]
+        p[:, cols] = np.clip(0.5 * (1.0 + t), 0.0, 1.0)
+        hit[:, cols] = ok
+        weights[:, cols, :size] = w
+    ends = np.stack([np.where(hit, p, np.inf).min(axis=1), np.where(hit, p, -np.inf).max(axis=1)], axis=1)
+    witness = np.argmax(hit[:, None] & (np.abs(p[:, None] - ends[..., None]) <= 1e-12), axis=2)
+    ends[~hit.any(axis=1)] = np.nan
+    return ends, witness, np.take_along_axis(weights, witness[..., None], axis=1)
+
+
+def _padded_vertices(polytopes):
+    """The (M, 4, 3) stack of the polytopes' vertices, each padded to four."""
+    return np.array([_padded(poly.vertices) for poly in polytopes])
+
+
+def _four_qubit_polytopes():
+    """Zero polytopes of the reduced four-qubit mixtures on a (phi, p) grid,
+    solid and flat ones, as the scans build them."""
+    ps = np.linspace(0.01, 0.99, 99)
+    out = []
+    for phi in (0.0, 0.3, np.pi / 4, 1.0):
+        v1, v2, _, _ = _rank_two_eigenpairs(_partial_traces(_family_states(ps, phi), 4, (0, 1, 2)))
+        out += [geom.polytope for geom in span_geometries(v1, v2) if geom.polytope is not None]
+    return out
+
+
 def _interval_zero_sets():
     rng = np.random.default_rng(101)
     pairs = []
@@ -336,7 +410,9 @@ def test_stacked_axis_interval_matches_per_face_lstsq(benchmark_inputs):
     zero_sets = _interval_zero_sets()
     count = np.array([zs.z.shape[0] for zs in zero_sets])
     assert set(count.tolist()) == {1, 2, 3, 4}
-    vertices, rank, volume, intervals = _polytopes(np.array([_padded(zs.z) for zs in zero_sets]), count)
+    vertices = bloch_from_z(np.array([_padded(zs.z) for zs in zero_sets]))
+    intervals = _axis_intervals(vertices)
+    rank, volume = _polytope_measures(vertices, count)
     for j, (poly, k) in enumerate(zip(polytopes, count.tolist())):
         assert np.array_equal(vertices[j, :k], poly.vertices)
         assert (rank[j], volume[j]) == (poly.dimension, poly.volume)
@@ -349,7 +425,7 @@ def test_stacked_axis_interval_matches_per_face_lstsq(benchmark_inputs):
             assert np.array_equal(iv.witness_high.weights, alone.witness_high.weights)
 
 
-def test_flat_triangle_through_the_axis_hits_by_its_edges(monkeypatch):
+def test_flat_triangle_through_the_axis_hits_by_its_edges():
     # three points of a vertical great circle through the axis: their xy
     # projections lie on one line through the origin up to rounding
     sub = np.array([
@@ -358,40 +434,69 @@ def test_flat_triangle_through_the_axis_hits_by_its_edges(monkeypatch):
         [-0.15371527482114983, -0.969151728820811, 0.19265653586185877],
     ])
     # the triangle (0, 1, 2) alone is zero-area and skipped
-    triangle = FACES[2][:1]
-    with monkeypatch.context() as m:
-        m.setattr(bloch, "FACES", (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 2), dtype=np.intp), triangle))
-        m.setattr(bloch, "_FACE_TABLE", (triangle, np.array([3])))
-        assert np.isnan(_axis_intervals(_padded(sub)[None])[0]).all()
+    only_triangle = (np.zeros((0, 1), dtype=np.intp), np.zeros((0, 2), dtype=np.intp), FACES[2][:1])
+    assert np.isnan(_per_size_axis_intervals(_padded(sub)[None], only_triangle)[0]).all()
     # with every face, the two edges that straddle the axis give the hits
-    iv = axis_zero_interval(ZeroPolytope(sub, 2, 0.0))
+    iv = axis_zero_interval(ZeroPolytope(sub))
     assert (iv.witness_low.face, iv.witness_high.face) == ((0, 1), (0, 2))
-    ref = _lstsq_axis_interval(ZeroPolytope(sub, 2, 0.0))
+    ref = _lstsq_axis_interval(ZeroPolytope(sub))
     assert abs(iv.p_low - ref[0]) <= 1e-15 and abs(iv.p_high - ref[1]) <= 1e-15
     for wit in (iv.witness_low, iv.witness_high):
         np.testing.assert_allclose(wit.weights @ sub[list(wit.face), :2], 0.0, atol=1e-15)
 
 
-def _sparse_real_spans(count):
-    """(mixture, geometry) of seeded real spans: about 60 % of the entries of
-    an 8 x 2 Gaussian zeroed, then QR-orthonormalized; identically zero
-    pencils are left out."""
-    rng = np.random.default_rng(1)
-    out = []
-    while len(out) < count:
-        g = rng.standard_normal((8, 2))
-        g[rng.random((8, 2)) < 0.6] = 0.0
-        q = np.linalg.qr(g)[0].astype(complex)
-        geom = span_geometries(q[None, :, 0], q[None, :, 1])[0]
-        if geom.zeros is not None:
-            out.append((RankTwoMixture(PureState(3, q[:, 0]), PureState(3, q[:, 1]), 0.5), geom))
-    return out
+def test_face_table_pass_equals_the_per_size_reference(benchmark_inputs, sparse_spans):
+    # ends, witness faces and weights bit for bit: the benchmark pairs as
+    # one stack and one by one, the sparse spans (1 to 4 vertices, many of
+    # them flat) and the four-qubit grid
+    pairs = benchmark_inputs.pair_set(1)
+    geoms = span_geometries(np.array([a for _, a, _ in pairs]), np.array([b for _, _, b in pairs]))
+    benchmark = _padded_vertices([geom.polytope for geom in geoms if geom.polytope is not None])
+    stacks = [benchmark, _padded_vertices([geom.polytope for _, geom in sparse_spans])]
+    stacks += [_padded_vertices(_four_qubit_polytopes())] + [row[None] for row in benchmark]
+    sizes, misses = set(), 0
+    for stack in stacks:
+        got, want = _axis_intervals(stack), _per_size_axis_intervals(stack)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+        hit = ~np.isnan(got[0][:, 0])
+        sizes |= set(bloch._FACE_TABLE[1][got[1][hit]].ravel().tolist())
+        misses += int(np.count_nonzero(~hit))
+    # witnesses of every face size, and spans that miss the axis
+    assert sizes == {1, 2, 3} and misses > 0
 
 
-def test_padding_never_leaks():
+def test_polytope_measures_come_from_one_stacked_call(monkeypatch, sparse_spans):
+    # dimension and volume on first read are those of the stacked call, bit
+    # for bit, and are kept
+    polytopes = _interval_cases() + [geom.polytope for _, geom in sparse_spans] + _four_qubit_polytopes()
+    count = np.array([poly.n_vertices for poly in polytopes])
+    rank, volume = _polytope_measures(_padded_vertices(polytopes), count)
+    assert set(rank.tolist()) == {0, 1, 2, 3}
+    assert [(poly.dimension, poly.volume) for poly in polytopes] == list(zip(rank.tolist(), volume.tolist()))
+    monkeypatch.setattr(bloch, "_polytope_measures", None)
+    assert [(poly.dimension, poly.volume) for poly in polytopes] == list(zip(rank.tolist(), volume.tolist()))
+
+
+def test_reports_compute_no_polytope_measures(monkeypatch, benchmark_inputs):
+    # the bounds read the vertices and the interval only; the measures are
+    # computed when something reads them
+    def refuse(vertices, count):
+        raise AssertionError("polytope measures computed")
+
+    monkeypatch.setattr(bloch, "_polytope_measures", refuse)
+    for _, a, b in benchmark_inputs.pair_set(1):
+        rep = upper_bound_report(RankTwoMixture(PureState(3, a), PureState(3, b), 0.5), 401)
+        for p in benchmark_inputs.DECOMPOSITION_PS:
+            rep.decomposition_at(p)
+    with pytest.raises(AssertionError, match="measures computed"):
+        rep.geometry.polytope.volume
+
+
+def test_padding_never_leaks(sparse_spans):
     # every vertex set is padded to four by repeating its last vertex; no
     # witness or anchor may name a padding vertex
-    spans = _sparse_real_spans(300)
+    spans = sparse_spans
     assert {geom.polytope.n_vertices for _, geom in spans} == {1, 2, 3, 4}
     for mix, geom in spans:
         k = geom.polytope.n_vertices
@@ -400,11 +505,11 @@ def test_padding_never_leaks():
         assert default_anchors(geom).faces.max() < k
 
 
-def test_anchor_tables_are_the_face_grid_within_the_vertices():
+def test_anchor_tables_are_the_face_grid_within_the_vertices(sparse_spans):
     # 1, 5, 15 or 34 rows for 1 to 4 vertices: the ANCHOR_GRID rows whose
     # faces lie within the vertices, in table order, and no other row
     rows = {1: 1, 2: 5, 3: 15, 4: 34}
-    for _, geom in _sparse_real_spans(300):
+    for _, geom in sparse_spans:
         v = geom.polytope.vertices
         table = default_anchors(geom)
         assert len(table) == rows[v.shape[0]]
@@ -427,8 +532,8 @@ def _lstsq_mismatches(polytopes):
     return exists, faces
 
 
-def test_orientation_tolerance_is_needed(monkeypatch):
-    sparse = [geom.polytope for _, geom in _sparse_real_spans(300)]
+def test_orientation_tolerance_is_needed(monkeypatch, sparse_spans):
+    sparse = [geom.polytope for _, geom in sparse_spans]
     family = [
         build_polytope(zero_set(reduced_mixture(float(p), np.pi / 4)))
         for p in np.linspace(0.0, 1.0, 101)[1:-1]

@@ -459,19 +459,44 @@ def _subset_reports(monkeypatch, rows, mixtures):
     return out
 
 
-def test_a_one_row_anchor_table_certifies_its_linearized_knots(monkeypatch):
-    # the full table beats the linearized bound at every interior knot, so
-    # only a smaller one reaches the linearized certificate of such a knot
+def test_a_one_row_anchor_table_certifies_every_knot(monkeypatch):
+    # one anchor leaves the envelope on linearized chords over long
+    # stretches: the pivot bound reads the linearized one wherever the ray
+    # does not certify, and every interior knot is a certifying ray or an
+    # interval end, never a linearized sample
     mixtures = _seeded_pairs(89, 4) + [toy_mixture()]
-    linearized_knots = 0
+    chords = 0
     for mix, full, rep in _subset_reports(monkeypatch, lambda t: [0], mixtures):
         assert len(rep.anchors) == 1 and np.all(rep.pivot <= rep.linearized)
-        assert full.envelope_curve.provenance.count("linearized") == 0
-        linearized_knots += rep.envelope_curve.provenance.count("linearized")
+        off = np.array(rep.achieving) != "zero-interval"
+        ray = rep.pivot < rep.linearized - 1e-15
+        assert np.array_equal(rep.pivot[off & ~ray], rep.linearized[off & ~ray])
+        chords += int(np.count_nonzero(off & ~ray & (rep.envelope == rep.linearized)))
+        for report in (full, rep):
+            prov = report.envelope_curve.provenance
+            assert "linearized" not in prov
+            assert all(report._knots.certified[i] for i, label in enumerate(prov) if label == "pivot")
         knot_ps = tuple(rep.envelope_curve.knots[:, 0].tolist())
         for p in CERTIFICATE_PS + (0.3, 0.71) + knot_ps:
             assert _assert_certifies(rep, mix, p) <= float(rep.linearized_curve(p)) + 1e-7
-    assert linearized_knots > 0
+    assert chords > 0
+
+
+def test_envelope_knots_never_sit_on_a_linearized_chord(sparse_spans):
+    # rounding alone makes no knot: a ray counts only where it certifies,
+    # and the hull skips the linearized samples strictly inside a chord
+    on_chord = 0
+    for mix, _ in sparse_spans:
+        rep = upper_bound_report(mix, grid_size=401)
+        knots, prov = rep.envelope_curve.knots[1:-1], rep.envelope_curve.provenance[1:-1]
+        near = np.abs(knots[:, 1] - rep.linearized_curve(knots[:, 0])) <= 1e-15
+        on_chord += int(np.count_nonzero(near & (np.array(prov) != "zero-interval")))
+    assert on_chord == 0
+    # sparse span 206 never leaves the chord from p = 0 to p_low
+    mix = sparse_spans[206][0]
+    assert mix.psi1.amplitudes[2:4].real.tolist() == [0.7583692466130246, 0.641749381995842]
+    rep = upper_bound_report(mix, grid_size=401)
+    assert rep.p_left == 0.0 and rep.envelope_curve.knots[1, 1] == 0.0
 
 
 def test_an_anchor_subset_bounds_no_lower_and_certifies(monkeypatch):
@@ -898,12 +923,11 @@ def _with_axis_rows(table, geom):
     ))
 
 
-def test_axis_interval_anchors_move_only_pivot_cells(monkeypatch):
+def test_axis_interval_anchors_change_no_report_field(monkeypatch):
     # an axis interval point's rays run along the axis to a pure end and
-    # retrace a linearized chord, which the pivot bound already takes: they
-    # only undercut it by rounding, and every other field keeps its bits
+    # retrace a linearized chord: they undercut it only by rounding, which
+    # certifies nothing, so every field of the report keeps its bits
     original = bounds.default_anchors
-    moved = 0
     for mix in _reference_mixtures():
         rep = upper_bound_report(mix, grid_size=401)
         with monkeypatch.context() as m:
@@ -911,12 +935,8 @@ def test_axis_interval_anchors_move_only_pivot_cells(monkeypatch):
             ref = upper_bound_report(mix, grid_size=401)
         if rep.interval is not None:
             assert len(ref.anchors) == len(rep.anchors) + 2
-        got, want = _report_bits(rep), _report_bits(ref)
-        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert _report_bits(rep) == _report_bits(ref)
         assert np.all(rep.pivot <= rep.linearized)
-        assert np.all(ref.pivot <= rep.pivot) and np.max(rep.pivot - ref.pivot) <= 4e-16
-        moved += int(np.count_nonzero(rep.pivot != ref.pivot))
-    assert moved > 0
 
 
 def test_pivot_pass_equals_the_stacked_boundary_reference(monkeypatch):

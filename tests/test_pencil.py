@@ -3,6 +3,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 from tangleroof import _kernels, pencil
+from tangleroof.bounds import span_geometries
 from tangleroof.invariants import three_tangle
 from tangleroof.pencil import (
     IdenticallyZeroPencilError,
@@ -163,6 +164,47 @@ def test_finite_roots_floor_of_one_counts_four_at_infinity():
     assert n_inf[0] == 4 and np.all(np.isinf(roots))
     with pytest.raises(IdenticallyZeroPencilError):
         polynomial_roots(coeffs[0])
+
+
+def _three_pass_polish(roots, c):
+    """pencil._polish with the noise scale from a Horner pass of its own:
+    the reference of the stacked first pass."""
+    both = np.zeros((2, c.shape[0], 1, c.shape[1]), dtype=complex)
+    both[0, :, 0] = c
+    both[1, :, 0, :-1] = pencil._derivative(c)
+    noise = 8 * np.finfo(float).eps * pencil._horner(np.abs(both[1]), np.abs(roots))
+    for _ in range(2):
+        pv, dv = pencil._horner(both, roots)
+        roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > noise)
+    return roots
+
+
+def test_polish_equals_the_three_pass_reference_bitwise(monkeypatch, benchmark_inputs):
+    # every _polish call of the benchmark pairs' root finding (real and
+    # complex rows, double roots on P^(m-1)), and real and complex rows of
+    # each degree with real and complex starting roots
+    calls = []
+    original = pencil._polish
+
+    def recorded(roots, c):
+        calls.append((roots, c))
+        return original(roots, c)
+
+    monkeypatch.setattr(pencil, "_polish", recorded)
+    for seed in (1, 2):
+        pairs = benchmark_inputs.pair_set(seed)
+        span_geometries(np.array([a for _, a, _ in pairs]), np.array([b for _, _, b in pairs]))
+    assert {c.dtype.kind for _, c in calls} == {"f", "c"}
+    rng = np.random.default_rng(43)
+    for degree in (1, 2, 3, 4):
+        for real in (True, False):
+            c = rng.normal(size=(20, degree + 1))
+            z = rng.normal(size=(20, degree))
+            if not real:
+                z, c = z + 1j * rng.normal(size=z.shape), c + 1j * rng.normal(size=c.shape)
+            calls.append((z, c))
+    for roots, c in calls:
+        assert np.array_equal(original(roots, c), _three_pass_polish(roots, c))
 
 
 def test_polished_roots_are_accurate():

@@ -1,8 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tangleroof.bloch import IntervalWitness, ZeroPolytope
+from tangleroof.bounds import BoundCurve, upper_bound_report
 from tangleroof.states import (
     DensityMatrix,
     PureState,
@@ -38,6 +41,19 @@ def test_pure_state_validation():
     assert amps.flags.writeable and matrix.flags.writeable
     amps[0] = matrix[0, 0] = 1.0
     assert state.amplitudes[0] == 0.5 and rho.matrix[0, 0] == 0.5
+    # so do the polytope, a witness, a bound curve and a report
+    vertices, weights = np.eye(3), np.array([0.25, 0.75])
+    knots, envelope = np.array([[0.0, 1.0], [1.0, 0.5]]), np.linspace(1.0, 0.5, 5)
+    report = upper_bound_report(RankTwoMixture(make_ghz(3), make_w(3), 0.5), grid_size=5)
+    frozen = (
+        ZeroPolytope(vertices).vertices,
+        IntervalWitness((0, 1), weights).weights,
+        BoundCurve(knots, ("endpoint", "endpoint")).knots,
+        replace(report, envelope=envelope).envelope,
+    )
+    for given, kept in zip((vertices, weights, knots, envelope), frozen):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert np.array_equal(given, kept) and not np.shares_memory(given, kept)
 
 
 def test_make_ghz_w_basics():
