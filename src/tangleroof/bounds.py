@@ -81,16 +81,13 @@ class SpanGeometry:
         return float(np.sqrt(abs(self.coefficients[4])))
 
 
-def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
-    """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks.
-
-    One _pencils call multiplies out every pencil, its two ends exact;
-    one finite_roots call gives the raw roots; one Bloch map of the root
-    tables, each padded to four roots, gives every polytope's vertices, and
-    one _axis_intervals pass every axis interval as arrays, from which the
-    per-span objects are built here. A ZeroPolytope holds its real vertices
-    only: its dimension and volume are computed when first read, and the
-    bounds never read them.
+def _span_stack(amps1: np.ndarray, amps2: np.ndarray):
+    """(coefficients, roots, vertices, intervals) of the spans of the row
+    pairs of two (N, 8) amplitude stacks, one pass each: the (N, 5) pencils
+    of _pencils, their two ends exact; the _RootTables of the L pencils
+    that do not vanish identically, padded to four roots; their (L, 4, 3)
+    Bloch points; and the _axis_intervals arrays of their axis intervals.
+    Row j of the last three belongs to span roots.live[j].
     """
     amps1 = np.asarray(amps1, dtype=complex)
     amps2 = np.asarray(amps2, dtype=complex)
@@ -99,7 +96,16 @@ def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
     coeffs = _pencils(amps1, amps2)
     roots = _zero_sets(coeffs, amps1, amps2)
     vertices = bloch_from_z(roots.z)
-    intervals = _axis_intervals(vertices)
+    return coeffs, roots, vertices, _axis_intervals(vertices)
+
+
+def span_geometries(amps1: np.ndarray, amps2: np.ndarray) -> list:
+    """SpanGeometry of each pair of rows of two (N, 8) amplitude stacks,
+    built per span from the arrays of one _span_stack call. A ZeroPolytope
+    holds its real vertices only: its dimension and volume are computed
+    when first read, and the bounds never read them.
+    """
+    coeffs, roots, vertices, intervals = _span_stack(amps1, amps2)
     out = [SpanGeometry(np.zeros(5, dtype=complex), None, None, None, True) for _ in coeffs]
     for j, (n, k) in enumerate(zip(roots.live.tolist(), roots.count.tolist())):
         polytope = ZeroPolytope(vertices[j, :k])
@@ -118,10 +124,9 @@ class BoundCurve:
     """Piecewise-linear curve over p in [0, 1] with per-knot provenance.
 
     Provenance labels: "endpoint" (pure eigenstate ends), "zero-interval"
-    (knots where the bound is exactly zero), "pivot" (anchor ray knots),
-    and, on the envelope of a BoundReport, "linearized" (interior knots off
-    the zero interval where no anchor ray beats the linearized bound, so
-    the knot is certified by a linearized decomposition).
+    (knots where the bound is exactly zero) and "pivot" (anchor ray knots).
+    Every interior "pivot" knot of a BoundReport's envelope is a ray that
+    certifies it, so no envelope knot is labelled "linearized".
     """
 
     knots: np.ndarray
@@ -342,19 +347,45 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
     return cand, lam, s
 
 
+def _lower_hull(points: np.ndarray) -> list:
+    """Row indices of the lower convex hull vertices of an (n, 2) array of
+    (p, value) points with strictly increasing p, by the monotone chain: a
+    point within a few ulps of the chord of its neighbours is not a vertex."""
+    pts = points.tolist()
+    # Python floats run the same IEEE operations as numpy scalars, faster
+    hull = []
+    for i, (qx, qy) in enumerate(pts):
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = pts[hull[-2]], pts[hull[-1]]
+            left, right = (ax - ox) * (qy - oy), (ay - oy) * (qx - ox)
+            if left - right <= _HULL_ULPS * (abs(left) + abs(right)):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    return hull
+
+
+def _knot_labels(values: list) -> tuple:
+    """Provenance of hull knots with these values: "endpoint" at both ends,
+    "zero-interval" at an interior value within 1e-12 of 0, "pivot" elsewhere."""
+    inner = ["zero-interval" if abs(v) <= 1e-12 else "pivot" for v in values[1:-1]]
+    return ("endpoint", *inner, "endpoint")
+
+
 def convex_envelope(samples: Sequence) -> BoundCurve:
     """Greatest convex minorant of sampled (p, value) points.
 
     Piecewise linear with knots at the lower convex hull vertices of the
-    sample set; needs at least two finite samples. A sample within a few
-    ulps of the chord of its neighbours is not a knot.
+    sample set (_lower_hull, after sorting by p and keeping the lowest
+    sample of each p); needs at least two finite samples. A sample within a
+    few ulps of the chord of its neighbours is not a knot.
     """
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
         raise ValueError("need at least two (p, value) samples")
     if not np.isfinite(pts).all():
         raise ValueError("samples must be finite")
-    # the samples of a report come strictly increasing; others are sorted
     if not (np.diff(pts[:, 0]) > 0).all():
         pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
         keep = np.ones(pts.shape[0], dtype=bool)
@@ -362,33 +393,20 @@ def convex_envelope(samples: Sequence) -> BoundCurve:
         pts = pts[keep]
     if pts.shape[0] < 2:
         raise ValueError("samples collapse to a single abscissa")
-    # Python floats run the same IEEE operations as numpy scalars, faster
-    hull = []
-    for q in pts.tolist():
-        qx, qy = q
-        while len(hull) >= 2:
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
-            left, right = (ax - ox) * (qy - oy), (ay - oy) * (qx - ox)
-            if left - right <= _HULL_ULPS * (abs(left) + abs(right)):
-                hull.pop()
-            else:
-                break
-        hull.append(q)
-    prov = ["endpoint"]
-    for _, value in hull[1:-1]:
-        prov.append("zero-interval" if abs(value) <= 1e-12 else "pivot")
-    prov.append("endpoint")
-    return BoundCurve(np.array(hull), tuple(prov))
+    knots = pts[_lower_hull(pts)]
+    return BoundCurve(knots, _knot_labels(knots[:, 1].tolist()))
 
 
 class _KnotTable(NamedTuple):
     """Certificate data of the envelope knots of a report, built once.
 
+    Each field is read at the knot's grid row, the row _lower_hull keeps:
     ``ps`` are the knot abscissae, ``certified`` tells whether the best
     anchor ray of each knot certifies it, and ``anchor``, ``lam`` and row i
     of ``amplitudes`` are the anchor index, the lam and the normalized
     boundary state of knot i's best ray (anchor 0, nan lam and nan state
-    where the knot has none).
+    where the knot has none), the states of all knots from one
+    _axis_boundary and one _span_amplitudes pass.
     """
 
     ps: list
@@ -558,41 +576,6 @@ def _grid_pivots(coeffs: np.ndarray, grid: np.ndarray, off: np.ndarray, points: 
     return anchor, value, lam_best, s_best
 
 
-def _certified_knots(
-    mix: RankTwoMixture,
-    curve: BoundCurve,
-    grid: np.ndarray,
-    ray: np.ndarray,
-    pivots: tuple,
-    points: np.ndarray,
-):
-    """The envelope with every "pivot" knot that no anchor ray certifies
-    relabelled "linearized", and its _KnotTable. upper_bound_report keeps
-    no such knot: its pivot samples read a ray only where the ray certifies,
-    and its hull skips the linearized samples inside a chord.
-
-    ``pivots`` are the _grid_pivots arrays of the grid, ``points`` the
-    anchor points and ``ray`` the grid mask of the best rays that certify
-    their point, lying below the linearized bound by more than 1e-15. Every
-    knot is a grid sample (convex_envelope keeps sample coordinates), so
-    searchsorted finds its row, and one _axis_boundary and one
-    _span_amplitudes pass build the boundary states of all knots.
-    """
-    ps = curve.knots[:, 0]
-    rows = np.searchsorted(grid, ps)
-    anchor, _, lam, s = (a[rows] for a in pivots)
-    certified = ray[rows].tolist()
-    boundary = _axis_boundary(points[anchor], 2.0 * ps - 1.0, s)
-    amplitudes = _read_only(_span_amplitudes(mix, boundary))
-    prov = tuple([
-        "linearized" if label == "pivot" and not ok else label
-        for label, ok in zip(curve.provenance, certified)
-    ])
-    return BoundCurve(curve.knots, prov), _KnotTable(
-        ps.tolist(), certified, anchor.tolist(), lam.tolist(), amplitudes
-    )
-
-
 # achieving labels by code: 0 inside the zero interval, 1 pivot, 2 linearized
 _ACHIEVING = np.array(["zero-interval", "pivot", "linearized"], dtype=object)
 
@@ -606,8 +589,9 @@ def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) 
     ends need no anchor of their own and a ray that retraces a chord up to
     rounding changes nothing. The envelope is the hull of the pivot samples
     without the inner zero samples and without the linearized samples
-    strictly inside a linearized chord, whose ends it keeps.
-    ``grid_size`` is an integer of at least 2."""
+    strictly inside a linearized chord, whose ends it keeps; _lower_hull
+    returns the grid rows it keeps, and each knot's value and ray are read
+    at its row. ``grid_size`` is an integer of at least 2."""
     if _check_count(grid_size, "grid_size") < 2:
         raise ValueError("grid_size must be at least 2")
     geom = span_geometry(mix)
@@ -627,9 +611,7 @@ def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) 
         )
     inside = np.zeros(grid.shape, dtype=bool)
     if geom.interval is not None:
-        inside = (grid >= geom.interval.p_low - 1e-12) & (
-            grid <= geom.interval.p_high + 1e-12
-        )
+        inside = (grid >= geom.interval.p_low - 1e-12) & (grid <= geom.interval.p_high + 1e-12)
     anchor_set = default_anchors(geom)
     # rho(0) and rho(1) are pure: their roof is the exact end c3, which a ray
     # with lam just under 1 could undercut by rounding
@@ -645,14 +627,19 @@ def upper_bound_report(mix: RankTwoMixture, grid_size: int = GRID_SIZE_DEFAULT) 
     # zero samples: the inner zero samples are collinear with the outer two,
     # and every other sample lies strictly inside a linearized chord, whose
     # ends it keeps (the interior knots of that curve are interval ends)
-    hull = ray.copy()
-    hull[[0, -1]] = True
+    sampled = ray.copy()
+    sampled[[0, -1]] = True
     if inside.any():
-        hull[np.nonzero(inside)[0][[0, -1]]] = True
-    env_curve, knots = _certified_knots(
-        mix,
-        convex_envelope(np.column_stack([grid[hull], pivot_vals[hull]])),
-        grid, ray, pivots, anchor_set.points,
+        sampled[np.nonzero(inside)[0][[0, -1]]] = True
+    rows = np.nonzero(sampled)[0]
+    rows = rows[_lower_hull(np.column_stack([grid[rows], pivot_vals[rows]]))]
+    ps, values = grid[rows], pivot_vals[rows]
+    env_curve = BoundCurve(np.column_stack([ps, values]), _knot_labels(values.tolist()))
+    anchor, _, lam, s = (a[rows] for a in pivots)
+    boundary = _axis_boundary(anchor_set.points[anchor], 2.0 * ps - 1.0, s)
+    knots = _KnotTable(
+        ps.tolist(), ray[rows].tolist(), anchor.tolist(), lam.tolist(),
+        _read_only(_span_amplitudes(mix, boundary)),
     )
     env_vals = env_curve(grid)
     p_left = p_right = None

@@ -27,6 +27,8 @@ __all__ = [
 
 DEGREE = 4
 COEFF_TOL = 1e-10
+# a pencil is real when max|Im c| <= REAL_TOL * max|c|
+REAL_TOL = 1e-9
 CLUSTER_TOL = 1e-6
 
 
@@ -156,7 +158,7 @@ def _deflated(coeffs: np.ndarray):
     trailing coefficients at or below that floor, each an exact root at
     z = 0 (0 for the zero row). Row n of rows holds c_low..c_4 of row n,
     then copies of c_4, so its first deg - low + 1 entries are the
-    coefficients left to the root finder. A real row, max|Im c| <= 1e-9 *
+    coefficients left to the root finder. A real row, max|Im c| <= REAL_TOL *
     max|c|, holds the real parts of its coefficients.
     """
     mags = np.abs(coeffs)
@@ -164,7 +166,7 @@ def _deflated(coeffs: np.ndarray):
     above = mags > COEFF_TOL * peaks
     low = np.argmax(above, axis=1)
     deg = (above * np.arange(1, DEGREE + 2)).max(axis=1) - 1
-    real = np.abs(coeffs.imag).max(axis=1, keepdims=True) <= 1e-9 * peaks
+    real = np.abs(coeffs.imag).max(axis=1, keepdims=True) <= REAL_TOL * peaks
     rows = np.where(real, coeffs.real, coeffs)
     if low.any():
         columns = np.minimum(low[:, None] + np.arange(DEGREE + 1), DEGREE)

@@ -18,9 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bloch import AxisInterval, ZeroPolytope, _polytope_measures
-from .bounds import BoundReport, _check_p, linearized_upper_bound, span_geometries, upper_bound_report
+from .bounds import (
+    BoundReport, _check_p, _span_stack, linearized_upper_bound, span_geometries, upper_bound_report
+)
 from .invariants import _concurrences, _one_tangles, c3_many
-from .pencil import ZeroSet, _padded, _pencils
+from .pencil import REAL_TOL, ZeroSet, _pencils
 from .states import (
     PureState,
     RankTwoMixture,
@@ -135,8 +137,11 @@ def _family_coefficients(ps: np.ndarray) -> np.ndarray:
 
 
 def _family_eigenvectors(ps: np.ndarray, phi: float):
-    """Normalized (N, 8) stacks of the two closed-form reduction eigenvectors."""
+    """Normalized (N, 8) stacks of the two closed-form reduction eigenvectors.
+    Raises ValueError for a p outside [0, 1] or a non-finite phi."""
     f1, g1, h1, f2, g2, h2 = _family_coefficients(ps)
+    if not np.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
     e_plus = np.exp(1j * phi)
     e_minus = np.exp(-1j * phi)
     vecs = []
@@ -198,11 +203,15 @@ def _family_states(ps: np.ndarray, phis) -> np.ndarray:
     """(N, 16) normalized four-qubit states over arrays of p and phi.
 
     Row n is four_qubit_state(ps[n], phis[n]) normalized by _row_norms, so
-    each row has the bits of the state built alone.
+    each row has the bits of the state built alone. Raises ValueError for a
+    p outside [0, 1] or a non-finite phi.
     """
     ps = np.asarray(ps, dtype=float)
     _check_p(ps)
-    beta = -np.exp(1j * np.asarray(phis, dtype=float)) * np.sqrt(1.0 - ps)
+    phis = np.asarray(phis, dtype=float)
+    if not np.isfinite(phis).all():
+        raise ValueError(f"phi must be finite, got {phis[~np.isfinite(phis)][0]}")
+    beta = -np.exp(1j * phis) * np.sqrt(1.0 - ps)
     psi = np.sqrt(ps)[:, None] * make_ghz(4).amplitudes + beta[:, None] * make_w(4).amplitudes
     if not np.all(np.isfinite(psi.view(float))):
         raise ValueError("amplitudes must be finite")
@@ -229,30 +238,23 @@ def simplex_scan(phi: float, p_grid: Sequence[float]):
     """Zero-polytope metrics of the reduced mixtures over a p grid in (0, 1).
 
     The whole grid is one batch: partial traces of the stacked family
-    states, one eigh call, span_geometries and one _polytope_measures call
-    on the padded vertices of every polytope of the grid.
+    states, one eigh call and one bounds._span_stack call, whose padded
+    vertices and root counts give every measure in one _polytope_measures
+    call and whose interval ends give every interval; no per-span object
+    is built. An identically vanishing pencil reads (0.0, 0, (0.0, 1.0)).
     """
-    ps = np.array([float(p) for p in p_grid])
-    for p in ps.tolist():
+    ps = [float(p) for p in p_grid]
+    for p in ps:
         if not 0.0 < p < 1.0:
             raise ValueError(f"scan grid must lie strictly inside (0, 1), got {p}")
-    rho = _partial_traces(_family_states(ps, float(phi)), 4, (0, 1, 2))
+    rho = _partial_traces(_family_states(np.array(ps), float(phi)), 4, (0, 1, 2))
     v1, v2, _, _ = _rank_two_eigenpairs(rho)
-    geoms = span_geometries(v1, v2)
-    polytopes = [geom.polytope for geom in geoms if not geom.identically_zero]
-    rank, volume = _polytope_measures(
-        np.array([_padded(poly.vertices) for poly in polytopes]).reshape(-1, 4, 3),
-        np.array([poly.n_vertices for poly in polytopes], dtype=np.intp),
-    )
-    measures = zip(volume.tolist(), rank.tolist())
-    rows = []
-    for p, geom in zip(ps.tolist(), geoms):
-        if geom.identically_zero:
-            rows.append(SimplexScanRow(p, 0.0, 0, (0.0, 1.0)))
-            continue
-        iv = geom.interval
-        pair = None if iv is None else (iv.p_low, iv.p_high)
-        rows.append(SimplexScanRow(p, *next(measures), pair))
+    _, roots, vertices, (ends, _, _) = _span_stack(v1, v2)
+    rank, volume = _polytope_measures(vertices, roots.count)
+    rows = [SimplexScanRow(p, 0.0, 0, (0.0, 1.0)) for p in ps]
+    measures = zip(volume.tolist(), rank.tolist(), ends.tolist())
+    for n, (vol, dim, (lo, hi)) in zip(roots.live.tolist(), measures):
+        rows[n] = SimplexScanRow(ps[n], vol, dim, None if np.isnan(lo) else (lo, hi))
     return rows
 
 
@@ -277,13 +279,15 @@ def has_interior_volume_zero(phi: float) -> bool:
     j(lambda) = 1728 I^3 / D is real and at least 1728. On the COARSE_GRID p
     grid (one _pencils batch) a crossing is a pair of neighbours where
     Im(I^3 / D) changes sign with Re(I^3 / D) >= 1 at both. A real pencil
-    (max|Im c| <= 1e-9 max|c|) with D < 0 has two real roots and a conjugate
-    pair; lambda then lies on the unit circle and is real at -1, where J = 0,
-    so there a crossing is a sign change of J with D < 0 at both neighbours.
+    (max|Im c| <= REAL_TOL max|c|, the floor of pencil._deflated) with
+    D < 0 has two real roots and a conjugate pair; lambda then lies on the
+    unit circle and is real at -1, where J = 0, so there a crossing is a
+    sign change of J with D < 0 at both neighbours.
+    Raises ValueError for a non-finite phi.
     """
     c = _pencils(*_family_eigenvectors(np.linspace(0.02, 0.99, COARSE_GRID), float(phi)))
     i, j, d = _quartic_invariants(c)
-    if np.max(np.abs(c.imag)) <= 1e-9 * np.max(np.abs(c)):
+    if np.max(np.abs(c.imag)) <= REAL_TOL * np.max(np.abs(c)):
         s, ok = j.real, d.real < 0.0
     else:
         with np.errstate(divide="ignore", invalid="ignore"):  # D = 0 gives NaN: no crossing

@@ -210,7 +210,9 @@ def _partial_traces(amps: np.ndarray, n: int, keep: Iterable[int]) -> np.ndarray
     drop = [q for q in range(n) if q not in keep]
     # qubit q is tensor axis q + 1 because qubit 0 is the most significant bit
     axes = [0] + [q + 1 for q in keep + drop]
-    m = amps.reshape((-1,) + (2,) * n).transpose(axes).reshape(amps.shape[0], 2 ** len(keep), -1)
+    # every size spelled out, so a stack of no rows reshapes too
+    rows = amps.shape[0]
+    m = amps.reshape((rows,) + (2,) * n).transpose(axes).reshape(rows, 2 ** len(keep), 2 ** len(drop))
     return m @ m.conj().swapaxes(-1, -2)
 
 

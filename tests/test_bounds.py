@@ -485,13 +485,22 @@ def test_a_one_row_anchor_table_certifies_every_knot(monkeypatch):
 def test_envelope_knots_never_sit_on_a_linearized_chord(sparse_spans):
     # rounding alone makes no knot: a ray counts only where it certifies,
     # and the hull skips the linearized samples strictly inside a chord
-    on_chord = 0
-    for mix, _ in sparse_spans:
+    on_chord = pivot_knots = 0
+    for mix in _reference_mixtures() + [mix for mix, _ in sparse_spans]:
         rep = upper_bound_report(mix, grid_size=401)
-        knots, prov = rep.envelope_curve.knots[1:-1], rep.envelope_curve.provenance[1:-1]
-        near = np.abs(knots[:, 1] - rep.linearized_curve(knots[:, 0])) <= 1e-15
-        on_chord += int(np.count_nonzero(near & (np.array(prov) != "zero-interval")))
-    assert on_chord == 0
+        # every knot is a grid sample of the pivot bound, at increasing rows
+        knots, prov = rep.envelope_curve.knots, rep.envelope_curve.provenance
+        rows = np.searchsorted(rep.grid, knots[:, 0])
+        assert np.all(np.diff(rows) > 0)
+        assert np.array_equal(knots, np.column_stack([rep.grid[rows], rep.pivot[rows]]))
+        # a ray certifies exactly the interior pivot knots
+        interior_pivot = [0 < i < len(prov) - 1 and label == "pivot" for i, label in enumerate(prov)]
+        assert rep._knots.certified == interior_pivot
+        assert rep._knots.ps == knots[:, 0].tolist()
+        pivot_knots += sum(interior_pivot)
+        near = np.abs(knots[1:-1, 1] - rep.linearized_curve(knots[1:-1, 0])) <= 1e-15
+        on_chord += int(np.count_nonzero(near & (np.array(prov[1:-1]) != "zero-interval")))
+    assert on_chord == 0 and pivot_knots > 0
     # sparse span 206 never leaves the chord from p = 0 to p_low
     mix = sparse_spans[206][0]
     assert mix.psi1.amplitudes[2:4].real.tolist() == [0.7583692466130246, 0.641749381995842]

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from tangleroof import _kernels, pencil, scenarios
-from tangleroof.bloch import bloch_from_z
-from tangleroof.bounds import linearized_upper_bound, span_geometry
+from tangleroof import _kernels, bounds, pencil, scenarios
+from tangleroof.bloch import _polytope_measures, bloch_from_z
+from tangleroof.bounds import linearized_upper_bound, span_geometries, span_geometry
 from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
     FourQubitFamily,
     _family_eigenvectors,
+    _family_states,
     _quartic_invariants,
     has_interior_volume_zero,
     phi_threshold_bisect,
@@ -19,7 +20,13 @@ from tangleroof.scenarios import (
     simplex_scan,
     toy_states,
 )
-from tangleroof.states import make_w, partial_trace, rank_two_eigendecomposition
+from tangleroof.states import (
+    _partial_traces,
+    _rank_two_eigenpairs,
+    make_w,
+    partial_trace,
+    rank_two_eigendecomposition,
+)
 
 
 def test_toy_states_orthonormal():
@@ -103,6 +110,7 @@ def test_simplex_scan_rejects_boundary_p():
         simplex_scan(0.0, np.array([0.5, 1.0]))
     rows = simplex_scan(0.0, np.array([0.3, 0.8]))
     assert len(rows) == 2 and rows[0].p == 0.3
+    assert simplex_scan(0.0, []) == []
 
 
 def _pencil_vertices(p, phi):
@@ -303,3 +311,64 @@ def test_monogamy_curve_takes_one_phase_per_point():
     for rep, p, phi in zip(monogamy_curve(ps, phis), ps, phis):
         assert (rep.p, rep.phi) == (p, phi)
         assert rep.pairwise == monogamy_report(p, phi).pairwise
+    assert monogamy_curve([]) == []
+
+
+def _stacked_scan_reference(phi, ps):
+    """simplex_scan rows as (p, volume, dimension, interval), built from the
+    per-span objects of span_geometries and one _polytope_measures call on
+    their padded vertices."""
+    v1, v2, _, _ = _rank_two_eigenpairs(_partial_traces(_family_states(ps, phi), 4, (0, 1, 2)))
+    geoms = span_geometries(v1, v2)
+    polytopes = [geom.polytope for geom in geoms if not geom.identically_zero]
+    rank, volume = _polytope_measures(
+        np.array([pencil._padded(poly.vertices) for poly in polytopes]).reshape(-1, 4, 3),
+        np.array([poly.n_vertices for poly in polytopes], dtype=np.intp),
+    )
+    measures = zip(volume.tolist(), rank.tolist())
+    rows = []
+    for p, geom in zip(ps.tolist(), geoms):
+        if geom.identically_zero:
+            rows.append((p, 0.0, 0, (0.0, 1.0)))
+            continue
+        iv = geom.interval
+        rows.append((p, *next(measures), None if iv is None else (iv.p_low, iv.p_high)))
+    return rows
+
+
+def _typed(row):
+    return [(value, type(value)) for value in row[:3]] + [
+        None if row[3] is None else [(value, type(value)) for value in row[3]]
+    ]
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.4, np.pi / 4])
+def test_simplex_scan_reads_the_span_stack(phi, monkeypatch):
+    ps = np.linspace(0.0, 1.0, 101)[1:-1]
+    want = [_typed(row) for row in _stacked_scan_reference(phi, ps)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simplex_scan built a per-span object")
+
+    monkeypatch.setattr(pencil._RootTables, "zero_set", refuse)
+    monkeypatch.setattr(pencil, "PureState", refuse)
+    monkeypatch.setattr(bounds, "ZeroPolytope", refuse)
+    monkeypatch.setattr(bounds, "_interval", refuse)
+    rows = simplex_scan(phi, ps)
+    assert [_typed((r.p, r.volume, r.dimension, r.interval)) for r in rows] == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: has_interior_volume_zero(np.nan),
+        lambda: FourQubitFamily(0.5, np.nan).eigenpair(),
+        lambda: simplex_scan(np.inf, [0.5]),
+        lambda: monogamy_curve([0.5], np.inf),
+    ],
+)
+def test_non_finite_phases_raise_a_clear_error(call):
+    # the tier-1 configuration turns RuntimeWarning into an error, so a
+    # warning before the check would fail this test too
+    with pytest.raises(ValueError, match="phi must be finite"):
+        call()
