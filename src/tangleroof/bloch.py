@@ -307,7 +307,8 @@ def _axis_exits(anchors: np.ndarray, heights: np.ndarray, out):
     ``out`` is a pair (planes, mask) of six (n_t, n_a) float planes and an
     (n_t, n_a) bool array that every (n_t, n_a) temporary is written into
     (the pivot pass passes its per-thread planes); lam and s are
-    planes[4] and planes[5], and the other planes and the mask are scratch.
+    planes[4] and planes[5], planes[0] holds dz = h - a_z on return, and
+    the other planes and the mask are scratch.
     """
     (dz, dd, c, disc, lam, s), mask = out
     ax, ay, az = anchors[:, 0], anchors[:, 1], anchors[:, 2]

@@ -311,7 +311,7 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
     n_a = points.shape[0]
     real, (form, term), chart, mask = _PLANES.shaped((ps.shape[0], n_a))
     lam, s = _axis_exits(points, heights, (real, mask))
-    ax, ay, az = points[:, 0], points[:, 1], points[:, 2]
+    ax, ay = points[:, 0], points[:, 1]
     powers = np.empty((n_a, 5), dtype=complex)
     powers[:, 0] = 1.0
     powers[:, 1:] = (ax + 1j * ay)[:, None]
@@ -320,8 +320,8 @@ def _pivot_candidates(coeffs: np.ndarray, ps: np.ndarray, points: np.ndarray):
     # chart's c_k w^k, then the southern chart's c_(4-k) conj(w)^k
     table = np.concatenate([coeffs * powers, coeffs[::-1] * powers.conj()]).T
     np.negative(table[1::2], out=table[1::2])
-    # the exits leave real[0] to real[3] as scratch
-    bz = np.subtract(heights[:, None], az, out=real[0])
+    # the exits leave dz = h - a_z in real[0] and real[1] to real[3] as scratch
+    bz = real[0]
     bz *= s
     bz += heights[:, None]
     # table column of each (grid point, anchor); the southern chart's columns

@@ -9,7 +9,8 @@ infinity (the pure psi2 end), so the root count is always exactly 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ DEGREE = 4
 COEFF_TOL = 1e-10
 # a pencil is real when max|Im c| <= REAL_TOL * max|c|
 REAL_TOL = 1e-9
-CLUSTER_TOL = 1e-6
 
 
 class IdenticallyZeroPencilError(Exception):
@@ -42,11 +42,11 @@ class ZeroSet:
 
     Rows run real roots ascending, then conjugate pairs (positive
     imaginary part first), then the root at infinity. Row j holds the root
-    ``z[j]`` (inf at infinity), its ``multiplicity[j]`` (the column sums
-    to 4), the axis coordinate ``p0[j]`` = 1 / (1 + |z|^2) and the phase
-    ``phases[j]`` = arg z of its Bloch point (both 0 at infinity), and the
-    normalized zero-tangle state ``states[j]`` of psi1 + z psi2 (psi2 at
-    infinity).
+    ``z[j]`` (inf at infinity), its ``multiplicity[j]`` (the size of its
+    component of inclusion discs, _roots_many; the column sums to 4), the
+    axis coordinate ``p0[j]`` = 1 / (1 + |z|^2) and the phase ``phases[j]``
+    = arg z of its Bloch point (both 0 at infinity), and the normalized
+    zero-tangle state ``states[j]`` of psi1 + z psi2 (psi2 at infinity).
     """
 
     z: np.ndarray
@@ -86,6 +86,17 @@ def _pencils(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
     """
     x = np.array((amps1, amps2), dtype=complex).transpose(2, 0, 1)
     return np.ascontiguousarray(_kernels.tau3_products(x, _polymul).T)
+
+
+def _pencil_sizes(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
+    """(N, 5) sums of the moduli of the products that _pencils adds into
+    each coefficient, 4 ((sum_k p_k)^2 + 4 d3) of the amplitude moduli, as
+    d1 + 2 d2 = (sum_k p_k)^2. A product passes through at most 12
+    roundings, so a coefficient is within gamma_12 times its size of exact."""
+    x = np.abs(np.array((amps1, amps2), dtype=complex)).transpose(2, 0, 1)
+    p = _polymul(*x.take(_kernels._PAIRS, axis=0)).sum(axis=0, keepdims=True)
+    d3 = reduce(_polymul, x.take(_kernels._CHAINS, axis=0)).sum(axis=0, keepdims=True)
+    return (4.0 * (_polymul(p, p) + 4.0 * d3))[0].T
 
 
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> np.ndarray:
@@ -159,8 +170,11 @@ def _deflated(coeffs: np.ndarray):
     z = 0 (0 for the zero row). Row n of rows holds c_low..c_4 of row n,
     then copies of c_4, so its first deg - low + 1 entries are the
     coefficients left to the root finder. A real row, max|Im c| <= REAL_TOL *
-    max|c|, holds the real parts of its coefficients.
+    max|c|, holds the real parts of its coefficients. Raises ValueError for
+    a coefficient that is not finite.
     """
+    if not np.isfinite(coeffs).all():
+        raise ValueError("pencil coefficients must be finite")
     mags = np.abs(coeffs)
     peaks = mags.max(axis=1, keepdims=True)
     above = mags > COEFF_TOL * peaks
@@ -174,26 +188,8 @@ def _deflated(coeffs: np.ndarray):
     return rows, low, deg, real[:, 0]
 
 
-def finite_roots(coeffs: np.ndarray):
-    """Polished finite roots, unclustered, of each row of an (N, 5) stack.
-
-    Returns an (N, 4) complex array and the (N,) number of roots at
-    infinity. Each leading coefficient at or below COEFF_TOL * max|c|
-    counts as one root at infinity, at most 4 per row; those slots hold
-    inf after the finite roots. Likewise each trailing coefficient at or
-    below that floor counts as one exact root at z = 0; those slots come
-    first, and the remaining roots are those of the deflated polynomial:
-    the eigenvalues of the companion matrices of their monic reductions
-    (one eigvals call per deflated degree of 1 or more, and per real or
-    complex row) after two Newton steps. A real row (_deflated) is solved
-    in real arithmetic, so its non-real roots come in bitwise conjugate
-    pairs. Roots are not merged, so they move smoothly with the pair.
-    Raises ValueError for a coefficient that is not finite.
-    """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if not np.isfinite(coeffs).all():
-        raise ValueError("pencil coefficients must be finite")
-    rows, low, deg, real = _deflated(coeffs)
+def _companion_roots(rows: np.ndarray, low: np.ndarray, deg: np.ndarray, real: np.ndarray):
+    """The (N, 4) roots that finite_roots returns, from the _deflated stack."""
     roots = np.full((rows.shape[0], DEGREE), np.inf, dtype=complex)
     roots[np.arange(DEGREE) < low[:, None]] = 0.0
     companion = deg - low  # the degree of each row left to the companion matrix
@@ -211,74 +207,27 @@ def finite_roots(coeffs: np.ndarray):
         comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
         raw = np.linalg.eigvals(comp)
         roots[idx[:, None], low[idx, None] + np.arange(d)] = _polish(raw, c)
-    return roots, DEGREE - np.maximum(deg, 0)
+    return roots
 
 
-def _refine_multiple(c: np.ndarray, merged: list) -> list:
-    """Two Newton steps on P^(m-1) for each clustered root of multiplicity
-    m >= 2 of the pencil c, whose simple root it is.
+def finite_roots(coeffs: np.ndarray):
+    """Polished finite roots, unmerged, of each row of an (N, 5) stack.
 
-    P is z^low times the polynomial the root finder solved (_deflated), so
-    the roots of a real row stay real or conjugate, and a cluster that
-    merged an exact root at 0 with a root near it stays between them. The
-    exact roots at 0 themselves stay as they are.
+    Returns an (N, 4) complex array and the (N,) number of roots at
+    infinity. Each leading coefficient at or below COEFF_TOL * max|c|
+    counts as one root at infinity, at most 4 per row; those slots hold
+    inf after the finite roots. Likewise each trailing coefficient at or
+    below that floor counts as one exact root at z = 0; those slots come
+    first, and the remaining roots are those of the deflated polynomial:
+    the eigenvalues of the companion matrices of their monic reductions
+    (one eigvals call per deflated degree of 1 or more, and per real or
+    complex row) after two Newton steps. A real row (_deflated) is solved
+    in real arithmetic, so its non-real roots come in bitwise conjugate
+    pairs. Roots are not merged, so they move smoothly with the pair.
+    Raises ValueError for a coefficient that is not finite.
     """
-    rows, low, deg, _ = _deflated(c[None, :])
-    solved = np.zeros(DEGREE + 1, dtype=complex)
-    solved[low[0] : deg[0] + 1] = rows[0, : deg[0] - low[0] + 1]
-    out = []
-    for z, m in merged:
-        if m > 1 and z != 0:
-            derivative = solved
-            for _ in range(m - 1):
-                derivative = _derivative(derivative)
-            z = complex(_polish(np.array([[z]]), derivative[None, :])[0, 0])
-        out.append((z, m))
-    return out
-
-
-def _cluster(roots: Sequence[complex]) -> list:
-    """Merge roots within relative distance CLUSTER_TOL into (mean, multiplicity)."""
-    reps: list = []
-    for z in sorted(roots, key=lambda v: (v.real, v.imag)):
-        for k, (rep, mult) in enumerate(reps):
-            if abs(z - rep) <= CLUSTER_TOL * max(1.0, abs(z), abs(rep)):
-                reps[k] = ((rep * mult + z) / (mult + 1), mult + 1)
-                break
-        else:
-            reps.append((z, 1))
-    return reps
-
-
-def _order_key(item):
-    z, _ = item
-    if z.imag == 0.0:
-        return (0, z.real, 0.0, 0.0)
-    return (1, z.real, abs(z.imag), -np.sign(z.imag))
-
-
-def _extended_roots(c: np.ndarray, raw: np.ndarray, n_inf: int):
-    """Clustered, ordered extended roots of the pencil c from its raw finite
-    roots: (z, multiplicity) arrays, with z = inf for the root at infinity.
-
-    A multiple root is refined on the derivative of which it is a simple
-    root (_refine_multiple). An exact root at zero is stored as +0 in both
-    parts, so its phase reads 0 as the root at infinity's does, not the pi
-    of a signed -0.
-    """
-    merged = _cluster([complex(z) for z in raw])
-    if any(m > 1 for _, m in merged):
-        merged = _refine_multiple(c, merged)
-    merged.sort(key=_order_key)
-    if n_inf > 0:
-        merged.append((np.inf, n_inf))
-    # adding +0 turns -0 into +0 and leaves every other value as it is
-    z = np.array([root for root, _ in merged], dtype=complex) + 0.0
-    multiplicity = np.array([m for _, m in merged], dtype=int)
-    total = int(multiplicity.sum())
-    if total != DEGREE:
-        raise RuntimeError(f"root count {total} != {DEGREE}; numerical breakdown")
-    return z, multiplicity
+    rows, low, deg, real = _deflated(np.asarray(coeffs, dtype=complex))
+    return _companion_roots(rows, low, deg, real), DEGREE - np.maximum(deg, 0)
 
 
 def _padded(a: np.ndarray) -> np.ndarray:
@@ -286,26 +235,74 @@ def _padded(a: np.ndarray) -> np.ndarray:
     return a[np.minimum(np.arange(DEGREE), a.shape[0] - 1)]
 
 
-def _roots_many(coeffs: np.ndarray):
+def _roots_many(coeffs: np.ndarray, sizes: np.ndarray):
     """Root tables of the rows live of an (N, 5) stack, those with
-    max|c| > COEFF_TOL, as (live, count, z, multiplicity).
+    max|c| > COEFF_TOL, as (live, count, z, multiplicity): row j holds the
+    count[j] distinct roots of row live[j] in ZeroSet's order, _padded to 4
+    (multiplicity 0 in the padding), from one pass over finite_roots' table.
 
-    Row j of the (L, 4) arrays z and multiplicity holds the count[j]
-    distinct roots of row live[j] that _extended_roots gives, _padded to 4
-    (multiplicity 0 in the padding). The raw roots of every row come from
-    one finite_roots call; the clustering and ordering run per row.
+    The solved polynomial P = sum_k p_k z^k, z^low times the deflated one,
+    of degree d, gives each finite root z_i the Weierstrass inclusion disc
+    (Braess and Hadeler, Numer. Math. 21, 1973) of radius
+    d (|P(z_i)| + e_i) / |p_d prod_j (z_i - z_j)| over the finite roots
+    unequal to z_i, with e_i = gamma_16 sum_k (|p_k| + sizes_k) |z_i|^k,
+    gamma_16 = 16u / (1 - 16u) and u = eps / 2. e_i bounds the Horner
+    rounding of P(z_i) (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 5) and that of each coefficient, gamma_16 of its size
+    (_pencil_sizes for a pencil, |c| for given coefficients), so an exact
+    root at 0 has radius 0. A connected component of m discs holds m
+    roots: its multiplicity. Equal roots overlap, and the roots at infinity
+    are one component. A component with an exact root at 0 is the root +0;
+    any other of m >= 2 roots is their mean after two Newton steps on
+    P^(m-1), of which it is a simple root.
     """
-    peaks = np.max(np.abs(coeffs), axis=1)
-    live = np.nonzero(~(peaks <= COEFF_TOL))[0]
-    count = np.zeros(live.shape, dtype=np.intp)
-    z = np.empty((live.size, DEGREE), dtype=complex)
-    multiplicity = np.zeros((live.size, DEGREE), dtype=int)
-    raw, n_inf = finite_roots(coeffs[live])
-    for j, (i, row, k) in enumerate(zip(live.tolist(), raw, n_inf.tolist())):
-        roots, mult = _extended_roots(coeffs[i], row[: DEGREE - k], k)
-        count[j] = roots.shape[0]
-        z[j], multiplicity[j, : count[j]] = _padded(roots), mult
-    return live, count, z, multiplicity
+    live = np.nonzero(~(np.max(np.abs(coeffs), axis=1) <= COEFF_TOL))[0]
+    coeffs = coeffs[live]
+    rows, low, deg, real = _deflated(coeffs)
+    raw = _companion_roots(rows, low, deg, real)
+    at = np.arange(live.size)[:, None]
+    slot = np.arange(DEGREE)
+    finite = slot < deg[:, None]
+    z = np.where(finite, raw, 0.0)
+    # the solved polynomial P and the sizes of its coefficients' errors
+    k = np.arange(DEGREE + 1)
+    kept = (k >= low[:, None]) & (k <= deg[:, None])
+    p = np.where(kept, np.where(real[:, None], coeffs.real, coeffs), 0.0)
+    errors = np.where(kept, np.abs(p) + sizes[live], 0.0)
+    value, scale = _horner(np.array((p, errors))[:, :, None], np.array((z, np.abs(z))))
+    diff = z[:, :, None] - z[:, None, :]
+    others = np.where(finite[:, None, :] & (diff != 0), diff, 1.0).prod(axis=2)
+    unit = 8 * np.finfo(float).eps  # 16u
+    bound = np.abs(value) + unit / (1 - unit) * scale.real
+    radius = deg[:, None] * bound / np.abs(p[at, deg[:, None]] * others)
+    # finite roots touch where their discs overlap, and infinite ones each other
+    touch = np.where(finite[:, :, None] & finite[:, None, :],
+                     (diff == 0) | (np.abs(diff) <= radius[:, :, None] + radius[:, None, :]),
+                     finite[:, :, None] == finite[:, None, :])
+    reach = touch @ touch
+    reach = reach @ reach  # the components: paths of up to 4 discs
+    first = reach.argmax(axis=2)
+    leads = first == slot
+    multiplicity = reach.sum(axis=2)
+    zero = first < low[:, None]
+    mean = np.where(reach, z[:, None, :], 0.0).sum(axis=2) / multiplicity
+    z = np.where(finite, np.where(zero, 0.0, mean), raw)
+    r, s = np.nonzero(leads & finite & ~zero & (multiplicity > 1))
+    if r.size:
+        m = multiplicity[r, s, None]
+        c = p[r]
+        for j in range(1, int(m.max())):
+            c = np.where(m > j, np.pad(_derivative(c), ((0, 0), (0, 1))), c)
+        z[r, s] = _polish(z[r, s, None], c)[:, 0]
+    # the first slot of each component, finite ones by realness, real part,
+    # |imag| and positive imag first, then infinity; the other slots last
+    imag = z.imag
+    order = np.lexsort((-imag, np.abs(imag), z.real, imag != 0, np.where(leads, ~finite, 2)))
+    count = leads.sum(axis=1)
+    multiplicity = (multiplicity * leads)[at, order]
+    order = order[at, np.minimum(slot, count[:, None] - 1)]
+    # adding +0 turns -0 into +0 and leaves every other value as it is
+    return live, count, z[at, order] + 0.0, multiplicity
 
 
 _IDENTICALLY_ZERO = "all pencil coefficients vanish; every state in the span has zero tangle"
@@ -317,8 +314,9 @@ def polynomial_roots(poly: np.ndarray):
     (z, multiplicity); z is inf for the root at infinity and the
     multiplicities sum to 4.
 
-    Finite roots come from finite_roots and are merged when they lie within
-    relative distance CLUSTER_TOL. Real-coefficient input yields exactly
+    Finite roots come from finite_roots and merge where their inclusion
+    discs overlap (_roots_many), each coefficient known to its rounding; no
+    distance is tuned. Real-coefficient input yields exactly
     conjugate-paired (or real) roots. Ordering: real roots ascending, then
     conjugate pairs (positive imaginary part first), then the point at
     infinity.
@@ -330,7 +328,7 @@ def polynomial_roots(poly: np.ndarray):
     c = np.asarray(poly, dtype=complex).ravel()
     if c.shape[0] != DEGREE + 1:
         raise ValueError(f"expected {DEGREE + 1} coefficients, got {c.shape[0]}")
-    live, count, z, multiplicity = _roots_many(c[None, :])
+    live, count, z, multiplicity = _roots_many(c[None, :], np.abs(c[None, :]))
     if not live.size:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return z[0, : count[0]], multiplicity[0, : count[0]]
@@ -363,7 +361,7 @@ def _zero_sets(coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray) -> _Roo
     are computed in one pass each; the state of a root at infinity is the
     pure amps2 end.
     """
-    live, count, z, multiplicity = _roots_many(coeffs)
+    live, count, z, multiplicity = _roots_many(coeffs, _pencil_sizes(amps1, amps2))
     finite = np.isfinite(z)
     rows = np.nonzero(finite)[0]
     amps = np.repeat(amps2[live, None], DEGREE, axis=1)

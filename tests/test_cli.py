@@ -7,7 +7,7 @@ import pytest
 
 import tangleroof.cli
 import tangleroof.scenarios
-from tangleroof.bounds import span_geometry
+from tangleroof.bounds import characteristic_curve, span_geometry
 from tangleroof.cli import COMMANDS, main
 from tangleroof.scenarios import toy_states
 from tangleroof.states import RankExceededError, RankTwoMixture, load_state, make_ghz, make_w
@@ -473,3 +473,71 @@ def test_interval_json_matches_toy(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["interval"][0] == pytest.approx(0.11423, abs=1e-4)
     assert doc["interval"][1] == pytest.approx(0.69289, abs=1e-4)
+
+
+def _cells(values):
+    """Values as the CSV rows print them."""
+    return ",".join(tangleroof.cli._cell(v) for v in values)
+
+
+@pytest.mark.parametrize(
+    "command, header",
+    [
+        ("zeros", "identically_zero,interval_low,interval_high"),
+        ("interval", "identically_zero,p_low,p_high,dimension,volume"),
+    ],
+)
+def test_identically_zero_pair_csv(command, header, tmp_path, capsys):
+    files = [_state_file(tmp_path, f"{i}.json", i) for i in (0, 1)]
+    assert span_geometry(RankTwoMixture(load_state(files[0]), load_state(files[1]), 0.5)).identically_zero
+    assert main([command, *files, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the whole span is a zero set: the interval is [0, 1], and the
+    # polytope's dimension and volume are empty cells
+    assert lines[0] == header
+    assert lines[1:] == [_cells([True, 0.0, 1.0] + [None] * (header.count(",") - 2))]
+
+
+def test_interval_csv_of_the_toy_pair(capsys):
+    geom = span_geometry(tangleroof.scenarios.toy_mixture())
+    assert main(["interval", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "identically_zero,p_low,p_high,dimension,volume"
+    iv, poly = geom.interval, geom.polytope
+    assert lines[1:] == [_cells([False, iv.p_low, iv.p_high, poly.dimension, poly.volume])]
+
+
+def test_interval_json_of_a_polytope_that_misses_the_axis(benchmark_inputs, tmp_path, capsys):
+    pairs = {name: (a, b) for name, a, b in benchmark_inputs.pair_set(1)}
+    files = [_amplitude_file(tmp_path, f"{k}.json", amps) for k, amps in enumerate(pairs["haar14"])]
+    geom = span_geometry(RankTwoMixture(load_state(files[0]), load_state(files[1]), 0.5))
+    assert geom.interval is None and geom.polytope.dimension == 3
+    assert main(["interval", *files, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {
+        "identically_zero": False,
+        "dimension": 3,
+        "volume": _r12(geom.polytope.volume),
+        "interval": None,
+        "witness_low": None,
+        "witness_high": None,
+    }
+
+
+def test_char_json_rows_are_the_characteristic_curve(capsys):
+    curve = characteristic_curve(tangleroof.scenarios.toy_mixture(), 0.0, np.linspace(0.0, 1.0, 5))
+    assert main(["char", "--p-grid", "5", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["phi"] == 0.0
+    assert doc["rows"] == [[_r12(p), _r12(c3)] for p, c3 in curve]
+
+
+def test_monogamy_json_rows_are_the_monogamy_curve(capsys):
+    reports = tangleroof.scenarios.monogamy_curve(np.linspace(0.0, 1.0, 3), 0.0)
+    assert main(["monogamy", "--p-grid", "3", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    expected = []
+    for rep in reports:
+        values = (rep.p, rep.phi, rep.one_tangle) + rep.pairwise + rep.three_tangle_bounds + (rep.residual,)
+        expected.append(dict(zip(tangleroof.cli._MONOGAMY_HEADER, map(_r12, values))))
+    assert doc == {"rows": expected}

@@ -97,10 +97,35 @@ def test_exact_multiple_roots_of_real_polynomials(coeffs, z, mult):
 
 def test_a_root_near_an_exact_zero_clusters_between_them():
     # z (1e-9 + z + z^2 + z^3): the exact root at 0 and the root near -1e-9
-    # merge, and the refined double root is the root of P' between them
+    # lie 1e-9 apart, far beyond the inclusion disc of either, so at
+    # computed accuracy they are two simple roots and 0 stays exact
     z, mult = polynomial_roots(np.array([0, 1e-9, 1, 1, 1], dtype=complex))
-    assert mult.tolist() == [2, 1, 1]
-    np.testing.assert_allclose(z[0], -5e-10, rtol=1e-8)
+    assert mult.tolist() == [1, 1, 1, 1]
+    np.testing.assert_allclose(z[0], -1e-9, rtol=1e-8)
+    assert z[1] == 0.0 and not np.signbit(z[1].real) and not np.signbit(z[1].imag)
+
+
+@pytest.mark.parametrize(
+    "roots, z, mult",
+    [([1, 1, 1, 3], [1, 3], [3, 1]), ([2, 2, 2, 2], [2], [4])],
+    ids=["triple", "quadruple"],
+)
+def test_inclusion_discs_merge_a_spread_multiple_root(roots, z, mult):
+    # the eigenvalues of a triple root spread by about eps^(1/3) ~ 6e-6 and
+    # those of a quadruple root by eps^(1/4) ~ 1e-4; their discs overlap, and
+    # the mean refined on P^(m-1) is accurate to rounding
+    got, got_mult = polynomial_roots(npoly.polyfromroots(roots).astype(complex))
+    assert got_mult.tolist() == mult
+    assert np.all(got.imag == 0.0)
+    np.testing.assert_allclose(got.real, z, rtol=0.0, atol=1e-12)
+
+
+def test_inclusion_discs_resolve_a_near_double_root():
+    # (z - 1)(z - 1 - 1e-6)(z - 2)(z + 1.5): roots 1e-6 apart are computed to
+    # within 5e-10, and their discs stay disjoint
+    z, mult = polynomial_roots(npoly.polyfromroots([1, 1 + 1e-6, 2, -1.5]).astype(complex))
+    assert mult.tolist() == [1, 1, 1, 1]
+    np.testing.assert_allclose(z.real, [-1.5, 1.0, 1.0 + 1e-6, 2.0], rtol=0.0, atol=1e-9)
 
 
 def test_polynomial_roots_exact_conjugate_pairs():

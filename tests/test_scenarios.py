@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tangleroof import _kernels, bounds, pencil, scenarios
-from tangleroof.bloch import _polytope_measures, bloch_from_z
+from tangleroof.bloch import AxisInterval, IntervalWitness, _polytope_measures, bloch_from_z
 from tangleroof.bounds import linearized_upper_bound, span_geometries, span_geometry
 from tangleroof.invariants import c3, one_tangle, wootters_concurrence
 from tangleroof.scenarios import (
@@ -21,6 +21,8 @@ from tangleroof.scenarios import (
     toy_states,
 )
 from tangleroof.states import (
+    PureState,
+    RankTwoMixture,
     _partial_traces,
     _rank_two_eigenpairs,
     make_w,
@@ -372,3 +374,28 @@ def test_non_finite_phases_raise_a_clear_error(call):
     # warning before the check would fail this test too
     with pytest.raises(ValueError, match="phi must be finite"):
         call()
+
+
+def test_linearized_c3_of_a_rank_one_reduction_is_c3_of_v1():
+    # row 0 is a rank-one reduction: its bound is c3 of the pure v1, bit for
+    # bit, whatever v2 and q hold; row 1 is the toy span's linearized bound
+    rng = np.random.default_rng(12)
+    pure = rng.normal(size=8) + 1j * rng.normal(size=8)
+    pure /= np.linalg.norm(pure)
+    toy1, toy2 = toy_states()
+    v1 = np.array([pure, toy1.amplitudes])
+    v2 = np.array([np.zeros(8, dtype=complex), toy2.amplitudes])
+    q = np.array([0.3, 0.4])
+    out = scenarios._linearized_c3(v1, v2, q, np.array([True, False]))
+    assert out[0] == c3(PureState(3, pure)) and out[0] > 0.0
+    mix = RankTwoMixture(toy1, toy2, 0.5)
+    assert out[1] == float(linearized_upper_bound(span_geometry(mix))(0.4))
+
+
+def test_weight_coincidence_of_disjoint_witness_faces_is_nan():
+    lo = IntervalWitness((0,), [1.0])
+    hi = IntervalWitness((1, 2), [0.5, 0.5])
+    assert np.isnan(scenarios._witness_weight_coincidence(AxisInterval(0.2, 0.7, lo, hi)))
+    # a shared vertex reads the difference of its two weights
+    hi = IntervalWitness((0, 2), [0.25, 0.75])
+    assert scenarios._witness_weight_coincidence(AxisInterval(0.2, 0.7, lo, hi)) == 0.75
