@@ -36,18 +36,44 @@ TAU3_PAIRS = ((0, 7), (3, 4), (5, 2), (6, 1))
 TAU3_D1 = ((0, 0), (1, 1), (2, 2), (3, 3))
 TAU3_D2 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 TAU3_FOURFOLD = ((0, 6, 5, 3), (7, 1, 2, 4))
-_PAIRS, _TERMS, _CHAINS = (np.array(t).T for t in (TAU3_PAIRS, TAU3_D1 + TAU3_D2, TAU3_FOURFOLD))
+_TERMS = np.array(TAU3_D1 + TAU3_D2).T
+# the amplitudes that tau3_terms takes in one pass: the left and the right
+# factors of the first products (those of TAU3_PAIRS, then the first two
+# factors of each TAU3_FOURFOLD chain), then the chains' third factors and
+# their fourth ones
+_FACTORS = np.concatenate((
+    np.array(TAU3_PAIRS + tuple(c[:2] for c in TAU3_FOURFOLD)).T.ravel(),
+    np.array(TAU3_FOURFOLD)[:, 2:].T.ravel(),
+))
+
+
+def tau3_terms(a: np.ndarray, mul=np.multiply):
+    """The pair products p_k and the fourfold sum d3 of a stack a whose
+    axis 0 runs over the 8 amplitudes, with mul as the product: the pairs
+    and the chains' first factors in one mul call, each chain then
+    multiplied out left to right, and d3 the sum of the two chains."""
+    n, m = len(TAU3_PAIRS), len(TAU3_FOURFOLD)
+    f = a.take(_FACTORS, axis=0)
+    first = mul(f[: n + m], f[n + m : 2 * (n + m)])
+    chains = mul(mul(first[n:], f[-2 * m : -m]), f[-m:])
+    return first[:n], chains[0] + chains[1]
 
 
 def tau3_products(a: np.ndarray, mul=np.multiply) -> np.ndarray:
     """The tangle polynomial of a stack a whose axis 0 runs over the 8
     amplitudes, with mul as the product (pencil._pencils passes linear
     polynomials and _polymul). Each kind of product is taken for all its
-    index pairs at once, as mul(left, right); sums run left to right."""
-    p = mul(a.take(_PAIRS[0], axis=0), a.take(_PAIRS[1], axis=0))
-    d = mul(p.take(_TERMS[0], axis=0), p.take(_TERMS[1], axis=0))
+    index pairs at once, as mul(left, right) (tau3_terms); sums run left
+    to right."""
+    return tau3_sum(*tau3_terms(a, mul), mul)
+
+
+def tau3_sum(p: np.ndarray, d3: np.ndarray, mul=np.multiply) -> np.ndarray:
+    """4 (d1 - 2 d2 + 4 d3) from the tau3_terms p and d3, with mul as the
+    product of the d1 and d2 terms p_k p_l."""
+    d = mul(*p.take(_TERMS, axis=0))
     n1 = len(TAU3_D1)
-    d1, d2, d3 = (reduce(np.add, t) for t in (d[:n1], d[n1:], reduce(mul, a.take(_CHAINS, axis=0))))
+    d1, d2 = (reduce(np.add, t) for t in (d[:n1], d[n1:]))
     return 4.0 * (d1 - 2.0 * d2 + 4.0 * d3)
 
 

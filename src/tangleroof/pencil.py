@@ -9,7 +9,6 @@ infinity (the pure psi2 end), so the root count is always exactly 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -30,6 +29,30 @@ DEGREE = 4
 COEFF_TOL = 1e-10
 # a pencil is real when max|Im c| <= REAL_TOL * max|c|
 REAL_TOL = 1e-9
+
+# Per-call constant tables, built once here, since a stack of one pays for
+# every table a call builds. _RAMP is 0..5: the powers 0..4 of a pencil's
+# coefficients, of which 0..3 index the slots of a root table; 16u = 8 eps,
+# u the unit roundoff; _SHIFT has ones below the diagonal, and its leading
+# d x d block starts a companion matrix. By a row's low and deg (0..4):
+# _FINITE[deg] marks its finite slots, _ZERO_ROOTS[low] is its initial root
+# row (+0 in the low slots, inf after them), _KEPT[low, deg] marks its
+# solved powers low..deg, and _SHIFTED[low] takes c_low..c_4 and copies of c_4;
+# _PAIRS[:, deg] holds, for the (i, j) slot pairs, whether j is finite,
+# whether both are, and whether both or neither are.
+_RAMP = _read_only(np.arange(DEGREE + 2))
+_POWERS, _SLOTS = _RAMP[: DEGREE + 1], _RAMP[:DEGREE]
+_UNIT16 = 8 * np.finfo(float).eps
+_SHIFT = _read_only(np.eye(DEGREE, k=-1))
+_FINITE = _read_only(_SLOTS < _POWERS[:, None])
+_ZERO_ROOTS = _read_only(np.where(_FINITE, 0j, complex(np.inf)))
+_KEPT = _read_only((_POWERS >= _POWERS[:, None, None]) & (_POWERS <= _POWERS[:, None]))
+_SHIFTED = _read_only(np.minimum(_POWERS[:, None] + _POWERS, DEGREE))
+_PAIRS = _read_only(np.array([
+    np.broadcast_to(_FINITE[:, None, :], (DEGREE + 1, DEGREE, DEGREE)),
+    _FINITE[:, :, None] & _FINITE[:, None, :],
+    _FINITE[:, :, None] == _FINITE[:, None, :],
+]))
 
 
 class IdenticallyZeroPencilError(Exception):
@@ -88,15 +111,26 @@ def _pencils(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_kernels.tau3_products(x, _polymul).T)
 
 
-def _pencil_sizes(amps1: np.ndarray, amps2: np.ndarray) -> np.ndarray:
-    """(N, 5) sums of the moduli of the products that _pencils adds into
-    each coefficient, 4 ((sum_k p_k)^2 + 4 d3) of the amplitude moduli, as
+def _pencil_tables(amps1: np.ndarray, amps2: np.ndarray):
+    """The (N, 5) pencils of _pencils and the (N, 5) sizes of their
+    coefficients from one walk over the amplitude products.
+
+    The size of a coefficient sums the moduli of the products that _pencils
+    adds into it, 4 ((sum_k p_k)^2 + 4 d3) of the amplitude moduli, as
     d1 + 2 d2 = (sum_k p_k)^2. A product passes through at most 12
-    roundings, so a coefficient is within gamma_12 times its size of exact."""
-    x = np.abs(np.array((amps1, amps2), dtype=complex)).transpose(2, 0, 1)
-    p = _polymul(*x.take(_kernels._PAIRS, axis=0)).sum(axis=0, keepdims=True)
-    d3 = reduce(_polymul, x.take(_kernels._CHAINS, axis=0)).sum(axis=0, keepdims=True)
-    return (4.0 * (_polymul(p, p) + 4.0 * d3))[0].T
+    roundings, so a coefficient is within gamma_12 times its size of exact.
+    The moduli ride as complex numbers with zero imaginary parts beside the
+    amplitudes through one _kernels.tau3_terms call: a product or sum of
+    such numbers has the bits of the real one in its real part. A stack of
+    one takes about 70 us (2-CPU host, numpy 2.4).
+    """
+    x = np.array((amps1, amps2), dtype=complex).transpose(2, 0, 1)
+    n = x.shape[2]
+    p, d3 = _kernels.tau3_terms(np.concatenate((x, np.abs(x)), axis=2), _polymul)
+    coeffs = _kernels.tau3_sum(p[..., :n], d3[:, :n], _polymul)
+    s = p[..., n:].sum(axis=0, keepdims=True)
+    sizes = 4.0 * (_polymul(s, s) + 4.0 * d3[:, n:])
+    return np.ascontiguousarray(coeffs.T), sizes[0].real.T
 
 
 def pencil_polynomial(psi1: PureState, psi2: PureState) -> np.ndarray:
@@ -120,14 +154,16 @@ def _horner(c: np.ndarray, x) -> np.ndarray:
     """
     v = c[..., -1] + x * 0
     for k in range(c.shape[-1] - 2, -1, -1):
-        v = c[..., k] + v * x
+        # in place: v * x + c[..., k] has the bits of c[..., k] + v * x
+        v *= x
+        v += c[..., k]
     return v
 
 
 def _derivative(c: np.ndarray) -> np.ndarray:
     """Coefficients of the derivative of each polynomial c[..., k] z^k, one
     fewer than c's."""
-    return c[..., 1:] * np.arange(1, c.shape[-1])
+    return c[..., 1:] * _RAMP[1 : c.shape[-1]]
 
 
 def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -143,20 +179,23 @@ def _polish(roots: np.ndarray, c: np.ndarray) -> np.ndarray:
     P': there P' is rounding noise, as at a double root that the real
     Schur form returns as two equal eigenvalues, and P / P' would be noise
     over noise. The second step's pass runs over P and P' alone.
+
+    Coefficient k of the three polynomials, repeated at every root, is the
+    contiguous block polys[k], so each Horner step is a product and a sum
+    of equal shapes: numpy broadcasts a tiny stack at twice the cost. A
+    stack of one quartic takes about 35 us (2-CPU host, numpy 2.4).
     """
-    polys = np.zeros((3, c.shape[0], 1, c.shape[1]), dtype=complex)
-    polys[0, :, 0] = c
-    polys[1, :, 0, :-1] = _derivative(c)
-    polys[2] = np.abs(polys[1])
-    at = np.empty((3,) + roots.shape, dtype=complex)
-    at[:2] = roots
-    at[2] = np.abs(roots)
-    pv, dv, scale = _horner(polys, at)
-    noise = 8 * np.finfo(float).eps * scale.real
+    polys = np.zeros((c.shape[1], 3) + roots.shape, dtype=complex)
+    polys[:, 0] = c.T[:, :, None]
+    polys[:-1, 1] = _derivative(c).T[:, :, None]
+    np.abs(polys[:, 1], out=polys[:, 2])
+    pv, dv, scale = _horner(polys.transpose(1, 2, 3, 0), np.array((roots, roots, np.abs(roots))))
+    noise = _UNIT16 * scale.real
     for step in range(2):
         if step:
-            pv, dv = _horner(polys[:2], roots)
-        roots = roots - np.divide(pv, dv, out=np.zeros_like(pv), where=np.abs(dv) > noise)
+            pv, dv = _horner(polys[:, :2].transpose(1, 2, 3, 0), np.array((roots, roots)))
+        delta = np.divide(pv, dv, out=np.zeros(pv.shape, dtype=complex), where=np.abs(dv) > noise)
+        roots = roots - delta
     return roots
 
 
@@ -178,35 +217,36 @@ def _deflated(coeffs: np.ndarray):
     mags = np.abs(coeffs)
     peaks = mags.max(axis=1, keepdims=True)
     above = mags > COEFF_TOL * peaks
-    low = np.argmax(above, axis=1)
-    deg = (above * np.arange(1, DEGREE + 2)).max(axis=1) - 1
+    low = above.argmax(axis=1)
+    deg = (above * _RAMP[1:]).max(axis=1) - 1
     real = np.abs(coeffs.imag).max(axis=1, keepdims=True) <= REAL_TOL * peaks
     rows = np.where(real, coeffs.real, coeffs)
-    if low.any():
-        columns = np.minimum(low[:, None] + np.arange(DEGREE + 1), DEGREE)
-        rows = np.take_along_axis(rows, columns, axis=1)
+    if np.count_nonzero(low):
+        rows = np.take_along_axis(rows, _SHIFTED[low], axis=1)
     return rows, low, deg, real[:, 0]
 
 
 def _companion_roots(rows: np.ndarray, low: np.ndarray, deg: np.ndarray, real: np.ndarray):
-    """The (N, 4) roots that finite_roots returns, from the _deflated stack."""
-    roots = np.full((rows.shape[0], DEGREE), np.inf, dtype=complex)
-    roots[np.arange(DEGREE) < low[:, None]] = 0.0
+    """The (N, 4) roots that finite_roots returns, from the _deflated stack:
+    one eigvals and one _polish call per deflated degree and realness, with
+    the initial root rows and the companion shift read from tables built at
+    import. A stack of one takes about 65 us (2-CPU host, numpy 2.4)."""
+    roots = _ZERO_ROOTS.take(low, axis=0)
     companion = deg - low  # the degree of each row left to the companion matrix
     for d, is_real in sorted(set(zip(companion.tolist(), real.tolist()))):
         if d < 1:
             continue
         idx = np.nonzero((companion == d) & (real == is_real))[0]
-        c = rows[idx, : d + 1]
+        c = rows.take(idx, axis=0)[:, : d + 1]
         if is_real:
             # LAPACK's real Schur form returns complex eigenvalues as exact
             # conjugates, and Newton on real coefficients keeps them so
             c = c.real
-        comp = np.zeros((idx.size, d, d), dtype=c.dtype)
-        comp[:, 1:, :-1] = np.eye(d - 1)
+        comp = np.empty((idx.size, d, d), dtype=c.dtype)
+        comp[:] = _SHIFT[:d, :d]
         comp[:, :, -1] = -(c[:, :-1] / c[:, -1:])
         raw = np.linalg.eigvals(comp)
-        roots[idx[:, None], low[idx, None] + np.arange(d)] = _polish(raw, c)
+        roots[idx[:, None], low.take(idx)[:, None] + _SLOTS[:d]] = _polish(raw, c)
     return roots
 
 
@@ -249,59 +289,68 @@ def _roots_many(coeffs: np.ndarray, sizes: np.ndarray):
     gamma_16 = 16u / (1 - 16u) and u = eps / 2. e_i bounds the Horner
     rounding of P(z_i) (Higham, Accuracy and Stability of Numerical
     Algorithms, ch. 5) and that of each coefficient, gamma_16 of its size
-    (_pencil_sizes for a pencil, |c| for given coefficients), so an exact
+    (_pencil_tables for a pencil, |c| for given coefficients), so an exact
     root at 0 has radius 0. A connected component of m discs holds m
     roots: its multiplicity. Equal roots overlap, and the roots at infinity
     are one component. A component with an exact root at 0 is the root +0;
     any other of m >= 2 roots is their mean after two Newton steps on
-    P^(m-1), of which it is a simple root.
+    P^(m-1), of which it is a simple root. Where every disc touches only
+    itself, each root is a component of one and the component, mean and
+    refinement steps are skipped: a stack of one with four simple roots
+    takes about 160 us (2-CPU host, numpy 2.4), its companion solve
+    (_companion_roots) about 65 us of that.
     """
-    live = np.nonzero(~(np.max(np.abs(coeffs), axis=1) <= COEFF_TOL))[0]
-    coeffs = coeffs[live]
+    live = np.nonzero(~(np.abs(coeffs).max(axis=1) <= COEFF_TOL))[0]
+    coeffs = coeffs.take(live, axis=0)
     rows, low, deg, real = _deflated(coeffs)
     raw = _companion_roots(rows, low, deg, real)
     at = np.arange(live.size)[:, None]
-    slot = np.arange(DEGREE)
-    finite = slot < deg[:, None]
+    finite = _FINITE.take(deg, axis=0)
     z = np.where(finite, raw, 0.0)
     # the solved polynomial P and the sizes of its coefficients' errors
-    k = np.arange(DEGREE + 1)
-    kept = (k >= low[:, None]) & (k <= deg[:, None])
+    kept = _KEPT[low, deg]
     p = np.where(kept, np.where(real[:, None], coeffs.real, coeffs), 0.0)
-    errors = np.where(kept, np.abs(p) + sizes[live], 0.0)
+    errors = np.where(kept, np.abs(p) + sizes.take(live, axis=0), 0.0)
     value, scale = _horner(np.array((p, errors))[:, :, None], np.array((z, np.abs(z))))
     diff = z[:, :, None] - z[:, None, :]
-    others = np.where(finite[:, None, :] & (diff != 0), diff, 1.0).prod(axis=2)
-    unit = 8 * np.finfo(float).eps  # 16u
-    bound = np.abs(value) + unit / (1 - unit) * scale.real
+    finite_j, both, same = _PAIRS.take(deg, axis=1)
+    others = np.where(finite_j & (diff != 0), diff, 1.0).prod(axis=2)
+    bound = np.abs(value) + _UNIT16 / (1 - _UNIT16) * scale.real
     radius = deg[:, None] * bound / np.abs(p[at, deg[:, None]] * others)
     # finite roots touch where their discs overlap, and infinite ones each other
-    touch = np.where(finite[:, :, None] & finite[:, None, :],
-                     (diff == 0) | (np.abs(diff) <= radius[:, :, None] + radius[:, None, :]),
-                     finite[:, :, None] == finite[:, None, :])
-    reach = touch @ touch
-    reach = reach @ reach  # the components: paths of up to 4 discs
-    first = reach.argmax(axis=2)
-    leads = first == slot
-    multiplicity = reach.sum(axis=2)
-    zero = first < low[:, None]
-    mean = np.where(reach, z[:, None, :], 0.0).sum(axis=2) / multiplicity
-    z = np.where(finite, np.where(zero, 0.0, mean), raw)
-    r, s = np.nonzero(leads & finite & ~zero & (multiplicity > 1))
-    if r.size:
-        m = multiplicity[r, s, None]
-        c = p[r]
-        for j in range(1, int(m.max())):
-            c = np.where(m > j, np.pad(_derivative(c), ((0, 0), (0, 1))), c)
-        z[r, s] = _polish(z[r, s, None], c)[:, 0]
+    touch = np.where(both, (diff == 0) | (np.abs(diff) <= radius[:, :, None] + radius[:, None, :]), same)
+    # each disc touches only itself where every root is a component of one,
+    # the mean of which is the root itself, and every slot leads
+    lone = np.count_nonzero(touch) == touch.shape[0] * DEGREE
+    if lone:
+        z = raw
+    else:
+        reach = touch @ touch
+        reach = reach @ reach  # the components: paths of up to 4 discs
+        first = reach.argmax(axis=2)
+        leads = first == _SLOTS
+        multiplicity = reach.sum(axis=2)
+        zero = first < low[:, None]
+        mean = np.where(reach, z[:, None, :], 0.0).sum(axis=2) / multiplicity
+        z = np.where(finite, np.where(zero, 0.0, mean), raw)
+        r, s = np.nonzero(leads & finite & ~zero & (multiplicity > 1))
+        if r.size:
+            m = multiplicity[r, s, None]
+            c = p[r]
+            for j in range(1, int(m.max())):
+                c = np.where(m > j, np.pad(_derivative(c), ((0, 0), (0, 1))), c)
+            z[r, s] = _polish(z[r, s, None], c)[:, 0]
     # the first slot of each component, finite ones by realness, real part,
-    # |imag| and positive imag first, then infinity; the other slots last
+    # |imag| and positive imag first, then infinity; the other slots last;
+    # adding +0 turns -0 into +0 and leaves every other value as it is
     imag = z.imag
-    order = np.lexsort((-imag, np.abs(imag), z.real, imag != 0, np.where(leads, ~finite, 2)))
+    last = ~finite if lone else np.where(leads, ~finite, 2)
+    order = np.lexsort((-imag, np.abs(imag), z.real, imag != 0, last))
+    if lone:
+        return live, np.full(live.size, DEGREE), z[at, order] + 0.0, np.ones(z.shape, dtype=int)
     count = leads.sum(axis=1)
     multiplicity = (multiplicity * leads)[at, order]
-    order = order[at, np.minimum(slot, count[:, None] - 1)]
-    # adding +0 turns -0 into +0 and leaves every other value as it is
+    order = order[at, np.minimum(_SLOTS, count[:, None] - 1)]
     return live, count, z[at, order] + 0.0, multiplicity
 
 
@@ -353,25 +402,28 @@ class _RootTables(NamedTuple):
         return ZeroSet(self.z[j, :k], self.multiplicity[j, :k], self.p0[j, :k], self.phases[j, :k], states)
 
 
-def _zero_sets(coeffs: np.ndarray, amps1: np.ndarray, amps2: np.ndarray) -> _RootTables:
+def _zero_sets(coeffs: np.ndarray, sizes: np.ndarray, amps1: np.ndarray, amps2: np.ndarray) -> _RootTables:
     """Padded root tables of the pairs of rows of two (N, 8) stacks whose
-    pencils are coeffs; identically vanishing pencils are left out.
+    pencils are coeffs and whose coefficient sizes are sizes
+    (_pencil_tables); identically vanishing pencils are left out.
 
     The axis coordinates, phases and states of the roots of all pencils
-    are computed in one pass each; the state of a root at infinity is the
-    pure amps2 end.
+    are computed in one pass each, every slot at once; the state of a root
+    at infinity is the pure amps2 end. A stack of one takes about 195 us
+    (2-CPU host, numpy 2.4).
     """
-    live, count, z, multiplicity = _roots_many(coeffs, _pencil_sizes(amps1, amps2))
-    finite = np.isfinite(z)
-    rows = np.nonzero(finite)[0]
-    amps = np.repeat(amps2[live, None], DEGREE, axis=1)
-    at_roots = amps1[live[rows]] + z[finite, None] * amps2[live[rows]]
-    amps[finite] = at_roots / _row_norms(at_roots)[:, None]
+    live, count, z, multiplicity = _roots_many(coeffs, sizes)
+    a1, a2 = (a.take(live, axis=0)[:, None] for a in (amps1, amps2))
+    finite = np.isfinite(z)[..., None]
+    # a slot at infinity reads amps1 and keeps amps2
+    at_roots = a1 + np.where(finite, z[..., None], 0.0) * a2
+    norms = _row_norms(at_roots.reshape(-1, 8)).reshape(finite.shape)
+    amps = np.where(finite, at_roots / norms, a2)
     # the C hypot and pow of Python's abs(z) ** 2 on a complex scalar, whose
     # bits np.abs and ** on arrays do not always keep; 1 / (1 + inf) is the
     # 0 of the root at infinity
     p0 = 1.0 / (1.0 + np.float_power(np.hypot(z.real, z.imag), 2.0))
-    return _RootTables(live, count, z, multiplicity, p0, np.angle(z), amps)
+    return _RootTables(live, count, z, multiplicity, p0, np.arctan2(z.imag, z.real), amps)
 
 
 def zero_set(mix: RankTwoMixture) -> ZeroSet:
@@ -379,7 +431,7 @@ def zero_set(mix: RankTwoMixture) -> ZeroSet:
     if mix.n_qubits != 3:
         raise ValueError("zero sets are defined for 3-qubit mixtures")
     a1, a2 = mix.psi1.amplitudes[None, :], mix.psi2.amplitudes[None, :]
-    roots = _zero_sets(_pencils(a1, a2), a1, a2)
+    roots = _zero_sets(*_pencil_tables(a1, a2), a1, a2)
     if not roots.live.size:
         raise IdenticallyZeroPencilError(_IDENTICALLY_ZERO)
     return roots.zero_set(0)

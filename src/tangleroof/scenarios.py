@@ -18,9 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bloch import AxisInterval, ZeroPolytope, _polytope_measures
-from .bounds import (
-    BoundReport, _check_p, _span_stack, linearized_upper_bound, span_geometries, upper_bound_report
-)
+from .bounds import BoundReport, _check_p, _linearized_knots, _span_stack, upper_bound_report
 from .invariants import _concurrences, _one_tangles, c3_many
 from .pencil import REAL_TOL, ZeroSet, _pencils
 from .states import (
@@ -343,7 +341,11 @@ def monogamy_report(p: float, phi: float = 0.0) -> MonogamyReport:
 def _linearized_c3(v1: np.ndarray, v2: np.ndarray, q: np.ndarray, degenerate: np.ndarray) -> list:
     """Linearized c3 bound of each reduction at its own weight q.
 
-    A rank-one reduction is the pure state v1, whose c3 is exact.
+    A rank-one reduction is the pure state v1, whose c3 is exact. The spans
+    of the others are rows of one bounds._span_stack call: each bound is
+    the bounds._linearized_knots curve of the row's pure-end c3 sqrt|c_0|
+    and sqrt|c_4| and interval ends, read at q, with no per-span object;
+    an identically vanishing pencil reads 0.
     """
     out = [0.0] * v1.shape[0]
     pure = np.nonzero(degenerate)[0]
@@ -351,8 +353,16 @@ def _linearized_c3(v1: np.ndarray, v2: np.ndarray, q: np.ndarray, degenerate: np
         for i, value in zip(pure.tolist(), c3_many(v1[pure]).tolist()):
             out[i] = value
     mixed = np.nonzero(~degenerate)[0]
-    for i, geom in zip(mixed.tolist(), span_geometries(v1[mixed], v2[mixed])):
-        out[i] = float(linearized_upper_bound(geom)(q[i]))
+    coeffs, roots, _, (ends, _, _) = _span_stack(v1[mixed], v2[mixed])
+    for n, (lo, hi) in zip(roots.live.tolist(), ends.tolist()):
+        # the scalar abs of SpanGeometry.c3_psi1, whose bits np.abs on an
+        # array does not always keep
+        c = coeffs[n]
+        knots, _ = _linearized_knots(
+            float(np.sqrt(abs(c[4]))), float(np.sqrt(abs(c[0]))), None if np.isnan(lo) else (lo, hi)
+        )
+        i = mixed[n]
+        out[i] = float(np.interp(q[i], *zip(*knots)))
     return out
 
 
@@ -362,7 +372,8 @@ def monogamy_curve(p_grid: Sequence[float], phi=0.0):
     ``phi`` is one phase or one per p. The family states are stacked; the
     pairwise and three-qubit reductions come from batched partial traces,
     the concurrences from one eigvals call, the eigenpairs of all three
-    reductions from one eigh call and their spans from span_geometries.
+    reductions from one eigh call and their spans from one span stack
+    (_linearized_c3).
     """
     ps, phis = np.broadcast_arrays(
         np.asarray(p_grid, dtype=float).ravel(), np.asarray(phi, dtype=float)

@@ -293,10 +293,11 @@ def test_w_ghz_envelope_is_one_chord_left_of_the_interval():
 
 
 def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
-    # one _pencils batch multiplies out every pencil, for one span or a stack
-    # of them, and no tangle rows are evaluated for it
+    # one _pencil_tables batch multiplies out every pencil and the sizes of
+    # its coefficients, for one span or a stack of them, and no tangle rows
+    # are evaluated for it
     batches, tangle_rows = [], []
-    pencils, tau3_many = bounds._pencils, _kernels.tau3_many
+    pencils, tau3_many = bounds._pencil_tables, _kernels.tau3_many
 
     def counted_pencils(amps1, amps2):
         batches.append(len(amps1))
@@ -306,7 +307,7 @@ def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
         tangle_rows.append(len(amps))
         return tau3_many(amps)
 
-    monkeypatch.setattr(bounds, "_pencils", counted_pencils)
+    monkeypatch.setattr(bounds, "_pencil_tables", counted_pencils)
     monkeypatch.setattr(_kernels, "tau3_many", counted_tau3)
     span_geometry(toy_mix)
     assert batches == [1]
@@ -319,14 +320,22 @@ def test_span_geometry_builds_one_pencil(toy_mix, monkeypatch):
     assert tangle_rows == []
 
 
-def test_span_geometries_equal_batches_of_one():
+def test_span_geometries_equal_batches_of_one(benchmark_inputs, sparse_spans):
+    # a stack of one, the path of every report, against the same span in a
+    # stack of 519: the benchmark's 200 pairs (with the toy pair, GHZ3/W3, an
+    # identically zero pencil and the |000>/|111> double roots) and the 300
+    # sparse spans (flat polytopes, roots at 0 and at infinity)
     ket = np.eye(8, dtype=complex)
+    pairs = [
+        RankTwoMixture(PureState(3, a), PureState(3, b), 0.5)
+        for _, a, b in benchmark_inputs.pair_set(1)
+    ]
     mixes = _seeded_pairs(29, 5) + [
         RankTwoMixture(make_ghz(3), make_w(3), 0.5),
         RankTwoMixture(PureState(3, ket[0]), PureState(3, ket[7]), 0.5),
         _basis_pair(),  # identically zero pencil
         toy_mixture(),
-    ]
+    ] + pairs + [mix for mix, _ in sparse_spans]
     stacked = span_geometries(
         np.array([m.psi1.amplitudes for m in mixes]), np.array([m.psi2.amplitudes for m in mixes])
     )
@@ -352,6 +361,22 @@ def test_span_geometries_equal_batches_of_one():
             assert (a.p_low, a.p_high) == (b.p_low, b.p_high)
             for wa, wb in ((a.witness_low, b.witness_low), (a.witness_high, b.witness_high)):
                 assert wa.face == wb.face and np.array_equal(wa.weights, wb.weights)
+
+
+def test_span_geometries_keep_no_tie_to_the_input_stacks():
+    # the root states are those of the stacks as passed: overwriting the
+    # caller's arrays afterwards changes no geometry
+    mixes = _seeded_pairs(31, 4) + [toy_mixture()]
+    amps1 = np.array([m.psi1.amplitudes for m in mixes])
+    amps2 = np.array([m.psi2.amplitudes for m in mixes])
+    geoms = span_geometries(amps1, amps2)
+    amps1[:] = amps2[::-1]
+    amps2[:] = 1.0
+    for mix, geom in zip(mixes, geoms):
+        alone = span_geometry(mix)
+        for a, b in zip(geom.zeros.states, alone.zeros.states):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert np.array_equal(geom.coefficients, alone.coefficients)
 
 
 def test_report_tangle_calls_do_not_grow_with_the_grid(monkeypatch):

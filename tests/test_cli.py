@@ -1,6 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -259,6 +263,24 @@ def _pairs():
         "000_111": (ket[0], ket[7]),
         "000_001": (ket[0], ket[1]),
     }
+
+
+def test_bounds_on_state_files_imports_no_numpy_ma(tmp_path):
+    # the toy pair has an axis interval, whose ends join the report grid by
+    # a sort and a drop of equal neighbours; np.unique would import numpy.ma
+    toy1, toy2 = _pairs()["toy"]
+    files = [_amplitude_file(tmp_path, "a.json", toy1), _amplitude_file(tmp_path, "b.json", toy2)]
+    code = (
+        "import sys; from tangleroof.cli import main; main(['bounds', *sys.argv[1:]]); "
+        "sys.exit(3 if 'numpy.ma' in sys.modules else 0)"
+    )
+    src = str(Path(tangleroof.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *files], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("p,linearized,pivot,envelope,achieving\n")
 
 
 @pytest.mark.parametrize("name", sorted(_pairs()))

@@ -243,7 +243,8 @@ def test_extended_root_properties():
     c = np.zeros(5, dtype=complex)
     c[:2] = npoly.polyfromroots([1.0 + 1.0j])
     ket = np.eye(8, dtype=complex)
-    zs = pencil._zero_sets(c[None, :], ket[None, 0], ket[None, 7]).zero_set(0)
+    sizes = pencil._pencil_tables(ket[None, 0], ket[None, 7])[1]
+    zs = pencil._zero_sets(c[None, :], sizes, ket[None, 0], ket[None, 7]).zero_set(0)
     assert zs.z.tolist() == [1.0 + 1.0j, complex(np.inf)]
     assert zs.multiplicity.tolist() == [1, 3]
     np.testing.assert_allclose(zs.p0, [1.0 / 3.0, 0.0], rtol=0.0, atol=1e-15)
@@ -454,6 +455,33 @@ def test_pencil_ends_are_the_end_tangles_bitwise(benchmark_inputs):
     real = ~np.any(amps1.imag, axis=1) & ~np.any(amps2.imag, axis=1)
     assert real.sum() == 408
     assert np.all(coeffs[real].imag == 0.0)
+
+
+def test_pencil_tables_equal_the_pencils_and_the_real_size_formula_bitwise(
+    benchmark_inputs, sparse_spans
+):
+    # one walk serves both tables: its coefficients are _pencils' bits, and
+    # its sizes, the moduli riding as complex numbers, are those of the
+    # size formula 4 ((sum_k p_k)^2 + 4 d3) in real arithmetic on the moduli
+    pairs = [p for seed in (1, 2, 3, 7) for p in benchmark_inputs.pair_set(seed)]
+    amps1, amps2 = _stacks(pairs)
+    amps1 = np.concatenate([amps1] + [m.psi1.amplitudes[None] for m, _ in sparse_spans])
+    amps2 = np.concatenate([amps2] + [m.psi2.amplitudes[None] for m, _ in sparse_spans])
+    coeffs, sizes = pencil._pencil_tables(amps1, amps2)
+    np.testing.assert_array_equal(
+        coeffs.view(np.int64), pencil._pencils(amps1, amps2).view(np.int64)
+    )
+    x = np.abs(np.array((amps1, amps2))).transpose(2, 0, 1)
+    p = sum(pencil._polymul(x[i][None], x[j][None]) for i, j in _kernels.TAU3_PAIRS)
+    d3 = 0.0
+    for chain in _kernels.TAU3_FOURFOLD:
+        term = x[chain[0]][None]
+        for k in chain[1:]:
+            term = pencil._polymul(term, x[k][None])
+        d3 = d3 + term
+    want = (4.0 * (pencil._polymul(p, p) + 4.0 * d3))[0].T
+    assert sizes.dtype == float and sizes.shape == coeffs.shape
+    np.testing.assert_array_equal(sizes.view(np.int64), want.view(np.int64))
 
 
 def test_structural_zero_coefficients_are_exact(benchmark_inputs):

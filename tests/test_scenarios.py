@@ -360,6 +360,45 @@ def test_simplex_scan_reads_the_span_stack(phi, monkeypatch):
     assert [_typed((r.p, r.volume, r.dimension, r.interval)) for r in rows] == want
 
 
+def _span_geometry_c3(v1, v2, q, degenerate):
+    """scenarios._linearized_c3 from per-span objects: c3 of v1 for a
+    rank-one reduction, linearized_upper_bound of its span_geometries span
+    at q otherwise."""
+    geoms = iter(span_geometries(v1[~degenerate], v2[~degenerate]))
+    return [
+        c3(PureState(3, v1[i])) if pure else float(linearized_upper_bound(next(geoms))(q[i]))
+        for i, pure in enumerate(degenerate.tolist())
+    ]
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.3, 0.4, np.pi / 4, 0.5234375, 1.2])
+def test_monogamy_curve_reads_the_span_stack(phi, monkeypatch):
+    # the three-qubit bounds of a 101-point curve come from one span stack:
+    # each span's knots are read from its row as floats, and the pure-end
+    # c3 is the scalar sqrt|c| of SpanGeometry, so every row keeps its bits
+    ps = np.linspace(0.0, 1.0, 101)
+    psi = _family_states(ps, np.full(ps.shape, phi))
+    triples = np.concatenate(
+        [_partial_traces(psi, 4, (0, j, k)) for j, k in ((1, 2), (1, 3), (2, 3))]
+    )
+    want = _span_geometry_c3(*_rank_two_eigenpairs(triples))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("monogamy_curve built a per-span object")
+
+    monkeypatch.setattr(bounds, "span_geometries", refuse)
+    monkeypatch.setattr(bounds, "BoundCurve", refuse)
+    monkeypatch.setattr(pencil._RootTables, "zero_set", refuse)
+    monkeypatch.setattr(pencil, "PureState", refuse)
+    monkeypatch.setattr(bounds, "ZeroPolytope", refuse)
+    monkeypatch.setattr(bounds, "_interval", refuse)
+    rows = monogamy_curve(ps, phi)
+    n = ps.shape[0]
+    assert [r.three_tangle_bounds for r in rows] == [
+        tuple(want[i + m * n] ** 2 for m in range(3)) for i in range(n)
+    ]
+
+
 @pytest.mark.parametrize(
     "call",
     [
